@@ -419,7 +419,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 def cmd_postprocess(cfg: RunConfig, args) -> int:
     prob = geodata.read_raster(cfg.paths.probability)
     binary = detect.threshold_probability(prob, cfg.postprocess.probability_threshold)
-    detections = detect.postprocess_probability(prob, cfg.postprocess)
+    detections = detect.detections_from_binary(binary, prob, cfg.postprocess)
     out = args.out or cfg.paths.detections
     detect.export_geojson(detections, out)
     geodata.read_annotations(out)  # write-then-verify

@@ -282,12 +282,19 @@ class NormalizationStats:
         object.__setattr__(self, "stds", tuple(float(s) for s in self.stds))
         if len(self.means) != len(self.stds):
             raise ValueError("means and stds differ in length")
-        if any(s <= 0 for s in self.stds):
-            raise ValueError(f"stds must be positive, got {self.stds}")
         if self.band_names is not None:
             object.__setattr__(self, "band_names", tuple(self.band_names))
             if len(self.band_names) != len(self.means):
                 raise ValueError("band_names length does not match stats")
+        names = self.band_names or range(len(self.means))
+        for name, mean, std in zip(names, self.means, self.stds):
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                raise ValueError(
+                    f"band {name!r}: non-finite normalization stats (mean {mean}, "
+                    f"std {std}); nodata pixels in the training chips?"
+                )
+        if any(s <= 0 for s in self.stds):
+            raise ValueError(f"stds must be positive, got {self.stds}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -472,6 +472,13 @@ def export_geojson(detections: list[Detection], path) -> None:
 def postprocess_probability(prob: Raster, pcfg: PostprocConfig) -> list[Detection]:
     """threshold -> label -> polygonize -> area filter, in one call."""
     binary = threshold_probability(prob, pcfg.probability_threshold)
+    return detections_from_binary(binary, prob, pcfg)
+
+
+def detections_from_binary(
+    binary: Raster, prob: Raster, pcfg: PostprocConfig
+) -> list[Detection]:
+    """label -> polygonize -> area filter on an already thresholded raster."""
     labels, _ = connected_components(binary, pcfg.connectivity)
     detections = polygonize(labels, prob.transform, prob.samples[0])
     return filter_detections(detections, pcfg)

@@ -9,8 +9,9 @@ backward calls keep accumulating until ``zero_grads`` resets them.
 The op set is exactly what the segmentation model needs: 3x3 same-padded
 convolution, 2x2 max pooling, 2x2 stride-2 transposed convolution, channel
 concatenation, relu, sigmoid, a spatial crop, and weighted binary
-cross-entropy on logits. Convolutions run as im2col + matmul so the heavy
-lifting stays in BLAS.
+cross-entropy on logits. A 3x3 convolution zero-pads its input once into a
+flat buffer and runs as nine shifted GEMMs, one per kernel tap, so the heavy
+lifting stays in BLAS without building patch matrices.
 """
 
 from __future__ import annotations
@@ -269,22 +270,39 @@ def crop_spatial(x: Tensor, height: int, width: int) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
-    """[batch, ch, h, w] -> [batch, h*w, ch*9] patches under zero padding."""
-    b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, h * w, c * 9)
+def _pad_flat(a: np.ndarray, dtype) -> np.ndarray:
+    """[batch, ch, h, w] -> [batch, ch, (h+2)*(w+2) + 2] under zero padding 1.
+
+    Rows of the padded image are laid end to end; the two trailing zeros keep
+    the last tap's slice in _correlate3 inside the buffer.
+    """
+    b, c, h, w = a.shape
+    size = (h + 2) * (w + 2)
+    ap = np.zeros((b, c, size + 2), dtype=dtype)
+    ap[:, :, :size].reshape(b, c, h + 2, w + 2)[:, :, 1 : h + 1, 1 : w + 1] = a
+    return ap
 
 
-def _col2im3(cols: np.ndarray, b: int, c: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _im2col3: scatter-add patches back into the image."""
-    m = cols.reshape(b, h, w, c, 3, 3).transpose(0, 3, 4, 5, 1, 2)
-    xp = np.zeros((b, c, h + 2, w + 2), dtype=cols.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            xp[:, :, ki : ki + h, kj : kj + w] += m[:, :, ki, kj]
-    return xp[:, :, 1 : h + 1, 1 : w + 1]
+def _tap_offsets(w: int) -> list[int]:
+    """Start of tap (ki, kj)'s slice in a _pad_flat row of width w + 2."""
+    return [ki * (w + 2) + kj for ki in range(3) for kj in range(3)]
+
+
+def _correlate3(ap: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.ndarray:
+    """3x3 correlation of a _pad_flat input with taps [9, out, in], in row-major
+    (ki, kj) order, as nine shifted GEMMs accumulated in place.
+
+    Output pixel (i, j) sits at i*(w+2) + j on an h x (w+2) grid, and tap
+    (ki, kj) reads the contiguous slice starting ki*(w+2) + kj later. The two
+    wrap-around columns per row are cropped from the returned view.
+    """
+    n = h * (w + 2)
+    acc = np.matmul(taps[0], ap[:, :, :n])
+    tmp = np.empty_like(acc)
+    for t, off in enumerate(_tap_offsets(w)[1:], start=1):
+        np.matmul(taps[t], ap[:, :, off : off + n], out=tmp)
+        acc += tmp
+    return acc.reshape(*acc.shape[:2], h, w + 2)[:, :, :, :w]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -292,7 +310,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     kernel is [out_ch, in_ch, 3, 3]; bias is [out_ch].
     """
-    b, cin, h, w = x.data.shape
+    _, cin, h, w = x.data.shape
     if kernel.data.ndim != 4 or kernel.data.shape[2:] != (3, 3):
         raise ValueError(f"kernel must be [out, in, 3, 3], got {kernel.data.shape}")
     cout, ck = kernel.data.shape[:2]
@@ -300,19 +318,31 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"kernel expects {ck} input channels, input has {cin}")
     if bias.data.shape != (cout,):
         raise ValueError(f"bias shape {bias.data.shape} != ({cout},)")
-    cols = _im2col3(x.data)  # [b, h*w, cin*9]
-    wmat = kernel.data.reshape(cout, cin * 9)
-    out = cols @ wmat.T + bias.data
-    out = out.transpose(0, 2, 1).reshape(b, cout, h, w)
+    dtype = np.result_type(x.data, kernel.data, bias.data)
+    taps = np.ascontiguousarray(
+        kernel.data.reshape(cout, cin, 9).transpose(2, 0, 1), dtype=dtype
+    )
+    xp = _pad_flat(x.data, dtype)
+    out = _correlate3(xp, taps, h, w) + bias.data.astype(dtype)[:, None, None]
 
     def grad_fn(g):
-        gm = g.reshape(b, cout, h * w).transpose(0, 2, 1)  # [b, h*w, cout]
-        gx = _col2im3(gm @ wmat, b, cin, h, w) if x.requires_grad else None
+        gp = _pad_flat(g, dtype)
+        gx = None
+        if x.requires_grad:
+            # the adjoint correlates g with the flipped, transposed taps
+            gx = np.ascontiguousarray(
+                _correlate3(gp, taps[::-1].transpose(0, 2, 1), h, w)
+            )
         gw = None
         if kernel.requires_grad:
-            gw = np.tensordot(gm, cols, axes=([0, 1], [0, 1])).reshape(
-                kernel.data.shape
-            )
+            # g on the output grid; the wrap-around columns read zero padding
+            n = h * (w + 2)
+            gout = gp[:, :, w + 3 : w + 3 + n]
+            per_tap = [
+                np.matmul(gout, xp[:, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
+                for off in _tap_offsets(w)
+            ]
+            gw = np.stack(per_tap, axis=-1).reshape(kernel.data.shape)
         gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         return gx, gw, gb
 

@@ -43,6 +43,33 @@ def conv2d_oracle(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nda
     return out
 
 
+def conv2d_grad_oracle(
+    x: np.ndarray, kernel: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of sum(g * conv2d(x, kernel, bias)) w.r.t. x, kernel and
+    bias, by the same six loops as conv2d_oracle."""
+    n, cin, h, w = x.shape
+    cout = kernel.shape[0]
+    gx = np.zeros(x.shape, dtype=np.float64)
+    gk = np.zeros(kernel.shape, dtype=np.float64)
+    gb = np.zeros(cout, dtype=np.float64)
+    for b in range(n):
+        for o in range(cout):
+            for i in range(h):
+                for j in range(w):
+                    go = float(g[b, o, i, j])
+                    gb[o] += go
+                    for c in range(cin):
+                        for dy in range(3):
+                            for dx in range(3):
+                                yy = i + dy - 1
+                                xx = j + dx - 1
+                                if 0 <= yy < h and 0 <= xx < w:
+                                    gx[b, c, yy, xx] += go * float(kernel[o, c, dy, dx])
+                                    gk[o, c, dy, dx] += go * float(x[b, c, yy, xx])
+    return gx, gk, gb
+
+
 def max_pool_2x2_oracle(x: np.ndarray) -> np.ndarray:
     n, c, h, w = x.shape
     out = np.zeros((n, c, h // 2, w // 2), dtype=np.float64)

@@ -19,7 +19,7 @@ from dumpwatch.cli import (
     substream,
 )
 from dumpwatch.dataset import DEFAULT_BAND_SPEC, load_catalog
-from dumpwatch.geodata import read_annotations, read_raster
+from dumpwatch.geodata import read_annotations, read_raster, write_raster
 from dumpwatch.unet import load_checkpoint
 
 
@@ -346,6 +346,47 @@ class TestErrorExits:
         )
         code, _ = run_cli(["postprocess", "--config", str(cfg)], capsys)
         assert code == 1
+
+
+class TestNodataChip:
+    def test_nan_patch_fails_before_catalog_is_written(self, tmp_path, capsys, caplog):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "seed": 0,
+                    "paths": {
+                        "scene_dir": str(tmp_path / "scenes"),
+                        "catalog": str(tmp_path / "catalog"),
+                    },
+                    "synth": {"scene_count": 1, "scene_size": 96, "dump_count": 2},
+                    "chip": {
+                        "chip_size": 48,
+                        "stride": 24,
+                        "negatives_per_positive": 0.0,
+                        "test_frac": 0.0,
+                        "val_frac": 0.0,
+                    },
+                }
+            )
+        )
+        assert run_cli(["synth", "--config", str(cfg)], capsys)[0] == 0
+        assert run_cli(["chip", "--config", str(cfg)], capsys)[0] == 0
+        catalog = tmp_path / "catalog"
+        before = {p: p.read_bytes() for p in sorted(catalog.rglob("*")) if p.is_file()}
+
+        # a 4x4 NaN patch in the SWIR1 band, inside a window that is chipped
+        base = tmp_path / "scenes" / "scene_000"
+        raster = read_raster(base)
+        col, row = load_catalog(catalog)[0].train[0].origin
+        raster.samples[4, row + 10 : row + 14, col + 10 : col + 14] = np.nan
+        write_raster(raster, base)
+
+        code, summary = run_cli(["chip", "--config", str(cfg)], capsys)
+        assert code == 1 and summary is None
+        assert "band 'SWIR1': non-finite normalization stats" in caplog.text
+        after = {p: p.read_bytes() for p in sorted(catalog.rglob("*")) if p.is_file()}
+        assert after == before
 
 
 class TestSynthSeeding:

@@ -369,6 +369,10 @@ class TestNormalization:
             NormalizationStats((0.0,), (0.0,))
         with pytest.raises(ValueError, match="length"):
             NormalizationStats((0.0,), (1.0, 2.0))
+        with pytest.raises(ValueError, match="band 'b': non-finite"):
+            NormalizationStats((0.0, math.nan), (1.0, math.nan), ("a", "b"))
+        with pytest.raises(ValueError, match="band 0: non-finite"):
+            NormalizationStats((0.0,), (math.inf,))
         with pytest.raises(ValueError, match="bands"):
             apply_normalization(
                 _dummy_chips(1)[0], NormalizationStats((0.0, 0.0), (1.0, 1.0))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from dumpwatch.numerics import (
 )
 from oracles import (
     adam_step_oracle,
+    conv2d_grad_oracle,
     conv2d_oracle,
     finite_difference_grad,
     gradcheck_rel_error,
@@ -359,6 +361,72 @@ class TestGradcheck:
                 "b": rng.normal(size=2),
             },
         )
+
+
+def _conv_case(seed, batch, cin, cout, h, w, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        rng.normal(size=shape).astype(dtype)
+        for shape in ((batch, cin, h, w), (cout, cin, 3, 3), (cout,), (batch, cout, h, w))
+    )
+
+
+class TestConv2dGradients:
+    @pytest.mark.parametrize("needs", list(itertools.product((False, True), repeat=3)))
+    def test_requires_grad_combinations(self, needs):
+        x, k, b, g = _conv_case(11, 2, 3, 2, 4, 5)
+        out = conv2d(*(Tensor(a, requires_grad=r) for a, r in zip((x, k, b), needs)))
+        assert out.requires_grad == any(needs)
+        if not any(needs):
+            assert out._grad_fn is None
+            return
+        grads = out._grad_fn(g)
+        for got, want, needed in zip(grads, conv2d_grad_oracle(x, k, g), needs):
+            if needed:
+                assert got.shape == want.shape
+                assert np.allclose(got, want, atol=1e-10)
+            else:
+                assert got is None
+
+    @pytest.mark.parametrize(
+        "batch, cin, cout, h, w",
+        [
+            (1, 2, 3, 1, 1),
+            (2, 2, 3, 1, 7),
+            (2, 2, 3, 7, 1),
+            (1, 2, 3, 5, 9),
+            (2, 1, 3, 4, 5),
+            (2, 3, 1, 5, 4),
+            (1, 1, 1, 3, 2),
+        ],
+    )
+    def test_degenerate_and_non_square_shapes(self, batch, cin, cout, h, w):
+        x, k, b, g = _conv_case(12, batch, cin, cout, h, w)
+        out = conv2d(*(Tensor(a, requires_grad=True) for a in (x, k, b)))
+        assert np.allclose(out.data, conv2d_oracle(x, k, b), atol=1e-10)
+        for got, want in zip(out._grad_fn(g), conv2d_grad_oracle(x, k, g)):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, atol=1e-10)
+
+    def test_float32_stays_float32(self):
+        x, k, b, g = _conv_case(13, 2, 3, 4, 6, 5, dtype=np.float32)
+        out = conv2d(*(Tensor(a, requires_grad=True) for a in (x, k, b)))
+        assert out.data.dtype == np.float32
+        grads = out._grad_fn(g)
+        assert [a.dtype for a in grads] == [np.float32] * 3
+        for got, want in zip(grads, conv2d_grad_oracle(x, k, g)):
+            assert np.allclose(got, want, rtol=1e-4, atol=1e-4)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20)
+    def test_adjoint_identity(self, seed):
+        # with zero bias, conv is linear in x and in the kernel separately
+        x, k, _, g = _conv_case(seed, 2, 3, 4, 6, 5)
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(np.zeros(4)))
+        gx, gk, _ = out._grad_fn(g)
+        lhs = float(np.sum(out.data * g))
+        assert lhs == pytest.approx(float(np.sum(x * gx)), rel=1e-12, abs=1e-12)
+        assert lhs == pytest.approx(float(np.sum(k * gk)), rel=1e-12, abs=1e-12)
 
 
 class TestAdam:
