@@ -598,24 +598,9 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
     return split, stats
 
 
-def _reflect_indices(n: int, lo: int, hi: int) -> np.ndarray:
-    """Source indices for reflect padding of width lo/hi around an n-axis.
-
-    Extends the triangular wave 0..n-1..0 in both directions, so arbitrary
-    pad widths work (numpy-compatible edge-unrepeated reflection). A 1-wide
-    axis degrades to edge replication.
-    """
-    if n == 1:
-        return np.zeros(lo + 1 + hi, dtype=np.intp)
-    idx = np.arange(-lo, n + hi)
-    period = 2 * (n - 1)
-    idx = np.mod(idx, period)
-    return np.where(idx >= n, period - idx, idx)
-
-
 def reflect_pad(array: np.ndarray, pads: tuple[tuple[int, int], tuple[int, int]]) -> np.ndarray:
-    """Reflect-pad the trailing two axes; pads may exceed the axis length."""
-    (top, bottom), (left, right) = pads
-    h, w = array.shape[-2], array.shape[-1]
-    out = np.take(array, _reflect_indices(h, top, bottom), axis=-2)
-    return np.take(out, _reflect_indices(w, left, right), axis=-1)
+    """Reflect-pad the trailing two axes (numpy ``reflect``, edge unrepeated).
+
+    Pads may exceed the axis length; a 1-wide axis is edge-replicated.
+    """
+    return np.pad(array, ((0, 0),) * (array.ndim - 2) + tuple(pads), mode="reflect")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from . import dataset as ds
 from . import numerics, unet
@@ -183,57 +184,9 @@ def connected_components(
     order. Returns (labels [row, col] int32, sizes indexed by label-1)."""
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    grid = binary.samples[0] != 0
-    height, width = grid.shape
-    provisional = np.zeros((height, width), dtype=np.int32)
-    parent = [0]
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    next_id = 0
-    for r in range(height):
-        for c in range(width):
-            if not grid[r, c]:
-                continue
-            neighbors = []
-            if c > 0 and grid[r, c - 1]:
-                neighbors.append(provisional[r, c - 1])
-            if r > 0:
-                if grid[r - 1, c]:
-                    neighbors.append(provisional[r - 1, c])
-                if connectivity == 8:
-                    if c > 0 and grid[r - 1, c - 1]:
-                        neighbors.append(provisional[r - 1, c - 1])
-                    if c < width - 1 and grid[r - 1, c + 1]:
-                        neighbors.append(provisional[r - 1, c + 1])
-            if not neighbors:
-                next_id += 1
-                parent.append(next_id)
-                provisional[r, c] = next_id
-            else:
-                roots = sorted({find(int(n)) for n in neighbors})
-                keep = roots[0]
-                provisional[r, c] = keep
-                for other in roots[1:]:
-                    parent[other] = keep
-    labels = np.zeros((height, width), dtype=np.int32)
-    remap: dict[int, int] = {}
-    for r in range(height):
-        for c in range(width):
-            p = provisional[r, c]
-            if p == 0:
-                continue
-            root = find(int(p))
-            if root not in remap:
-                remap[root] = len(remap) + 1
-            labels[r, c] = remap[root]
-    sizes = np.bincount(labels.ravel(), minlength=len(remap) + 1)[1:]
+    structure = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
+    labels, count = ndimage.label(binary.samples[0] != 0, structure, output=np.int32)
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
     return labels, sizes
 
 
@@ -382,8 +335,11 @@ def polygonize(
         with np.errstate(invalid="ignore"):
             mean_prob = sums / np.maximum(counts, 1)
     detections: list[Detection] = []
-    for label in range(1, count + 1):
-        pixels = np.argwhere(labels == label)
+    boxes = ndimage.find_objects(labels) if count else []
+    for label, box in enumerate(boxes, start=1):
+        # a label absent from the grid has no box; an empty one yields no pixels
+        rows, cols = box or (slice(0, 0), slice(0, 0))
+        pixels = np.argwhere(labels[rows, cols] == label) + (rows.start, cols.start)
         in_comp = {(int(r), int(c)) for r, c in pixels}
         rings = [_collapse_collinear(r) for r in _trace_rings(pixels, in_comp)]
         exteriors: list[tuple[list[Vertex], int]] = []

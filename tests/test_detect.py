@@ -105,7 +105,7 @@ class TestConnectedComponents:
         assert labels[0, 4] == 1 and labels[2, 0] == 2
 
     def test_u_shape_merges_into_one_label(self):
-        # two prongs meet at the bottom; union-find must merge them
+        # two prongs meet only at the bottom; they still get one label
         grid = np.zeros((3, 3))
         grid[:, 0] = 1
         grid[:, 2] = 1
@@ -116,12 +116,25 @@ class TestConnectedComponents:
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_matches_oracle(self, connectivity):
         rng = np.random.default_rng(13)
-        for trial in range(25):
-            grid = (rng.uniform(size=(12, 12)) < 0.45).astype(np.float32)
+        grids = [
+            (rng.uniform(size=(12, 12)) < 0.45).astype(np.float32)
+            for _ in range(25)
+        ]
+        grids += [
+            (rng.uniform(size=(64, 64)) < density).astype(np.float32)
+            for density in (0.3, 0.6)
+        ]
+        # arms two columns apart, joined only along the last row
+        arms = np.zeros((40, 41), dtype=np.float32)
+        arms[:, ::2] = 1
+        arms[-1, :] = 1
+        grids.append(arms)
+        for trial, grid in enumerate(grids):
             labels, sizes = connected_components(
                 _binary_raster(grid), connectivity=connectivity
             )
             expected = connected_components_oracle(grid, connectivity)
+            assert labels.dtype == np.int32, f"trial {trial}"
             assert np.array_equal(labels, expected), f"trial {trial}"
             assert np.array_equal(
                 sizes, np.bincount(expected.ravel())[1:]
@@ -307,6 +320,19 @@ class TestPolygonizeExactness:
 
     def test_no_components(self):
         assert polygonize(np.zeros((4, 4), dtype=np.int32), T1) == []
+
+    def test_absent_label_gives_empty_detection(self):
+        labels = np.zeros((4, 4), dtype=np.int32)
+        labels[0, 0] = 1
+        labels[2:4, 2:4] = 3  # no pixel carries label 2
+        dets = polygonize(labels, T1, np.full((4, 4), 0.75))
+        assert len(dets) == 3
+        assert dets[1].polygons == [] and dets[1].pixel_count == 0
+        assert dets[1].area == 0.0
+        assert dets[0].pixel_count == 1 and dets[2].pixel_count == 4
+        assert np.array_equal(
+            _rasterize_back(dets, T1, 4, 4), (labels != 0).astype(np.uint8)
+        )
 
 
 class TestThresholdAndFilter:
