@@ -30,7 +30,9 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 def atomic_write_json(path: str | os.PathLike, obj) -> None:
     # allow_nan=False keeps the files strict JSON; NaN must be encoded upstream.
-    atomic_write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
+    # No indent: indenting falls back to the pure-Python encoder, several
+    # times slower than the C one on large GeoJSON.
+    atomic_write_text(path, json.dumps(obj, allow_nan=False) + "\n")
 
 
 def encode_nodata(value: float | None):

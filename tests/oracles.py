@@ -264,3 +264,57 @@ def polygon_area_oracle(ring: list[tuple[float, float]]) -> float:
     for (x1, y1), (x2, y2) in zip(ring[:-1], ring[1:]):
         total += x1 * y2 - x2 * y1
     return abs(total) / 2.0
+
+
+def _cross(a, b, c) -> float:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _within_box(a, b, p) -> bool:
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _segments_touch_oracle(p1, p2, p3, p4) -> bool:
+    """Closed-segment intersection by orientation signs, endpoints included."""
+    d1, d2 = _cross(p3, p4, p1), _cross(p3, p4, p2)
+    d3, d4 = _cross(p1, p2, p3), _cross(p1, p2, p4)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return (
+        (d1 == 0 and _within_box(p3, p4, p1))
+        or (d2 == 0 and _within_box(p3, p4, p2))
+        or (d3 == 0 and _within_box(p1, p2, p3))
+        or (d4 == 0 and _within_box(p1, p2, p4))
+    )
+
+
+def ring_is_simple_oracle(ring) -> bool:
+    """Test every pair of non-adjacent segments of a closed ring, O(n^2).
+
+    Adjacent segments are never tested, so a ring that folds back along its
+    previous segment passes here; see ring_folds_back_oracle.
+    """
+    n = len(ring) - 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if _segments_touch_oracle(ring[i], ring[i + 1], ring[j], ring[j + 1]):
+                return False
+    return True
+
+
+def ring_folds_back_oracle(ring) -> bool:
+    """True when some vertex turns by exactly 180 degrees: its two segments
+    are collinear and point in opposite directions."""
+    n = len(ring) - 1
+    for k in range(n):
+        a, b, c = ring[(k - 1) % n], ring[k], ring[k + 1]
+        u = (b[0] - a[0], b[1] - a[1])
+        v = (c[0] - b[0], c[1] - b[1])
+        if u[0] * v[1] - u[1] * v[0] == 0 and u[0] * v[0] + u[1] * v[1] < 0:
+            return True
+    return False

@@ -36,7 +36,7 @@ from dumpwatch.unet import (
     forward,
     receptive_field_radius,
 )
-from oracles import connected_components_oracle
+from oracles import connected_components_oracle, ring_is_simple_oracle
 
 T1 = GeoTransform(0.0, 16.0, 1.0, 1.0)
 
@@ -251,6 +251,7 @@ class TestPolygonizeExactness:
                 for poly in det.polygons:
                     for ring in [poly.exterior, *poly.holes]:
                         assert ring_is_simple(ring), f"trial {trial}"
+                        assert ring_is_simple_oracle(ring), f"trial {trial}"
             assert np.array_equal(
                 _rasterize_back(dets, T1, 20, 20), grid.astype(np.uint8)
             ), f"trial {trial}"
@@ -266,6 +267,11 @@ class TestPolygonizeExactness:
             dets = polygonize(labels, T1)
             back = _rasterize_back(dets, T1, w, h)
             assert np.array_equal(back, grid.astype(np.uint8)), f"trial {trial}"
+            for det in dets:
+                for poly in det.polygons:
+                    for ring in poly.rings():
+                        assert ring_is_simple(ring), f"trial {trial}"
+                        assert ring_is_simple_oracle(ring), f"trial {trial}"
             # parts of one component never overlap: total count preserved
             assert sum(d.pixel_count for d in dets) == int(grid.sum())
 

@@ -1,11 +1,13 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dumpwatch.detect import connected_components, polygonize
 from dumpwatch.geodata import (
     GeoTransform,
     PolygonAnnotation,
@@ -20,7 +22,11 @@ from dumpwatch.geodata import (
     write_annotations,
     write_raster,
 )
-from oracles import polygon_area_oracle
+from oracles import (
+    polygon_area_oracle,
+    ring_folds_back_oracle,
+    ring_is_simple_oracle,
+)
 
 
 class TestGeoTransform:
@@ -257,6 +263,95 @@ class TestRingSimplicity:
         ).exterior
         assert not ring_is_simple(ring)
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_spike_touching_edge_at_its_extreme_is_not_simple(self, transpose):
+        # vertex 5 lands on the segment from vertex 1 to vertex 2, and only
+        # there: the touching pairs meet at the edge of their x-ranges
+        points = ((0, 0), (4, 0), (4, 4), (0, 4), (0, 3), (4, 2), (0, 1))
+        if transpose:
+            points = tuple((y, x) for x, y in points)
+        assert not ring_is_simple(PolygonAnnotation(points).exterior)
+
+    def test_fold_back_is_not_simple(self):
+        # zero-area ring that doubles back along its previous segment; all
+        # three segments are pairwise adjacent, so no pair test sees it
+        assert not ring_is_simple(PolygonAnnotation(((0, 0), (2, 0), (1, 0))).exterior)
+
+    def test_straight_continuation_is_simple(self):
+        ring = PolygonAnnotation(((0, 0), (1, 0), (2, 0), (1, 1))).exterior
+        assert ring_is_simple(ring)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=12
+        )
+    )
+    @settings(max_examples=500)
+    def test_matches_oracle_on_lattice_rings(self, points):
+        try:
+            ring = PolygonAnnotation(points).exterior
+        except ValueError:
+            assume(False)  # fewer than three distinct vertices
+        expected = ring_is_simple_oracle(ring) and not ring_folds_back_oracle(ring)
+        assert ring_is_simple(ring) == expected
+
+    @pytest.mark.parametrize("quarter_turns", [0, 1, 2, 3])
+    def test_matches_oracle_on_rotated_comb(self, quarter_turns):
+        grid = np.rot90(_comb_grid(teeth=64, tooth_max=12, seed=5), quarter_turns)
+        ring = _comb_ring(grid)
+        assert len(ring) == 4 * 64 + 1
+        assert ring_is_simple(ring) and ring_is_simple_oracle(ring)
+        # moving one vertex to a random lattice point mostly breaks the ring
+        rng = np.random.default_rng(quarter_turns)
+        h, w = grid.shape
+        rejected = 0
+        for _ in range(6):
+            points = list(ring[:-1])
+            k = int(rng.integers(len(points)))
+            points[k] = (float(rng.integers(w + 1)), float(rng.integers(h + 1)))
+            moved = PolygonAnnotation(points).exterior
+            expected = ring_is_simple_oracle(moved) and not ring_folds_back_oracle(
+                moved
+            )
+            assert ring_is_simple(moved) == expected, f"vertex {k}"
+            rejected += not expected
+        assert rejected > 0
+
+    def test_twenty_thousand_vertex_comb_is_fast(self):
+        # the all-pairs test takes minutes on this ring
+        ring = _comb_ring(_comb_grid(teeth=5000, tooth_max=8, seed=7))
+        assert len(ring) == 20_001
+        start = time.perf_counter()
+        assert ring_is_simple(ring)
+        assert time.perf_counter() - start < 5.0
+
+
+def _comb_grid(teeth: int, tooth_max: int, seed: int) -> np.ndarray:
+    """A one-pixel spine across the grid with one-pixel teeth, one pixel
+    apart, rising and falling from it with seeded lengths in [1, tooth_max]:
+    a single component whose ring has four vertices per tooth."""
+    rng = np.random.default_rng(seed)
+    grid = np.zeros((2 * tooth_max + 1, teeth), dtype=np.float32)
+    grid[tooth_max] = 1
+    up = rng.integers(1, tooth_max + 1, teeth // 2)
+    down = rng.integers(1, tooth_max + 1, teeth // 2)
+    for k in range(teeth // 2):
+        grid[tooth_max - up[k] : tooth_max, 2 * k] = 1
+        grid[tooth_max + 1 : tooth_max + 1 + down[k], 2 * k] = 1
+    return grid
+
+
+def _comb_ring(grid: np.ndarray):
+    raster = Raster(
+        grid[None],
+        GeoTransform(0.0, float(grid.shape[0]), 1.0, 1.0),
+        nodata=None,
+    )
+    labels, _ = connected_components(raster, connectivity=8)
+    (detection,) = polygonize(labels, raster.transform)
+    (poly,) = detection.polygons
+    return poly.exterior
+
 
 class TestAnnotationIO:
     def _write_doc(self, path, doc):
@@ -351,6 +446,38 @@ class TestAnnotationIO:
         path = self._write_doc(tmp_path / "bowtie.geojson", doc)
         with pytest.raises(ValueError, match="self-intersecting"):
             read_annotations(path)
+
+    def test_rejection_names_ring_and_segments(self, tmp_path):
+        square = [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]]
+        good_hole = [[0.5, 0.5], [1, 0.5], [1, 1], [0.5, 1], [0.5, 0.5]]
+        bowtie_hole = [[2, 2], [3, 3], [3, 2], [2, 3], [2, 2]]
+
+        def read(geometry):
+            valid = {"type": "Polygon", "coordinates": [square]}
+            features = [
+                {"type": "Feature", "geometry": g, "properties": {}}
+                for g in (valid, geometry)
+            ]
+            doc = {"type": "FeatureCollection", "features": features}
+            read_annotations(self._write_doc(tmp_path / "a.geojson", doc))
+
+        with pytest.raises(
+            ValueError,
+            match=r"self-intersecting ring in a\.geojson feature 1, hole 1: "
+            r"segments 0 and 2 touch",
+        ):
+            read({"type": "Polygon", "coordinates": [square, good_hole, bowtie_hole]})
+        with pytest.raises(
+            ValueError,
+            match=r"self-intersecting ring in a\.geojson feature 1 part 1, "
+            r"exterior: folds back at vertex 0",
+        ):
+            read(
+                {
+                    "type": "MultiPolygon",
+                    "coordinates": [[square], [[[0, 0], [2, 0], [1, 0], [0, 0]]]],
+                }
+            )
 
     def test_rejects_non_feature_collection(self, tmp_path):
         path = self._write_doc(tmp_path / "bad.geojson", {"type": "Polygon"})
