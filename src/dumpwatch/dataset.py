@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from . import geodata
 from ._fileio import atomic_write_json
@@ -475,6 +474,10 @@ def generate_synthetic(
         polygons.append(PolygonAnnotation((*ring, ring[0])))
 
     mask = rasterize_mask(polygons, transform, size, size)
+
+    # imported here, not at module level: scipy.ndimage takes about 0.3 s to
+    # load, and only the stages that make scenes or label components need it
+    from scipy.ndimage import uniform_filter
 
     profiles = config.spectral_profiles
     layers = []

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import dataset as ds
 from . import numerics, unet
@@ -184,6 +183,10 @@ def connected_components(
     order. Returns (labels [row, col] int32, sizes indexed by label-1)."""
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    # scipy.ndimage is slow to import and predict never needs it (see
+    # dataset.generate_synthetic)
+    from scipy import ndimage
+
     structure = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
     labels, count = ndimage.label(binary.samples[0] != 0, structure, output=np.int32)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
@@ -334,6 +337,8 @@ def polygonize(
         counts = np.bincount(flat, minlength=count + 1)
         with np.errstate(invalid="ignore"):
             mean_prob = sums / np.maximum(counts, 1)
+    from scipy import ndimage  # see connected_components
+
     detections: list[Detection] = []
     boxes = ndimage.find_objects(labels) if count else []
     for label, box in enumerate(boxes, start=1):

@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -329,27 +330,32 @@ def _ring_defect(ring: Ring) -> str | None:
             (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1]) < 0
         ):
             return f"folds back at vertex {k}"
-    # Broad phase: sweep the segments in order of min-x, keeping the earlier
-    # ones whose max-x reaches the current min-x. Touching segments share a
-    # point, so their closed bounding boxes overlap; only such pairs go on
-    # to the exact test.
+    # Broad phase: sweep the segments in order of their low end along one
+    # axis, keeping the earlier ones whose high end reaches it. Touching
+    # segments share a point, so their closed bounding boxes overlap; only
+    # such pairs go on to the exact test. The sweep runs along the axis on
+    # which the segments are shorter in total, since long extents along it
+    # keep many segments active at once (a comb's teeth leaving one spine).
     x0, x1, y0, y1 = [], [], [], []
     for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]):
         x0.append(min(ax, bx))
         x1.append(max(ax, bx))
         y0.append(min(ay, by))
         y1.append(max(ay, by))
+    lo, hi, cross_lo, cross_hi = x0, x1, y0, y1
+    if sum(map(sub, y1, y0)) < sum(map(sub, x1, x0)):
+        lo, hi, cross_lo, cross_hi = y0, y1, x0, x1
     active: list[int] = []
-    for s in sorted(range(n), key=x0.__getitem__):
-        left, lo, hi = x0[s], y0[s], y1[s]
+    for s in sorted(range(n), key=lo.__getitem__):
+        start, c0, c1 = lo[s], cross_lo[s], cross_hi[s]
         still = []
         for t in active:
-            if x1[t] < left:
+            if hi[t] < start:
                 continue
             still.append(t)
             if (
-                y0[t] <= hi
-                and lo <= y1[t]
+                cross_lo[t] <= c1
+                and c0 <= cross_hi[t]
                 and abs(s - t) not in (1, n - 1)  # adjacent: share an endpoint
                 and _segments_touch(ring[t], ring[t + 1], ring[s], ring[s + 1])
             ):
@@ -363,11 +369,12 @@ def ring_is_simple(ring: Ring) -> bool:
     """Check that no two non-adjacent segments of a closed ring touch or
     cross, and that the ring never folds back along its previous segment.
 
-    A sort-and-sweep over the segments' x-extents sends only pairs whose
-    closed bounding boxes overlap to the exact predicate (``_segments_touch``),
-    so the verdict is that of testing every pair, in near-linear time on
-    rings whose segments spread out along x; many segments sharing one
-    x-range still cost a y-range check per pair.
+    A sort-and-sweep over the segments' extents along x or y, whichever
+    they cover less of in total, sends only pairs whose closed bounding
+    boxes overlap to the exact predicate (``_segments_touch``), so the
+    verdict is that of testing every pair, in near-linear time on rings
+    whose segments spread out along the sweep axis; many segments sharing
+    one range on both axes still cost a range check per pair.
     """
     return _ring_defect(ring) is None
 

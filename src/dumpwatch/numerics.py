@@ -3,15 +3,24 @@
 Each op computes its forward value eagerly and records parent links plus a
 closure that maps the output gradient to parent gradients. ``backward`` on a
 scalar loss walks that implicit graph in reverse topological order and
-accumulates gradients into every tensor with ``requires_grad`` set. Repeated
-backward calls keep accumulating until ``zero_grads`` resets them.
+accumulates gradients into every leaf (a tensor no op produced) with
+``requires_grad`` set; an intermediate's gradient is dropped as soon as it
+has been passed to its parents. Repeated backward calls keep accumulating
+until ``zero_grads`` resets them.
 
 The op set is exactly what the segmentation model needs: 3x3 same-padded
 convolution, 2x2 max pooling, 2x2 stride-2 transposed convolution, channel
 concatenation, relu, sigmoid, a spatial crop, and weighted binary
 cross-entropy on logits. A 3x3 convolution zero-pads its input once into a
 flat buffer and runs as nine shifted GEMMs, one per kernel tap, so the heavy
-lifting stays in BLAS without building patch matrices.
+lifting stays in BLAS without building patch matrices. 2x2 pooling takes
+the maximum over the four strided views of its input, and its gradient
+finds the first maximum of each window again from the input and the
+output, so it stores nothing of its own. The 2x2 transposed convolution is
+one GEMM of the [4*out, in] taps against the flattened input, interleaved
+into the output (bias included) by four strided copies; its backward runs
+the same GEMM shapes the other way. relu's gradient mask is taken from its
+output when backward runs.
 """
 
 from __future__ import annotations
@@ -138,7 +147,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into every requires_grad tensor."""
+    """Accumulate d(loss)/d(tensor) into every requires_grad leaf.
+
+    Leaves are tensors no op produced (no ``_grad_fn``), such as parameters
+    and inputs. An intermediate's gradient is freed once it has reached its
+    parents, so its ``.grad`` stays None.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     order = _topo_order(loss)
@@ -147,9 +161,9 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
         if node._grad_fn is None:
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._grad_fn(g)):
             if pg is None or not parent.requires_grad:
@@ -171,10 +185,9 @@ def zero_grads(params: Iterable[Tensor] | Mapping[str, "Tensor"]) -> None:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
-    mask = x.data > 0  # subgradient 0 at the kink
 
     def grad_fn(g):
-        return (g * mask,)
+        return (g * (out > 0),)  # subgradient 0 at the kink
 
     return _record(out, (x,), grad_fn)
 
@@ -355,22 +368,30 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     b, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even for 2x2 pooling, got {h}x{w}")
-    win = (
-        x.data.reshape(b, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, h // 2, w // 2, 4)
-    )
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    xd = x.data
+    corners = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
+    views = [xd[:, :, dy::2, dx::2] for dy, dx in corners]
+    # folded from the last view: np.maximum returns its second argument on a
+    # tie, so a window of -0.0 and 0.0 keeps its first maximum's sign
+    out = np.maximum(views[3], views[2])
+    np.maximum(out, views[1], out=out)
+    np.maximum(out, views[0], out=out)
 
     def grad_fn(g):
-        gwin = np.zeros_like(win)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = (
-            gwin.reshape(b, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h, w)
-        )
+        # Each view of gx gets g's bits where its element is the window's
+        # first maximum and zero bits elsewhere. An integer AND with an
+        # all-ones or all-zeros mask keeps both exact (g * mask would write
+        # -0.0 for a negative g) and is far faster than a masked copy.
+        bits = np.dtype(f"u{xd.itemsize}")
+        gbits = np.ascontiguousarray(g, dtype=xd.dtype).view(bits)
+        gx = np.empty_like(xd)
+        taken = np.zeros(out.shape, dtype=bool)
+        for k, (dy, dx) in enumerate(corners):
+            # the maximum is one of the four: what is left is the last one's
+            hit = ~taken if k == 3 else (views[k] == out) & ~taken
+            keep = np.subtract(0, hit, dtype=bits)  # True -> all ones
+            np.bitwise_and(gbits, keep, out=gx[:, :, dy::2, dx::2].view(bits))
+            taken |= hit
         return (gx,)
 
     return _record(out, (x,), grad_fn)
@@ -381,7 +402,9 @@ def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     kernel is [in_ch, out_ch, 2, 2]; output is [batch, out_ch, 2h, 2w] with
     out[b, o, 2i+dy, 2j+dx] = sum_c x[b, c, i, j] * kernel[c, o, dy, dx].
-    Adjoint of a 2x2 stride-2 convolution; windows never overlap.
+    Adjoint of a 2x2 stride-2 convolution; windows never overlap, so one
+    GEMM of the [4*out_ch, in_ch] taps against the flattened input gives
+    every output pixel, and four strided copies interleave the taps.
     """
     b, cin, h, w = x.data.shape
     if kernel.data.ndim != 4 or kernel.data.shape[2:] != (2, 2):
@@ -391,19 +414,31 @@ def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"kernel expects {ck} input channels, input has {cin}")
     if bias.data.shape != (cout,):
         raise ValueError(f"bias shape {bias.data.shape} != ({cout},)")
-    t = np.tensordot(x.data, kernel.data, axes=([1], [0]))  # [b, h, w, cout, 2, 2]
-    out = t.transpose(0, 3, 1, 4, 2, 5).reshape(b, cout, 2 * h, 2 * w)
-    out = out + bias.data[None, :, None, None]
+    # rows in (dy, dx, o) order
+    taps = kernel.data.transpose(2, 3, 1, 0).reshape(4 * cout, cin)
+    y = np.matmul(taps, x.data.reshape(b, cin, h * w)).reshape(b, 2, 2, cout, h, w)
+    dtype = np.result_type(y, bias.data)
+    out = np.empty((b, cout, 2 * h, 2 * w), dtype=dtype)
+    out6 = out.reshape(b, cout, h, 2, w, 2)
+    bias3 = bias.data[:, None, None]
+    for dy in (0, 1):
+        for dx in (0, 1):
+            np.add(y[:, dy, dx], bias3, out=out6[:, :, :, dy, :, dx])
 
     def grad_fn(g):
-        gt = g.reshape(b, cout, h, 2, w, 2).transpose(0, 2, 4, 1, 3, 5)
+        g6 = g.reshape(b, cout, h, 2, w, 2)
+        gt = np.empty((b, 2, 2, cout, h, w), dtype=g.dtype)
+        for dy in (0, 1):
+            for dx in (0, 1):
+                gt[:, dy, dx] = g6[:, :, :, dy, :, dx]
+        gt = gt.reshape(b, 4 * cout, h * w)
         gx = None
         if x.requires_grad:
-            gx = np.tensordot(gt, kernel.data, axes=([3, 4, 5], [1, 2, 3]))
-            gx = gx.transpose(0, 3, 1, 2)
+            gx = np.matmul(taps.T, gt).reshape(b, cin, h, w)
         gk = None
         if kernel.requires_grad:
-            gk = np.tensordot(x.data, gt, axes=([0, 2, 3], [0, 1, 2]))
+            gk = np.matmul(gt, x.data.reshape(b, cin, h * w).transpose(0, 2, 1)).sum(axis=0)
+            gk = gk.reshape(2, 2, cout, cin).transpose(3, 2, 0, 1)
         gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         return gx, gk, gb
 

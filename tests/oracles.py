@@ -87,6 +87,25 @@ def max_pool_2x2_oracle(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def max_pool_2x2_grad_oracle(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of sum(g * max_pool_2x2(x)) w.r.t. x: each window's g goes
+    to its first maximum in row-major window order."""
+    n, c, h, w = x.shape
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    best = None
+                    for dy in range(2):
+                        for dx in range(2):
+                            v = x[b, ch, 2 * i + dy, 2 * j + dx]
+                            if best is None or v > x[b, ch, best[0], best[1]]:
+                                best = (2 * i + dy, 2 * j + dx)
+                    gx[b, ch, best[0], best[1]] = g[b, ch, i, j]
+    return gx
+
+
 def transposed_conv_2x2_oracle(
     x: np.ndarray, kernel: np.ndarray, bias: np.ndarray
 ) -> np.ndarray:
@@ -106,6 +125,35 @@ def transposed_conv_2x2_oracle(
                                     x[b, c, i, j]
                                 ) * float(kernel[c, o, dy, dx])
     return out
+
+
+def backward_oracle(loss) -> dict[int, np.ndarray]:
+    """Reverse-mode walk over dumpwatch tensors that keeps every gradient,
+    intermediates included: {id(tensor): d(loss)/d(tensor)}.
+
+    Uses only each tensor's recorded parents and gradient closure; the order
+    comes from its own depth-first search.
+    """
+    order, seen = [], set()
+
+    def visit(t):
+        if id(t) not in seen:
+            seen.add(id(t))
+            for parent in t._parents:
+                visit(parent)
+            order.append(t)
+
+    visit(loss)
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = grads.get(id(node))
+        if g is None or node._grad_fn is None:
+            continue
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
+            if pg is not None and parent.requires_grad:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+    return grads
 
 
 def sigmoid_scalar(z: float) -> float:

@@ -464,6 +464,22 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "1"]
 
+    def test_cli_import_leaves_scipy_ndimage_unloaded(self):
+        # predict never labels components; scipy.ndimage loads on first use
+        code = (
+            "import sys; import numpy as np; import dumpwatch.cli; "
+            "print('scipy.ndimage' in sys.modules); "
+            "from dumpwatch.detect import connected_components; "
+            "from dumpwatch.geodata import GeoTransform, Raster; "
+            "grid = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=np.float32); "
+            "labels, sizes = connected_components("
+            "Raster(grid[None], GeoTransform(0.0, 3.0, 1.0, 1.0), nodata=None), 4); "
+            "print(labels.ravel().tolist(), sizes.tolist())"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "[1, 0, 2, 0, 0, 2, 3, 0, 0] [1, 2, 1]"]
+
     def test_threads_env_respects_existing_setting(self):
         code = (
             "import os; "

@@ -272,6 +272,17 @@ class TestRingSimplicity:
             points = tuple((y, x) for x, y in points)
         assert not ring_is_simple(PolygonAnnotation(points).exterior)
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_spike_touching_edge_at_its_sweep_extreme_is_not_simple(self, transpose):
+        # the ring above stretched to three times its height, so the sweep
+        # runs along x (the axis the segments cover less of) and the
+        # touching pairs meet at the edge of their ranges on that axis;
+        # transposed, the same happens along y
+        points = ((0, 0), (4, 0), (4, 12), (0, 12), (0, 9), (4, 6), (0, 3))
+        if transpose:
+            points = tuple((y, x) for x, y in points)
+        assert not ring_is_simple(PolygonAnnotation(points).exterior)
+
     def test_fold_back_is_not_simple(self):
         # zero-area ring that doubles back along its previous segment; all
         # three segments are pairwise adjacent, so no pair test sees it
@@ -324,6 +335,16 @@ class TestRingSimplicity:
         start = time.perf_counter()
         assert ring_is_simple(ring)
         assert time.perf_counter() - start < 5.0
+
+    def test_twenty_thousand_vertex_comb_turned_a_quarter_is_fast(self):
+        # a vertical spine with horizontal teeth: every tooth on one side
+        # starts at the spine's x, so an x-sweep keeps them all active
+        grid = np.rot90(_comb_grid(teeth=5000, tooth_max=8, seed=7))
+        ring = _comb_ring(grid)
+        assert len(ring) == 20_001
+        start = time.perf_counter()
+        assert ring_is_simple(ring)
+        assert time.perf_counter() - start < 1.0
 
 
 def _comb_grid(teeth: int, tooth_max: int, seed: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from oracles import (
     conv2d_oracle,
     finite_difference_grad,
     gradcheck_rel_error,
+    max_pool_2x2_grad_oracle,
     max_pool_2x2_oracle,
     sigmoid_scalar,
     softplus_scalar,
@@ -112,6 +113,14 @@ class TestAutodiffMechanics:
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
             backward(x * 1.0)
+
+    def test_intermediate_grad_stays_none(self):
+        x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        y = x * 3.0
+        z = relu(y)
+        z.sum().backward()
+        assert y.requires_grad and y.grad is None and z.grad is None
+        assert np.array_equal(x.grad, [3.0, 0.0])
 
     def test_constants_get_no_grad(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
@@ -427,6 +436,80 @@ class TestConv2dGradients:
         lhs = float(np.sum(out.data * g))
         assert lhs == pytest.approx(float(np.sum(x * gx)), rel=1e-12, abs=1e-12)
         assert lhs == pytest.approx(float(np.sum(k * gk)), rel=1e-12, abs=1e-12)
+
+
+def _tie_heavy(kind, seed, shape, dtype):
+    """relu-zeroed normals (many all-zero windows) or integers in 0..2."""
+    rng = np.random.default_rng(seed)
+    if kind == "relu":
+        return np.maximum(rng.normal(size=shape), 0).astype(dtype)
+    return rng.integers(0, 3, size=shape).astype(dtype)
+
+
+def _linear_grad(f, arr: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of sum(g * f(arr)) for f linear in arr, one unit input at a time."""
+    grad = np.zeros(arr.shape)
+    for idx in np.ndindex(arr.shape):
+        unit = np.zeros(arr.shape)
+        unit[idx] = 1.0
+        grad[idx] = np.sum(g * f(unit))
+    return grad
+
+
+class TestPoolAndUpconvGradients:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["relu", "int"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_max_pool_ties_match_oracle(self, dtype, kind, seed):
+        x = _tie_heavy(kind, seed, (2, 3, 6, 8), dtype)
+        g = np.random.default_rng(100 + seed).normal(size=(2, 3, 3, 4)).astype(dtype)
+        out = max_pool_2x2(Tensor(x, requires_grad=True))
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, max_pool_2x2_oracle(x))
+        (gx,) = out._grad_fn(g)
+        assert gx.dtype == dtype
+        assert np.array_equal(gx, max_pool_2x2_grad_oracle(x, g))
+
+    def test_max_pool_gradient_keeps_signed_zeros(self):
+        # routed -0.0 stays -0.0, and every other cell is +0.0
+        x = np.array([[[[1.0, 1.0], [0.0, 1.0]]]])
+        out = max_pool_2x2(Tensor(x, requires_grad=True))
+        (gx,) = out._grad_fn(np.array([[[[-0.0]]]]))
+        assert np.array_equal(np.signbit(gx), [[[[True, False], [False, False]]]])
+
+    @pytest.mark.parametrize(
+        "batch, cin, cout, h, w",
+        [(1, 1, 1, 1, 1), (2, 1, 3, 2, 3), (2, 3, 1, 3, 2), (1, 2, 2, 1, 4), (2, 2, 3, 4, 1)],
+    )
+    def test_transposed_conv_gradients_match_oracle(self, batch, cin, cout, h, w):
+        rng = np.random.default_rng(batch * 100 + cin * 10 + cout)
+        x = rng.normal(size=(batch, cin, h, w))
+        k = rng.normal(size=(cin, cout, 2, 2))
+        g = rng.normal(size=(batch, cout, 2 * h, 2 * w))
+        zero = np.zeros(cout)
+        out = transposed_conv_2x2(
+            Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(zero)
+        )
+        gx, gk, gb = out._grad_fn(g)
+        assert gb is None
+        assert gx.shape == x.shape and gk.shape == k.shape
+        want_gx = _linear_grad(lambda u: transposed_conv_2x2_oracle(u, k, zero), x, g)
+        want_gk = _linear_grad(lambda u: transposed_conv_2x2_oracle(x, u, zero), k, g)
+        assert np.allclose(gx, want_gx, atol=1e-12)
+        assert np.allclose(gk, want_gk, atol=1e-12)
+        # adjoint identity: the op is linear in x and in the kernel separately
+        lhs = float(np.sum(out.data * g))
+        assert lhs == pytest.approx(float(np.sum(x * gx)), rel=1e-12, abs=1e-12)
+        assert lhs == pytest.approx(float(np.sum(k * gk)), rel=1e-12, abs=1e-12)
+
+    def test_transposed_conv_float32_stays_float32(self):
+        rng = np.random.default_rng(14)
+        x, k, b = (rng.normal(size=s).astype(np.float32) for s in ((2, 3, 4, 5), (3, 2, 2, 2), (2,)))
+        g = rng.normal(size=(2, 2, 8, 10)).astype(np.float32)
+        out = transposed_conv_2x2(*(Tensor(a, requires_grad=True) for a in (x, k, b)))
+        assert out.data.dtype == np.float32
+        assert np.allclose(out.data, transposed_conv_2x2_oracle(x, k, b), rtol=1e-5, atol=1e-5)
+        assert [a.dtype for a in out._grad_fn(g)] == [np.float32] * 3
 
 
 class TestAdam:

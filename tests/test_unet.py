@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dumpwatch.dataset import NormalizationStats
-from dumpwatch.numerics import Tensor
+from dumpwatch.numerics import Tensor, weighted_bce_with_logits
 from dumpwatch.unet import (
     Checkpoint,
     UNetConfig,
@@ -16,7 +16,12 @@ from dumpwatch.unet import (
     receptive_field_radius,
     save_checkpoint,
 )
-from oracles import conv2d_oracle, max_pool_2x2_oracle, transposed_conv_2x2_oracle
+from oracles import (
+    backward_oracle,
+    conv2d_oracle,
+    max_pool_2x2_oracle,
+    transposed_conv_2x2_oracle,
+)
 
 TINY = UNetConfig(in_channels=1, depth=1, base_filters=2)
 SMALL = UNetConfig(in_channels=3, depth=2, base_filters=4)
@@ -155,6 +160,22 @@ class TestForward:
             assert pt.grad is not None, f"{name} got no gradient"
             assert pt.grad.shape == pt.data.shape
             assert np.all(np.isfinite(pt.grad))
+
+    def test_leaf_gradients_match_walk_that_keeps_every_gradient(self):
+        params = build_unet(SMALL, seed=1)
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
+        y = Tensor((rng.uniform(size=(2, 1, 8, 8)) > 0.7).astype(np.float32))
+        logits = forward(params, SMALL, x)
+        loss = weighted_bce_with_logits(logits, y, pos_weight=3.0)
+        everything = backward_oracle(loss)
+        loss.backward()
+        # no tensor here feeds more than two ops, so the order in which
+        # either walk sums a tensor's gradients cannot change a bit
+        for name, leaf in [*params.items(), ("input", x)]:
+            assert leaf.grad.dtype == everything[id(leaf)].dtype
+            assert leaf.grad.tobytes() == everything[id(leaf)].tobytes(), name
+        assert id(logits) in everything and logits.grad is None and loss.grad is None
 
 
 class TestReceptiveField:
