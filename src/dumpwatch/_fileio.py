@@ -1,4 +1,4 @@
-"""Shared file-writing helpers: atomic replace plus nodata JSON encoding."""
+"""Shared file helpers: atomic replace, strict JSON reading, nodata encoding."""
 
 from __future__ import annotations
 
@@ -33,6 +33,18 @@ def atomic_write_json(path: str | os.PathLike, obj) -> None:
     # No indent: indenting falls back to the pure-Python encoder, several
     # times slower than the C one on large GeoJSON.
     atomic_write_text(path, json.dumps(obj, allow_nan=False) + "\n")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard constant {name}")
+
+
+def read_json(path: str | os.PathLike):
+    """Parse a JSON file strictly (no NaN/Infinity); errors name the file."""
+    try:
+        return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def encode_nodata(value: float | None):

@@ -31,15 +31,15 @@ import argparse
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset as ds
 from . import detect, geodata, training, unet
-from ._fileio import atomic_write_json
-from .dataset import DatasetSplit, NormalizationStats, SynthConfig
+from ._fileio import read_json
+from .dataset import ChipConfig, DatasetSplit, SynthConfig
 from .detect import InferenceConfig, PostprocConfig
 from .training import Hyperparams
 from .unet import UNetConfig
@@ -67,16 +67,6 @@ class PathsConfig:
     report: str = "runs/demo/report.json"
     ablation: str = "runs/demo/ablation"
     predict_raster: str = ""  # defaults to the first scene in scene_dir
-
-
-@dataclass
-class ChipConfig:
-    chip_size: int = 100
-    stride: int = 50
-    negatives_per_positive: float = 1.0
-    bands: tuple[str, ...] = ds.DEFAULT_BAND_SPEC
-    test_frac: float = 0.1
-    val_frac: float = 0.2
 
 
 @dataclass
@@ -131,8 +121,8 @@ def load_config(path: str | None) -> RunConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        data = read_json(p)
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -205,6 +195,15 @@ def _scene_bases(scene_dir: str) -> list[Path]:
     return bases
 
 
+def _read_scenes(scene_dir: str):
+    """Yield (scene_id, source raster, polygons) one scene at a time."""
+    for base in _scene_bases(scene_dir):
+        raster = geodata.read_raster(base)
+        ann_path = Path(str(base) + ".geojson")
+        polygons = geodata.read_annotations(ann_path) if ann_path.exists() else []
+        yield base.name, raster, polygons
+
+
 def _summary(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -250,29 +249,13 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def cmd_chip(cfg: RunConfig, args) -> int:
     _validate_bands(cfg.chip.bands)
     catalog_dir = args.out or cfg.paths.catalog
-    chips = []
-    for base in _scene_bases(cfg.paths.scene_dir):
-        raster = geodata.read_raster(base)
-        ann_path = Path(str(base) + ".geojson")
-        polygons = geodata.read_annotations(ann_path) if ann_path.exists() else []
-        stacked = ds.stack_bands(raster, cfg.chip.bands)
-        mask = ds.rasterize_mask(polygons, raster.transform, raster.width, raster.height)
-        chips.extend(
-            ds.extract_chips(
-                stacked,
-                mask,
-                cfg.chip.chip_size,
-                cfg.chip.stride,
-                cfg.chip.negatives_per_positive,
-                seed=substream(cfg.seed, "chip"),
-                scene_id=base.name,
-            )
-        )
+    chips = ds.chip_scenes(
+        _read_scenes(cfg.paths.scene_dir), cfg.chip, substream(cfg.seed, "chip")
+    )
     positives = sum(1 for c in chips if c.is_positive())
     if positives == 0:
         log.warning("no positive chips extracted")
     if not chips:
-        Path(catalog_dir).mkdir(parents=True, exist_ok=True)
         ds.save_catalog(
             catalog_dir, DatasetSplit(train=[], val=[], test=[], seed=cfg.seed)
         )
@@ -418,6 +401,13 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 
 def cmd_postprocess(cfg: RunConfig, args) -> int:
     prob = geodata.read_raster(cfg.paths.probability)
+    grid = prob.samples[0]
+    bad = np.argwhere(((grid < 0) | (grid > 1)) & prob.valid_mask())
+    if len(bad):
+        raise ValueError(
+            f"{cfg.paths.probability}: {len(bad)} probability pixel(s) outside "
+            f"[0, 1], first at (row, col) {tuple(map(int, bad[0]))}"
+        )
     binary = detect.threshold_probability(prob, cfg.postprocess.probability_threshold)
     detections = detect.detections_from_binary(binary, prob, cfg.postprocess)
     out = args.out or cfg.paths.detections
@@ -436,23 +426,19 @@ def cmd_postprocess(cfg: RunConfig, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    scenes = []
-    for base in _scene_bases(cfg.paths.scene_dir):
-        raster = geodata.read_raster(base)
-        ann_path = Path(str(base) + ".geojson")
-        polygons = geodata.read_annotations(ann_path) if ann_path.exists() else []
-        scenes.append((raster, polygons))
+    # chipped once with every band; training.ablate slices each spec's channels
+    bands = tuple(dict.fromkeys(b for spec in ds.ABLATION_SPECS.values() for b in spec))
+    seed = substream(cfg.seed, "ablate")
+    chips = ds.chip_scenes(
+        _read_scenes(cfg.paths.scene_dir), replace(cfg.chip, bands=bands), seed
+    )
+    split = ds.split_dataset(chips, cfg.chip.test_frac, cfg.chip.val_frac, seed)
     rows = training.ablate(
-        scenes,
-        chip_size=cfg.chip.chip_size,
-        stride=cfg.chip.stride,
-        negatives_per_positive=cfg.chip.negatives_per_positive,
-        test_frac=cfg.chip.test_frac,
-        val_frac=cfg.chip.val_frac,
+        split,
         depth=cfg.model.depth,
         base_filters=cfg.model.base_filters,
         hyper=cfg.train,
-        seed=substream(cfg.seed, "ablate"),
+        seed=seed,
     )
     out = args.out or cfg.paths.ablation
     training.save_ablation(rows, out)

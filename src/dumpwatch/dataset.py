@@ -8,16 +8,16 @@ the stack only through the index.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import geodata
-from ._fileio import atomic_write_json
+from ._fileio import atomic_write_json, read_json
 from .geodata import GeoTransform, PolygonAnnotation, Raster
 
 NDSW_BAND = "NDSW"
@@ -229,14 +229,45 @@ def extract_chips(
 
 
 @dataclass
+class ChipConfig:
+    chip_size: int = 100
+    stride: int = 50
+    negatives_per_positive: float = 1.0
+    bands: tuple[str, ...] = DEFAULT_BAND_SPEC
+    test_frac: float = 0.1
+    val_frac: float = 0.2
+
+
+def chip_scenes(
+    scenes: Iterable[tuple[str, Raster, list[PolygonAnnotation]]],
+    chip: ChipConfig,
+    seed: int,
+) -> list[Chip]:
+    """Chips of each (scene_id, source raster, polygons) scene's ``chip.bands``
+    stack, all cut with ``seed``; pass a generator to hold one scene at a time."""
+    chips: list[Chip] = []
+    for scene_id, raster, polygons in scenes:
+        mask = rasterize_mask(polygons, raster.transform, raster.width, raster.height)
+        chips.extend(
+            extract_chips(
+                stack_bands(raster, chip.bands),
+                mask,
+                chip.chip_size,
+                chip.stride,
+                chip.negatives_per_positive,
+                seed=seed,
+                scene_id=scene_id,
+            )
+        )
+    return chips
+
+
+@dataclass
 class DatasetSplit:
     train: list[Chip]
     val: list[Chip]
     test: list[Chip]
     seed: int = 0
-
-    def all_chips(self) -> list[Chip]:
-        return [*self.train, *self.val, *self.test]
 
 
 def split_dataset(
@@ -316,7 +347,7 @@ class NormalizationStats:
 
     @classmethod
     def load(cls, path: str | Path) -> "NormalizationStats":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(read_json(path))
 
 
 def fit_normalization(train_chips: list[Chip]) -> NormalizationStats:
@@ -567,7 +598,7 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
     index_path = root / "index.json"
     if not index_path.exists():
         raise FileNotFoundError(f"missing catalog index {index_path}")
-    index = json.loads(index_path.read_text())
+    index = read_json(index_path)
     if index.get("format") != CATALOG_FORMAT:
         raise ValueError(f"unrecognized catalog format in {index_path}")
     if index.get("format_version") != CATALOG_FORMAT_VERSION:

@@ -430,12 +430,6 @@ def export_geojson(detections: list[Detection], path) -> None:
     atomic_write_json(path, {"type": "FeatureCollection", "features": features})
 
 
-def postprocess_probability(prob: Raster, pcfg: PostprocConfig) -> list[Detection]:
-    """threshold -> label -> polygonize -> area filter, in one call."""
-    binary = threshold_probability(prob, pcfg.probability_threshold)
-    return detections_from_binary(binary, prob, pcfg)
-
-
 def detections_from_binary(
     binary: Raster, prob: Raster, pcfg: PostprocConfig
 ) -> list[Detection]:

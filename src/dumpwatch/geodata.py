@@ -12,10 +12,10 @@ is documented here rather than checked.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import sub
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from ._fileio import (
     atomic_write_json,
     decode_nodata,
     encode_nodata,
+    read_json,
 )
 
 RASTER_FORMAT = "dumpwatch.raster"
@@ -55,13 +56,6 @@ class GeoTransform:
             raise ValueError(f"pixel_width must be > 0, got {self.pixel_width}")
         if not (self.pixel_height > 0):
             raise ValueError(f"pixel_height must be > 0, got {self.pixel_height}")
-
-
-def world_to_pixel(transform: GeoTransform, x: float, y: float) -> tuple[int, int]:
-    """Map a world point to the (col, row) of the pixel containing it."""
-    col = math.floor((x - transform.origin_x) / transform.pixel_width)
-    row = math.floor((transform.origin_y - y) / transform.pixel_height)
-    return col, row
 
 
 def pixel_to_world(transform: GeoTransform, col: float, row: float) -> Point:
@@ -188,10 +182,7 @@ def read_raster(path: str | Path) -> Raster:
         raise FileNotFoundError(f"missing raster header {header_path}")
     if not payload_path.exists():
         raise FileNotFoundError(f"missing raster payload {payload_path}")
-    try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed raster header {header_path}: {exc}") from exc
+    header = read_json(header_path)
     for key in ("format", "width", "height", "band_count", "transform", "dtype"):
         if key not in header:
             raise ValueError(f"malformed raster header {header_path}: missing {key!r}")
@@ -382,7 +373,12 @@ def ring_is_simple(ring: Ring) -> bool:
 def _validated_polygon(rings: list, label: str, source: str) -> PolygonAnnotation:
     poly = PolygonAnnotation(rings[0], tuple(rings[1:]), label=label)
     names = ("exterior", *(f"hole {j}" for j in range(len(poly.holes))))
-    for name, ring in zip(names, poly.rings()):
+    for name, raw, ring in zip(names, rings, poly.rings()):
+        if not all(map(math.isfinite, chain.from_iterable(raw))):
+            k = next(k for k, v in enumerate(raw) if not all(map(math.isfinite, v)))
+            raise ValueError(
+                f"non-finite vertex in {source}, {name}: vertex {k} is {raw[k]}"
+            )
         # ring_is_simple stays the entry point that perfbench/spans.py times;
         # the defect is looked up again only for the error message
         if not ring_is_simple(ring):
@@ -401,10 +397,7 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing annotation file {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unparseable GeoJSON {path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
     polygons: list[PolygonAnnotation] = []

@@ -10,10 +10,10 @@ until ``zero_grads`` resets them.
 
 The op set is exactly what the segmentation model needs: 3x3 same-padded
 convolution, 2x2 max pooling, 2x2 stride-2 transposed convolution, channel
-concatenation, relu, sigmoid, a spatial crop, and weighted binary
-cross-entropy on logits. A 3x3 convolution zero-pads its input once into a
-flat buffer and runs as nine shifted GEMMs, one per kernel tap, so the heavy
-lifting stays in BLAS without building patch matrices. 2x2 pooling takes
+concatenation, relu, a spatial crop, and weighted binary cross-entropy on
+logits. A 3x3 convolution zero-pads its input once into a flat buffer and
+runs as nine shifted GEMMs, one per kernel tap, so the heavy lifting stays
+in BLAS without building patch matrices. 2x2 pooling takes
 the maximum over the four strided views of its input, and its gradient
 finds the first maximum of each window again from the input and the
 output, so it stores nothing of its own. The 2x2 transposed convolution is
@@ -67,9 +67,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         backward(self)
@@ -201,15 +198,6 @@ def sigmoid_values(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = sigmoid_values(x.data)
-
-    def grad_fn(g):
-        return (g * s * (1.0 - s),)
-
-    return _record(s, (x,), grad_fn)
 
 
 def softplus_values(z: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ byte-stable across identical runs.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -20,8 +19,8 @@ import numpy as np
 
 from . import dataset as ds
 from . import numerics, unet
-from ._fileio import atomic_write_json, atomic_write_text
-from .dataset import Chip, DatasetSplit, NormalizationStats
+from ._fileio import atomic_write_json, atomic_write_text, read_json
+from .dataset import Chip, DatasetSplit
 from .numerics import AdamState, Tensor
 from .unet import ParameterSet, UNetConfig
 
@@ -323,52 +322,41 @@ class AblationRow:
 
 
 def ablate(
-    scenes: Sequence[tuple[object, list]],
+    split: DatasetSplit,
     specs: dict[str, tuple[str, ...]] | None = None,
     *,
-    chip_size: int = 64,
-    stride: int = 32,
-    negatives_per_positive: float = 1.0,
-    test_frac: float = 0.1,
-    val_frac: float = 0.2,
     depth: int = 2,
     base_filters: int = 8,
     hyper: Hyperparams | None = None,
     seed: int = 0,
 ) -> list[AblationRow]:
-    """Train one model per band spec under identical seeds and windows.
+    """Train one model per band spec on the same chips under identical seeds.
 
-    ``scenes`` is a list of (source Raster, annotation polygons). All band
-    specs share the same chip windows and split assignment because the mask
-    and every seed are identical across specs; only the stacked channels
-    differ. Each row reports loss and mean IoU on the shared test chips.
+    The split's chips carry every band any spec names; each spec trains on
+    its own channels of them, so all specs share the chip windows and the
+    split assignment. Each row reports loss and mean IoU on the test chips.
     """
     if specs is None:
         specs = ds.ABLATION_SPECS
     if hyper is None:
         hyper = Hyperparams()
+    if not split.train:
+        raise ValueError("training split is empty")
+    names = split.train[0].band_names or ()
+    for label, spec in specs.items():
+        for band in spec:
+            if band not in names:
+                raise ValueError(f"ablation spec {label!r}: chips have no {band!r} band")
     rows: list[AblationRow] = []
     for label, spec in specs.items():
-        chips: list[Chip] = []
-        for idx, (raster, polygons) in enumerate(scenes):
-            stacked = ds.stack_bands(raster, spec)
-            mask = ds.rasterize_mask(
-                polygons, raster.transform, raster.width, raster.height
-            )
-            chips.extend(
-                ds.extract_chips(
-                    stacked,
-                    mask,
-                    chip_size,
-                    stride,
-                    negatives_per_positive,
-                    seed=seed,
-                    scene_id=f"scene_{idx:03d}",
-                )
-            )
-        split = ds.split_dataset(chips, test_frac, val_frac, seed)
-        stats = ds.fit_normalization(split.train)
-        normalized = ds.normalize_split(split, stats)
+        idx = [names.index(band) for band in spec]
+        parts = [
+            [replace(c, samples=c.samples[idx], band_names=spec) for c in chips]
+            for chips in (split.train, split.val, split.test)
+        ]
+        sliced = DatasetSplit(*parts, seed=split.seed)
+        stats = ds.fit_normalization(sliced.train)
+        normalized = ds.normalize_split(sliced, stats)
         config = UNetConfig(
             in_channels=len(spec), depth=depth, base_filters=base_filters
         )
@@ -410,5 +398,5 @@ def save_ablation(rows: Sequence[AblationRow], path: str | Path) -> None:
 
 
 def load_ablation(path: str | Path) -> list[AblationRow]:
-    rows = json.loads(Path(str(path) + ".json").read_text())
+    rows = read_json(str(path) + ".json")
     return [AblationRow(r["label"], r["loss"], r["mean_iou"]) for r in rows]

@@ -14,14 +14,13 @@ manifest next to a raw little-endian float32 payload.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics
-from ._fileio import atomic_write_bytes, atomic_write_json
+from ._fileio import atomic_write_bytes, atomic_write_json, read_json
 from .dataset import NormalizationStats
 from .numerics import Tensor
 
@@ -245,7 +244,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise FileNotFoundError(f"missing checkpoint manifest {manifest_path}")
     if not payload_path.exists():
         raise FileNotFoundError(f"missing checkpoint payload {payload_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json(manifest_path)
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {manifest_path}")
     version = manifest.get("format_version")

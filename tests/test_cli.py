@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,8 +19,14 @@ from dumpwatch.cli import (
     load_config,
     substream,
 )
-from dumpwatch.dataset import DEFAULT_BAND_SPEC, load_catalog
-from dumpwatch.geodata import read_annotations, read_raster, write_raster
+from dumpwatch.dataset import DEFAULT_BAND_SPEC, SOURCE_BANDS, load_catalog
+from dumpwatch.geodata import (
+    GeoTransform,
+    Raster,
+    read_annotations,
+    read_raster,
+    write_raster,
+)
 from dumpwatch.unet import load_checkpoint
 
 
@@ -346,6 +353,93 @@ class TestErrorExits:
         )
         code, _ = run_cli(["postprocess", "--config", str(cfg)], capsys)
         assert code == 1
+
+
+def _scene_with_vertex(root, vertex):
+    """One flat source scene whose single annotation ring has ``vertex``
+    (JSON text) as its second vertex."""
+    write_raster(
+        Raster(
+            np.ones((6, 16, 16), np.float32),
+            GeoTransform(0.0, 16.0, 1.0, 1.0),
+            band_names=SOURCE_BANDS,
+        ),
+        root / "scenes" / "scene_000",
+    )
+    path = root / "scenes" / "scene_000.geojson"
+    path.write_text(
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+        '"geometry": {"type": "Polygon", "coordinates": '
+        f'[[[0, 0], {vertex}, [1, 1], [0, 0]]]}}, "properties": {{}}}}]}}'
+    )
+    return {"scene_dir": str(root / "scenes")}, path
+
+
+def _catalog_with_nan_seed(root):
+    path = root / "catalog" / "index.json"
+    path.parent.mkdir()
+    path.write_text(
+        '{"format": "dumpwatch.catalog", "format_version": 1, "chip_size": null, '
+        '"band_names": null, "seed": NaN, "chips": []}'
+    )
+    return {"catalog": str(path.parent)}, path
+
+
+def _probability(root, value=0.5, header_edit=("", "")):
+    samples = np.full((1, 8, 8), 0.25, np.float32)
+    samples[0, 3, 5] = value
+    base = root / "probability"
+    write_raster(
+        Raster(samples, GeoTransform(0.0, 8.0, 1.0, 1.0), band_names=("probability",)),
+        base,
+    )
+    header = root / "probability.json"
+    header.write_text(header.read_text().replace(*header_edit))
+    return {"probability": str(base)}, header if header_edit[0] else base
+
+
+# (command, input builder, fragments the error must carry besides the file)
+MALFORMED_INPUTS = {
+    "nan-vertex": (
+        "chip",
+        lambda r: _scene_with_vertex(r, "[NaN, 0]"),
+        ["invalid JSON", "constant NaN"],
+    ),
+    "1e400-vertex": (
+        "chip",
+        lambda r: _scene_with_vertex(r, "[1e400, 0]"),
+        ["feature 0, exterior: vertex 1 is [inf, 0]"],
+    ),
+    "nan-in-catalog-index": (
+        "train", _catalog_with_nan_seed, ["invalid JSON", "constant NaN"]
+    ),
+    "infinity-in-raster-header": (
+        "postprocess",
+        lambda r: _probability(r, header_edit=(': 0.0,', ': Infinity,')),
+        ["invalid JSON", "constant Infinity"],
+    ),
+    "inf-probability-pixel": (
+        "postprocess",
+        lambda r: _probability(r, value=np.inf),
+        ["1 probability pixel(s) outside [0, 1]", "(3, 5)"],
+    ),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("name", MALFORMED_INPUTS)
+    def test_exits_one_naming_the_file(self, name, tmp_path, capsys, caplog):
+        command, build, fragments = MALFORMED_INPUTS[name]
+        paths, bad_file = build(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"paths": paths}))
+        started = time.monotonic()
+        code, summary = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1 and summary is None
+        assert time.monotonic() - started < 5.0
+        assert bad_file.name in caplog.text
+        for fragment in fragments:
+            assert fragment in caplog.text
 
 
 class TestNodataChip:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from dumpwatch.dataset import (
     DEFAULT_BAND_SPEC,
     SOURCE_BANDS,
     Chip,
+    ChipConfig,
     DatasetSplit,
     NormalizationStats,
     SynthConfig,
     apply_normalization,
+    chip_scenes,
     compute_ndsw,
     extract_chips,
     fit_normalization,
@@ -270,6 +273,44 @@ def _dummy_chips(n):
     ]
 
 
+def _two_scenes():
+    cfgs = [SynthConfig(96, dump_count=2, background_texture_seed=i) for i in (40, 41)]
+    return [(f"scene_{i}", *generate_synthetic(cfg)) for i, cfg in enumerate(cfgs)]
+
+
+class TestChipScenes:
+    def test_matches_per_scene_extraction(self):
+        scenes = _two_scenes()
+        chip = ChipConfig(chip_size=32, stride=16, bands=("R", "SWIR1", "NDSW"))
+        got = chip_scenes(iter(scenes), chip, seed=6)
+        want = []
+        for scene_id, raster, polygons in scenes:
+            mask = rasterize_mask(polygons, raster.transform, 96, 96)
+            stacked = stack_bands(raster, chip.bands)
+            want += extract_chips(stacked, mask, 32, 16, 1.0, seed=6, scene_id=scene_id)
+        assert [c.scene_id for c in got] == [c.scene_id for c in want]
+        for a, b in zip(got, want, strict=True):
+            assert a.origin == b.origin and a.band_names == b.band_names
+            assert a.samples.tobytes() == b.samples.tobytes()
+            assert a.mask.tobytes() == b.mask.tobytes()
+
+    def test_union_chips_sliced_to_a_spec_equal_that_spec_chips(self):
+        scenes = _two_scenes()
+        union = chip_scenes(scenes, ChipConfig(chip_size=32, stride=16), seed=2)
+        for spec in ABLATION_SPECS.values():
+            idx = [DEFAULT_BAND_SPEC.index(band) for band in spec]
+            sliced = [replace(c, samples=c.samples[idx], band_names=spec) for c in union]
+            direct = chip_scenes(
+                scenes, ChipConfig(chip_size=32, stride=16, bands=spec), seed=2
+            )
+            for a, b in zip(sliced, direct, strict=True):
+                assert a.origin == b.origin and a.band_names == b.band_names
+                assert a.samples.shape == b.samples.shape
+                assert a.samples.tobytes() == b.samples.tobytes()
+                assert a.mask.tobytes() == b.mask.tobytes()
+            assert fit_normalization(sliced) == fit_normalization(direct)
+
+
 class TestSplitDataset:
     def test_frozen_counts_large(self):
         split = split_dataset(_dummy_chips(1917), 0.1, 0.2, seed=0)
@@ -282,7 +323,7 @@ class TestSplitDataset:
     def test_partition_is_disjoint_and_complete(self):
         chips = _dummy_chips(37)
         split = split_dataset(chips, 0.15, 0.25, seed=4)
-        ids = [id(c) for c in split.all_chips()]
+        ids = [id(c) for c in [*split.train, *split.val, *split.test]]
         assert len(ids) == 37 and len(set(ids)) == 37
 
     def test_deterministic(self):

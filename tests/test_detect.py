@@ -16,10 +16,10 @@ from dumpwatch.detect import (
     PostprocConfig,
     _tile_origins,
     connected_components,
+    detections_from_binary,
     export_geojson,
     filter_detections,
     polygonize,
-    postprocess_probability,
     predict_raster,
     threshold_probability,
 )
@@ -426,9 +426,10 @@ class TestPostprocessPipeline:
         grid[2, 2] = 0.9  # single 10x10 m pixel: 100 m^2
         grid[6:9, 6:9] = 0.9  # 900 m^2
         prob = _probability_raster(grid)
-        both = postprocess_probability(prob, PostprocConfig(min_area=100.0))
+        binary = threshold_probability(prob, 0.5)
+        both = detections_from_binary(binary, prob, PostprocConfig(min_area=100.0))
         assert len(both) == 2
-        big_only = postprocess_probability(prob, PostprocConfig(min_area=150.0))
+        big_only = detections_from_binary(binary, prob, PostprocConfig(min_area=150.0))
         assert len(big_only) == 1
         assert big_only[0].pixel_count == 9
         assert big_only[0].mean_probability == pytest.approx(0.9, abs=1e-6)
@@ -437,13 +438,10 @@ class TestPostprocessPipeline:
         grid = np.full((8, 8), 0.45, dtype=np.float32)
         grid[3:5, 3:5] = 0.6
         prob = _probability_raster(grid)
-        low = postprocess_probability(
-            prob, PostprocConfig(probability_threshold=0.4, min_area=0.0)
-        )
+        pcfg = PostprocConfig(min_area=0.0)
+        low = detections_from_binary(threshold_probability(prob, 0.4), prob, pcfg)
         assert low[0].pixel_count == 64
-        high = postprocess_probability(
-            prob, PostprocConfig(probability_threshold=0.5, min_area=0.0)
-        )
+        high = detections_from_binary(threshold_probability(prob, 0.5), prob, pcfg)
         assert high[0].pixel_count == 4
 
 

@@ -18,7 +18,6 @@ from dumpwatch.geodata import (
     read_raster,
     ring_is_simple,
     shift_transform,
-    world_to_pixel,
     write_annotations,
     write_raster,
 )
@@ -36,11 +35,6 @@ class TestGeoTransform:
         with pytest.raises(ValueError, match="pixel_height"):
             GeoTransform(0.0, 0.0, 10.0, -1.0)
 
-    def test_world_to_pixel_known_values(self):
-        t = GeoTransform(0.0, 100.0, 10.0, 10.0)
-        assert world_to_pixel(t, 5.0, 95.0) == (0, 0)
-        assert world_to_pixel(t, 25.0, 65.0) == (2, 3)
-
     def test_pixel_to_world_is_topleft_corner(self):
         t = GeoTransform(0.0, 100.0, 10.0, 10.0)
         assert pixel_to_world(t, 0, 0) == (0.0, 100.0)
@@ -52,19 +46,6 @@ class TestGeoTransform:
         assert shifted.origin_x == 530.0
         assert shifted.origin_y == 3930.0
         assert shifted.pixel_width == t.pixel_width
-
-    @given(
-        col=st.integers(0, 500),
-        row=st.integers(0, 500),
-        ox=st.floats(-1e5, 1e5),
-        oy=st.floats(-1e5, 1e5),
-        pw=st.floats(0.5, 60.0),
-        ph=st.floats(0.5, 60.0),
-    )
-    def test_center_round_trip(self, col, row, ox, oy, pw, ph):
-        t = GeoTransform(ox, oy, pw, ph)
-        x, y = pixel_to_world(t, col + 0.5, row + 0.5)
-        assert world_to_pixel(t, x, y) == (col, row)
 
 
 class TestRaster:
@@ -499,6 +480,32 @@ class TestAnnotationIO:
                     "coordinates": [[square], [[[0, 0], [2, 0], [1, 0], [0, 0]]]],
                 }
             )
+
+    def test_non_finite_vertex_rejected(self, tmp_path):
+        square = [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]]
+        # json reads an out-of-range literal such as 1e400 as inf
+        hole = '[[1, 1], [2, 1], [2, -1e400], [1, 1]]'
+        path = tmp_path / "inf.geojson"
+        path.write_text(
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+            f'"geometry": {{"type": "Polygon", "coordinates": [{square}, {hole}]}}, '
+            '"properties": {}}]}'
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"non-finite vertex in inf\.geojson feature 0, hole 0: vertex 2 ",
+        ):
+            read_annotations(path)
+
+    def test_nan_literal_rejected(self, tmp_path):
+        path = tmp_path / "nan.geojson"
+        path.write_text(
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+            '"geometry": {"type": "Polygon", "coordinates": '
+            '[[[0, 0], [NaN, 0], [1, 1], [0, 0]]]}, "properties": {}}]}'
+        )
+        with pytest.raises(ValueError, match=r"invalid JSON in .*nan\.geojson: .*NaN"):
+            read_annotations(path)
 
     def test_rejects_non_feature_collection(self, tmp_path):
         path = self._write_doc(tmp_path / "bad.geojson", {"type": "Polygon"})
