@@ -412,20 +412,25 @@ def cmd_postprocess(cfg: RunConfig, args) -> int:
     detections = detect.detections_from_binary(binary, prob, cfg.postprocess)
     out = args.out or cfg.paths.detections
     detect.export_geojson(detections, out)
+    summary = {
+        "command": "postprocess",
+        "detections": len(detections),
+        "total_area_m2": sum(d.area for d in detections),
+        "pixels_above_threshold": int(binary.samples.sum()),
+        "output": str(out),
+    }
+    del detections  # freed before the verify read, which holds the whole file
     geodata.read_annotations(out)  # write-then-verify
-    _summary(
-        {
-            "command": "postprocess",
-            "detections": len(detections),
-            "total_area_m2": sum(d.area for d in detections),
-            "pixels_above_threshold": int(binary.samples.sum()),
-            "output": str(out),
-        }
-    )
+    _summary(summary)
     return 0
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
+    if getattr(args, "bands", None) is not None:
+        raise ConfigError(
+            "--bands: ablate trains its own band sets "
+            f"({', '.join(ds.ABLATION_SPECS)}); drop the flag"
+        )
     # chipped once with every band; training.ablate slices each spec's channels
     bands = tuple(dict.fromkeys(b for spec in ds.ABLATION_SPECS.values() for b in spec))
     seed = substream(cfg.seed, "ablate")

@@ -2,10 +2,16 @@
 
 Probability maps come from sliding a trained model over overlapping tiles
 and averaging overlapping predictions. Post-processing thresholds the map,
-labels connected components, traces each component's exact pixel-boundary
-outline into world-coordinate polygons (holes included), filters by area,
-and exports GeoJSON. The tracing is exact: rasterizing the resulting
-polygons with the pixel-center rule reproduces the thresholded mask.
+labels connected components, traces the exact pixel-boundary outline of
+every component into world-coordinate polygons (holes included), filters
+by area, and exports GeoJSON. The tracing is exact: rasterizing the
+resulting polygons with the pixel-center rule reproduces the thresholded
+mask. It runs over the whole label grid at once, in numpy: exposed pixel
+sides are joined into straight runs, each run is linked to the next by a
+sorted search, and rings are the cycles of that link. Python touches one
+component at a time only to build its polygon objects, and to split and
+group the rings of the few components whose outline passes a corner twice
+or that touch themselves at corners.
 """
 
 from __future__ import annotations
@@ -199,9 +205,136 @@ def connected_components(
 
 Vertex = tuple[int, int]  # (col, row) pixel-corner coordinates
 
+# Run directions as (dcol, drow), ordered as the end corners they reach from
+# one start corner sort in (col, row) order: left, up, down, right.
+_STEPS = np.array([(-1, 0), (0, -1), (0, 1), (1, 0)])
+_RIGHT = 3
+# _TURN[a, b]: at a pinch corner, a walk arriving along a leaves along b when
+# the cross product a x b is positive (the sharper turn)
+_TURN = _STEPS[:, None, 0] * _STEPS[None, :, 1] - _STEPS[:, None, 1] * _STEPS[None, :, 0] > 0
+
+
+def _row_runs(side: np.ndarray, same: np.ndarray):
+    """Row, first and last column of each maximal run of set cells along the
+    rows of ``side`` whose neighbouring cells share a label (``same``)."""
+    link = side[:, :-1] & side[:, 1:] & same
+    first = side.copy()
+    first[:, 1:] &= ~link
+    last = side.copy()
+    last[:, :-1] &= ~link
+    row, c0 = np.nonzero(first)
+    return row, c0, np.nonzero(last)[1]
+
+
+def _boundary_runs(labels: np.ndarray):
+    """Every component's boundary as straight runs of exposed pixel sides.
+
+    A side is exposed where the 4-neighbour across it carries a different
+    label (or lies off the grid). Sides are directed with the component on
+    the same side of each: tops run right, right sides down, bottoms left,
+    left sides up. Consecutive exposed sides of one label along one line
+    join into a run, since the walk goes straight through the corner
+    between them. Returns (label, start col, start row, end col, end row,
+    direction index into _STEPS), one entry per run.
+    """
+    pad = np.pad(labels, 1)
+    inner = pad[1:-1, 1:-1]
+    fg = inner > 0
+    same_row = inner[:, 1:] == inner[:, :-1]
+    same_col = (inner[1:] == inner[:-1]).T
+    r, a, b = _row_runs(fg & (inner != pad[:-2, 1:-1]), same_row)
+    top = (r, a, a, r, b + 1, r, 3)
+    r, a, b = _row_runs(fg & (inner != pad[2:, 1:-1]), same_row)
+    bottom = (r, a, b + 1, r + 1, a, r + 1, 0)
+    c, a, b = _row_runs((fg & (inner != pad[1:-1, 2:])).T, same_col)
+    right = (a, c, c + 1, a, c + 1, b + 1, 2)
+    c, a, b = _row_runs((fg & (inner != pad[1:-1, :-2])).T, same_col)
+    left = (a, c, c, b + 1, c, a, 1)
+    parts = (top, bottom, right, left)
+    label = np.concatenate([inner[p[0], p[1]] for p in parts]).astype(np.int64)
+    coords = [np.concatenate([p[k] for p in parts]).astype(np.int32) for k in range(2, 6)]
+    direction = np.concatenate([np.full(len(p[0]), p[6], np.int8) for p in parts])
+    return (label, *coords, direction)
+
+
+def _cycles(succ: np.ndarray):
+    """Each element's cycle under the permutation ``succ``, named by its least
+    member, and its distance from that member along ``succ``.
+
+    Both come by pointer doubling, so the rounds grow with the logarithm of
+    the longest cycle: after a round of the first loop each element knows
+    the least of the next 2**k elements, which is its cycle's least member
+    once it agrees with its successor's.
+    """
+    idx = np.arange(len(succ), dtype=succ.dtype)
+    head = np.minimum(idx, succ)
+    hop = succ[succ]
+    while (head[succ] != head).any():
+        head = np.minimum(head, head[hop])
+        hop = hop[hop]
+    is_head = head == idx
+    back = np.empty_like(succ)
+    back[succ] = idx
+    back[is_head] = idx[is_head]
+    dist = (~is_head).astype(succ.dtype)
+    while not is_head[back].all():
+        dist += dist[back]
+        back = back[back]
+    return head, dist
+
+
+def _trace(labels: np.ndarray):
+    """Trace every component's rings at once.
+
+    Runs are keyed by (label, start col, start row, direction), which
+    orders them as (label, start corner, end corner) orders their first
+    sides. A run continues with the run of its label leaving its end
+    corner; where two leave it (a pinch), with the sharper turn. Rings are
+    the cycles of that successor permutation, each starting at its least
+    run, which leaves the ring's least corner, and the rings of one label
+    come in the order of those runs. These are the rings, starts and order
+    of walking each component's sides one at a time from its least
+    remaining corner (``polygonize_oracle`` in the tests), without the
+    corners such a walk passes straight through.
+
+    Returns, per ring in that order, its label, whether it is an exterior
+    and whether it passes a corner twice; and the rings' corners as flat
+    (col, row) arrays with ring offsets, each ring from its least corner
+    backwards along the walk.
+    """
+    label, sc, sr, ec, er, direction = _boundary_runs(labels)
+    rows = labels.shape[0] + 1
+    span = 4 * rows * (labels.shape[1] + 1)
+    key = label * span + (sc.astype(np.int64) * rows + sr) * 4 + direction
+    order = np.argsort(key)
+    key, label, sc, sr, direction = (a[order] for a in (key, label, sc, sr, direction))
+    target = label * span + (ec[order].astype(np.int64) * rows + er[order]) * 4
+    del ec, er, order
+    nxt = np.searchsorted(key, target).astype(np.int32)
+    pinch = np.append(key, np.iinfo(np.int64).max)[nxt + 1] < target + 4
+    succ = np.where(pinch & ~_TURN[direction, direction[nxt]], nxt + 1, nxt)
+    del target, nxt, pinch
+    head, dist = _cycles(succ)
+    is_head = head == np.arange(len(head))
+    heads = np.flatnonzero(is_head)
+    ring = (np.cumsum(is_head, dtype=np.int32) - 1)[head]
+    size = np.bincount(ring)
+    # a ring passes a corner twice where both runs leaving a pinch are its own
+    twice = (key[1:] >> 2 == key[:-1] >> 2) & (head[1:] == head[:-1])
+    revisits = np.zeros(len(heads), dtype=bool)
+    revisits[ring[1:][twice]] = True
+    off = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(size, out=off[1:])
+    slot = off[ring] + (size[ring] - dist) % size[ring]
+    col = np.empty_like(sc)
+    row = np.empty_like(sr)
+    col[slot], row[slot] = sc, sr
+    # a simple ring leaves its least corner rightward when it is an exterior
+    return label[heads], direction[heads] == _RIGHT, revisits, col, row, off
+
 
 def _split_at_repeats(walk: list[Vertex]) -> list[list[Vertex]]:
-    """Break a closed edge walk into vertex-simple closed rings.
+    """Break a closed walk into vertex-simple closed rings.
 
     A walk can legitimately pass through a pinch corner twice (the local
     turn rule cannot know whether the two passes belong to one ring or
@@ -226,70 +359,6 @@ def _split_at_repeats(walk: list[Vertex]) -> list[list[Vertex]]:
     return rings
 
 
-def _trace_rings(pixels: np.ndarray, in_comp: set) -> list[list[Vertex]]:
-    """Closed corner-coordinate rings bounding a set of unit pixel squares.
-
-    Each exposed pixel side becomes a directed edge (interior kept on a
-    consistent side); edges are linked into closed walks, taking the
-    sharper turn at pinch corners, and any walk that still revisits a
-    corner is split there so every returned ring is simple.
-    """
-    out_edges: dict[Vertex, list[Vertex]] = {}
-
-    def add(a: Vertex, b: Vertex) -> None:
-        out_edges.setdefault(a, []).append(b)
-
-    for r, c in pixels:
-        r, c = int(r), int(c)
-        if (r - 1, c) not in in_comp:
-            add((c, r), (c + 1, r))
-        if (r, c + 1) not in in_comp:
-            add((c + 1, r), (c + 1, r + 1))
-        if (r + 1, c) not in in_comp:
-            add((c + 1, r + 1), (c, r + 1))
-        if (r, c - 1) not in in_comp:
-            add((c, r + 1), (c, r))
-    for v in out_edges:
-        out_edges[v].sort()
-
-    rings: list[list[Vertex]] = []
-    for start in sorted(out_edges):
-        while out_edges[start]:
-            ring = [start]
-            current = start
-            prev_dir: tuple[int, int] | None = None
-            while True:
-                cands = out_edges[current]
-                pick = 0
-                if prev_dir is not None and len(cands) > 1:
-                    for i, cand in enumerate(cands):
-                        d = (cand[0] - current[0], cand[1] - current[1])
-                        if prev_dir[0] * d[1] - prev_dir[1] * d[0] > 0:
-                            pick = i
-                            break
-                nxt = cands.pop(pick)
-                prev_dir = (nxt[0] - current[0], nxt[1] - current[1])
-                ring.append(nxt)
-                current = nxt
-                if current == start:
-                    break
-            rings.extend(_split_at_repeats(ring))
-    return rings
-
-
-def _collapse_collinear(ring: list[Vertex]) -> list[Vertex]:
-    pts = ring[:-1]
-    n = len(pts)
-    kept = []
-    for i in range(n):
-        prev, cur, nxt = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
-        d1 = (cur[0] - prev[0], cur[1] - prev[1])
-        d2 = (nxt[0] - cur[0], nxt[1] - cur[1])
-        if d1[0] * d2[1] - d1[1] * d2[0] != 0:
-            kept.append(cur)
-    return [*kept, kept[0]]
-
-
 def _ring_signed_area2(ring: list[Vertex]) -> int:
     s = 0
     for (x1, y1), (x2, y2) in zip(ring[:-1], ring[1:]):
@@ -311,6 +380,51 @@ def _to_world_ring(ring: list[Vertex], transform: GeoTransform) -> tuple:
     return tuple(pixel_to_world(transform, c, r) for c, r in reversed(ring))
 
 
+def _grouped_polygons(
+    rings: list[list[Vertex]], transform: GeoTransform
+) -> list[PolygonAnnotation]:
+    """Polygons of a component with several exteriors, or with a ring that
+    had to be split where it passed a corner twice: each hole goes to the
+    smallest exterior holding the centre of the cell inside its top-left
+    corner."""
+    exteriors: list[tuple[list[Vertex], int]] = []
+    holes: list[list[Vertex]] = []
+    for ring in rings:
+        area2 = _ring_signed_area2(ring)
+        if area2 > 0:
+            exteriors.append((ring, area2))
+        else:
+            holes.append(ring)
+    grouped: list[tuple[list[Vertex], list[list[Vertex]]]] = [
+        (ext, []) for ext, _ in exteriors
+    ]
+    if len(grouped) > 1 and holes:
+        # (min col, min row, max col, max row); a point outside an
+        # exterior's box is outside the exterior
+        boxes = np.array([(*np.min(e, axis=0), *np.max(e, axis=0)) for e, _ in exteriors])
+    for hole in holes:
+        if len(grouped) == 1:
+            grouped[0][1].append(hole)
+            continue
+        # representative cell center just inside the hole's top edge
+        c_v, r_v = min(hole[:-1], key=lambda v: (v[1], v[0]))
+        px, py = c_v + 0.5, r_v + 0.5
+        near = (boxes[:, 0] < px) & (px < boxes[:, 2]) & (boxes[:, 1] < py) & (py < boxes[:, 3])
+        containing = [
+            i for i in np.flatnonzero(near).tolist() if _point_in_ring(px, py, exteriors[i][0])
+        ]
+        best = min(containing, key=lambda i: exteriors[i][1]) if containing else 0
+        grouped[best][1].append(hole)
+    return [
+        PolygonAnnotation(
+            _to_world_ring(ext, transform),
+            tuple(_to_world_ring(h, transform) for h in hole_list),
+            label="detection",
+        )
+        for ext, hole_list in grouped
+    ]
+
+
 def polygonize(
     labels: np.ndarray,
     transform: GeoTransform,
@@ -318,6 +432,8 @@ def polygonize(
 ) -> list[Detection]:
     """One Detection per label, outlining its pixel squares exactly.
 
+    Labels above 0 are components; a pixel side is part of an outline
+    wherever the label across it differs, so two labels may touch.
     ``probabilities`` (same grid as labels) feeds each detection's mean
     probability; without it the field is NaN. Area is pixel count times the
     pixel area in world units.
@@ -337,57 +453,51 @@ def polygonize(
         counts = np.bincount(flat, minlength=count + 1)
         with np.errstate(invalid="ignore"):
             mean_prob = sums / np.maximum(counts, 1)
-    from scipy import ndimage  # see connected_components
+    if count <= 0:
+        return []
+    pixels = np.bincount(labels[labels > 0], minlength=count + 1).tolist()
+    ring_label, exterior, revisits, col, row, off = _trace(labels)
+    # world corners in float64 as pixel_to_world computes them; each ring's
+    # tuples are built from slices of these lists
+    xs = (transform.origin_x + col.astype(np.int64) * transform.pixel_width).tolist()
+    ys = (transform.origin_y - row.astype(np.int64) * transform.pixel_height).tolist()
+    # components whose rings are one exterior and its holes, all simple
+    plain = (np.bincount(ring_label[exterior], minlength=count + 1) == 1) & (
+        np.bincount(ring_label[revisits], minlength=count + 1) == 0
+    )
+    bounds = np.searchsorted(ring_label, np.arange(1, count + 2)).tolist()
+    off = off.tolist()
+    mean_prob = mean_prob.tolist()
+
+    def world(j: int) -> tuple:
+        ring = tuple(zip(xs[off[j] : off[j + 1]], ys[off[j] : off[j + 1]]))
+        return ring + ring[:1]
+
+    def corners(j: int) -> list[Vertex]:
+        a, b = off[j], off[j + 1]
+        back = list(zip(col[a:b].tolist(), row[a:b].tolist()))
+        return [back[0], *back[:0:-1], back[0]]
 
     detections: list[Detection] = []
-    boxes = ndimage.find_objects(labels) if count else []
-    for label, box in enumerate(boxes, start=1):
-        # a label absent from the grid has no box; an empty one yields no pixels
-        rows, cols = box or (slice(0, 0), slice(0, 0))
-        pixels = np.argwhere(labels[rows, cols] == label) + (rows.start, cols.start)
-        in_comp = {(int(r), int(c)) for r, c in pixels}
-        rings = [_collapse_collinear(r) for r in _trace_rings(pixels, in_comp)]
-        exteriors: list[tuple[list[Vertex], int]] = []
-        holes: list[list[Vertex]] = []
-        for ring in rings:
-            area2 = _ring_signed_area2(ring)
-            if area2 > 0:
-                exteriors.append((ring, area2))
-            else:
-                holes.append(ring)
-        grouped: list[tuple[list[Vertex], list[list[Vertex]]]] = [
-            (ext, []) for ext, _ in exteriors
-        ]
-        for hole in holes:
-            if len(grouped) == 1:
-                grouped[0][1].append(hole)
-                continue
-            # representative cell center just inside the hole's top edge
-            c_v, r_v = min(hole[:-1], key=lambda v: (v[1], v[0]))
-            px, py = c_v + 0.5, r_v + 0.5
-            containing = [
-                i
-                for i, (ext, area2) in enumerate(exteriors)
-                if _point_in_ring(px, py, ext)
+    for label, simple in enumerate(plain.tolist()[1:], start=1):
+        lo, hi = bounds[label - 1], bounds[label]
+        if simple:
+            polygons = [
+                PolygonAnnotation(
+                    world(lo), tuple(map(world, range(lo + 1, hi))), label="detection"
+                )
             ]
-            best = (
-                min(containing, key=lambda i: exteriors[i][1]) if containing else 0
-            )
-            grouped[best][1].append(hole)
-        polygons = [
-            PolygonAnnotation(
-                _to_world_ring(ext, transform),
-                tuple(_to_world_ring(h, transform) for h in hole_list),
-                label="detection",
-            )
-            for ext, hole_list in grouped
-        ]
+        else:
+            rings: list[list[Vertex]] = []
+            for j in range(lo, hi):
+                rings.extend(_split_at_repeats(corners(j)) if revisits[j] else [corners(j)])
+            polygons = _grouped_polygons(rings, transform)
         detections.append(
             Detection(
                 polygons=polygons,
-                pixel_count=len(pixels),
-                area=len(pixels) * pixel_area,
-                mean_probability=float(mean_prob[label]),
+                pixel_count=pixels[label],
+                area=pixels[label] * pixel_area,
+                mean_probability=mean_prob[label],
             )
         )
     return detections
@@ -404,10 +514,8 @@ def export_geojson(detections: list[Detection], path) -> None:
     """Write detections as a GeoJSON FeatureCollection (atomic replace)."""
     features = []
     for det in detections:
-        parts = [
-            [[[x, y] for x, y in ring] for ring in poly.rings()]
-            for poly in det.polygons
-        ]
+        # the JSON encoder writes the rings' tuples as lists
+        parts = [poly.rings() for poly in det.polygons]
         if len(parts) == 1:
             geometry = {"type": "Polygon", "coordinates": parts[0]}
         else:

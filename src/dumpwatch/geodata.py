@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import sub
 from pathlib import Path
 
@@ -250,8 +250,21 @@ class PolygonAnnotation:
         return total
 
 
+def _coord(value) -> float:
+    """float(value), except that an integer too large for a float becomes
+    +-inf, as a float literal of that size parses (and is then rejected as
+    non-finite where rings are validated)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _normalize_ring(ring) -> Ring:
-    pts = [(float(x), float(y)) for x, y in ring]
+    try:
+        pts = [(float(x), float(y)) for x, y in ring]
+    except OverflowError:
+        pts = [(_coord(x), _coord(y)) for x, y in ring]
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
     # drop consecutive duplicates; they add zero-length segments
@@ -370,22 +383,137 @@ def ring_is_simple(ring: Ring) -> bool:
     return _ring_defect(ring) is None
 
 
-def _validated_polygon(rings: list, label: str, source: str) -> PolygonAnnotation:
-    poly = PolygonAnnotation(rings[0], tuple(rings[1:]), label=label)
-    names = ("exterior", *(f"hole {j}" for j in range(len(poly.holes))))
-    for name, raw, ring in zip(names, rings, poly.rings()):
-        if not all(map(math.isfinite, chain.from_iterable(raw))):
-            k = next(k for k, v in enumerate(raw) if not all(map(math.isfinite, v)))
-            raise ValueError(
-                f"non-finite vertex in {source}, {name}: vertex {k} is {raw[k]}"
-            )
-        # ring_is_simple stays the entry point that perfbench/spans.py times;
-        # the defect is looked up again only for the error message
-        if not ring_is_simple(ring):
-            raise ValueError(
-                f"self-intersecting ring in {source}, {name}: {_ring_defect(ring)}"
-            )
-    return poly
+# Rings of at most this many segments are validated together, one broadcast
+# per segment count; longer rings go through ring_is_simple's sweep.
+_BATCH_SEGMENTS = 16
+
+
+def _short_ring_defects(rings: np.ndarray) -> np.ndarray:
+    """Per ring of a [ring, n + 1, 2] stack of closed n-segment rings: True
+    where a coordinate is not finite or ring_is_simple would reject it.
+
+    The same float64 formulas as ``_orient`` and ``_segments_touch``, over
+    every non-adjacent segment pair whose closed bounding boxes overlap
+    (the pairs the sweep tests).
+    """
+    n = rings.shape[1] - 1
+    x, y = rings[..., 0], rings[..., 1]
+    bad = ~np.isfinite(rings).all(axis=(1, 2))
+    # overflow and inf - inf yield inf and NaN here, as in Python floats
+    with np.errstate(all="ignore"):
+        # fold-back at vertex k (b): a, b, c collinear and b - a, c - b opposed
+        prev = np.r_[n - 1, 0 : n - 1]
+        ax, ay, bx, by, cx, cy = x[:, prev], y[:, prev], x[:, :n], y[:, :n], x[:, 1:], y[:, 1:]
+        ux, uy = bx - ax, by - ay
+        turn = ux * (cy - ay) - uy * (cx - ax)
+        bad |= ((turn == 0) & (ux * (cx - bx) + uy * (cy - by) < 0)).any(axis=1)
+        s, t = np.triu_indices(n, 2)
+        keep = t - s != n - 1  # segments 0 and n - 1 are adjacent
+        s, t = s[keep], t[keep]
+        if len(s):
+            bad |= _pairs_touch(x[:, s], y[:, s], x[:, s + 1], y[:, s + 1],
+                                x[:, t], y[:, t], x[:, t + 1], y[:, t + 1]).any(axis=1)
+    return bad
+
+
+def _pairs_touch(x1, y1, x2, y2, x3, y3, x4, y4) -> np.ndarray:
+    """``_segments_touch`` elementwise, on pairs whose boxes overlap."""
+
+    def orient(ax, ay, bx, by, cx, cy):
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    lo_x12, hi_x12 = np.minimum(x1, x2), np.maximum(x1, x2)
+    lo_y12, hi_y12 = np.minimum(y1, y2), np.maximum(y1, y2)
+    lo_x34, hi_x34 = np.minimum(x3, x4), np.maximum(x3, x4)
+    lo_y34, hi_y34 = np.minimum(y3, y4), np.maximum(y3, y4)
+    d1 = orient(x3, y3, x4, y4, x1, y1)
+    d2 = orient(x3, y3, x4, y4, x2, y2)
+    d3 = orient(x1, y1, x2, y2, x3, y3)
+    d4 = orient(x1, y1, x2, y2, x4, y4)
+    touch = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+    )
+    for d, px, py, lx, hx, ly, hy in (
+        (d1, x1, y1, lo_x34, hi_x34, lo_y34, hi_y34),
+        (d2, x2, y2, lo_x34, hi_x34, lo_y34, hi_y34),
+        (d3, x3, y3, lo_x12, hi_x12, lo_y12, hi_y12),
+        (d4, x4, y4, lo_x12, hi_x12, lo_y12, hi_y12),
+    ):
+        touch |= (d == 0) & (lx <= px) & (px <= hx) & (ly <= py) & (py <= hy)
+    overlap = (lo_x12 <= hi_x34) & (lo_x34 <= hi_x12) & (lo_y12 <= hi_y34) & (lo_y34 <= hi_y12)
+    return touch & overlap
+
+
+def _first_bad_ring(rings: list[Ring]) -> int | None:
+    """Index of the first ring that has a non-finite coordinate or is not
+    simple, or None."""
+    segments = np.fromiter(map(len, rings), np.intp, len(rings)) - 1
+    first = len(rings)
+    short = np.flatnonzero(segments <= _BATCH_SEGMENTS)
+    if len(short):
+        counts = segments[short]
+        picked = rings if len(short) == len(rings) else map(rings.__getitem__, short.tolist())
+        flat = chain.from_iterable(chain.from_iterable(picked))
+        coords = np.fromiter(flat, np.float64, 2 * int((counts + 1).sum())).reshape(-1, 2)
+        starts = np.cumsum(counts + 1) - (counts + 1)
+        for n in np.unique(counts).tolist():
+            members = np.flatnonzero(counts == n)
+            step = max(1, 2**13 // n**2)  # bounds the pair arrays to ~2**13 cells
+            for lo in range(0, len(members), step):
+                rows = members[lo : lo + step]
+                if short[rows[0]] >= first:
+                    break
+                bad = _short_ring_defects(coords[starts[rows, None] + np.arange(n + 1)])
+                if bad.any():
+                    first = min(first, int(short[rows[bad.argmax()]]))
+                    break
+    for i in np.flatnonzero(segments > _BATCH_SEGMENTS).tolist():
+        if i >= first:
+            break
+        # ring_is_simple stays the entry point that perfbench/spans.py times
+        if not all(map(math.isfinite, chain.from_iterable(rings[i]))) or not ring_is_simple(rings[i]):
+            return i
+    return first if first < len(rings) else None
+
+
+def _polygon_parts(doc: dict):
+    """Each feature of a FeatureCollection in file order: for every polygon
+    part (a Polygon has one) ``(feature index, part index or None, label,
+    coordinate rings)``, and None for a feature of another type."""
+    for idx, feature in enumerate(doc.get("features", [])):
+        geom = feature.get("geometry") or {}
+        props = feature.get("properties") or {}
+        label = str(props.get("label", "dump"))
+        gtype = geom.get("type")
+        if gtype == "Polygon":
+            yield idx, None, label, geom["coordinates"]
+        elif gtype == "MultiPolygon":
+            for p, rings in enumerate(geom["coordinates"]):
+                yield idx, p, label, rings
+        else:
+            yield None
+
+
+def _check_rings(path: Path, polygons: list[PolygonAnnotation], doc: dict | None) -> None:
+    """Raise for the first non-finite or non-simple ring of ``polygons``,
+    naming its feature and ring and, for a non-finite one, the vertex as the
+    file gives it (``doc``, read again when None)."""
+    bad = _first_bad_ring([ring for poly in polygons for ring in poly.rings()])
+    if bad is None:
+        return
+    for k, poly in enumerate(polygons):
+        if bad <= len(poly.holes):
+            break
+        bad -= len(poly.holes) + 1
+    parts = (part for part in _polygon_parts(doc or read_json(path)) if part)
+    feature, p, _, raws = next(islice(parts, k, None))
+    source = f"{path.name} feature {feature}" + ("" if p is None else f" part {p}")
+    name = "exterior" if bad == 0 else f"hole {bad - 1}"
+    ring, raw = poly.rings()[bad], raws[bad]
+    if not all(map(math.isfinite, chain.from_iterable(ring))):
+        v = next(v for v, xy in enumerate(raw) if not all(math.isfinite(_coord(c)) for c in xy))
+        raise ValueError(f"non-finite vertex in {source}, {name}: vertex {v} is {raw[v]}")
+    raise ValueError(f"self-intersecting ring in {source}, {name}: {_ring_defect(ring)}")
 
 
 def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
@@ -393,6 +521,8 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
 
     MultiPolygons are split into one annotation per part. Features with any
     other geometry type are skipped; a single warning reports how many.
+    Every ring must be finite and simple; the first one in file order that
+    is not is reported with its feature and ring.
     """
     path = Path(path)
     if not path.exists():
@@ -402,19 +532,21 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
         raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
     polygons: list[PolygonAnnotation] = []
     skipped = 0
-    for idx, feature in enumerate(doc.get("features", [])):
-        geom = feature.get("geometry") or {}
-        props = feature.get("properties") or {}
-        label = str(props.get("label", "dump"))
-        gtype = geom.get("type")
-        where = f"{path.name} feature {idx}"
-        if gtype == "Polygon":
-            polygons.append(_validated_polygon(geom["coordinates"], label, where))
-        elif gtype == "MultiPolygon":
-            for p, part in enumerate(geom["coordinates"]):
-                polygons.append(_validated_polygon(part, label, f"{where} part {p}"))
-        else:
-            skipped += 1
+    try:
+        for part in _polygon_parts(doc):
+            if part is None:
+                skipped += 1
+                continue
+            rings = part[3]
+            polygons.append(PolygonAnnotation(rings[0], tuple(rings[1:]), label=part[2]))
+    except Exception:
+        # a bad ring before the malformed feature comes first in file order
+        _check_rings(path, polygons, doc)
+        raise
+    # the parsed document is the read's largest object: drop it before the
+    # checks, which reread the file only to word an error
+    del doc
+    _check_rings(path, polygons, None)
     if skipped:
         warnings.warn(
             f"skipped {skipped} non-polygon feature(s) in {path.name}", stacklevel=2

@@ -366,3 +366,175 @@ def ring_folds_back_oracle(ring) -> bool:
         if u[0] * v[1] - u[1] * v[0] == 0 and u[0] * v[0] + u[1] * v[1] < 0:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# boundary tracing
+# ---------------------------------------------------------------------------
+
+
+def _split_at_repeats_oracle(walk):
+    """Carve a closed walk into vertex-simple rings: each time a vertex
+    repeats, the loop since its previous visit becomes its own ring."""
+    rings, stack, index = [], [], {}
+    for v in walk:
+        if v in index:
+            i = index[v]
+            rings.append(stack[i:] + [v])
+            for u in stack[i + 1 :]:
+                del index[u]
+            del stack[i + 1 :]
+        else:
+            index[v] = len(stack)
+            stack.append(v)
+    return rings
+
+
+def _trace_rings_oracle(pixels, in_comp):
+    """Walk one component's exposed pixel sides into closed rings.
+
+    Sides are directed with the interior kept on one side. Walks start at
+    the least remaining corner in (col, row) order and take the least
+    remaining side; at a corner with two sides left, the first (in end
+    corner order) with a positive cross product against the arriving side.
+    """
+    out_edges = {}
+    for r, c in pixels:
+        r, c = int(r), int(c)
+        if (r - 1, c) not in in_comp:
+            out_edges.setdefault((c, r), []).append((c + 1, r))
+        if (r, c + 1) not in in_comp:
+            out_edges.setdefault((c + 1, r), []).append((c + 1, r + 1))
+        if (r + 1, c) not in in_comp:
+            out_edges.setdefault((c + 1, r + 1), []).append((c, r + 1))
+        if (r, c - 1) not in in_comp:
+            out_edges.setdefault((c, r + 1), []).append((c, r))
+    for v in out_edges:
+        out_edges[v].sort()
+    rings = []
+    for start in sorted(out_edges):
+        while out_edges[start]:
+            ring, current, prev_dir = [start], start, None
+            while True:
+                cands = out_edges[current]
+                pick = 0
+                if prev_dir is not None and len(cands) > 1:
+                    for i, cand in enumerate(cands):
+                        d = (cand[0] - current[0], cand[1] - current[1])
+                        if prev_dir[0] * d[1] - prev_dir[1] * d[0] > 0:
+                            pick = i
+                            break
+                nxt = cands.pop(pick)
+                prev_dir = (nxt[0] - current[0], nxt[1] - current[1])
+                ring.append(nxt)
+                current = nxt
+                if current == start:
+                    break
+            rings.extend(_split_at_repeats_oracle(ring))
+    return rings
+
+
+def _collapse_collinear_oracle(ring):
+    pts = ring[:-1]
+    n = len(pts)
+    kept = []
+    for i in range(n):
+        prev, cur, nxt = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
+        d1 = (cur[0] - prev[0], cur[1] - prev[1])
+        d2 = (nxt[0] - cur[0], nxt[1] - cur[1])
+        if d1[0] * d2[1] - d1[1] * d2[0] != 0:
+            kept.append(cur)
+    return [*kept, kept[0]]
+
+
+def _signed_area2_oracle(ring) -> int:
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(ring[:-1], ring[1:]))
+
+
+def _point_in_ring_oracle(px, py, ring) -> bool:
+    crossings = 0
+    for (x1, y1), (x2, y2) in zip(ring[:-1], ring[1:]):
+        if (y1 > py) != (y2 > py):
+            if x1 + (py - y1) * (x2 - x1) / (y2 - y1) > px:
+                crossings += 1
+    return crossings % 2 == 1
+
+
+def polygonize_oracle(labels, transform, probabilities=None):
+    """One component at a time: the per-component walk that
+    ``detect.polygonize`` replaced, kept as its reference.
+
+    Rings are the walks above, split where they revisit a corner and
+    stripped of collinear corners; positive pixel-space area marks an
+    exterior. A component with one exterior takes every hole; otherwise a
+    hole goes to the smallest exterior holding the centre of the cell just
+    inside its top-left corner. World rings run in reverse, so exteriors
+    are counterclockwise in world coordinates.
+    """
+    from scipy import ndimage
+
+    from dumpwatch.detect import Detection
+    from dumpwatch.geodata import PolygonAnnotation
+
+    labels = np.asarray(labels)
+    count = int(labels.max()) if labels.size else 0
+    pixel_area = transform.pixel_width * transform.pixel_height
+    mean_prob = np.full(count + 1, math.nan)
+    if probabilities is not None:
+        flat = labels.ravel()
+        sums = np.bincount(flat, weights=np.asarray(probabilities).ravel(), minlength=count + 1)
+        counts = np.bincount(flat, minlength=count + 1)
+        with np.errstate(invalid="ignore"):
+            mean_prob = sums / np.maximum(counts, 1)
+
+    def world(ring):
+        return tuple(
+            (
+                transform.origin_x + c * transform.pixel_width,
+                transform.origin_y - r * transform.pixel_height,
+            )
+            for c, r in reversed(ring)
+        )
+
+    detections = []
+    boxes = ndimage.find_objects(labels) if count else []
+    for label, box in enumerate(boxes, start=1):
+        rows, cols = box or (slice(0, 0), slice(0, 0))
+        pixels = np.argwhere(labels[rows, cols] == label) + (rows.start, cols.start)
+        in_comp = {(int(r), int(c)) for r, c in pixels}
+        rings = [_collapse_collinear_oracle(r) for r in _trace_rings_oracle(pixels, in_comp)]
+        exteriors = [(r, _signed_area2_oracle(r)) for r in rings if _signed_area2_oracle(r) > 0]
+        holes = [r for r in rings if _signed_area2_oracle(r) <= 0]
+        grouped = [(ext, []) for ext, _ in exteriors]
+        # each exterior's (min col, max col, min row, max row): a point
+        # outside it crosses the ring an even number of times, so skipping
+        # those exteriors only saves time on components with thousands
+        boxes = [
+            (min(c for c, _ in ext), max(c for c, _ in ext), min(r for _, r in ext), max(r for _, r in ext))
+            for ext, _ in exteriors
+        ]
+        for hole in holes:
+            if len(grouped) == 1:
+                grouped[0][1].append(hole)
+                continue
+            c_v, r_v = min(hole[:-1], key=lambda v: (v[1], v[0]))
+            px, py = c_v + 0.5, r_v + 0.5
+            inside = [
+                i for i, (ext, _) in enumerate(exteriors)
+                if boxes[i][0] < px < boxes[i][1] and boxes[i][2] < py < boxes[i][3]
+                and _point_in_ring_oracle(px, py, ext)
+            ]
+            best = min(inside, key=lambda i: exteriors[i][1]) if inside else 0
+            grouped[best][1].append(hole)
+        detections.append(
+            Detection(
+                polygons=[
+                    PolygonAnnotation(world(ext), tuple(map(world, hs)), label="detection")
+                    for ext, hs in grouped
+                ],
+                pixel_count=len(pixels),
+                area=len(pixels) * pixel_area,
+                mean_probability=float(mean_prob[label]),
+            )
+        )
+    return detections

@@ -327,6 +327,31 @@ class TestEndToEnd:
 
 
 class TestErrorExits:
+    def test_ablate_rejects_bands_flag(self, tmp_path, capsys, caplog):
+        # rejected before any scene is read: the scene directory need not exist
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"paths": {"scene_dir": str(tmp_path / "missing")}}))
+        code, summary = run_cli(["ablate", "--config", str(cfg), "--bands", "R,G,B"], capsys)
+        assert code == 1 and summary is None
+        assert "--bands: ablate trains its own band sets" in caplog.text
+        assert not (tmp_path / "ablation.json").exists()
+
+    def test_ablate_accepts_config_bands(self, tmp_path, capsys, caplog):
+        # chip.bands is shared with chip and train; ablate goes on to the scenes
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "paths": {"scene_dir": str(tmp_path / "missing")},
+                    "chip": {"bands": ["R", "G", "B"]},
+                }
+            )
+        )
+        code, _ = run_cli(["ablate", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "paths.scene_dir: no such directory" in caplog.text
+        assert "--bands" not in caplog.text
+
     def test_chip_without_scenes(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"paths": {"scene_dir": str(tmp_path / "missing")}}))
@@ -409,6 +434,11 @@ MALFORMED_INPUTS = {
         "chip",
         lambda r: _scene_with_vertex(r, "[1e400, 0]"),
         ["feature 0, exterior: vertex 1 is [inf, 0]"],
+    ),
+    "huge-integer-vertex": (
+        "chip",
+        lambda r: _scene_with_vertex(r, f"[1{'0' * 400}, 0]"),
+        ["non-finite vertex", "feature 0, exterior: vertex 1 is [1000"],
     ),
     "nan-in-catalog-index": (
         "train", _catalog_with_nan_seed, ["invalid JSON", "constant NaN"]

@@ -15,6 +15,7 @@ from dumpwatch.detect import (
     InferenceConfig,
     PostprocConfig,
     _tile_origins,
+    _trace,
     connected_components,
     detections_from_binary,
     export_geojson,
@@ -36,7 +37,11 @@ from dumpwatch.unet import (
     forward,
     receptive_field_radius,
 )
-from oracles import connected_components_oracle, ring_is_simple_oracle
+from oracles import (
+    connected_components_oracle,
+    polygonize_oracle,
+    ring_is_simple_oracle,
+)
 
 T1 = GeoTransform(0.0, 16.0, 1.0, 1.0)
 
@@ -339,6 +344,103 @@ class TestPolygonizeExactness:
         assert np.array_equal(
             _rasterize_back(dets, T1, 4, 4), (labels != 0).astype(np.uint8)
         )
+
+
+def _assert_same_detections(got, want):
+    """Equal on every Detection field, every ring's vertices (order, start
+    and float bits, by repr) and every polygon's label."""
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert (g.pixel_count, g.area) == (w.pixel_count, w.area), k
+        assert repr(g.mean_probability) == repr(w.mean_probability), k
+        assert [p.label for p in g.polygons] == [p.label for p in w.polygons], k
+        assert repr([p.rings() for p in g.polygons]) == repr(
+            [p.rings() for p in w.polygons]
+        ), k
+
+
+class TestPolygonizeMatchesOracle:
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("size", [12, 64, 256])
+    def test_random_grids(self, size, density, connectivity):
+        rng = np.random.default_rng(size * 10 + int(density * 10) + connectivity)
+        grid = (rng.uniform(size=(size, size)) < density).astype(np.float32)
+        labels, _ = connected_components(_binary_raster(grid), connectivity)
+        probs = rng.uniform(size=grid.shape)
+        transform = GeoTransform(500000.0, 4200000.0, 10.0, 10.0)
+        _assert_same_detections(
+            polygonize(labels, transform, probs),
+            polygonize_oracle(labels, transform, probs),
+        )
+
+    @pytest.mark.parametrize(
+        "grid, revisits",
+        [
+            # diagonal pair: two exteriors meeting at a pinch corner
+            ([[1, 0], [0, 1]], False),
+            # five squares touching at four pinches
+            ([[1, 0, 1], [0, 1, 0], [1, 0, 1]], False),
+            # a hole
+            ([[1, 1, 1], [1, 0, 1], [1, 1, 1]], False),
+            # a plus-shaped hole pinched against the outer ring: the hole's
+            # walk passes its pinch corners twice
+            (
+                [
+                    [1, 1, 1, 1, 1],
+                    [1, 0, 1, 0, 1],
+                    [1, 1, 0, 1, 1],
+                    [1, 0, 1, 0, 1],
+                    [1, 1, 1, 1, 1],
+                ],
+                True,
+            ),
+            # a hole reaching outside through a pinch: one walk covers both
+            # and revisits that corner
+            ([[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1]], True),
+            # holes inside one part of a component with several parts
+            (
+                [
+                    [1, 1, 1, 0, 0],
+                    [1, 0, 1, 0, 0],
+                    [1, 1, 1, 0, 0],
+                    [0, 0, 0, 1, 1],
+                    [0, 0, 0, 1, 1],
+                ],
+                False,
+            ),
+        ],
+    )
+    def test_pinches_holes_and_revisits(self, grid, revisits):
+        grid = np.asarray(grid, dtype=np.float32)
+        labels, _ = connected_components(_binary_raster(grid), connectivity=8)
+        assert bool(_trace(labels)[2].any()) == revisits
+        _assert_same_detections(polygonize(labels, T1), polygonize_oracle(labels, T1))
+        h, w = grid.shape
+        assert np.array_equal(
+            _rasterize_back(polygonize(labels, T1), T1, w, h), grid.astype(np.uint8)
+        )
+
+    def test_touching_labels_keep_their_own_outlines(self):
+        # hand-made labels: 1 and 2 share a side, so a side is exposed where
+        # the label across it differs, not only where it is background
+        labels = np.array([[1, 2], [1, 2]], dtype=np.int32)
+        dets = polygonize(labels, T1)
+        _assert_same_detections(dets, polygonize_oracle(labels, T1))
+        assert dets[0].polygons[0].exterior == (
+            (0.0, 16.0), (0.0, 14.0), (1.0, 14.0), (1.0, 16.0), (0.0, 16.0)
+        )
+        assert dets[1].polygons[0].exterior == (
+            (1.0, 16.0), (1.0, 14.0), (2.0, 14.0), (2.0, 16.0), (1.0, 16.0)
+        )
+
+    def test_random_touching_labels(self):
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            labels = rng.integers(0, 4, size=rng.integers(1, 9, size=2)).astype(np.int32)
+            _assert_same_detections(
+                polygonize(labels, T1), polygonize_oracle(labels, T1)
+            )
 
 
 class TestThresholdAndFilter:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dumpwatch import geodata
 from dumpwatch.detect import connected_components, polygonize
 from dumpwatch.geodata import (
+    _BATCH_SEGMENTS,
     GeoTransform,
     PolygonAnnotation,
     Raster,
@@ -20,6 +22,8 @@ from dumpwatch.geodata import (
     shift_transform,
     write_annotations,
     write_raster,
+    _first_bad_ring,
+    _short_ring_defects,
 )
 from oracles import (
     polygon_area_oracle,
@@ -355,6 +359,87 @@ def _comb_ring(grid: np.ndarray):
     return poly.exterior
 
 
+def _polygon_ring(n: int, radius: float = 50.0):
+    """A convex, hence simple, closed ring of n lattice vertices."""
+    angles = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    pts = [(float(round(radius * np.cos(a))), float(round(radius * np.sin(a)))) for a in angles]
+    return PolygonAnnotation(pts).exterior
+
+
+def _crossed(ring):
+    """The ring with its second and third vertices swapped: two of its
+    segments now cross."""
+    pts = list(ring[:-1])
+    pts[1], pts[2] = pts[2], pts[1]
+    return PolygonAnnotation(pts).exterior
+
+
+def _oracle_bad(ring) -> bool:
+    return not all(map(math.isfinite, (c for v in ring for c in v))) or not (
+        ring_is_simple_oracle(ring) and not ring_folds_back_oracle(ring)
+    )
+
+
+class TestBatchedRingValidation:
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=20
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300)
+    def test_first_bad_ring_matches_oracles(self, point_lists):
+        rings = []
+        for points in point_lists:
+            try:
+                rings.append(PolygonAnnotation(points).exterior)
+            except ValueError:
+                pass  # fewer than three distinct vertices
+        assume(rings)
+        bad = [_oracle_bad(r) for r in rings]
+        assert _first_bad_ring(rings) == (bad.index(True) if True in bad else None)
+        for ring, expected in zip(rings, bad):
+            n = len(ring) - 1
+            if n <= _BATCH_SEGMENTS:
+                assert bool(_short_ring_defects(np.array([ring]))[0]) == expected
+
+    @pytest.mark.parametrize("segments", [_BATCH_SEGMENTS, _BATCH_SEGMENTS + 1])
+    def test_rings_at_and_past_the_cutoff(self, segments, monkeypatch):
+        calls = []
+        sweep = geodata.ring_is_simple
+        monkeypatch.setattr(geodata, "ring_is_simple", lambda r: calls.append(r) or sweep(r))
+        good = _polygon_ring(segments)
+        crossed = _crossed(good)
+        assert len(good) == len(crossed) == segments + 1
+        assert ring_is_simple_oracle(good) and not ring_is_simple_oracle(crossed)
+        assert _first_bad_ring([good, good]) is None
+        assert _first_bad_ring([good, crossed, good]) == 1
+        # only rings past the cutoff go through the sweep
+        assert len(calls) == (0 if segments <= _BATCH_SEGMENTS else 4)
+
+    def test_mixed_lengths_report_the_first_in_order(self):
+        short, long = _polygon_ring(4), _polygon_ring(_BATCH_SEGMENTS + 4)
+        bad_short, bad_long = _crossed(short), _crossed(long)
+        assert _first_bad_ring([short, long, bad_short, bad_long]) == 2
+        assert _first_bad_ring([short, bad_long, long, bad_short]) == 1
+        # a later segment count's batch starts before the first bad ring
+        six = _polygon_ring(6)
+        assert _first_bad_ring([six, bad_short, short, _crossed(six)]) == 1
+        inf_ring = PolygonAnnotation(((0, 0), (math.inf, 0), (1, 1))).exterior
+        assert _first_bad_ring([long, inf_ring, bad_long]) == 1
+
+    def test_fold_back_and_touching_vertex(self):
+        # a three-segment fold-back, and a vertex resting on a far segment
+        fold = PolygonAnnotation(((0, 0), (2, 0), (1, 0))).exterior
+        touch = PolygonAnnotation(((0, 0), (4, 0), (4, 4), (2, 0), (0, 4))).exterior
+        assert list(_short_ring_defects(np.array([fold]))) == [True]
+        assert list(_short_ring_defects(np.array([touch]))) == [True]
+        assert list(_short_ring_defects(np.array([UNIT_SQUARE + (UNIT_SQUARE[0],)]))) == [False]
+
+
 class TestAnnotationIO:
     def _write_doc(self, path, doc):
         path.write_text(json.dumps(doc))
@@ -496,6 +581,54 @@ class TestAnnotationIO:
             match=r"non-finite vertex in inf\.geojson feature 0, hole 0: vertex 2 ",
         ):
             read_annotations(path)
+
+    def _polygons_doc(self, path, rings):
+        features = [
+            {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [r]}, "properties": {}}
+            for r in rings
+        ]
+        return self._write_doc(path, {"type": "FeatureCollection", "features": features})
+
+    def test_first_bad_ring_in_file_order_is_reported(self, tmp_path):
+        short, long = _polygon_ring(4), _polygon_ring(_BATCH_SEGMENTS + 4)
+        bowtie = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]
+        path = self._polygons_doc(tmp_path / "a.geojson", [short, bowtie, long, _crossed(long)])
+        with pytest.raises(
+            ValueError,
+            match=r"^self-intersecting ring in a\.geojson feature 1, exterior: "
+            r"segments 0 and 2 touch$",
+        ):
+            read_annotations(path)
+        path = self._polygons_doc(tmp_path / "b.geojson", [short, _crossed(long), bowtie])
+        with pytest.raises(
+            ValueError, match=r"^self-intersecting ring in b\.geojson feature 1, exterior: "
+        ):
+            read_annotations(path)
+
+    def test_bad_ring_before_a_malformed_feature_comes_first(self, tmp_path):
+        bowtie = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]
+        two_vertices = [[0, 0], [1, 1], [0, 0]]
+        path = self._polygons_doc(tmp_path / "a.geojson", [bowtie, two_vertices])
+        with pytest.raises(ValueError, match="self-intersecting ring in a.geojson feature 0"):
+            read_annotations(path)
+        path = self._polygons_doc(tmp_path / "b.geojson", [two_vertices, bowtie])
+        with pytest.raises(ValueError, match="ring needs >= 3 distinct vertices"):
+            read_annotations(path)
+
+    def test_huge_integer_vertex_rejected(self, tmp_path):
+        # float() overflows on it; it counts as infinite, like 1e400
+        path = tmp_path / "big.geojson"
+        path.write_text(
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+            '"geometry": {"type": "Polygon", "coordinates": '
+            f'[[[0, 0], [-1{"0" * 400}, 0], [1, 1], [0, 0]]]}}, "properties": {{}}}}]}}'
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"non-finite vertex in big\.geojson feature 0, exterior: vertex 1 is \[-1000",
+        ):
+            read_annotations(path)
+        assert PolygonAnnotation(((0, 0), (10**400, 0), (1, 1))).exterior[1] == (math.inf, 0.0)
 
     def test_nan_literal_rejected(self, tmp_path):
         path = tmp_path / "nan.geojson"
