@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -40,11 +41,22 @@ def _reject_constant(name: str):
 
 
 def read_json(path: str | os.PathLike):
-    """Parse a JSON file strictly (no NaN/Infinity); errors name the file."""
+    """Parse a JSON file strictly (no NaN/Infinity); errors name the file.
+
+    The cyclic garbage collector is paused while parsing. A parsed document
+    is a tree, so the parse makes no cycles to collect, yet on a large
+    GeoJSON the collector's passes over the lists and dicts being built
+    take three times as long as the parse itself.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except ValueError as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def encode_nodata(value: float | None):

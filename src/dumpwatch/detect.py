@@ -461,9 +461,14 @@ def polygonize(
     # tuples are built from slices of these lists
     xs = (transform.origin_x + col.astype(np.int64) * transform.pixel_width).tolist()
     ys = (transform.origin_y - row.astype(np.int64) * transform.pixel_height).tolist()
-    # components whose rings are one exterior and its holes, all simple
-    plain = (np.bincount(ring_label[exterior], minlength=count + 1) == 1) & (
-        np.bincount(ring_label[revisits], minlength=count + 1) == 0
+    n_exteriors = np.bincount(ring_label[exterior], minlength=count + 1)
+    simple = np.bincount(ring_label[revisits], minlength=count + 1) == 0
+    # 1: one exterior, then its holes; 2: exteriors only, parts touching at
+    # corners (or no rings: an absent label); 0: split and group in Python
+    kind = np.where(
+        simple & (n_exteriors == 1),
+        1,
+        np.where(simple & (n_exteriors == np.bincount(ring_label, minlength=count + 1)), 2, 0),
     )
     bounds = np.searchsorted(ring_label, np.arange(1, count + 2)).tolist()
     off = off.tolist()
@@ -479,14 +484,16 @@ def polygonize(
         return [back[0], *back[:0:-1], back[0]]
 
     detections: list[Detection] = []
-    for label, simple in enumerate(plain.tolist()[1:], start=1):
+    for label, layout in enumerate(kind.tolist()[1:], start=1):
         lo, hi = bounds[label - 1], bounds[label]
-        if simple:
+        if layout == 1:
             polygons = [
                 PolygonAnnotation(
                     world(lo), tuple(map(world, range(lo + 1, hi))), label="detection"
                 )
             ]
+        elif layout == 2:
+            polygons = [PolygonAnnotation(world(j), label="detection") for j in range(lo, hi)]
         else:
             rings: list[list[Vertex]] = []
             for j in range(lo, hi):

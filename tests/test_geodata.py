@@ -630,6 +630,26 @@ class TestAnnotationIO:
             read_annotations(path)
         assert PolygonAnnotation(((0, 0), (10**400, 0), (1, 1))).exterior[1] == (math.inf, 0.0)
 
+    def test_json_reader_restores_the_garbage_collector(self, tmp_path):
+        import gc
+
+        from dumpwatch._fileio import read_json
+
+        good = self._write_doc(tmp_path / "good.json", {"a": [1, 2]})
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert gc.isenabled()
+        assert read_json(good) == {"a": [1, 2]}
+        with pytest.raises(ValueError, match="invalid JSON"):
+            read_json(bad)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            read_json(good)
+            assert not gc.isenabled()  # a caller's choice is left alone
+        finally:
+            gc.enable()
+
     def test_nan_literal_rejected(self, tmp_path):
         path = tmp_path / "nan.geojson"
         path.write_text(
