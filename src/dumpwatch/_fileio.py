@@ -1,4 +1,5 @@
-"""Shared file helpers: atomic replace, strict JSON reading, nodata encoding."""
+"""Shared file helpers: atomic replace, strict JSON reading, nodata encoding,
+and a pause of the garbage collector while large object trees are built."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -40,23 +42,29 @@ def _reject_constant(name: str):
     raise ValueError(f"non-standard constant {name}")
 
 
-def read_json(path: str | os.PathLike):
-    """Parse a JSON file strictly (no NaN/Infinity); errors name the file.
-
-    The cyclic garbage collector is paused while parsing. A parsed document
-    is a tree, so the parse makes no cycles to collect, yet on a large
-    GeoJSON the collector's passes over the lists and dicts being built
-    take three times as long as the parse itself.
-    """
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for a block that builds many
+    containers but no reference cycles: a parsed JSON document, detections
+    and their GeoJSON. Each pass of the collector walks the containers
+    built so far, so on a large GeoJSON the passes take three times as long
+    as parsing it. A collector the caller had paused stays paused."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
-    except ValueError as exc:
-        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def read_json(path: str | os.PathLike):
+    """Parse a JSON file strictly (no NaN/Infinity); errors name the file."""
+    try:
+        with gc_paused():
+            return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def encode_nodata(value: float | None):

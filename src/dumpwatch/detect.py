@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import numerics, unet
-from ._fileio import atomic_write_json
+from ._fileio import atomic_write_json, gc_paused
 from .dataset import NormalizationStats
 from .geodata import GeoTransform, PolygonAnnotation, Raster, pixel_to_world
 from .numerics import Tensor
@@ -484,29 +484,32 @@ def polygonize(
         return [back[0], *back[:0:-1], back[0]]
 
     detections: list[Detection] = []
-    for label, layout in enumerate(kind.tolist()[1:], start=1):
-        lo, hi = bounds[label - 1], bounds[label]
-        if layout == 1:
-            polygons = [
-                PolygonAnnotation(
-                    world(lo), tuple(map(world, range(lo + 1, hi))), label="detection"
+    with gc_paused():
+        for label, layout in enumerate(kind.tolist()[1:], start=1):
+            lo, hi = bounds[label - 1], bounds[label]
+            if layout == 1:
+                polygons = [
+                    PolygonAnnotation(
+                        world(lo), tuple(map(world, range(lo + 1, hi))), label="detection"
+                    )
+                ]
+            elif layout == 2:
+                polygons = [
+                    PolygonAnnotation(world(j), label="detection") for j in range(lo, hi)
+                ]
+            else:
+                rings: list[list[Vertex]] = []
+                for j in range(lo, hi):
+                    rings.extend(_split_at_repeats(corners(j)) if revisits[j] else [corners(j)])
+                polygons = _grouped_polygons(rings, transform)
+            detections.append(
+                Detection(
+                    polygons=polygons,
+                    pixel_count=pixels[label],
+                    area=pixels[label] * pixel_area,
+                    mean_probability=mean_prob[label],
                 )
-            ]
-        elif layout == 2:
-            polygons = [PolygonAnnotation(world(j), label="detection") for j in range(lo, hi)]
-        else:
-            rings: list[list[Vertex]] = []
-            for j in range(lo, hi):
-                rings.extend(_split_at_repeats(corners(j)) if revisits[j] else [corners(j)])
-            polygons = _grouped_polygons(rings, transform)
-        detections.append(
-            Detection(
-                polygons=polygons,
-                pixel_count=pixels[label],
-                area=pixels[label] * pixel_area,
-                mean_probability=mean_prob[label],
             )
-        )
     return detections
 
 
@@ -519,30 +522,31 @@ def filter_detections(
 
 def export_geojson(detections: list[Detection], path) -> None:
     """Write detections as a GeoJSON FeatureCollection (atomic replace)."""
-    features = []
-    for det in detections:
-        # the JSON encoder writes the rings' tuples as lists
-        parts = [poly.rings() for poly in det.polygons]
-        if len(parts) == 1:
-            geometry = {"type": "Polygon", "coordinates": parts[0]}
-        else:
-            geometry = {"type": "MultiPolygon", "coordinates": parts}
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": geometry,
-                "properties": {
-                    "area_m2": det.area,
-                    "mean_probability": (
-                        None
-                        if math.isnan(det.mean_probability)
-                        else det.mean_probability
-                    ),
-                    "pixel_count": det.pixel_count,
-                },
-            }
-        )
-    atomic_write_json(path, {"type": "FeatureCollection", "features": features})
+    with gc_paused():
+        features = []
+        for det in detections:
+            # the JSON encoder writes the rings' tuples as lists
+            parts = [poly.rings() for poly in det.polygons]
+            if len(parts) == 1:
+                geometry = {"type": "Polygon", "coordinates": parts[0]}
+            else:
+                geometry = {"type": "MultiPolygon", "coordinates": parts}
+            features.append(
+                {
+                    "type": "Feature",
+                    "geometry": geometry,
+                    "properties": {
+                        "area_m2": det.area,
+                        "mean_probability": (
+                            None
+                            if math.isnan(det.mean_probability)
+                            else det.mean_probability
+                        ),
+                        "pixel_count": det.pixel_count,
+                    },
+                }
+            )
+        atomic_write_json(path, {"type": "FeatureCollection", "features": features})
 
 
 def detections_from_binary(

@@ -26,6 +26,7 @@ from ._fileio import (
     atomic_write_json,
     decode_nodata,
     encode_nodata,
+    gc_paused,
     read_json,
 )
 
@@ -533,12 +534,13 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
     polygons: list[PolygonAnnotation] = []
     skipped = 0
     try:
-        for part in _polygon_parts(doc):
-            if part is None:
-                skipped += 1
-                continue
-            rings = part[3]
-            polygons.append(PolygonAnnotation(rings[0], tuple(rings[1:]), label=part[2]))
+        with gc_paused():
+            for part in _polygon_parts(doc):
+                if part is None:
+                    skipped += 1
+                    continue
+                rings = part[3]
+                polygons.append(PolygonAnnotation(rings[0], tuple(rings[1:]), label=part[2]))
     except Exception:
         # a bad ring before the malformed feature comes first in file order
         _check_rings(path, polygons, doc)
