@@ -606,8 +606,14 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
             f"unsupported catalog version {index.get('format_version')!r}"
         )
     buckets: dict[str, list[Chip]] = {"train": [], "val": [], "test": []}
+    size = index.get("chip_size")
     for entry in index["chips"]:
         raster = geodata.read_raster(root / entry["file"])
+        if (raster.height, raster.width) != (size, size):
+            raise ValueError(
+                f"chip {root / entry['file']} is {raster.width}x{raster.height} px, "
+                f"but the catalog's chip_size is {size}"
+            )
         chip = Chip(
             samples=raster.samples[:-1],
             mask=raster.samples[-1].astype(np.uint8),

@@ -12,11 +12,11 @@ is documented here rather than checked.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -287,138 +287,97 @@ def _signed_area(ring: Ring) -> float:
     return 0.5 * s
 
 
-def _orient(a: Point, b: Point, c: Point) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def ring_is_simple(ring: Ring) -> bool:
+    """Whether a closed ring is finite, never folds back along its previous
+    segment, and has no two non-adjacent segments that touch or cross: the
+    check ``read_annotations`` runs on every ring (``_first_bad_ring``)."""
+    return _first_bad_ring([ring]) is None
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
+# Rings are checked in blocks of about this many segments (a longer ring on
+# its own), and candidate segment pairs tested this many at a time.
+_CHUNK = 1 << 13
 
 
-def _segments_touch(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
-    """True when segment p1p2 intersects p3p4 anywhere, endpoints included."""
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(p3, p4, p1):
-        return True
-    if d2 == 0 and _on_segment(p3, p4, p2):
-        return True
-    if d3 == 0 and _on_segment(p1, p2, p3):
-        return True
-    if d4 == 0 and _on_segment(p1, p2, p4):
-        return True
-    return False
-
-
-def _ring_defect(ring: Ring) -> str | None:
-    """Name the first defect that makes a closed ring non-simple, or None.
-
-    Segment ``i`` runs from vertex ``i`` to vertex ``i + 1``.
-    """
-    n = len(ring) - 1  # closed ring: n segments
-    # A vertex where the ring doubles back along its previous segment:
-    # collinear neighbours with opposite directions. Adjacent segments are
-    # not tested against each other below, so on a three-segment ring
-    # nothing else would catch it.
-    for k in range(n):
-        a, b, c = ring[k - 1 if k else n - 1], ring[k], ring[k + 1]
-        if _orient(a, b, c) == 0 and (
-            (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1]) < 0
-        ):
-            return f"folds back at vertex {k}"
-    # Broad phase: sweep the segments in order of their low end along one
-    # axis, keeping the earlier ones whose high end reaches it. Touching
-    # segments share a point, so their closed bounding boxes overlap; only
-    # such pairs go on to the exact test. The sweep runs along the axis on
-    # which the segments are shorter in total, since long extents along it
-    # keep many segments active at once (a comb's teeth leaving one spine).
-    x0, x1, y0, y1 = [], [], [], []
-    for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]):
-        x0.append(min(ax, bx))
-        x1.append(max(ax, bx))
-        y0.append(min(ay, by))
-        y1.append(max(ay, by))
-    lo, hi, cross_lo, cross_hi = x0, x1, y0, y1
-    if sum(map(sub, y1, y0)) < sum(map(sub, x1, x0)):
-        lo, hi, cross_lo, cross_hi = y0, y1, x0, x1
-    active: list[int] = []
-    for s in sorted(range(n), key=lo.__getitem__):
-        start, c0, c1 = lo[s], cross_lo[s], cross_hi[s]
-        still = []
-        for t in active:
-            if hi[t] < start:
-                continue
-            still.append(t)
-            if (
-                cross_lo[t] <= c1
-                and c0 <= cross_hi[t]
-                and abs(s - t) not in (1, n - 1)  # adjacent: share an endpoint
-                and _segments_touch(ring[t], ring[t + 1], ring[s], ring[s + 1])
-            ):
-                return f"segments {min(s, t)} and {max(s, t)} touch"
-        still.append(s)
-        active = still
+def _first_bad_ring(rings: list[Ring]) -> tuple[int, str] | None:
+    """The first of ``rings`` that is not finite and simple, with its defect:
+    a non-finite vertex, else the lowest vertex where it folds back, else the
+    least pair of non-adjacent segments that touch (segment ``i`` runs from
+    vertex ``i`` to ``i + 1``). None when every ring is good."""
+    before = np.cumsum(np.r_[0, np.fromiter(map(len, rings), np.intp, len(rings)) - 1])
+    start = 0
+    while start < len(rings):
+        stop = max(start + 1, int(np.searchsorted(before, before[start] + _CHUNK, "right")) - 1)
+        if (found := _block_defect(rings[start:stop])) is not None:
+            return start + found[0], found[1]
+        start = stop
     return None
 
 
-def ring_is_simple(ring: Ring) -> bool:
-    """Check that no two non-adjacent segments of a closed ring touch or
-    cross, and that the ring never folds back along its previous segment.
-
-    A sort-and-sweep over the segments' extents along x or y, whichever
-    they cover less of in total, sends only pairs whose closed bounding
-    boxes overlap to the exact predicate (``_segments_touch``), so the
-    verdict is that of testing every pair, in near-linear time on rings
-    whose segments spread out along the sweep axis; many segments sharing
-    one range on both axes still cost a range check per pair.
-    """
-    return _ring_defect(ring) is None
-
-
-# Rings of at most this many segments are validated together, one broadcast
-# per segment count; longer rings go through ring_is_simple's sweep.
-_BATCH_SEGMENTS = 16
-
-
-def _short_ring_defects(rings: np.ndarray) -> np.ndarray:
-    """Per ring of a [ring, n + 1, 2] stack of closed n-segment rings: True
-    where a coordinate is not finite or ring_is_simple would reject it.
-
-    The same float64 formulas as ``_orient`` and ``_segments_touch``, over
-    every non-adjacent segment pair whose closed bounding boxes overlap
-    (the pairs the sweep tests).
-    """
-    n = rings.shape[1] - 1
-    x, y = rings[..., 0], rings[..., 1]
-    bad = ~np.isfinite(rings).all(axis=(1, 2))
+def _block_defect(rings: list[Ring]) -> tuple[int, str] | None:
+    """``_first_bad_ring`` in one numpy pass. Each ring's segments are sorted
+    by their low end along x or y, whichever they cover less of in total (so
+    that a comb's teeth do not all reach along its spine), and each is paired
+    with the later ones of its ring whose low end it reaches and whose range
+    on the other axis meets its own: touching segments share a point, so no
+    touching pair is missed."""
+    sizes = np.fromiter(map(len, rings), np.intp, len(rings))
+    flat = chain.from_iterable(chain.from_iterable(rings))
+    xy = np.fromiter(flat, np.float64, 2 * int(sizes.sum())).reshape(-1, 2)
+    n, starts = sizes - 1, np.cumsum(sizes) - sizes
+    ring = np.repeat(np.arange(len(rings)), n)
+    a = np.arange(len(ring)) + ring  # each segment's first vertex
+    k = a - starts[ring]  # and its index in the ring
+    (xa, ya), (xb, yb) = xy[a].T, xy[a + 1].T  # segment ends
+    limit, defect = len(rings), None
     # overflow and inf - inf yield inf and NaN here, as in Python floats
     with np.errstate(all="ignore"):
-        # fold-back at vertex k (b): a, b, c collinear and b - a, c - b opposed
-        prev = np.r_[n - 1, 0 : n - 1]
-        ax, ay, bx, by, cx, cy = x[:, prev], y[:, prev], x[:, :n], y[:, :n], x[:, 1:], y[:, 1:]
-        ux, uy = bx - ax, by - ay
-        turn = ux * (cy - ay) - uy * (cx - ax)
-        bad |= ((turn == 0) & (ux * (cx - bx) + uy * (cy - by) < 0)).any(axis=1)
-        s, t = np.triu_indices(n, 2)
-        keep = t - s != n - 1  # segments 0 and n - 1 are adjacent
-        s, t = s[keep], t[keep]
-        if len(s):
-            bad |= _pairs_touch(x[:, s], y[:, s], x[:, s + 1], y[:, s + 1],
-                                x[:, t], y[:, t], x[:, t + 1], y[:, t + 1]).any(axis=1)
-    return bad
+        # fold-back at vertex k (a): p, a, b collinear and a - p, b - a opposed;
+        # adjacent segments are never paired below, so only this catches it
+        xp, yp = xy[a - 1 + n[ring] * (k == 0)].T
+        ux, uy = xa - xp, ya - yp
+        fold = (ux * (yb - yp) - uy * (xb - xp) == 0) & (ux * (xb - xa) + uy * (yb - ya) < 0)
+        flagged = np.flatnonzero(fold | ~(np.isfinite(xa) & np.isfinite(ya)))
+        if len(flagged):
+            limit = int(ring[flagged[0]])
+            finite = np.isfinite(xy[starts[limit] : starts[limit] + sizes[limit]]).all()
+            defect = f"folds back at vertex {k[flagged[0]]}" if finite else "non-finite vertex"
+        x0, x1 = np.minimum(xa, xb), np.maximum(xa, xb)
+        y0, y1 = np.minimum(ya, yb), np.maximum(ya, yb)
+        along_y = (np.bincount(ring, y1 - y0) < np.bincount(ring, x1 - x0))[ring]
+        lo, hi = np.where(along_y, y0, x0), np.where(along_y, y1, x1)
+        cross_lo, cross_hi = np.where(along_y, x0, y0), np.where(along_y, x1, y1)
+        # (ring, value) ranked as one integer: one searchsorted then counts,
+        # for each segment in (ring, low end) order, the later ones it reaches
+        values = np.unique(np.concatenate([lo, hi]))
+        key = ring * len(values) + np.searchsorted(values, lo)
+        reach = ring * len(values) + np.searchsorted(values, hi)
+        order = np.argsort(key)
+        count = np.searchsorted(key[order], reach[order], "right") - np.arange(1, len(key) + 1)
+        first, total = np.cumsum(count) - count, int(count.sum())
+        best = None
+        for start in range(0, total, _CHUNK):
+            pair = np.arange(start, min(start + _CHUNK, total))
+            p = np.searchsorted(first, pair, side="right") - 1
+            s, t = order[p], order[p + 1 + pair - first[p]]
+            i, j = np.minimum(k[s], k[t]), np.maximum(k[s], k[t])
+            keep = (j - i > 1) & (j - i < n[ring[s]] - 1)  # not adjacent
+            keep &= (cross_lo[t] <= cross_hi[s]) & (cross_lo[s] <= cross_hi[t])
+            s, t, i, j = s[keep], t[keep], i[keep], j[keep]
+            touch = _pairs_touch(xa[s], ya[s], xb[s], yb[s], xa[t], ya[t], xb[t], yb[t])
+            if touch.any():
+                r, i, j = ring[s[touch]], i[touch], j[touch]
+                w = np.lexsort((j, i, r))[0]
+                found = (int(r[w]), int(i[w]), int(j[w]))
+                best = min(best or found, found)
+    if best is not None and best[0] < limit:
+        return best[0], f"segments {best[1]} and {best[2]} touch"
+    return None if defect is None else (limit, defect)
 
 
 def _pairs_touch(x1, y1, x2, y2, x3, y3, x4, y4) -> np.ndarray:
-    """``_segments_touch`` elementwise, on pairs whose boxes overlap."""
+    """Elementwise: True where closed segment (x1, y1)-(x2, y2) touches or
+    crosses (x3, y3)-(x4, y4), endpoints included."""
 
     def orient(ax, ay, bx, by, cx, cy):
         return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -445,47 +404,28 @@ def _pairs_touch(x1, y1, x2, y2, x3, y3, x4, y4) -> np.ndarray:
     return touch & overlap
 
 
-def _first_bad_ring(rings: list[Ring]) -> int | None:
-    """Index of the first ring that has a non-finite coordinate or is not
-    simple, or None."""
-    segments = np.fromiter(map(len, rings), np.intp, len(rings)) - 1
-    first = len(rings)
-    short = np.flatnonzero(segments <= _BATCH_SEGMENTS)
-    if len(short):
-        counts = segments[short]
-        picked = rings if len(short) == len(rings) else map(rings.__getitem__, short.tolist())
-        flat = chain.from_iterable(chain.from_iterable(picked))
-        coords = np.fromiter(flat, np.float64, 2 * int((counts + 1).sum())).reshape(-1, 2)
-        starts = np.cumsum(counts + 1) - (counts + 1)
-        for n in np.unique(counts).tolist():
-            members = np.flatnonzero(counts == n)
-            step = max(1, 2**13 // n**2)  # bounds the pair arrays to ~2**13 cells
-            for lo in range(0, len(members), step):
-                rows = members[lo : lo + step]
-                if short[rows[0]] >= first:
-                    break
-                bad = _short_ring_defects(coords[starts[rows, None] + np.arange(n + 1)])
-                if bad.any():
-                    first = min(first, int(short[rows[bad.argmax()]]))
-                    break
-    for i in np.flatnonzero(segments > _BATCH_SEGMENTS).tolist():
-        if i >= first:
-            break
-        # ring_is_simple stays the entry point that perfbench/spans.py times
-        if not all(map(math.isfinite, chain.from_iterable(rings[i]))) or not ring_is_simple(rings[i]):
-            return i
-    return first if first < len(rings) else None
-
-
-def _polygon_parts(doc: dict):
+def _polygon_parts(path: Path, doc: dict):
     """Each feature of a FeatureCollection in file order: for every polygon
     part (a Polygon has one) ``(feature index, part index or None, label,
-    coordinate rings)``, and None for a feature of another type."""
-    for idx, feature in enumerate(doc.get("features", [])):
+    coordinate rings)``, and None for a feature of another type. A feature
+    that is not an object, or a polygon without coordinates, raises."""
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError(f"malformed GeoJSON in {path.name}: features is not a list")
+    for idx, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ValueError(f"malformed feature in {path.name} feature {idx}: not an object")
         geom = feature.get("geometry") or {}
         props = feature.get("properties") or {}
-        label = str(props.get("label", "dump"))
+        if not isinstance(geom, dict) or not isinstance(props, dict):
+            raise ValueError(
+                f"malformed feature in {path.name} feature {idx}: "
+                "geometry or properties not an object"
+            )
         gtype = geom.get("type")
+        if gtype in ("Polygon", "MultiPolygon") and not isinstance(geom.get("coordinates"), list):
+            raise ValueError(f"malformed feature in {path.name} feature {idx}: no coordinates")
+        label = str(props.get("label", "dump"))
         if gtype == "Polygon":
             yield idx, None, label, geom["coordinates"]
         elif gtype == "MultiPolygon":
@@ -495,26 +435,76 @@ def _polygon_parts(doc: dict):
             yield None
 
 
+def _source(path: Path, feature: int, part: int | None) -> str:
+    return f"{path.name} feature {feature}" + ("" if part is None else f" part {part}")
+
+
+def _coordinate_error(path: Path, part) -> str | None:
+    """What keeps a polygon part's coordinates, as the file gives them, from
+    being a list of rings of [x, y] number pairs, or None."""
+    feature, p, _, rings = part
+    if not isinstance(rings, list) or not rings:
+        return (
+            f"malformed polygon in {_source(path, feature, p)}: coordinates are "
+            f"{json.dumps(rings)}, not a list of one or more rings"
+        )
+    for r, ring in enumerate(rings):
+        where = f"{_source(path, feature, p)}, " + ("exterior" if r == 0 else f"hole {r - 1}")
+        if not isinstance(ring, list):
+            return f"malformed ring in {where}: {json.dumps(ring)} is not a list of vertices"
+        for v, xy in enumerate(ring):
+            if not (isinstance(xy, list) and len(xy) == 2 and set(map(type, xy)) <= {int, float}):
+                return (
+                    f"malformed vertex in {where}: vertex {v} is {json.dumps(xy)}, "
+                    "not an [x, y] pair of numbers"
+                )
+    return None
+
+
+def _numbers_only(parts: list) -> bool:
+    """Whether every coordinate of built polygon parts is a JSON number:
+    ``float()`` also takes strings and booleans, and a string or an object
+    of two characters or keys passes for a vertex."""
+    rings = chain.from_iterable(part[3] for part in parts)
+    return set(map(type, chain.from_iterable(chain.from_iterable(rings)))) <= {int, float}
+
+
+def _raise_first_error(path: Path, doc: dict, parts: list, polygons: list, error) -> None:
+    """Raise for what comes first in file order: a bad ring, coordinates that
+    are not rings of number pairs, or ``error``, raised by the last of
+    ``parts`` when it has no polygon, else by the feature after them."""
+    k = next((k for k, part in enumerate(parts) if _coordinate_error(path, part)), len(polygons))
+    _check_rings(path, polygons[:k], doc)
+    if k == len(parts):
+        raise error
+    feature, p, _, _ = parts[k]
+    raise ValueError(
+        _coordinate_error(path, parts[k])
+        or f"invalid polygon in {_source(path, feature, p)}: {error}"
+    )
+
+
 def _check_rings(path: Path, polygons: list[PolygonAnnotation], doc: dict | None) -> None:
     """Raise for the first non-finite or non-simple ring of ``polygons``,
     naming its feature and ring and, for a non-finite one, the vertex as the
     file gives it (``doc``, read again when None)."""
-    bad = _first_bad_ring([ring for poly in polygons for ring in poly.rings()])
-    if bad is None:
+    found = _first_bad_ring([ring for poly in polygons for ring in poly.rings()])
+    if found is None:
         return
+    bad, defect = found
     for k, poly in enumerate(polygons):
         if bad <= len(poly.holes):
             break
         bad -= len(poly.holes) + 1
-    parts = (part for part in _polygon_parts(doc or read_json(path)) if part)
+    parts = (part for part in _polygon_parts(path, doc or read_json(path)) if part)
     feature, p, _, raws = next(islice(parts, k, None))
-    source = f"{path.name} feature {feature}" + ("" if p is None else f" part {p}")
+    source = _source(path, feature, p)
     name = "exterior" if bad == 0 else f"hole {bad - 1}"
     ring, raw = poly.rings()[bad], raws[bad]
     if not all(map(math.isfinite, chain.from_iterable(ring))):
         v = next(v for v, xy in enumerate(raw) if not all(math.isfinite(_coord(c)) for c in xy))
         raise ValueError(f"non-finite vertex in {source}, {name}: vertex {v} is {raw[v]}")
-    raise ValueError(f"self-intersecting ring in {source}, {name}: {_ring_defect(ring)}")
+    raise ValueError(f"self-intersecting ring in {source}, {name}: {defect}")
 
 
 def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
@@ -522,8 +512,8 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
 
     MultiPolygons are split into one annotation per part. Features with any
     other geometry type are skipped; a single warning reports how many.
-    Every ring must be finite and simple; the first one in file order that
-    is not is reported with its feature and ring.
+    Every ring must be a list of [x, y] number pairs, finite and simple; the
+    first fault in file order is reported with its feature and ring.
     """
     path = Path(path)
     if not path.exists():
@@ -532,22 +522,23 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
     polygons: list[PolygonAnnotation] = []
-    skipped = 0
+    parts, skipped, error = [], 0, None
     try:
         with gc_paused():
-            for part in _polygon_parts(doc):
+            for part in _polygon_parts(path, doc):
                 if part is None:
                     skipped += 1
                     continue
+                parts.append(part)
                 rings = part[3]
                 polygons.append(PolygonAnnotation(rings[0], tuple(rings[1:]), label=part[2]))
-    except Exception:
-        # a bad ring before the malformed feature comes first in file order
-        _check_rings(path, polygons, doc)
-        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        error = exc
+    if error is not None or not _numbers_only(parts):
+        _raise_first_error(path, doc, parts, polygons, error)
     # the parsed document is the read's largest object: drop it before the
     # checks, which reread the file only to word an error
-    del doc
+    del doc, parts
     _check_rings(path, polygons, None)
     if skipped:
         warnings.warn(

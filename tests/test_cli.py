@@ -19,7 +19,14 @@ from dumpwatch.cli import (
     load_config,
     substream,
 )
-from dumpwatch.dataset import DEFAULT_BAND_SPEC, SOURCE_BANDS, load_catalog
+from dumpwatch.dataset import (
+    DEFAULT_BAND_SPEC,
+    SOURCE_BANDS,
+    Chip,
+    DatasetSplit,
+    load_catalog,
+    save_catalog,
+)
 from dumpwatch.geodata import (
     GeoTransform,
     Raster,
@@ -383,6 +390,16 @@ class TestErrorExits:
 def _scene_with_vertex(root, vertex):
     """One flat source scene whose single annotation ring has ``vertex``
     (JSON text) as its second vertex."""
+    return _scene_with_feature(
+        root,
+        '{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": '
+        f'[[[0, 0], {vertex}, [1, 1], [0, 0]]]}}, "properties": {{}}}}',
+    )
+
+
+def _scene_with_feature(root, feature):
+    """One flat source scene whose annotations are the single ``feature``
+    (JSON text)."""
     write_raster(
         Raster(
             np.ones((6, 16, 16), np.float32),
@@ -392,11 +409,7 @@ def _scene_with_vertex(root, vertex):
         root / "scenes" / "scene_000",
     )
     path = root / "scenes" / "scene_000.geojson"
-    path.write_text(
-        '{"type": "FeatureCollection", "features": [{"type": "Feature", '
-        '"geometry": {"type": "Polygon", "coordinates": '
-        f'[[[0, 0], {vertex}, [1, 1], [0, 0]]]}}, "properties": {{}}}}]}}'
-    )
+    path.write_text(f'{{"type": "FeatureCollection", "features": [{feature}]}}')
     return {"scene_dir": str(root / "scenes")}, path
 
 
@@ -408,6 +421,21 @@ def _catalog_with_nan_seed(root):
         '"band_names": null, "seed": NaN, "chips": []}'
     )
     return {"catalog": str(path.parent)}, path
+
+
+def _catalog_with_mixed_sizes(root):
+    """A catalog of 48 px chips whose second chip is 40 px."""
+
+    def chip(size):
+        return Chip(
+            np.zeros((len(DEFAULT_BAND_SPEC), size, size), np.float32),
+            np.zeros((size, size), np.uint8),
+            (0, 0),
+            GeoTransform(0.0, float(size), 1.0, 1.0),
+        )
+
+    save_catalog(root / "catalog", DatasetSplit([chip(48), chip(40), chip(48)], [], []))
+    return {"catalog": str(root / "catalog")}, root / "catalog" / "chips" / "chip_00001"
 
 
 def _probability(root, value=0.5, header_edit=("", "")):
@@ -439,6 +467,58 @@ MALFORMED_INPUTS = {
         "chip",
         lambda r: _scene_with_vertex(r, f"[1{'0' * 400}, 0]"),
         ["non-finite vertex", "feature 0, exterior: vertex 1 is [1000"],
+    ),
+    "string-coordinates": (
+        "chip",
+        lambda r: _scene_with_vertex(r, '["1", "0"]'),
+        [
+            "malformed vertex in",
+            'feature 0, exterior: vertex 1 is ["1", "0"], not an [x, y] pair of numbers',
+        ],
+    ),
+    "boolean-coordinate": (
+        "chip",
+        lambda r: _scene_with_vertex(r, "[true, 0]"),
+        ["feature 0, exterior: vertex 1 is [true, 0]"],
+    ),
+    "null-coordinate": (
+        "chip",
+        lambda r: _scene_with_vertex(r, "[null, 0]"),
+        ["feature 0, exterior: vertex 1 is [null, 0]"],
+    ),
+    "three-value-vertex": (
+        "chip",
+        lambda r: _scene_with_vertex(r, "[1, 0, 0]"),
+        ["feature 0, exterior: vertex 1 is [1, 0, 0]"],
+    ),
+    "string-vertex": (
+        "chip",
+        lambda r: _scene_with_vertex(r, '"a"'),
+        ['feature 0, exterior: vertex 1 is "a"'],
+    ),
+    "number-ring": (
+        "chip",
+        lambda r: _scene_with_feature(
+            r,
+            '{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": '
+            '[[[0, 0], [4, 0], [4, 4], [0, 0]], 5]}}',
+        ),
+        ["malformed ring in", "feature 0, hole 0: 5 is not a list of vertices"],
+    ),
+    "geometry-without-coordinates": (
+        "chip",
+        lambda r: _scene_with_feature(r, '{"type": "Feature", "geometry": {"type": "Polygon"}}'),
+        ["malformed feature in", "feature 0: no coordinates"],
+    ),
+    "feature-not-an-object": (
+        "chip",
+        lambda r: _scene_with_feature(r, '"Feature"'),
+        ["malformed feature in", "feature 0: not an object"],
+    ),
+    "mixed-chip-sizes": (
+        "train",
+        _catalog_with_mixed_sizes,
+        ["is 40x40 px, but the catalog's chip_size is 48"],
     ),
     "nan-in-catalog-index": (
         "train", _catalog_with_nan_seed, ["invalid JSON", "constant NaN"]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dumpwatch import geodata
 from dumpwatch.detect import connected_components, polygonize
 from dumpwatch.geodata import (
-    _BATCH_SEGMENTS,
     GeoTransform,
     PolygonAnnotation,
     Raster,
@@ -23,7 +22,6 @@ from dumpwatch.geodata import (
     write_annotations,
     write_raster,
     _first_bad_ring,
-    _short_ring_defects,
 )
 from oracles import (
     polygon_area_oracle,
@@ -380,11 +378,16 @@ def _oracle_bad(ring) -> bool:
     )
 
 
+def _first_bad(rings):
+    found = _first_bad_ring(rings)
+    return None if found is None else found[0]
+
+
 class TestBatchedRingValidation:
     @given(
         st.lists(
             st.lists(
-                st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=20
+                st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=40
             ),
             min_size=1,
             max_size=6,
@@ -400,44 +403,107 @@ class TestBatchedRingValidation:
                 pass  # fewer than three distinct vertices
         assume(rings)
         bad = [_oracle_bad(r) for r in rings]
-        assert _first_bad_ring(rings) == (bad.index(True) if True in bad else None)
+        assert _first_bad(rings) == (bad.index(True) if True in bad else None)
         for ring, expected in zip(rings, bad):
-            n = len(ring) - 1
-            if n <= _BATCH_SEGMENTS:
-                assert bool(_short_ring_defects(np.array([ring]))[0]) == expected
+            assert ring_is_simple(ring) == (not expected)
 
-    @pytest.mark.parametrize("segments", [_BATCH_SEGMENTS, _BATCH_SEGMENTS + 1])
-    def test_rings_at_and_past_the_cutoff(self, segments, monkeypatch):
-        calls = []
-        sweep = geodata.ring_is_simple
-        monkeypatch.setattr(geodata, "ring_is_simple", lambda r: calls.append(r) or sweep(r))
+    @pytest.mark.parametrize("segments", [16, 17])
+    def test_rings_at_and_past_the_cutoff(self, segments):
+        # 16 segments was once the longest ring checked in batches
         good = _polygon_ring(segments)
         crossed = _crossed(good)
         assert len(good) == len(crossed) == segments + 1
         assert ring_is_simple_oracle(good) and not ring_is_simple_oracle(crossed)
-        assert _first_bad_ring([good, good]) is None
-        assert _first_bad_ring([good, crossed, good]) == 1
-        # only rings past the cutoff go through the sweep
-        assert len(calls) == (0 if segments <= _BATCH_SEGMENTS else 4)
+        assert _first_bad([good, good]) is None
+        assert _first_bad_ring([good, crossed, good]) == (1, "segments 0 and 2 touch")
 
     def test_mixed_lengths_report_the_first_in_order(self):
-        short, long = _polygon_ring(4), _polygon_ring(_BATCH_SEGMENTS + 4)
+        short, long = _polygon_ring(4), _polygon_ring(20)
         bad_short, bad_long = _crossed(short), _crossed(long)
-        assert _first_bad_ring([short, long, bad_short, bad_long]) == 2
-        assert _first_bad_ring([short, bad_long, long, bad_short]) == 1
-        # a later segment count's batch starts before the first bad ring
+        assert _first_bad([short, long, bad_short, bad_long]) == 2
+        assert _first_bad([short, bad_long, long, bad_short]) == 1
         six = _polygon_ring(6)
-        assert _first_bad_ring([six, bad_short, short, _crossed(six)]) == 1
+        assert _first_bad([six, bad_short, short, _crossed(six)]) == 1
         inf_ring = PolygonAnnotation(((0, 0), (math.inf, 0), (1, 1))).exterior
-        assert _first_bad_ring([long, inf_ring, bad_long]) == 1
+        assert _first_bad_ring([long, inf_ring, bad_long]) == (1, "non-finite vertex")
 
     def test_fold_back_and_touching_vertex(self):
         # a three-segment fold-back, and a vertex resting on a far segment
         fold = PolygonAnnotation(((0, 0), (2, 0), (1, 0))).exterior
         touch = PolygonAnnotation(((0, 0), (4, 0), (4, 4), (2, 0), (0, 4))).exterior
-        assert list(_short_ring_defects(np.array([fold]))) == [True]
-        assert list(_short_ring_defects(np.array([touch]))) == [True]
-        assert list(_short_ring_defects(np.array([UNIT_SQUARE + (UNIT_SQUARE[0],)]))) == [False]
+        assert _first_bad_ring([fold]) == (0, "folds back at vertex 0")
+        assert _first_bad_ring([touch]) == (0, "segments 0 and 2 touch")
+        assert _first_bad_ring([UNIT_SQUARE + (UNIT_SQUARE[0],)]) is None
+
+    def test_two_defects_name_the_least_pair(self):
+        # segment 0 runs along y = 0 and is crossed by the vertical segments
+        # 3 (x = 4) and 5 (x = 2); a sweep along x, the axis this tall ring
+        # covers less of, meets the pair (0, 5) first
+        points = ((0, 0), (6, 0), (6, 1), (4, 1), (4, -9), (2, -9), (2, 9), (0, 9))
+        ring = PolygonAnnotation(points).exterior
+        assert not ring_is_simple_oracle(ring) and not ring_folds_back_oracle(ring)
+        square = UNIT_SQUARE + (UNIT_SQUARE[0],)
+        assert _first_bad_ring([square, ring]) == (1, "segments 0 and 3 touch")
+        # a fold-back is named before any touching pair: vertex 3 turns back
+        # along segment 2, and segment 4 then overlaps segment 2
+        folded = PolygonAnnotation(((0, 0), (4, 0), (4, 4), (1, 4), (3, 4), (0, 4))).exterior
+        assert _first_bad_ring([folded]) == (0, "folds back at vertex 3")
+
+    def test_first_bad_ring_past_the_first_block(self):
+        # rings are checked in blocks of about _CHUNK segments; a ring
+        # longer than that gets a block of its own
+        square = UNIT_SQUARE + (UNIT_SQUARE[0],)
+        comb = _comb_ring(_comb_grid(teeth=5000, tooth_max=8, seed=7))
+        squares = [square] * (geodata._CHUNK // 4 + 3)
+        bowtie = PolygonAnnotation(((0, 0), (2, 2), (2, 0), (0, 2))).exterior
+        n = len(squares)
+        assert _first_bad(squares + [comb] + squares) is None
+        assert _first_bad_ring(squares + [comb, bowtie]) == (n + 1, "segments 0 and 2 touch")
+        assert _first_bad(squares + [bowtie, comb, bowtie]) == n
+        assert _first_bad([bowtie] + squares) == 0
+
+    def test_small_blocks_and_pair_chunks_give_the_same_verdicts(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        lists = []
+        for _ in range(150):
+            rings = []
+            for _ in range(rng.integers(1, 6)):
+                points = rng.integers(0, 7, (rng.integers(3, 41), 2)).tolist()
+                try:
+                    rings.append(PolygonAnnotation(points).exterior)
+                except ValueError:
+                    pass
+            lists.append(rings)
+        good = [r for rings in lists for r in rings if not _oracle_bad(r)]
+        bad = next(r for rings in lists for r in rings if _oracle_bad(r))
+        expected = [_first_bad_ring(rings) for rings in lists]
+        assert _first_bad(good + [bad]) == len(good)
+        monkeypatch.setattr(geodata, "_CHUNK", 3)
+        assert [_first_bad_ring(rings) for rings in lists] == expected
+        assert _first_bad(good + [bad]) == len(good)
+
+    def test_many_thousand_segment_spiral_is_fast(self):
+        # one square-spiral component, 4-connected: a ring of 3 004 segments
+        # whose arms nest, so most segments' ranges along either axis hold
+        # those of every arm inside them
+        size = 1501
+        grid = np.zeros((size, size), dtype=np.float32)
+        lo, hi = 0, size - 1
+        while hi - lo >= 4:
+            grid[lo, lo : hi + 1] = 1
+            grid[lo : hi + 1, hi] = 1
+            grid[hi, lo : hi + 1] = 1
+            grid[lo + 2 : hi + 1, lo] = 1
+            grid[lo + 2, lo : lo + 3] = 1
+            lo, hi = lo + 2, hi - 2
+        raster = Raster(grid[None], GeoTransform(0.0, float(size), 1.0, 1.0), nodata=None)
+        labels, _ = connected_components(raster, connectivity=4)
+        (detection,) = polygonize(labels, raster.transform)
+        (poly,) = detection.polygons
+        assert len(poly.exterior) == 3005
+        start = time.perf_counter()
+        assert ring_is_simple(poly.exterior)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAnnotationIO:
@@ -590,7 +656,7 @@ class TestAnnotationIO:
         return self._write_doc(path, {"type": "FeatureCollection", "features": features})
 
     def test_first_bad_ring_in_file_order_is_reported(self, tmp_path):
-        short, long = _polygon_ring(4), _polygon_ring(_BATCH_SEGMENTS + 4)
+        short, long = _polygon_ring(4), _polygon_ring(20)
         bowtie = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]
         path = self._polygons_doc(tmp_path / "a.geojson", [short, bowtie, long, _crossed(long)])
         with pytest.raises(
@@ -613,6 +679,24 @@ class TestAnnotationIO:
             read_annotations(path)
         path = self._polygons_doc(tmp_path / "b.geojson", [two_vertices, bowtie])
         with pytest.raises(ValueError, match="ring needs >= 3 distinct vertices"):
+            read_annotations(path)
+
+    def test_malformed_coordinates_in_file_order(self, tmp_path):
+        # float() takes "1" and true; they are rejected after the rings
+        # before them are checked, like a feature that fails to parse
+        bowtie = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]
+        strings = [[0, 0], ["1", "0"], [1, 1], [0, 0]]
+        path = self._polygons_doc(tmp_path / "a.geojson", [bowtie, strings])
+        with pytest.raises(ValueError, match="self-intersecting ring in a.geojson feature 0"):
+            read_annotations(path)
+        path = self._polygons_doc(tmp_path / "b.geojson", [strings, bowtie, [[0, 0], [None, 1]]])
+        with pytest.raises(
+            ValueError,
+            match=r'^malformed vertex in b\.geojson feature 0, exterior: vertex 1 is \["1", "0"\]',
+        ):
+            read_annotations(path)
+        path = self._polygons_doc(tmp_path / "c.geojson", [[[0, 0], [1, 0], [True, 1]]])
+        with pytest.raises(ValueError, match=r"c\.geojson feature 0, exterior: vertex 2 is \[true, 1\]"):
             read_annotations(path)
 
     def test_huge_integer_vertex_rejected(self, tmp_path):
