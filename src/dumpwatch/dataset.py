@@ -507,7 +507,7 @@ def generate_synthetic(
     mask = rasterize_mask(polygons, transform, size, size)
 
     # imported here, not at module level: scipy.ndimage takes about 0.3 s to
-    # load, and only the stages that make scenes or label components need it
+    # load, and only the stages that make scenes need it
     from scipy.ndimage import uniform_filter
 
     profiles = config.spectral_profiles

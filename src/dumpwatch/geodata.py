@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -267,17 +268,20 @@ def _normalize_ring(ring) -> Ring:
     except OverflowError:
         pts = [(_coord(x), _coord(y)) for x, y in ring]
     if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    # drop consecutive duplicates; they add zero-length segments
-    deduped = [pts[0]] if pts else []
-    for p in pts[1:]:
-        if p != deduped[-1]:
-            deduped.append(p)
-    if len(deduped) >= 2 and deduped[0] == deduped[-1]:
-        deduped.pop()
-    if len(deduped) < 3:
-        raise ValueError(f"ring needs >= 3 distinct vertices, got {len(deduped)}")
-    return (*deduped, deduped[0])
+        pts.pop()
+    # drop consecutive duplicates; they add zero-length segments. Rings built
+    # by polygonize have none, so they skip the rebuild.
+    if any(map(operator.eq, pts, islice(pts, 1, None))):
+        deduped = [pts[0]]
+        for p in pts[1:]:
+            if p != deduped[-1]:
+                deduped.append(p)
+        pts = deduped
+    if len(pts) >= 2 and pts[0] == pts[-1]:
+        pts.pop()
+    if len(pts) < 3:
+        raise ValueError(f"ring needs >= 3 distinct vertices, got {len(pts)}")
+    return (*pts, pts[0])
 
 
 def _signed_area(ring: Ring) -> float:

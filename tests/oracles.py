@@ -357,13 +357,17 @@ def ring_is_simple_oracle(ring) -> bool:
 
 def ring_folds_back_oracle(ring) -> bool:
     """True when some vertex turns by exactly 180 degrees: its two segments
-    are collinear and point in opposite directions."""
+    are collinear and point in opposite directions.
+
+    Collinearity is (b - a) x (c - a), the orientation of c against the
+    segment a-b, as ``geodata`` computes it; (b - a) x (c - b) is the same
+    number in exact arithmetic but rounds differently in floats."""
     n = len(ring) - 1
     for k in range(n):
         a, b, c = ring[(k - 1) % n], ring[k], ring[k + 1]
         u = (b[0] - a[0], b[1] - a[1])
         v = (c[0] - b[0], c[1] - b[1])
-        if u[0] * v[1] - u[1] * v[0] == 0 and u[0] * v[0] + u[1] * v[1] < 0:
+        if _cross(a, b, c) == 0 and u[0] * v[0] + u[1] * v[1] < 0:
             return True
     return False
 

@@ -668,21 +668,37 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "1"]
 
-    def test_cli_import_leaves_scipy_ndimage_unloaded(self):
-        # predict never labels components; scipy.ndimage loads on first use
+    def test_cli_import_leaves_scipy_ndimage_unloaded(self, tmp_path):
+        # postprocess labels components in numpy and predict never labels,
+        # so scipy (about 0.2 s to import) loads only to make scenes
+        grid = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=np.float32)
+        base = tmp_path / "probability"
+        write_raster(
+            Raster(0.9 * grid[None], GeoTransform(0.0, 3.0, 1.0, 1.0), band_names=("probability",)),
+            base,
+        )
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "paths": {
+                        "probability": str(base),
+                        "detections": str(tmp_path / "detections.geojson"),
+                    },
+                    "postprocess": {"min_area": 0.0, "connectivity": 4},
+                }
+            )
+        )
         code = (
-            "import sys; import numpy as np; import dumpwatch.cli; "
-            "print('scipy.ndimage' in sys.modules); "
-            "from dumpwatch.detect import connected_components; "
-            "from dumpwatch.geodata import GeoTransform, Raster; "
-            "grid = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=np.float32); "
-            "labels, sizes = connected_components("
-            "Raster(grid[None], GeoTransform(0.0, 3.0, 1.0, 1.0), nodata=None), 4); "
-            "print(labels.ravel().tolist(), sizes.tolist())"
+            "import sys; from dumpwatch import cli; "
+            f"code = cli.main(['postprocess', '--config', {str(cfg)!r}]); "
+            "print(code, 'scipy' in sys.modules)"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "[1, 0, 2, 0, 0, 2, 3, 0, 0] [1, 2, 1]"]
+        summary, last = proc.stdout.splitlines()
+        assert json.loads(summary)["detections"] == 3
+        assert last == "0 False"
 
     def test_threads_env_respects_existing_setting(self):
         code = (

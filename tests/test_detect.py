@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +95,86 @@ class TestTileOrigins:
             assert all(o + 32 <= extent for o in origins)
 
 
+def _spiral(n):
+    """A one-pixel-wide square path winding inwards, one pixel off itself."""
+    grid = np.zeros((n, n), dtype=np.float32)
+    steps = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+    lengths = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in range(2)]
+    r = c = 0
+    for turn, length in enumerate(lengths):
+        dr, dc = steps[turn % 4]
+        r2, c2 = r + dr * length, c + dc * length
+        grid[min(r, r2) : max(r, r2) + 1, min(c, c2) : max(c, c2) + 1] = 1
+        r, c = r2, c2
+    return grid
+
+
+def _serpentine(n):
+    """Every other row, joined at alternate ends into one path."""
+    grid = np.zeros((n, n), dtype=np.float32)
+    grid[::2] = 1
+    grid[1::4, -1] = 1
+    grid[3::4, 0] = 1
+    return grid
+
+
+def _comb(n):
+    """Teeth on every other column, all hanging from a spine on the last row:
+    the spine's run meets every tooth, each first in row-major order."""
+    grid = np.zeros((n, n), dtype=np.float32)
+    grid[:, ::2] = 1
+    grid[-1] = 1
+    return grid
+
+
+@functools.lru_cache(maxsize=None)
+def _maze(n, seed):
+    """A random spanning tree of the cells at even (row, col), drawn by
+    Kruskal's algorithm: one component of long winding corridors."""
+    rng = np.random.default_rng(seed)
+    m = (n + 1) // 2
+    grid = np.zeros((n, n), dtype=np.float32)
+    grid[::2, ::2] = 1
+    parent = list(range(m * m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    edges = [(u, u + 1) for u in range(m * m) if u % m < m - 1]
+    edges += [(u, u + m) for u in range(m * m - m)]
+    for k in rng.permutation(len(edges)).tolist():
+        u, v = edges[k]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            grid[u // m + v // m, u % m + v % m] = 1
+    grid.flags.writeable = False
+    return grid
+
+
+ADVERSARIAL_SHAPES = {
+    "spiral": lambda: _spiral(33),
+    "serpentine": lambda: _serpentine(34),
+    "comb": lambda: _comb(33),
+    "maze": lambda: _maze(41, seed=7),
+    "anti-diagonal": lambda: np.eye(30)[::-1],
+    "1xN": lambda: (np.random.default_rng(1).uniform(size=(1, 60)) < 0.6).astype(np.float32),
+    "Nx1": lambda: (np.random.default_rng(2).uniform(size=(60, 1)) < 0.6).astype(np.float32),
+    "1x1": lambda: np.ones((1, 1)),
+    "all-foreground": lambda: np.ones((17, 23)),
+}
+
+LARGE_SHAPES = {
+    "spiral": lambda: _spiral(1024),
+    "serpentine": lambda: _serpentine(1024),
+    "comb": lambda: _comb(1024),
+    "maze": lambda: _maze(1023, seed=3),
+    "anti-diagonal": lambda: np.eye(1024)[::-1],
+}
+
+
 class TestConnectedComponents:
     def test_diagonal_pixels(self):
         grid = np.zeros((4, 4))
@@ -134,6 +216,11 @@ class TestConnectedComponents:
         arms[:, ::2] = 1
         arms[-1, :] = 1
         grids.append(arms)
+        # merge orders that break a subtly wrong labeller are rare: jumping
+        # pointers only once per round mislabels about one grid in 1500
+        for _ in range(3000):
+            h, w = rng.integers(1, 25, 2)
+            grids.append((rng.uniform(size=(h, w)) < rng.uniform(0.2, 0.8)).astype(np.float32))
         for trial, grid in enumerate(grids):
             labels, sizes = connected_components(
                 _binary_raster(grid), connectivity=connectivity
@@ -148,6 +235,40 @@ class TestConnectedComponents:
     def test_empty_grid(self):
         labels, sizes = connected_components(_binary_raster(np.zeros((4, 4))))
         assert labels.max() == 0 and len(sizes) == 0
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("shape", ADVERSARIAL_SHAPES)
+    def test_adversarial_shapes_match_oracle(self, shape, connectivity):
+        grid = ADVERSARIAL_SHAPES[shape]()
+        labels, sizes = connected_components(_binary_raster(grid), connectivity)
+        expected = connected_components_oracle(grid, connectivity)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, expected)
+        assert np.array_equal(sizes, np.bincount(expected.ravel())[1:])
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("shape", LARGE_SHAPES)
+    def test_large_adversarial_grids_match_scipy(self, shape, connectivity):
+        # too large for the flood-fill oracle; scipy is the reference here
+        from scipy import ndimage
+
+        grid = LARGE_SHAPES[shape]()
+        structure = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
+        expected, count = ndimage.label(grid, structure)
+        labels, sizes = connected_components(_binary_raster(grid), connectivity)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, expected)
+        assert np.array_equal(sizes, np.bincount(expected.ravel(), minlength=count + 1)[1:])
+
+    @pytest.mark.parametrize("shape", ["maze", "comb"])
+    def test_large_maze_and_comb_label_quickly(self, shape):
+        # guards the number of rounds: hooking each root under an arbitrary
+        # smaller neighbour merges the comb one tooth per round, 512 rounds
+        raster = _binary_raster(LARGE_SHAPES[shape]())
+        for connectivity in (4, 8):
+            start = time.perf_counter()
+            connected_components(raster, connectivity)
+            assert time.perf_counter() - start < 1.0
 
 
 def _rasterize_back(detections, transform, width, height):

@@ -271,6 +271,18 @@ class TestRingSimplicity:
         # three segments are pairwise adjacent, so no pair test sees it
         assert not ring_is_simple(PolygonAnnotation(((0, 0), (2, 0), (1, 0))).exterior)
 
+    def test_fold_back_oracle_rounds_as_the_validator(self):
+        # on the lattice this ring folds back at vertex 4; scaled by 3.7 the
+        # turn there is no longer exactly collinear in floats, as long as
+        # it is computed as (b - a) x (c - a) (the other grouping, (b - a)
+        # x (c - b), still rounds to zero)
+        points = ((0, 1), (-2, -1), (-3, 1), (-6, 6), (6, -4))
+        lattice = PolygonAnnotation(points).exterior
+        assert ring_folds_back_oracle(lattice) and not ring_is_simple(lattice)
+        scaled = PolygonAnnotation(tuple((3.7 * x, 3.7 * y) for x, y in points)).exterior
+        expected = ring_is_simple_oracle(scaled) and not ring_folds_back_oracle(scaled)
+        assert ring_is_simple(scaled) == expected
+
     def test_straight_continuation_is_simple(self):
         ring = PolygonAnnotation(((0, 0), (1, 0), (2, 0), (1, 1))).exterior
         assert ring_is_simple(ring)
