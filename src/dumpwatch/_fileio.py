@@ -12,19 +12,27 @@ from contextlib import contextmanager
 from pathlib import Path
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write bytes via a temp file in the same directory, then rename."""
+@contextmanager
+def atomic_open(path: str | os.PathLike):
+    """A binary file handle on a temp file in ``path``'s directory, renamed
+    over ``path`` when the block ends, and removed if the block raises."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
+    """Write bytes via a temp file in the same directory, then rename."""
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

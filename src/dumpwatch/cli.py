@@ -373,27 +373,47 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 def cmd_predict(cfg: RunConfig, args) -> int:
     ckpt = unet.load_checkpoint(cfg.paths.checkpoint)
+    if cfg.inference.tile_size % ckpt.config.pool_factor:
+        raise ConfigError(
+            f"inference.tile_size: {cfg.inference.tile_size} is not divisible by "
+            f"2**depth = {ckpt.config.pool_factor} of the checkpoint "
+            f"{cfg.paths.checkpoint}"
+        )
     raster_path = args.raster or cfg.paths.predict_raster
     if not raster_path:
         bases = _scene_bases(cfg.paths.scene_dir)
         raster_path = str(bases[0])
-    source = geodata.read_raster(raster_path)
-    stacked = ds.stack_bands(source, cfg.chip.bands) if source.band_names == ds.SOURCE_BANDS else source
-    params = unet.params_from_checkpoint(ckpt)
-    prob = detect.predict_raster(
-        params, ckpt.config, stacked, ckpt.normalization, cfg.inference
-    )
     out = args.out or cfg.paths.probability
-    geodata.write_raster(prob, out)
-    geodata.read_raster(out)  # write-then-verify
-    binary = detect.threshold_probability(prob, cfg.postprocess.probability_threshold)
+    threshold = cfg.postprocess.probability_threshold
+    above = 0
+    # rows stream from the source through the model to the output, one
+    # tile row at a time; neither raster is held whole
+    with geodata.RasterReader(raster_path) as source:
+        bands = cfg.chip.bands if source.band_names == ds.SOURCE_BANDS else None
+        rows = detect.predict_rows(
+            unet.params_from_checkpoint(ckpt),
+            ckpt.config,
+            source,
+            ckpt.normalization,
+            cfg.inference,
+            bands,
+        )
+        with geodata.raster_writer(
+            out, 1, source.height, source.width, source.transform,
+            band_names=("probability",),
+        ) as write_rows:
+            for block in rows:
+                write_rows(block[None])
+                prob = geodata.Raster(block[None], source.transform, band_names=("probability",))
+                above += int(np.count_nonzero(detect.threshold_probability(prob, threshold).samples))
+    geodata.RasterReader(out).close()  # write-then-verify: header and payload length
     _summary(
         {
             "command": "predict",
             "raster": str(raster_path),
             "probability": str(out),
-            "threshold": cfg.postprocess.probability_threshold,
-            "pixels_above_threshold": int(binary.samples.sum()),
+            "threshold": threshold,
+            "pixels_above_threshold": above,
         }
     )
     return 0

@@ -1,7 +1,12 @@
 """Tiled inference and raster-to-vector post-processing.
 
 Probability maps come from sliding a trained model over overlapping tiles
-and averaging overlapping predictions. Post-processing thresholds the map,
+and averaging overlapping predictions. Inference streams the raster one
+tile row at a time (``predict_rows``): each stripe of ``tile_size`` rows is
+read, stacked, normalized and cut into windows on its own, and rows are
+emitted as soon as no later tile reaches them. What stays resident is one
+stripe (two while a batch spans tile rows), one batch of windows, and the
+float64 sums and counts of the rows still open. Post-processing thresholds the map,
 labels connected components (a numpy union-find over horizontal pixel
 runs, so post-processing needs no scipy), traces the exact pixel-boundary
 outline of every component into world-coordinate polygons (holes
@@ -26,7 +31,7 @@ from . import dataset as ds
 from . import numerics, unet
 from ._fileio import atomic_write_json, gc_paused
 from .dataset import NormalizationStats
-from .geodata import GeoTransform, PolygonAnnotation, Raster, pixel_to_world
+from .geodata import GeoTransform, PolygonAnnotation, Raster, pixel_to_world, shift_transform
 from .numerics import Tensor
 from .unet import ParameterSet, UNetConfig
 
@@ -91,6 +96,127 @@ def _tile_origins(extent: int, tile: int, overlap: int) -> list[int]:
     return origins
 
 
+def predict_rows(
+    params: ParameterSet,
+    config: UNetConfig,
+    source,
+    stats: NormalizationStats | None = None,
+    icfg: InferenceConfig = InferenceConfig(),
+    bands: tuple[str, ...] | None = None,
+):
+    """Per-pixel probability rows over a raster, streamed one tile row at a
+    time: an iterator of float32 [row, col] blocks that together cover the
+    raster top to bottom, NaN where any band holds nodata.
+
+    ``source`` is a ``Raster`` or a ``geodata.RasterReader``: anything with
+    the raster's header attributes and ``read_rows``. With ``bands``, each
+    stripe is first stacked to that band spec (``dataset.stack_bands``).
+    Tiles are normalized with the checkpoint stats, edge tiles are
+    reflection-padded up to tile_size, and overlapping predictions are
+    averaged. The arguments are checked here, before any row is read.
+    """
+    names = tuple(bands) if bands else source.band_names
+    band_count = len(names) if bands else source.band_count
+    if band_count != config.in_channels:
+        raise ValueError(
+            f"model expects {config.in_channels} bands, raster has {band_count}"
+        )
+    if stats is not None:
+        if stats.band_names and names and stats.band_names != names:
+            raise ValueError(
+                f"band mismatch with checkpoint: raster {names} vs "
+                f"stats {stats.band_names}"
+            )
+        if len(stats.means) != band_count:
+            raise ValueError(
+                f"stats cover {len(stats.means)} bands, raster has {band_count}"
+            )
+    if icfg.tile_size % config.pool_factor:
+        raise ValueError(
+            f"tile_size {icfg.tile_size} must be divisible by 2**depth = "
+            f"{config.pool_factor}"
+        )
+    return _stream_rows(params, config, source, stats, icfg, bands)
+
+
+def _model_input(source, r0: int, r1: int, stats, bands):
+    """Rows ``r0`` to ``r1`` as the model sees them, with their valid mask:
+    stacked, normalized, and zeroed at nodata (which so forwards as the band
+    mean)."""
+    stripe = Raster(
+        source.read_rows(r0, r1),
+        shift_transform(source.transform, 0, r0),
+        nodata=source.nodata,
+        band_names=source.band_names,
+    )
+    if bands:
+        stripe = ds.stack_bands(stripe, bands)
+    valid = stripe.valid_mask()
+    if stats is None:
+        data = stripe.samples.copy()
+    else:
+        data = stripe.samples - np.asarray(stats.means, dtype=np.float32)[:, None, None]
+        data /= np.asarray(stats.stds, dtype=np.float32)[:, None, None]
+    data[:, ~valid] = 0.0
+    return data, valid
+
+
+def _stream_rows(params, config, source, stats, icfg, bands):
+    """The tiling of ``predict_rows``. Tiles run in row-major order, in
+    batches of ``batch_size`` that may span tile rows, as they would over a
+    whole raster, so every forward input and every pixel's float64 sum come
+    out the same. Held at once: the stripe of one tile row (and of the row
+    before while a batch spans both), the pending windows, and the
+    accumulator rows that a later tile can still reach."""
+    tile, height, width = icfg.tile_size, source.height, source.width
+    row_origins = _tile_origins(height, tile, icfg.overlap)
+    col_origins = _tile_origins(width, tile, icfg.overlap)
+    tiles = [(k, c0) for k in range(len(row_origins)) for c0 in col_origins]
+    # accumulator rows, from ``top`` (the first row not yet emitted) down
+    top = 0
+    prob_sum = np.zeros((0, width), dtype=np.float64)
+    count = np.zeros((0, width), dtype=np.int32)
+    valid = np.zeros((0, width), dtype=bool)
+    stripes: dict[int, np.ndarray] = {}
+    for start in range(0, len(tiles), icfg.batch_size):
+        chunk = tiles[start : start + icfg.batch_size]
+        stripes = {k: d for k, d in stripes.items() if k >= chunk[0][0]}
+        windows = []
+        for k, c0 in chunk:
+            r0 = row_origins[k]
+            if k not in stripes:
+                data, stripe_valid = _model_input(source, r0, min(r0 + tile, height), stats, bands)
+                stripes[k] = data
+                held = top + len(valid) - r0  # stripe rows the accumulator holds
+                grow = len(stripe_valid) - held
+                prob_sum = np.concatenate([prob_sum, np.zeros((grow, width), np.float64)])
+                count = np.concatenate([count, np.zeros((grow, width), np.int32)])
+                valid = np.concatenate([valid, stripe_valid[held:]])
+            win = stripes[k][:, :, c0 : c0 + tile]
+            wh, ww = win.shape[1:]
+            if (wh, ww) != (tile, tile):
+                win = ds.reflect_pad(win, ((0, tile - wh), (0, tile - ww)))
+            windows.append(win)
+        with numerics.no_grad():
+            logits = unet.forward(params, config, Tensor(np.stack(windows)))
+        probs = numerics.sigmoid_values(logits.data)[:, 0]
+        for j, (k, c0) in enumerate(chunk):
+            r0 = row_origins[k] - top
+            wh, ww = min(tile, height - row_origins[k]), min(tile, width - c0)
+            prob_sum[r0 : r0 + wh, c0 : c0 + ww] += probs[j, :wh, :ww]
+            count[r0 : r0 + wh, c0 : c0 + ww] += 1
+        # rows above the first tile row still owed a tile are final
+        owed = start + len(chunk)
+        owed = tiles[owed][0] if owed < len(tiles) else len(row_origins)
+        finished = row_origins[owed] if owed < len(row_origins) else height
+        if finished > top:
+            n = finished - top
+            prob = (prob_sum[:n] / count[:n]).astype(np.float32)
+            prob[~valid[:n]] = np.nan
+            yield prob
+            top, prob_sum, count, valid = finished, prob_sum[n:], count[n:], valid[n:]
+
+
 def predict_raster(
     params: ParameterSet,
     config: UNetConfig,
@@ -98,70 +224,11 @@ def predict_raster(
     stats: NormalizationStats | None = None,
     icfg: InferenceConfig = InferenceConfig(),
 ) -> Raster:
-    """Per-pixel probability map over the whole raster.
-
-    Tiles are normalized with the checkpoint stats, edge tiles are
-    reflection-padded up to tile_size, and overlapping predictions are
-    averaged. Pixels with nodata in any band come back as NaN.
-    """
-    if raster.band_count != config.in_channels:
-        raise ValueError(
-            f"model expects {config.in_channels} bands, raster has "
-            f"{raster.band_count}"
-        )
-    if stats is not None:
-        if stats.band_names and raster.band_names and stats.band_names != raster.band_names:
-            raise ValueError(
-                f"band mismatch with checkpoint: raster {raster.band_names} vs "
-                f"stats {stats.band_names}"
-            )
-        if len(stats.means) != raster.band_count:
-            raise ValueError(
-                f"stats cover {len(stats.means)} bands, raster has "
-                f"{raster.band_count}"
-            )
-    tile = icfg.tile_size
-    if tile % config.pool_factor:
-        raise ValueError(
-            f"tile_size {tile} must be divisible by 2**depth = {config.pool_factor}"
-        )
-    valid = raster.valid_mask()
-    data = raster.samples.astype(np.float32, copy=True)
-    if stats is not None:
-        means = np.asarray(stats.means, dtype=np.float32)[:, None, None]
-        stds = np.asarray(stats.stds, dtype=np.float32)[:, None, None]
-        data = (data - means) / stds
-    data[:, ~valid] = 0.0  # nodata cells forward as the band mean
-
-    height, width = raster.height, raster.width
-    prob_sum = np.zeros((height, width), dtype=np.float64)
-    count = np.zeros((height, width), dtype=np.int32)
-    tiles = [
-        (r0, c0)
-        for r0 in _tile_origins(height, tile, icfg.overlap)
-        for c0 in _tile_origins(width, tile, icfg.overlap)
-    ]
-    with numerics.no_grad():
-        for start in range(0, len(tiles), icfg.batch_size):
-            chunk = tiles[start : start + icfg.batch_size]
-            windows = []
-            for r0, c0 in chunk:
-                win = data[:, r0 : r0 + tile, c0 : c0 + tile]
-                wh, ww = win.shape[1:]
-                if (wh, ww) != (tile, tile):
-                    win = ds.reflect_pad(win, ((0, tile - wh), (0, tile - ww)))
-                windows.append(win)
-            logits = unet.forward(params, config, Tensor(np.stack(windows)))
-            probs = numerics.sigmoid_values(logits.data)[:, 0]
-            for j, (r0, c0) in enumerate(chunk):
-                wh = min(tile, height - r0)
-                ww = min(tile, width - c0)
-                prob_sum[r0 : r0 + wh, c0 : c0 + ww] += probs[j, :wh, :ww]
-                count[r0 : r0 + wh, c0 : c0 + ww] += 1
-    prob = (prob_sum / count).astype(np.float32)
-    prob[~valid] = np.nan
+    """Per-pixel probability map over an in-memory raster: the rows of
+    ``predict_rows`` gathered into one single-band raster."""
+    rows = predict_rows(params, config, raster, stats, icfg)
     return Raster(
-        prob[None],
+        np.concatenate(list(rows))[None],
         raster.transform,
         nodata=math.nan,
         band_names=("probability",),

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fileio import (
-    atomic_write_bytes,
+    atomic_open,
     atomic_write_json,
     decode_nodata,
     encode_nodata,
@@ -121,6 +123,11 @@ class Raster:
         except ValueError:
             raise KeyError(f"no band named {name!r}") from None
 
+    def read_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Samples [band, row, col] of rows ``r0`` to ``r1`` (exclusive), as
+        ``RasterReader.read_rows`` gives them from a file."""
+        return self.samples[:, r0:r1]
+
     def valid_mask(self) -> np.ndarray:
         """Boolean [row, col] mask, True where every band holds valid data."""
         if self.nodata is None:
@@ -152,71 +159,163 @@ def _raster_paths(path: str | Path) -> tuple[Path, Path]:
     return Path(base + ".json"), Path(base + ".bin")
 
 
-def write_raster(raster: Raster, path: str | Path) -> None:
-    """Write the two-file native raster pair at ``path`` (+ .json / .bin)."""
+@contextmanager
+def raster_writer(
+    path: str | Path,
+    band_count: int,
+    height: int,
+    width: int,
+    transform: GeoTransform,
+    nodata: float | None = math.nan,
+    band_names: tuple[str, ...] | None = None,
+):
+    """Write a raster pair rows first: yields ``write_rows``, which takes the
+    next rows as [band, row, col] samples and writes each band's rows at
+    their offset in a temp payload. When the block ends with every row
+    written, the payload is renamed into place and the header written; if
+    it raises, the temp payload is removed and nothing is replaced."""
     header_path, payload_path = _raster_paths(path)
     header = {
         "format": RASTER_FORMAT,
         "format_version": RASTER_FORMAT_VERSION,
-        "width": raster.width,
-        "height": raster.height,
-        "band_count": raster.band_count,
-        "band_names": list(raster.band_names) if raster.band_names else None,
+        "width": width,
+        "height": height,
+        "band_count": band_count,
+        "band_names": list(band_names) if band_names else None,
         "transform": {
-            "origin_x": raster.transform.origin_x,
-            "origin_y": raster.transform.origin_y,
-            "pixel_width": raster.transform.pixel_width,
-            "pixel_height": raster.transform.pixel_height,
+            "origin_x": transform.origin_x,
+            "origin_y": transform.origin_y,
+            "pixel_width": transform.pixel_width,
+            "pixel_height": transform.pixel_height,
         },
-        "nodata": encode_nodata(raster.nodata),
+        "nodata": encode_nodata(nodata),
         "dtype": "float32",
         "byte_order": "little",
         "layout": "band-row-col",
     }
-    payload = np.ascontiguousarray(raster.samples, dtype="<f4").tobytes()
-    atomic_write_bytes(payload_path, payload)
+    written = 0
+    with atomic_open(payload_path) as fh:
+
+        def write_rows(rows: np.ndarray) -> None:
+            nonlocal written
+            rows = np.ascontiguousarray(rows, dtype="<f4")
+            if rows.ndim != 3 or rows.shape[0] != band_count or rows.shape[2] != width:
+                raise ValueError(f"rows of shape {rows.shape} for a {band_count}-band, {width} px wide raster")
+            if written + rows.shape[1] > height:
+                raise ValueError(f"{written + rows.shape[1]} rows for a raster of height {height}")
+            for band in range(band_count):
+                fh.seek((band * height + written) * width * 4)
+                fh.write(rows[band])
+            written += rows.shape[1]
+
+        yield write_rows
+        if written != height:
+            raise ValueError(f"{payload_path}: {written} of {height} rows written")
     atomic_write_json(header_path, header)
 
 
+def write_raster(raster: Raster, path: str | Path) -> None:
+    """Write the two-file native raster pair at ``path`` (+ .json / .bin)."""
+    with raster_writer(
+        path, *raster.samples.shape, raster.transform, raster.nodata, raster.band_names
+    ) as write_rows:
+        write_rows(raster.samples)
+
+
+class RasterReader:
+    """An open raster pair whose rows are read on demand.
+
+    The header and the payload's length are checked once, on open, so a
+    truncated or padded payload raises before any row is read. Each
+    ``read_rows`` reads every band's rows at their file offset straight into
+    a new array; a short read raises rather than leave rows unfilled. Use as
+    a context manager, or call ``close``.
+    """
+
+    def __init__(self, path: str | Path):
+        header_path, payload_path = _raster_paths(path)
+        if not header_path.exists():
+            raise FileNotFoundError(f"missing raster header {header_path}")
+        if not payload_path.exists():
+            raise FileNotFoundError(f"missing raster payload {payload_path}")
+        header = read_json(header_path)
+        for key in ("format", "width", "height", "band_count", "transform", "dtype"):
+            if key not in header:
+                raise ValueError(f"malformed raster header {header_path}: missing {key!r}")
+        if header["format"] != RASTER_FORMAT:
+            raise ValueError(f"unrecognized raster format {header['format']!r}")
+        if header.get("format_version") != RASTER_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported raster format version {header.get('format_version')!r}"
+            )
+        if header["dtype"] != "float32":
+            raise ValueError(f"unsupported raster dtype {header['dtype']!r}")
+        for key in ("width", "height", "band_count"):
+            value = header[key]
+            if type(value) is not int or value < 1:
+                raise ValueError(
+                    f"malformed raster header {header_path}: {key} is {value!r}, "
+                    "not a positive integer"
+                )
+        self.width, self.height = header["width"], header["height"]
+        self.band_count = header["band_count"]
+        names = header.get("band_names")
+        self.band_names = tuple(names) if names else None
+        if self.band_names is not None and len(self.band_names) != self.band_count:
+            raise ValueError(
+                f"malformed raster header {header_path}: {len(self.band_names)} "
+                f"band names for {self.band_count} bands"
+            )
+        t = header["transform"]
+        self.transform = GeoTransform(
+            t["origin_x"], t["origin_y"], t["pixel_width"], t["pixel_height"]
+        )
+        self.nodata = decode_nodata(header.get("nodata"))
+        self.path = payload_path
+        self._file = open(payload_path, "rb")
+        size = os.fstat(self._file.fileno()).st_size
+        expected = self.band_count * self.height * self.width * 4
+        if size != expected:
+            self._file.close()
+            raise ValueError(
+                f"band/sample mismatch in {payload_path}: header declares "
+                f"{self.band_count}x{self.height}x{self.width} float32 ({expected} "
+                f"bytes) but payload holds {size} bytes"
+            )
+
+    def read_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Samples [band, row, col] of rows ``r0`` to ``r1`` (exclusive)."""
+        if not 0 <= r0 < r1 <= self.height:
+            raise ValueError(f"rows {r0}:{r1} outside a raster of height {self.height}")
+        out = np.empty((self.band_count, r1 - r0, self.width), dtype="<f4")
+        for band in range(self.band_count):
+            self._file.seek((band * self.height + r0) * self.width * 4)
+            got = self._file.readinto(out[band])
+            if got != out[band].nbytes:
+                raise ValueError(
+                    f"short read in {self.path}: band {band} rows {r0}:{r1} gave "
+                    f"{got} of {out[band].nbytes} bytes"
+                )
+        return out
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> RasterReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def read_raster(path: str | Path) -> Raster:
-    header_path, payload_path = _raster_paths(path)
-    if not header_path.exists():
-        raise FileNotFoundError(f"missing raster header {header_path}")
-    if not payload_path.exists():
-        raise FileNotFoundError(f"missing raster payload {payload_path}")
-    header = read_json(header_path)
-    for key in ("format", "width", "height", "band_count", "transform", "dtype"):
-        if key not in header:
-            raise ValueError(f"malformed raster header {header_path}: missing {key!r}")
-    if header["format"] != RASTER_FORMAT:
-        raise ValueError(f"unrecognized raster format {header['format']!r}")
-    if header.get("format_version") != RASTER_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported raster format version {header.get('format_version')!r}"
+    with RasterReader(path) as src:
+        return Raster(
+            src.read_rows(0, src.height),
+            src.transform,
+            nodata=src.nodata,
+            band_names=src.band_names,
         )
-    if header["dtype"] != "float32":
-        raise ValueError(f"unsupported raster dtype {header['dtype']!r}")
-    width, height, bands = header["width"], header["height"], header["band_count"]
-    payload = payload_path.read_bytes()
-    expected = bands * height * width * 4
-    if len(payload) != expected:
-        raise ValueError(
-            f"band/sample mismatch in {payload_path}: header declares "
-            f"{bands}x{height}x{width} float32 ({expected} bytes) but payload "
-            f"holds {len(payload)} bytes"
-        )
-    samples = np.frombuffer(payload, dtype="<f4").reshape(bands, height, width).copy()
-    t = header["transform"]
-    transform = GeoTransform(
-        t["origin_x"], t["origin_y"], t["pixel_width"], t["pixel_height"]
-    )
-    names = header.get("band_names")
-    return Raster(
-        samples,
-        transform,
-        nodata=decode_nodata(header.get("nodata")),
-        band_names=tuple(names) if names else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +452,10 @@ def _block_defect(rings: list[Ring]) -> tuple[int, str] | None:
         cross_lo, cross_hi = np.where(along_y, x0, y0), np.where(along_y, x1, y1)
         # (ring, value) ranked as one integer: one searchsorted then counts,
         # for each segment in (ring, low end) order, the later ones it reaches
-        values = np.unique(np.concatenate([lo, hi]))
+        # distinct values by sort and neighbour mask: np.unique would import
+        # numpy.ma on its first call
+        values = np.sort(np.concatenate([lo, hi]))
+        values = values[np.r_[True, values[1:] != values[:-1]]]
         key = ring * len(values) + np.searchsorted(values, lo)
         reach = ring * len(values) + np.searchsorted(values, hi)
         order = np.argsort(key)

@@ -137,7 +137,7 @@ def forward(params: ParameterSet, config: UNetConfig, batch: Tensor) -> Tensor:
         x = numerics.transposed_conv_2x2(
             x, params[f"dec{i}.up.weight"], params[f"dec{i}.up.bias"]
         )
-        x = numerics.concat_channels(x, skips[i])
+        x = numerics.concat_channels(x, skips.pop())  # freed once used
         x = _double_conv(params, f"dec{i}", x)
     return numerics.conv2d(x, params["head.weight"], params["head.bias"])
 

@@ -542,3 +542,54 @@ def polygonize_oracle(labels, transform, probabilities=None):
             )
         )
     return detections
+
+
+def predict_raster_oracle(params, config, raster, stats=None, tile=256, overlap=32, batch_size=8):
+    """Whole-raster tiled inference: the raster normalized at once, every
+    tile cut from it in row-major order and forwarded in batches of
+    ``batch_size``, float64 sums and counts over the full raster, NaN where
+    any band holds nodata. The model itself is the package's
+    (``unet.forward``); only the tiling is independent."""
+    from dumpwatch import numerics, unet
+
+    samples = raster.samples
+    if raster.nodata is None:
+        valid = np.ones(samples.shape[1:], bool)
+    elif math.isnan(raster.nodata):
+        valid = ~np.isnan(samples).any(axis=0)
+    else:
+        valid = ~(samples == raster.nodata).any(axis=0)
+    data = samples.astype(np.float32, copy=True)
+    if stats is not None:
+        data = (data - np.asarray(stats.means, np.float32)[:, None, None]) / np.asarray(
+            stats.stds, np.float32
+        )[:, None, None]
+    data[:, ~valid] = 0.0
+
+    def origins(extent):
+        if extent <= tile:
+            return [0]
+        out = list(range(0, extent - tile + 1, tile - overlap))
+        return out if out[-1] == extent - tile else out + [extent - tile]
+
+    height, width = valid.shape
+    prob_sum = np.zeros((height, width), np.float64)
+    count = np.zeros((height, width), np.int32)
+    tiles = [(r0, c0) for r0 in origins(height) for c0 in origins(width)]
+    for start in range(0, len(tiles), batch_size):
+        chunk = tiles[start : start + batch_size]
+        windows = []
+        for r0, c0 in chunk:
+            win = data[:, r0 : r0 + tile, c0 : c0 + tile]
+            pads = ((0, 0), (0, tile - win.shape[1]), (0, tile - win.shape[2]))
+            windows.append(np.pad(win, pads, mode="reflect"))
+        with numerics.no_grad():
+            logits = unet.forward(params, config, numerics.Tensor(np.stack(windows)))
+        probs = numerics.sigmoid_values(logits.data)[:, 0]
+        for j, (r0, c0) in enumerate(chunk):
+            wh, ww = min(tile, height - r0), min(tile, width - c0)
+            prob_sum[r0 : r0 + wh, c0 : c0 + ww] += probs[j, :wh, :ww]
+            count[r0 : r0 + wh, c0 : c0 + ww] += 1
+    prob = (prob_sum / count).astype(np.float32)
+    prob[~valid] = np.nan
+    return prob

@@ -5,11 +5,12 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dumpwatch import cli
+from dumpwatch import cli, unet
 from dumpwatch.cli import (
     ConfigError,
     RunConfig,
@@ -34,7 +35,13 @@ from dumpwatch.geodata import (
     read_raster,
     write_raster,
 )
-from dumpwatch.unet import load_checkpoint
+from dumpwatch.unet import (
+    UNetConfig,
+    build_unet,
+    checkpoint_from_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def run_cli(argv, capsys):
@@ -410,7 +417,7 @@ def _scene_with_feature(root, feature):
     )
     path = root / "scenes" / "scene_000.geojson"
     path.write_text(f'{{"type": "FeatureCollection", "features": [{feature}]}}')
-    return {"scene_dir": str(root / "scenes")}, path
+    return {"paths": {"scene_dir": str(root / "scenes")}}, path
 
 
 def _catalog_with_nan_seed(root):
@@ -420,7 +427,7 @@ def _catalog_with_nan_seed(root):
         '{"format": "dumpwatch.catalog", "format_version": 1, "chip_size": null, '
         '"band_names": null, "seed": NaN, "chips": []}'
     )
-    return {"catalog": str(path.parent)}, path
+    return {"paths": {"catalog": str(path.parent)}}, path
 
 
 def _catalog_with_mixed_sizes(root):
@@ -435,7 +442,7 @@ def _catalog_with_mixed_sizes(root):
         )
 
     save_catalog(root / "catalog", DatasetSplit([chip(48), chip(40), chip(48)], [], []))
-    return {"catalog": str(root / "catalog")}, root / "catalog" / "chips" / "chip_00001"
+    return {"paths": {"catalog": str(root / "catalog")}}, root / "catalog" / "chips" / "chip_00001"
 
 
 def _probability(root, value=0.5, header_edit=("", "")):
@@ -448,7 +455,24 @@ def _probability(root, value=0.5, header_edit=("", "")):
     )
     header = root / "probability.json"
     header.write_text(header.read_text().replace(*header_edit))
-    return {"probability": str(base)}, header if header_edit[0] else base
+    return {"paths": {"probability": str(base)}}, header if header_edit[0] else base
+
+
+def _predict_inputs(root, truncate=0, tile_size=256):
+    """A flat source scene of 40x24 px, its payload cut short by
+    ``truncate`` bytes, and a depth-2 checkpoint; ``tile_size`` for
+    inference."""
+    base = root / "scenes" / "scene_000"
+    write_raster(
+        Raster(np.ones((6, 40, 24), np.float32), GeoTransform(0.0, 40.0, 1.0, 1.0), band_names=SOURCE_BANDS),
+        base,
+    )
+    payload = Path(str(base) + ".bin")
+    payload.write_bytes(payload.read_bytes()[: payload.stat().st_size - truncate])
+    config = UNetConfig(in_channels=6, depth=2, base_filters=2)
+    save_checkpoint(checkpoint_from_params(config, build_unet(config)), root / "model")
+    paths = {"checkpoint": str(root / "model"), "predict_raster": str(base), "probability": str(root / "out")}
+    return {"paths": paths, "inference": {"tile_size": tile_size, "overlap": 0}}, payload
 
 
 # (command, input builder, fragments the error must carry besides the file)
@@ -533,16 +557,31 @@ MALFORMED_INPUTS = {
         lambda r: _probability(r, value=np.inf),
         ["1 probability pixel(s) outside [0, 1]", "(3, 5)"],
     ),
+    "bin-truncated-by-one-row": (
+        "predict",
+        lambda r: _predict_inputs(r, truncate=24 * 4),
+        ["band/sample mismatch", "6x40x24 float32 (23040 bytes) but payload holds 22944 bytes"],
+    ),
+    "tile-size-not-divisible": (
+        "predict",
+        lambda r: (_predict_inputs(r, tile_size=18)[0], r / "model"),
+        ["inference.tile_size: 18 is not divisible by 2**depth = 4 of the checkpoint"],
+    ),
 }
 
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("name", MALFORMED_INPUTS)
-    def test_exits_one_naming_the_file(self, name, tmp_path, capsys, caplog):
+    def test_exits_one_naming_the_file(self, name, tmp_path, capsys, caplog, monkeypatch):
         command, build, fragments = MALFORMED_INPUTS[name]
-        paths, bad_file = build(tmp_path)
+        config, bad_file = build(tmp_path)
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"paths": paths}))
+        cfg.write_text(json.dumps(config))
+
+        def no_forward(*args):
+            raise AssertionError("a tile was run")
+
+        monkeypatch.setattr(unet, "forward", no_forward)
         started = time.monotonic()
         code, summary = run_cli([command, "--config", str(cfg)], capsys)
         assert code == 1 and summary is None
@@ -550,6 +589,7 @@ class TestMalformedInputs:
         assert bad_file.name in caplog.text
         for fragment in fragments:
             assert fragment in caplog.text
+        assert not list(tmp_path.glob("out*"))  # predict wrote nothing
 
 
 class TestNodataChip:
@@ -668,9 +708,9 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "1"]
 
-    def test_cli_import_leaves_scipy_ndimage_unloaded(self, tmp_path):
-        # postprocess labels components in numpy and predict never labels,
-        # so scipy (about 0.2 s to import) loads only to make scenes
+    def _postprocess_loads(self, tmp_path, module):
+        """Run ``postprocess`` on a 3x3 probability raster in a fresh
+        interpreter: its summary, and whether ``module`` was loaded."""
         grid = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=np.float32)
         base = tmp_path / "probability"
         write_raster(
@@ -692,13 +732,71 @@ class TestProcessLevel:
         code = (
             "import sys; from dumpwatch import cli; "
             f"code = cli.main(['postprocess', '--config', {str(cfg)!r}]); "
-            "print(code, 'scipy' in sys.modules)"
+            f"print(code, {module!r} in sys.modules)"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         summary, last = proc.stdout.splitlines()
-        assert json.loads(summary)["detections"] == 3
+        return json.loads(summary), last
+
+    def test_cli_import_leaves_scipy_ndimage_unloaded(self, tmp_path):
+        # postprocess labels components in numpy and predict never labels,
+        # so scipy (about 0.2 s to import) loads only to make scenes
+        summary, last = self._postprocess_loads(tmp_path, "scipy")
+        assert summary["detections"] == 3
         assert last == "0 False"
+
+    def test_postprocess_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma on first use (about 7 ms); the ring
+        # check of the write-then-verify read finds distinct values without it
+        summary, last = self._postprocess_loads(tmp_path, "numpy.ma")
+        assert summary["detections"] == 3
+        assert last == "0 False"
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status"
+    )
+    def test_predict_peak_memory_does_not_grow_with_height(self, tmp_path):
+        """predict streams stripes: a child's own peak RSS (VmHWM, which
+        unlike ru_maxrss leaves out what the child inherits from pytest)
+        on a raster four times as tall grows by under an eighth of the tall
+        raster's payload (a whole-raster predict grew by about three times
+        the payload)."""
+        config = UNetConfig(in_channels=6, depth=1, base_filters=2)
+        save_checkpoint(checkpoint_from_params(config, build_unet(config)), tmp_path / "model")
+        width, height = 768, 384
+        rng = np.random.default_rng(0)
+        for h in (height, 4 * height):
+            write_raster(
+                Raster(
+                    rng.random((6, h, width), dtype=np.float32) + 0.1,
+                    GeoTransform(0.0, float(h), 1.0, 1.0),
+                    band_names=SOURCE_BANDS,
+                ),
+                tmp_path / f"scene_{h}",
+            )
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "paths": {"checkpoint": str(tmp_path / "model"), "probability": str(tmp_path / "out")},
+                    "inference": {"tile_size": 128, "overlap": 16, "batch_size": 2},
+                }
+            )
+        )
+        code = (
+            "import sys; from dumpwatch import cli; code = cli.main(sys.argv[1:]); "
+            "print([line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')][0]); sys.exit(code)"
+        )
+        peak_kib = []
+        for h in (height, 4 * height):
+            argv = ["predict", "--config", str(cfg), "--raster", str(tmp_path / f"scene_{h}")]
+            proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            peak_kib.append(int(proc.stdout.split()[-1]))
+        payload_kib = 6 * 4 * height * width * 4 // 1024
+        assert peak_kib[1] - peak_kib[0] < payload_kib / 8, (peak_kib, payload_kib)
 
     def test_threads_env_respects_existing_setting(self):
         code = (

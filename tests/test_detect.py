@@ -24,13 +24,18 @@ from dumpwatch.detect import (
     filter_detections,
     polygonize,
     predict_raster,
+    predict_rows,
     threshold_probability,
 )
+from dumpwatch.dataset import SOURCE_BANDS, stack_bands
 from dumpwatch.geodata import (
     GeoTransform,
     Raster,
+    RasterReader,
+    raster_writer,
     read_annotations,
     ring_is_simple,
+    write_raster,
 )
 from dumpwatch.numerics import Tensor
 from dumpwatch.unet import (
@@ -42,6 +47,7 @@ from dumpwatch.unet import (
 from oracles import (
     connected_components_oracle,
     polygonize_oracle,
+    predict_raster_oracle,
     ring_is_simple_oracle,
 )
 
@@ -796,3 +802,107 @@ class TestPredictRaster:
         a = predict_raster(params, self.CFG, raster, icfg=icfg)
         b = predict_raster(params, self.CFG, raster, icfg=icfg)
         assert a.samples.tobytes() == b.samples.tobytes()
+
+
+class TestStreamedPredictMatchesOracle:
+    """``predict_rows`` holds one stripe per tile row; its output must equal
+    whole-raster inference byte for byte."""
+
+    CFG = UNetConfig(in_channels=2, depth=2, base_filters=3)
+    STATS = NormalizationStats((0.3, -0.1), (1.7, 0.6), ("b0", "b1"))
+
+    def _raster(self, h, w, seed=0, bands=2, names=None):
+        rng = np.random.default_rng(seed)
+        return Raster(
+            rng.normal(size=(bands, h, w)).astype(np.float32),
+            GeoTransform(0.0, float(h), 1.0, 1.0),
+            nodata=math.nan,
+            band_names=names or tuple(f"b{i}" for i in range(bands)),
+        )
+
+    def _check(self, raster, tile, overlap, batch_size, stats=STATS, seed=0):
+        params = build_unet(self.CFG, seed=seed)
+        icfg = InferenceConfig(tile_size=tile, overlap=overlap, batch_size=batch_size)
+        got = predict_raster(params, self.CFG, raster, stats, icfg).samples[0]
+        want = predict_raster_oracle(params, self.CFG, raster, stats, tile, overlap, batch_size)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize(
+        "h, w, tile, overlap, batch_size",
+        [
+            (20, 24, 32, 8, 8),  # smaller than a tile
+            (13, 50, 16, 4, 3),  # shorter than a tile, wider than one
+            (32, 80, 32, 8, 2),  # exactly one tile row
+            (75, 61, 32, 8, 3),  # neither side a multiple of the step
+            (90, 33, 32, 12, 1),  # batch size 1
+            (70, 70, 16, 4, 50),  # one batch larger than the tiles per row
+            (100, 20, 16, 0, 4),  # one tile per row, batches span four rows
+            (64, 64, 32, 0, 8),  # no overlap, sides multiples of the tile
+        ],
+    )
+    def test_shapes(self, h, w, tile, overlap, batch_size):
+        self._check(self._raster(h, w, seed=h * w), tile, overlap, batch_size)
+
+    def test_without_stats(self):
+        self._check(self._raster(50, 41, seed=9), 16, 4, 5, stats=None)
+
+    def test_nan_patch_across_a_stripe_boundary(self):
+        raster = self._raster(75, 61, seed=3)
+        # tile rows start at 0, 24, 43; the patch spans the first two starts
+        raster.samples[1, 20:30, 10:40] = np.nan
+        raster.samples[0, 40:46, 55:61] = np.nan
+        got = self._check(raster, 32, 8, 4)
+        assert np.isnan(got[20:30, 10:40]).all() and np.isnan(got[40:46, 55:61]).all()
+        assert np.isfinite(got).sum() == 75 * 61 - 300 - 36
+
+    def test_rows_stream_before_the_raster_is_read(self):
+        raster = self._raster(200, 24, seed=5)
+        reads = []
+
+        class Source:
+            height, width, band_count = raster.height, raster.width, raster.band_count
+            band_names, transform, nodata = raster.band_names, raster.transform, raster.nodata
+
+            def read_rows(self, r0, r1):
+                reads.append((r0, r1))
+                return raster.read_rows(r0, r1)
+
+        params = build_unet(self.CFG, seed=1)
+        icfg = InferenceConfig(tile_size=16, overlap=4, batch_size=2)
+        rows = predict_rows(params, self.CFG, Source(), self.STATS, icfg)
+        assert reads == []  # the arguments are checked, no row is read yet
+        first = next(rows)
+        assert len(first) == 12 and reads == [(0, 16)]
+        blocks = [first, *rows]
+        assert [r1 - r0 for r0, r1 in reads] == [16] * len(reads)
+        assert sum(map(len, blocks)) == 200 and max(map(len, blocks)) <= 16
+        want = predict_raster_oracle(params, self.CFG, raster, self.STATS, 16, 4, 2)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+    def test_file_source_with_stacked_bands_writes_the_oracle_bytes(self, tmp_path):
+        cfg = UNetConfig(in_channels=3, depth=2, base_filters=2)
+        params = build_unet(cfg, seed=2)
+        source = self._raster(58, 45, seed=4, bands=6, names=SOURCE_BANDS)
+        source.samples[:] = np.abs(source.samples) + 0.05
+        source.samples[4, 30:36, 0:9] = np.nan  # SWIR1: NDSW is nodata too
+        write_raster(source, tmp_path / "scene")
+        bands = ("R", "NIR", "NDSW")
+        icfg = InferenceConfig(tile_size=16, overlap=6, batch_size=3)
+        with RasterReader(tmp_path / "scene") as src:
+            with raster_writer(
+                tmp_path / "streamed", 1, src.height, src.width, src.transform,
+                band_names=("probability",),
+            ) as write_rows:
+                for rows in predict_rows(params, cfg, src, None, icfg, bands):
+                    write_rows(rows[None])
+        want = predict_raster_oracle(params, cfg, stack_bands(source, bands), None, 16, 6, 3)
+        write_raster(
+            Raster(want[None], source.transform, band_names=("probability",)),
+            tmp_path / "whole",
+        )
+        for suffix in (".bin", ".json"):
+            streamed = (tmp_path / f"streamed{suffix}").read_bytes()
+            assert streamed == (tmp_path / f"whole{suffix}").read_bytes()
+        assert np.isnan(want[30:36, 0:9]).all()

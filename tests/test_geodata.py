@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from dumpwatch.geodata import (
     GeoTransform,
     PolygonAnnotation,
     Raster,
+    RasterReader,
     pixel_to_world,
+    raster_writer,
     rasters_equal,
     read_annotations,
     read_raster,
@@ -159,6 +162,102 @@ class TestRasterIO:
         assert header["band_names"] == ["R", "G", "B"]
         assert header["layout"] == "band-row-col"
         assert header["nodata"] == "nan"
+
+    def test_padded_payload_reports_mismatch_on_open(self, tmp_path):
+        base = tmp_path / "scene"
+        write_raster(self._sample(), base)
+        with open(tmp_path / "scene.bin", "ab") as fh:
+            fh.write(b"\0" * 4)
+        with pytest.raises(ValueError, match="band/sample mismatch in .*scene.bin"):
+            RasterReader(base)
+
+    @pytest.mark.parametrize("value", [0, -5, 4.0, "4", True, None])
+    def test_rejects_dims_that_are_not_positive_integers(self, tmp_path, value):
+        base = tmp_path / "scene"
+        write_raster(self._sample(), base)
+        header = json.loads((tmp_path / "scene.json").read_text())
+        header["width"] = value
+        (tmp_path / "scene.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="scene.json: width is .*not a positive integer"):
+            read_raster(base)
+
+    def test_rejects_band_names_that_miscount_the_bands(self, tmp_path):
+        base = tmp_path / "scene"
+        write_raster(self._sample(), base)
+        header = json.loads((tmp_path / "scene.json").read_text())
+        header["band_names"] = ["R", "G"]
+        (tmp_path / "scene.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="2 band names for 3 bands"):
+            read_raster(base)
+
+    def test_short_read_raises_instead_of_leaving_rows_unfilled(self, tmp_path):
+        base = tmp_path / "scene"
+        r = self._sample()
+        write_raster(r, base)
+        with RasterReader(base) as src:
+            assert src.read_rows(1, 3).tobytes() == r.samples[:, 1:3].tobytes()
+            # the file shrinks after the open-time length check
+            with open(tmp_path / "scene.bin", "r+b") as fh:
+                fh.truncate(3 * 5 * 4 * 4 - 4)
+            assert src.read_rows(0, 2).tobytes() == r.samples[:, 0:2].tobytes()
+            with pytest.raises(ValueError, match="short read in .*scene.bin: band 2 rows 3:5"):
+                src.read_rows(3, 5)
+
+    def test_read_rows_bounds(self, tmp_path):
+        write_raster(self._sample(), tmp_path / "scene")
+        with RasterReader(tmp_path / "scene") as src:
+            for r0, r1 in ((-1, 2), (2, 2), (3, 6)):
+                with pytest.raises(ValueError, match="outside a raster of height 5"):
+                    src.read_rows(r0, r1)
+
+    def test_rows_written_in_pieces_match_write_raster(self, tmp_path):
+        r = self._sample()
+        write_raster(r, tmp_path / "whole")
+        with raster_writer(
+            tmp_path / "pieces", 3, 5, 4, r.transform, r.nodata, r.band_names
+        ) as write_rows:
+            for r0, r1 in ((0, 2), (2, 3), (3, 5)):
+                write_rows(r.samples[:, r0:r1])
+        for suffix in (".bin", ".json"):
+            assert (tmp_path / f"pieces{suffix}").read_bytes() == (
+                tmp_path / f"whole{suffix}"
+            ).read_bytes()
+
+    def test_unfinished_writer_leaves_no_file(self, tmp_path):
+        r = self._sample()
+        write_raster(r, tmp_path / "old")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="4 of 5 rows written"):
+            with raster_writer(tmp_path / "old", 3, 5, 4, r.transform) as write_rows:
+                write_rows(r.samples[:, :4])
+        with pytest.raises(ValueError, match="6 rows for a raster of height 5"):
+            with raster_writer(tmp_path / "old", 3, 5, 4, r.transform) as write_rows:
+                write_rows(r.samples[:, :4])
+                write_rows(r.samples[:, :2])
+        with pytest.raises(ValueError, match=r"rows of shape \(3, 4\) for a 3-band, 4 px wide raster"):
+            with raster_writer(tmp_path / "old", 3, 5, 4, r.transform) as write_rows:
+                write_rows(r.samples[:, 0])
+        with pytest.raises(KeyError):
+            with raster_writer(tmp_path / "new", 3, 5, 4, r.transform) as write_rows:
+                write_rows(r.samples[:, :1])
+                raise KeyError("stop")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_io_makes_no_payload_copy(self, tmp_path):
+        r = Raster(np.ones((4, 512, 512), np.float32), GeoTransform(0.0, 512.0, 1.0, 1.0))
+        payload = r.samples.nbytes
+        tracemalloc.start()
+        try:
+            write_raster(r, tmp_path / "scene")
+            written_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_raster(tmp_path / "scene")
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written_peak < payload / 8
+        assert payload <= read_peak < 1.125 * payload
+        assert rasters_equal(back, r)
 
     @given(
         bands=st.integers(1, 4),
