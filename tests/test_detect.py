@@ -870,15 +870,18 @@ class TestStreamedPredictMatchesOracle:
                 return raster.read_rows(r0, r1)
 
         params = build_unet(self.CFG, seed=1)
-        icfg = InferenceConfig(tile_size=16, overlap=4, batch_size=2)
+        # two tiles per row, batches of three: every other batch spans two rows
+        icfg = InferenceConfig(tile_size=16, overlap=4, batch_size=3)
         rows = predict_rows(params, self.CFG, Source(), self.STATS, icfg)
         assert reads == []  # the arguments are checked, no row is read yet
         first = next(rows)
-        assert len(first) == 12 and reads == [(0, 16)]
+        assert len(first) == 12 and reads == [(0, 16), (12, 28)]
         blocks = [first, *rows]
-        assert [r1 - r0 for r0, r1 in reads] == [16] * len(reads)
-        assert sum(map(len, blocks)) == 200 and max(map(len, blocks)) <= 16
-        want = predict_raster_oracle(params, self.CFG, raster, self.STATS, 16, 4, 2)
+        assert reads == [(r0, r0 + 16) for r0 in _tile_origins(200, 16, 4)]  # each stripe once
+        # a batch of three finishes at most two tile rows: 2 steps of 12 rows,
+        # or the last stripe
+        assert sum(map(len, blocks)) == 200 and max(map(len, blocks)) <= 24
+        want = predict_raster_oracle(params, self.CFG, raster, self.STATS, 16, 4, 3)
         assert np.concatenate(blocks).tobytes() == want.tobytes()
 
     def test_file_source_with_stacked_bands_writes_the_oracle_bytes(self, tmp_path):
