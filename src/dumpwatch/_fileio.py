@@ -82,11 +82,3 @@ def encode_nodata(value: float | None):
     if math.isnan(value):
         return "nan"
     return float(value)
-
-
-def decode_nodata(value) -> float | None:
-    if value is None:
-        return None
-    if value == "nan":
-        return math.nan
-    return float(value)

@@ -390,14 +390,16 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     # tile row at a time; neither raster is held whole
     with geodata.RasterReader(raster_path) as source:
         bands = cfg.chip.bands if source.band_names == ds.SOURCE_BANDS else None
-        rows = detect.predict_rows(
-            unet.params_from_checkpoint(ckpt),
-            ckpt.config,
-            source,
-            ckpt.normalization,
-            cfg.inference,
-            bands,
-        )
+        params = unet.params_from_checkpoint(ckpt)
+        try:
+            rows = detect.predict_rows(
+                params, ckpt.config, source, ckpt.normalization, cfg.inference, bands
+            )
+        except ValueError as exc:  # its argument checks, made before any row is read
+            given = f"chip.bands (--bands) {','.join(bands)}" if bands else f"the bands of {raster_path}"
+            raise ConfigError(
+                f"checkpoint {cfg.paths.checkpoint} does not fit {given}: {exc}"
+            ) from exc
         with geodata.raster_writer(
             out, 1, source.height, source.width, source.transform,
             band_names=("probability",),

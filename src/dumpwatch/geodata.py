@@ -27,7 +27,6 @@ import numpy as np
 from ._fileio import (
     atomic_open,
     atomic_write_json,
-    decode_nodata,
     encode_nodata,
     gc_paused,
     read_json,
@@ -238,39 +237,9 @@ class RasterReader:
             raise FileNotFoundError(f"missing raster header {header_path}")
         if not payload_path.exists():
             raise FileNotFoundError(f"missing raster payload {payload_path}")
-        header = read_json(header_path)
-        for key in ("format", "width", "height", "band_count", "transform", "dtype"):
-            if key not in header:
-                raise ValueError(f"malformed raster header {header_path}: missing {key!r}")
-        if header["format"] != RASTER_FORMAT:
-            raise ValueError(f"unrecognized raster format {header['format']!r}")
-        if header.get("format_version") != RASTER_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported raster format version {header.get('format_version')!r}"
-            )
-        if header["dtype"] != "float32":
-            raise ValueError(f"unsupported raster dtype {header['dtype']!r}")
-        for key in ("width", "height", "band_count"):
-            value = header[key]
-            if type(value) is not int or value < 1:
-                raise ValueError(
-                    f"malformed raster header {header_path}: {key} is {value!r}, "
-                    "not a positive integer"
-                )
-        self.width, self.height = header["width"], header["height"]
-        self.band_count = header["band_count"]
-        names = header.get("band_names")
-        self.band_names = tuple(names) if names else None
-        if self.band_names is not None and len(self.band_names) != self.band_count:
-            raise ValueError(
-                f"malformed raster header {header_path}: {len(self.band_names)} "
-                f"band names for {self.band_count} bands"
-            )
-        t = header["transform"]
-        self.transform = GeoTransform(
-            t["origin_x"], t["origin_y"], t["pixel_width"], t["pixel_height"]
-        )
-        self.nodata = decode_nodata(header.get("nodata"))
+        (
+            self.width, self.height, self.band_count, self.transform, self.nodata, self.band_names
+        ) = _read_header(header_path)
         self.path = payload_path
         self._file = open(payload_path, "rb")
         size = os.fstat(self._file.fileno()).st_size
@@ -306,6 +275,49 @@ class RasterReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _read_header(header_path: Path) -> tuple:
+    """Width, height, band count, transform, nodata and band names from a
+    raster header, each checked for type and range; a fault raises naming
+    the header file."""
+
+    def finite(value) -> bool:
+        return type(value) in (int, float) and math.isfinite(_coord(value))
+
+    header = read_json(header_path)
+    dims, keys = ("width", "height", "band_count"), ("origin_x", "origin_y", "pixel_width", "pixel_height")
+    try:
+        if not isinstance(header, dict):
+            raise ValueError("not a JSON object")
+        for key in ("format", *dims, "transform", "dtype"):
+            if key not in header:
+                raise ValueError(f"missing {key!r}")
+        if header["format"] != RASTER_FORMAT:
+            raise ValueError(f"unrecognized raster format {header['format']!r}")
+        if header.get("format_version") != RASTER_FORMAT_VERSION:
+            raise ValueError(f"unsupported raster format version {header.get('format_version')!r}")
+        if header["dtype"] != "float32":
+            raise ValueError(f"unsupported raster dtype {header['dtype']!r}")
+        for key in dims:
+            if type(header[key]) is not int or header[key] < 1:
+                raise ValueError(f"{key} is {header[key]!r}, not a positive integer")
+        t, nodata, names = header["transform"], header.get("nodata"), header.get("band_names")
+        if not (isinstance(t, dict) and all(finite(t.get(k)) for k in keys)):
+            raise ValueError(
+                f"transform is {json.dumps(t)}, not an object of finite numbers {', '.join(keys)}"
+            )
+        transform = GeoTransform(*(t[k] for k in keys))
+        if not (nodata is None or nodata == "nan" or finite(nodata)):
+            raise ValueError(f'nodata is {json.dumps(nodata)}, not a finite number, "nan" or null')
+        if not (names is None or isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"band_names is {json.dumps(names)}, not a list of strings or null")
+        if names and len(names) != header["band_count"]:
+            raise ValueError(f"{len(names)} band names for {header['band_count']} bands")
+    except ValueError as exc:
+        raise ValueError(f"malformed raster header {header_path}: {exc}") from None
+    nodata = None if nodata is None else float(nodata)
+    return (*(header[key] for key in dims), transform, nodata, tuple(names) if names else None)
 
 
 def read_raster(path: str | Path) -> Raster:
@@ -511,10 +523,10 @@ def _pairs_touch(x1, y1, x2, y2, x3, y3, x4, y4) -> np.ndarray:
 
 
 def _polygon_parts(path: Path, doc: dict):
-    """Each feature of a FeatureCollection in file order: for every polygon
-    part (a Polygon has one) ``(feature index, part index or None, label,
-    coordinate rings)``, and None for a feature of another type. A feature
-    that is not an object, or a polygon without coordinates, raises."""
+    """The one walk of a FeatureCollection: in file order, ``(feature, part
+    or None, label, rings)`` for each polygon part (a Polygon has one), None
+    for a feature of another type. It raises at the first malformed feature
+    or part (not a list of rings); ``_number_rings`` checks the rings."""
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise ValueError(f"malformed GeoJSON in {path.name}: features is not a list")
@@ -528,89 +540,38 @@ def _polygon_parts(path: Path, doc: dict):
                 f"malformed feature in {path.name} feature {idx}: "
                 "geometry or properties not an object"
             )
-        gtype = geom.get("type")
-        if gtype in ("Polygon", "MultiPolygon") and not isinstance(geom.get("coordinates"), list):
+        gtype, coords = geom.get("type"), geom.get("coordinates")
+        if gtype not in ("Polygon", "MultiPolygon"):
+            yield None
+            continue
+        if not isinstance(coords, list):
             raise ValueError(f"malformed feature in {path.name} feature {idx}: no coordinates")
         label = str(props.get("label", "dump"))
-        if gtype == "Polygon":
-            yield idx, None, label, geom["coordinates"]
-        elif gtype == "MultiPolygon":
-            for p, rings in enumerate(geom["coordinates"]):
-                yield idx, p, label, rings
-        else:
-            yield None
-
-
-def _source(path: Path, feature: int, part: int | None) -> str:
-    return f"{path.name} feature {feature}" + ("" if part is None else f" part {part}")
-
-
-def _coordinate_error(path: Path, part) -> str | None:
-    """What keeps a polygon part's coordinates, as the file gives them, from
-    being a list of rings of [x, y] number pairs, or None."""
-    feature, p, _, rings = part
-    if not isinstance(rings, list) or not rings:
-        return (
-            f"malformed polygon in {_source(path, feature, p)}: coordinates are "
-            f"{json.dumps(rings)}, not a list of one or more rings"
-        )
-    for r, ring in enumerate(rings):
-        where = f"{_source(path, feature, p)}, " + ("exterior" if r == 0 else f"hole {r - 1}")
-        if not isinstance(ring, list):
-            return f"malformed ring in {where}: {json.dumps(ring)} is not a list of vertices"
-        for v, xy in enumerate(ring):
-            if not (isinstance(xy, list) and len(xy) == 2 and set(map(type, xy)) <= {int, float}):
-                return (
-                    f"malformed vertex in {where}: vertex {v} is {json.dumps(xy)}, "
-                    "not an [x, y] pair of numbers"
+        for p, rings in [(None, coords)] if gtype == "Polygon" else enumerate(coords):
+            if not isinstance(rings, list) or not rings:
+                raise ValueError(
+                    f"malformed polygon in {_source(path, idx, p)}: coordinates are "
+                    f"{json.dumps(rings)}, not a list of one or more rings"
                 )
-    return None
+            yield idx, p, label, rings
 
 
-def _numbers_only(parts: list) -> bool:
-    """Whether every coordinate of built polygon parts is a JSON number:
-    ``float()`` also takes strings and booleans, and a string or an object
-    of two characters or keys passes for a vertex."""
-    rings = chain.from_iterable(part[3] for part in parts)
-    return set(map(type, chain.from_iterable(chain.from_iterable(rings)))) <= {int, float}
+def _number_rings(rings) -> bool:
+    """Whether each of ``rings`` is a list of [x, y] pairs of JSON numbers. A
+    polygon builds from strings and booleans too, which ``float()`` takes.
+    A JSON value of length 2 whose items are numbers is a list."""
+    try:
+        rings = list(rings)
+        vertices = list(chain.from_iterable(rings))
+        numbers = set(map(type, chain.from_iterable(vertices))) <= {int, float}
+        return numbers and set(map(type, rings)) <= {list} and set(map(len, vertices)) <= {2}
+    except TypeError:  # a ring or vertex that is a number, a boolean or null
+        return False
 
 
-def _raise_first_error(path: Path, doc: dict, parts: list, polygons: list, error) -> None:
-    """Raise for what comes first in file order: a bad ring, coordinates that
-    are not rings of number pairs, or ``error``, raised by the last of
-    ``parts`` when it has no polygon, else by the feature after them."""
-    k = next((k for k, part in enumerate(parts) if _coordinate_error(path, part)), len(polygons))
-    _check_rings(path, polygons[:k], doc)
-    if k == len(parts):
-        raise error
-    feature, p, _, _ = parts[k]
-    raise ValueError(
-        _coordinate_error(path, parts[k])
-        or f"invalid polygon in {_source(path, feature, p)}: {error}"
-    )
-
-
-def _check_rings(path: Path, polygons: list[PolygonAnnotation], doc: dict | None) -> None:
-    """Raise for the first non-finite or non-simple ring of ``polygons``,
-    naming its feature and ring and, for a non-finite one, the vertex as the
-    file gives it (``doc``, read again when None)."""
-    found = _first_bad_ring([ring for poly in polygons for ring in poly.rings()])
-    if found is None:
-        return
-    bad, defect = found
-    for k, poly in enumerate(polygons):
-        if bad <= len(poly.holes):
-            break
-        bad -= len(poly.holes) + 1
-    parts = (part for part in _polygon_parts(path, doc or read_json(path)) if part)
-    feature, p, _, raws = next(islice(parts, k, None))
-    source = _source(path, feature, p)
-    name = "exterior" if bad == 0 else f"hole {bad - 1}"
-    ring, raw = poly.rings()[bad], raws[bad]
-    if not all(map(math.isfinite, chain.from_iterable(ring))):
-        v = next(v for v, xy in enumerate(raw) if not all(math.isfinite(_coord(c)) for c in xy))
-        raise ValueError(f"non-finite vertex in {source}, {name}: vertex {v} is {raw[v]}")
-    raise ValueError(f"self-intersecting ring in {source}, {name}: {defect}")
+def _source(path: Path, feature: int, part: int | None, ring: int | None = None) -> str:
+    where = f"{path.name} feature {feature}" + ("" if part is None else f" part {part}")
+    return where if ring is None else where + (", exterior" if ring == 0 else f", hole {ring - 1}")
 
 
 def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
@@ -618,8 +579,10 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
 
     MultiPolygons are split into one annotation per part. Features with any
     other geometry type are skipped; a single warning reports how many.
-    Every ring must be a list of [x, y] number pairs, finite and simple; the
-    first fault in file order is reported with its feature and ring.
+    Polygons are built in one walk of the features, then one scan checks
+    that every ring is [x, y] number pairs and every ring is checked finite
+    and simple. The first fault in file order, a bad ring or a malformed or
+    invalid part, is reported with its feature and ring.
     """
     path = Path(path)
     if not path.exists():
@@ -627,25 +590,49 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
-    polygons: list[PolygonAnnotation] = []
-    parts, skipped, error = [], 0, None
+    polygons, index, raws, skipped, fault = [], [], [], 0, None
     try:
         with gc_paused():
             for part in _polygon_parts(path, doc):
                 if part is None:
                     skipped += 1
                     continue
-                parts.append(part)
-                rings = part[3]
+                index.append(part[:2])  # (feature, part)
+                raws.append(rings := part[3])
                 polygons.append(PolygonAnnotation(rings[0], tuple(rings[1:]), label=part[2]))
-    except (LookupError, TypeError, ValueError) as exc:
-        error = exc
-    if error is not None or not _numbers_only(parts):
-        _raise_first_error(path, doc, parts, polygons, error)
+    except (TypeError, ValueError) as exc:
+        fault = exc
+        if len(polygons) < len(raws):
+            fault = ValueError(f"invalid polygon in {_source(path, *index[-1])}: {exc}")
+    k = len(raws)  # the parts before the first malformed one, whose rings are checked
+    if fault is not None or not _number_rings(chain.from_iterable(raws)):
+        flat = [(k, r, ring) for k, rings in enumerate(raws) for r, ring in enumerate(rings)]
+        if located := next(((k, r, ring) for k, r, ring in flat if not _number_rings([ring])), None):
+            k, r, ring = located
+            where = _source(path, *index[k], r)
+            message = f"malformed ring in {where}: {json.dumps(ring)} is not a list of vertices"
+            if isinstance(ring, list):
+                v = next(v for v, xy in enumerate(ring) if not _number_rings([[xy]]))
+                message = (
+                    f"malformed vertex in {where}: vertex {v} is {json.dumps(ring[v])}, "
+                    "not an [x, y] pair of numbers"
+                )
+            fault = ValueError(message)
     # the parsed document is the read's largest object: drop it before the
-    # checks, which reread the file only to word an error
-    del doc, parts
-    _check_rings(path, polygons, None)
+    # ring checks, which reread the file only to print a non-finite vertex
+    del doc, raws
+    found = _first_bad_ring([ring for poly in polygons[:k] for ring in poly.rings()])
+    if found is not None:
+        k, r = [(k, r) for k, poly in enumerate(polygons) for r in range(len(poly.holes) + 1)][found[0]]
+        (feature, p), where = index[k], _source(path, *index[k], r)
+        if found[1] == "non-finite vertex":
+            coords = read_json(path)["features"][feature]["geometry"]["coordinates"]
+            raw = (coords if p is None else coords[p])[r]
+            v = next(v for v, xy in enumerate(raw) if not all(math.isfinite(_coord(c)) for c in xy))
+            raise ValueError(f"non-finite vertex in {where}: vertex {v} is {raw[v]}")
+        raise ValueError(f"self-intersecting ring in {where}: {found[1]}")
+    if fault is not None:
+        raise fault
     if skipped:
         warnings.warn(
             f"skipped {skipped} non-polygon feature(s) in {path.name}", stacklevel=2

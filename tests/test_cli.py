@@ -567,6 +567,21 @@ MALFORMED_INPUTS = {
         lambda r: (_predict_inputs(r, tile_size=18)[0], r / "model"),
         ["inference.tile_size: 18 is not divisible by 2**depth = 4 of the checkpoint"],
     ),
+    "checkpoint-bands-disagree": (
+        "predict",
+        lambda r: ({**_predict_inputs(r)[0], "chip": {"bands": ["R", "G", "B"]}}, r / "model"),
+        ["chip.bands (--bands) R,G,B: model expects 6 bands, raster has 3"],
+    ),
+    "transform-without-origin-x": (
+        "postprocess",
+        lambda r: _probability(r, header_edit=('"origin_x": 0.0, ', "")),
+        ["malformed raster header", "transform is {", "not an object of finite numbers"],
+    ),
+    "band-names-not-a-list": (
+        "postprocess",
+        lambda r: _probability(r, header_edit=('"band_names": ["probability"]', '"band_names": 5')),
+        ["malformed raster header", "band_names is 5, not a list of strings or null"],
+    ),
 }
 
 

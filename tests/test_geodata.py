@@ -144,6 +144,10 @@ class TestRasterIO:
         (tmp_path / "scene.json").write_text(json.dumps(header))
         with pytest.raises(ValueError, match="format"):
             read_raster(base)
+        # a string holding every key name passes a membership test
+        (tmp_path / "scene.json").write_text(json.dumps(" ".join(header)))
+        with pytest.raises(ValueError, match=r"malformed raster header .*scene\.json: not a JSON object"):
+            read_raster(base)
 
     def test_rejects_future_version(self, tmp_path):
         base = tmp_path / "scene"
@@ -188,6 +192,39 @@ class TestRasterIO:
         header["band_names"] = ["R", "G"]
         (tmp_path / "scene.json").write_text(json.dumps(header))
         with pytest.raises(ValueError, match="2 band names for 3 bands"):
+            read_raster(base)
+
+    TRANSFORM = {"origin_x": 1200.0, "origin_y": 88000.0, "pixel_width": 10.0, "pixel_height": 10.0}
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("transform", list(TRANSFORM.values()), r"transform is \[1200\.0, .*not an object of finite numbers"),
+            ("transform", {**TRANSFORM, "origin_x": None}, "transform is .*not an object of finite numbers"),
+            ("transform", {**TRANSFORM, "pixel_width": "10"}, "transform is .*not an object of finite numbers"),
+            ("transform", {**TRANSFORM, "origin_x": 10**400}, "transform is .*not an object of finite numbers"),
+            ("transform", {**TRANSFORM, "pixel_height": 0}, "pixel_height must be > 0, got 0"),
+            ("nodata", "abc", 'nodata is "abc", not a finite number, "nan" or null'),
+            ("nodata", True, "nodata is true"),
+            ("band_names", 5, "band_names is 5, not a list of strings or null"),
+            ("band_names", ["R", 2, "B"], r"band_names is \["),
+            ("format", "something-else", "unrecognized raster format 'something-else'"),
+            ("format_version", 99, "unsupported raster format version 99"),
+            ("dtype", "float64", "unsupported raster dtype 'float64'"),
+        ],
+        ids=[
+            "transform-list", "origin-null", "pixel-width-string", "origin-huge-integer",
+            "zero-pixel-height", "nodata-string", "nodata-boolean", "band-names-number",
+            "band-name-number", "format", "format-version", "dtype",
+        ],
+    )
+    def test_header_faults_name_the_header_file(self, tmp_path, key, value, message):
+        base = tmp_path / "scene"
+        write_raster(self._sample(), base)
+        header = json.loads((tmp_path / "scene.json").read_text())
+        header[key] = value
+        (tmp_path / "scene.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=f"^malformed raster header .*scene\\.json: {message}"):
             read_raster(base)
 
     def test_short_read_raises_instead_of_leaving_rows_unfilled(self, tmp_path):
@@ -758,6 +795,18 @@ class TestAnnotationIO:
             match=r"non-finite vertex in inf\.geojson feature 0, hole 0: vertex 2 ",
         ):
             read_annotations(path)
+        # a MultiPolygon's hole: the raw vertex is found from the feature and part
+        hole = "[[1, 1], [2, 1], [2, 1e400], [1, 1]]"
+        path.write_text(
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+            '"geometry": {"type": "MultiPolygon", "coordinates": '
+            f'[[{square}], [{square}, {hole}]]}}, "properties": {{}}}}]}}'
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"^non-finite vertex in inf\.geojson feature 0 part 1, hole 0: vertex 2 is \[2, inf\]$",
+        ):
+            read_annotations(path)
 
     def _polygons_doc(self, path, rings):
         features = [
@@ -789,7 +838,10 @@ class TestAnnotationIO:
         with pytest.raises(ValueError, match="self-intersecting ring in a.geojson feature 0"):
             read_annotations(path)
         path = self._polygons_doc(tmp_path / "b.geojson", [two_vertices, bowtie])
-        with pytest.raises(ValueError, match="ring needs >= 3 distinct vertices"):
+        with pytest.raises(
+            ValueError,
+            match=r"^invalid polygon in b\.geojson feature 0: ring needs >= 3 distinct vertices, got 2$",
+        ):
             read_annotations(path)
 
     def test_malformed_coordinates_in_file_order(self, tmp_path):
@@ -806,8 +858,30 @@ class TestAnnotationIO:
             match=r'^malformed vertex in b\.geojson feature 0, exterior: vertex 1 is \["1", "0"\]',
         ):
             read_annotations(path)
+        path = self._polygons_doc(tmp_path / "b.geojson", [{}])
+        with pytest.raises(ValueError, match=r"^malformed ring in b\.geojson feature 0, exterior: \{\} is not a list"):
+            read_annotations(path)
         path = self._polygons_doc(tmp_path / "c.geojson", [[[0, 0], [1, 0], [True, 1]]])
         with pytest.raises(ValueError, match=r"c\.geojson feature 0, exterior: vertex 2 is \[true, 1\]"):
+            read_annotations(path)
+        # a malformed part or feature comes after a bad ring before it, and
+        # before a bad ring after it
+        polygon = {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [bowtie]}, "properties": {}}
+        empty = {**polygon, "geometry": {"type": "Polygon", "coordinates": []}}
+        for bad, message in [
+            (empty, r"malformed polygon in d\.geojson feature 0: coordinates are \[\], not a list of one or more rings"),
+            ({**polygon, "properties": 5}, r"malformed feature in d\.geojson feature 0: geometry or properties not an object"),
+        ]:
+            path = self._write_doc(tmp_path / "d.geojson", {"type": "FeatureCollection", "features": [polygon, bad]})
+            with pytest.raises(ValueError, match=r"self-intersecting ring in d\.geojson feature 0"):
+                read_annotations(path)
+            self._write_doc(path, {"type": "FeatureCollection", "features": [bad, polygon]})
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                read_annotations(path)
+        # within a part, a malformed vertex of the exterior precedes a hole that is not a ring
+        strings_then_number = {**polygon, "geometry": {"type": "Polygon", "coordinates": [strings, 5]}}
+        path = self._write_doc(tmp_path / "e.geojson", {"type": "FeatureCollection", "features": [strings_then_number]})
+        with pytest.raises(ValueError, match=r"^malformed vertex in e\.geojson feature 0, exterior: vertex 1 "):
             read_annotations(path)
 
     def test_huge_integer_vertex_rejected(self, tmp_path):
@@ -858,6 +932,9 @@ class TestAnnotationIO:
     def test_rejects_non_feature_collection(self, tmp_path):
         path = self._write_doc(tmp_path / "bad.geojson", {"type": "Polygon"})
         with pytest.raises(ValueError, match="FeatureCollection"):
+            read_annotations(path)
+        path = self._write_doc(tmp_path / "bad.geojson", {"type": "FeatureCollection", "features": {}})
+        with pytest.raises(ValueError, match=r"^malformed GeoJSON in bad\.geojson: features is not a list$"):
             read_annotations(path)
 
     def test_missing_file(self, tmp_path):
