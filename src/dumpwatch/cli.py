@@ -352,6 +352,13 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     chips = getattr(split, args.split)
     if not chips:
         raise ConfigError(f"catalog split {args.split!r} is empty")
+    names, count = chips[0].band_names, chips[0].samples.shape[0]
+    if len(stats.means) != count or (stats.band_names and names and stats.band_names != names):
+        raise ConfigError(
+            f"checkpoint {cfg.paths.checkpoint} does not fit the chips of catalog "
+            f"{cfg.paths.catalog}: its stats cover {len(stats.means)} bands "
+            f"{stats.band_names or '(unnamed)'}, the chips have {count} {names or '(unnamed)'}"
+        )
     normalized = [ds.apply_normalization(c, stats) for c in chips]
     params = unet.params_from_checkpoint(ckpt)
     metrics = training.evaluate(

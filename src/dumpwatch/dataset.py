@@ -347,7 +347,17 @@ class NormalizationStats:
 
     @classmethod
     def load(cls, path: str | Path) -> "NormalizationStats":
-        return cls.from_json_dict(read_json(path))
+        obj = read_json(path)
+        for key in ("means", "stds"):
+            _require(obj, key, path)
+        return cls.from_json_dict(obj)
+
+
+def _require(obj, key: str, where):
+    """``obj[key]``, or a ValueError naming ``where`` and the missing key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    return obj[key]
 
 
 def fit_normalization(train_chips: list[Chip]) -> NormalizationStats:
@@ -599,7 +609,7 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
     if not index_path.exists():
         raise FileNotFoundError(f"missing catalog index {index_path}")
     index = read_json(index_path)
-    if index.get("format") != CATALOG_FORMAT:
+    if not isinstance(index, dict) or index.get("format") != CATALOG_FORMAT:
         raise ValueError(f"unrecognized catalog format in {index_path}")
     if index.get("format_version") != CATALOG_FORMAT_VERSION:
         raise ValueError(
@@ -607,24 +617,26 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
         )
     buckets: dict[str, list[Chip]] = {"train": [], "val": [], "test": []}
     size = index.get("chip_size")
-    for entry in index["chips"]:
-        raster = geodata.read_raster(root / entry["file"])
+    for k, entry in enumerate(_require(index, "chips", index_path)):
+        where = f"{index_path} chip {k}"
+        file, bucket, origin = (_require(entry, key, where) for key in ("file", "split", "origin"))
+        raster = geodata.read_raster(root / file)
         if (raster.height, raster.width) != (size, size):
             raise ValueError(
-                f"chip {root / entry['file']} is {raster.width}x{raster.height} px, "
+                f"chip {root / file} is {raster.width}x{raster.height} px, "
                 f"but the catalog's chip_size is {size}"
             )
         chip = Chip(
             samples=raster.samples[:-1],
             mask=raster.samples[-1].astype(np.uint8),
-            origin=tuple(entry["origin"]),
+            origin=tuple(origin),
             transform=raster.transform,
             band_names=raster.band_names[:-1] if raster.band_names else None,
             scene_id=entry.get("scene", ""),
         )
-        if entry["split"] not in buckets:
-            raise ValueError(f"unknown split {entry['split']!r} in catalog index")
-        buckets[entry["split"]].append(chip)
+        if bucket not in buckets:
+            raise ValueError(f"unknown split {bucket!r} in catalog index")
+        buckets[bucket].append(chip)
     stats = None
     stats_path = root / "stats.json"
     if stats_path.exists():

@@ -14,10 +14,11 @@ included), filters by area, and exports GeoJSON. The tracing is exact:
 rasterizing the resulting polygons with the pixel-center rule reproduces
 the thresholded mask. It runs over the whole label grid at once, in numpy:
 exposed pixel sides are joined into straight runs, each run is linked to
-the next by a sorted search, and rings are the cycles of that link. Python
-touches one component at a time only to build its polygon objects, and to
-split and group the rings of the few components whose outline passes a
-corner twice or that touch themselves at corners.
+the next by a sorted search, and rings are the cycles of that link, cut
+where one passes a pinch corner twice. Each 4-connected part of a
+component (found by the same run union-find as the labelling) has one
+exterior ring, and the other rings along the part are its holes. Python
+touches each polygon only to build its objects.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import dataset as ds
 from . import numerics, unet
 from ._fileio import atomic_write_json, gc_paused
 from .dataset import NormalizationStats
-from .geodata import GeoTransform, PolygonAnnotation, Raster, pixel_to_world, shift_transform
+from .geodata import GeoTransform, PolygonAnnotation, Raster, shift_transform
 from .numerics import Tensor
 from .unet import ParameterSet, UNetConfig
 
@@ -254,34 +255,47 @@ def connected_components(
     binary: Raster, connectivity: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label foreground components; labels follow first-encounter row-major
-    order. Returns (labels [row, col] int32, sizes indexed by label-1).
-
-    A union-find over the horizontal runs of foreground pixels, numbered in
-    row-major order of their first pixels, in numpy rounds with no loop per
-    pixel or run. Runs that touch across a row boundary form pairs: one per
-    stretch of vertical contact, and under 8-connectivity one per diagonal
-    contact that no vertical one already joins. Each round drops the pairs
-    whose runs share a root, hooks every other pair's larger root under
-    the least root it meets, then jumps pointers (``parent[parent]``) until
-    every run points at its root. Roots only hook under smaller ones, so a
-    component's root is its first run and ranking the roots numbers the
-    components as a row-major scan meets them. Hooking under the least
-    root, not an arbitrary one, bounds the rounds by about twice the
-    logarithm of the run count: a comb whose teeth hang from one spine
-    would otherwise merge one tooth per round.
-    """
+    order. Returns (labels [row, col] int32, sizes indexed by label-1)."""
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    fg = binary.samples[0] != 0
+    labels, count = _label_parts(binary.samples[0] != 0, connectivity)
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+    return labels, sizes
+
+
+def _label_parts(values: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
+    """Number the parts of a grid in first-encounter row-major order: pixels
+    join when they are adjacent (4- or 8-connectivity) and hold the same
+    non-zero value. Returns (parts [row, col] int32, 0 on zero pixels; part
+    count).
+
+    A union-find over the horizontal runs of equal non-zero pixels (after
+    He, Chao & Suzuki, IEEE TIP 17(5), 2008), numbered in row-major order
+    of their first pixels, in numpy rounds with no loop per pixel or run.
+    Runs that touch across a row boundary form pairs: one per stretch of
+    vertical contact, and under 8-connectivity one per diagonal contact
+    that no vertical one already joins. Each round drops the pairs whose
+    runs share a root, hooks every other pair's larger root under the least
+    root it meets, then jumps pointers (``parent[parent]``) until every run
+    points at its root. Roots only hook under smaller ones, so a part's
+    root is its first run and ranking the roots numbers the parts as a
+    row-major scan meets them. Hooking under the least root, not an
+    arbitrary one, bounds the rounds by about twice the logarithm of the
+    run count: a comb whose teeth hang from one spine would otherwise merge
+    one tooth per round.
+    """
+    fg = values != 0
+    same = values[:, 1:] == values[:, :-1]
     start = fg.copy()
-    start[:, 1:] &= ~fg[:, :-1]
+    start[:, 1:] &= ~same
     run = (np.cumsum(start, dtype=np.int32) - 1).reshape(fg.shape)
-    above = fg[:-1] & fg[1:]
-    above[:, 1:] &= ~above[:, :-1]  # the first column of each contact
+    above = fg[1:] & (values[:-1] == values[1:])
+    above[:, 1:] &= ~(above[:, :-1] & same[1:])  # the first column of each contact
     upper, lower = [run[:-1][above]], [run[1:][above]]
     if connectivity == 8:
-        down = fg[:-1, :-1] & fg[1:, 1:] & ~fg[:-1, 1:] & ~fg[1:, :-1]
-        up = fg[1:, :-1] & fg[:-1, 1:] & ~fg[1:, 1:] & ~fg[:-1, :-1]
+        nw, ne, sw, se = values[:-1, :-1], values[:-1, 1:], values[1:, :-1], values[1:, 1:]
+        down = fg[:-1, :-1] & (nw == se) & (ne != nw) & (sw != nw)
+        up = fg[1:, :-1] & (sw == ne) & (se != sw) & (nw != sw)
         upper += [run[:-1, :-1][down], run[:-1, 1:][up]]
         lower += [run[1:, 1:][down], run[1:, :-1][up]]
     a, b = np.concatenate(upper), np.concatenate(lower)
@@ -296,18 +310,14 @@ def connected_components(
         while not np.array_equal(grand := parent[parent], parent):
             parent = grand
     rank = np.cumsum(parent == np.arange(len(parent)), dtype=np.int32)
-    labels = np.zeros(fg.shape, dtype=np.int32)
-    labels[fg] = rank[parent][run[fg]]
-    count = int(rank[-1]) if len(rank) else 0
-    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
-    return labels, sizes
+    parts = np.zeros(fg.shape, dtype=np.int32)
+    parts[fg] = rank[parent][run[fg]]
+    return parts, int(rank[-1]) if len(rank) else 0
 
 
 # ---------------------------------------------------------------------------
 # exact boundary tracing
 # ---------------------------------------------------------------------------
-
-Vertex = tuple[int, int]  # (col, row) pixel-corner coordinates
 
 # Run directions as (dcol, drow), ordered as the end corners they reach from
 # one start corner sort in (col, row) order: left, up, down, right.
@@ -393,18 +403,22 @@ def _trace(labels: np.ndarray):
     Runs are keyed by (label, start col, start row, direction), which
     orders them as (label, start corner, end corner) orders their first
     sides. A run continues with the run of its label leaving its end
-    corner; where two leave it (a pinch), with the sharper turn. Rings are
-    the cycles of that successor permutation, each starting at its least
-    run, which leaves the ring's least corner, and the rings of one label
-    come in the order of those runs. These are the rings, starts and order
-    of walking each component's sides one at a time from its least
-    remaining corner (``polygonize_oracle`` in the tests), without the
-    corners such a walk passes straight through.
+    corner; where two leave it (a pinch), with the sharper turn. The walks
+    are the cycles of that successor permutation, each from its least run,
+    which leaves the walk's least corner, in the order of those runs. A
+    walk that passes a pinch corner twice is cut there into two cycles by
+    swapping the successors of the two runs arriving at the corner. Each
+    ring starts at the run its walk reached first, and the rings of one
+    walk come in the order they close. These are the rings, starts and
+    order of walking each component's sides one at a time from its least
+    remaining corner and carving out a ring each time the walk returns to
+    a corner (``polygonize_oracle`` in the tests), without the corners such
+    a walk passes straight through.
 
-    Returns, per ring in that order, its label, whether it is an exterior
-    and whether it passes a corner twice; and the rings' corners as flat
-    (col, row) arrays with ring offsets, each ring from its least corner
-    backwards along the walk.
+    Returns, per ring in that order, its label, whether it is an exterior,
+    and the (row, col) of the pixel along its least run; and the rings'
+    corners as flat (col, row) arrays with ring offsets, each ring from its
+    start backwards along the walk.
     """
     label, sc, sr, ec, er, direction = _boundary_runs(labels)
     rows = labels.shape[0] + 1
@@ -418,115 +432,38 @@ def _trace(labels: np.ndarray):
     pinch = np.append(key, np.iinfo(np.int64).max)[nxt + 1] < target + 4
     succ = np.where(pinch & ~_TURN[direction, direction[nxt]], nxt + 1, nxt)
     del target, nxt, pinch
-    head, dist = _cycles(succ)
-    is_head = head == np.arange(len(head))
-    heads = np.flatnonzero(is_head)
-    ring = (np.cumsum(is_head, dtype=np.int32) - 1)[head]
+    walk, step = _cycles(succ)
+    pred = np.empty_like(succ)
+    pred[succ] = np.arange(len(succ), dtype=succ.dtype)
+    # runs k and k + 1 leave one pinch corner of a walk that passes it twice
+    k = np.flatnonzero((key[1:] >> 2 == key[:-1] >> 2) & (walk[1:] == walk[:-1]))
+    del key
+    cycle, dist = walk, step
+    if len(k):
+        succ[pred[k]], succ[pred[k + 1]] = k + 1, k
+        pred[k], pred[k + 1] = pred[k + 1], pred[k]
+        cycle, dist = _cycles(succ)
+    # a ring's first run is the one whose predecessor comes later in the
+    # walk; a walk's rings are ordered by the step that closes them
+    first = np.flatnonzero(step[pred] > step)
+    first = first[np.lexsort((step[pred[first]], walk[first]))]
+    ring = np.empty_like(succ)
+    ring[cycle[first]] = np.arange(len(first), dtype=succ.dtype)
+    ring = ring[cycle]
     size = np.bincount(ring)
-    # a ring passes a corner twice where both runs leaving a pinch are its own
-    twice = (key[1:] >> 2 == key[:-1] >> 2) & (head[1:] == head[:-1])
-    revisits = np.zeros(len(heads), dtype=bool)
-    revisits[ring[1:][twice]] = True
-    off = np.zeros(len(heads) + 1, dtype=np.int64)
+    off = np.zeros(len(first) + 1, dtype=np.int64)
     np.cumsum(size, out=off[1:])
-    slot = off[ring] + (size[ring] - dist) % size[ring]
+    slot = off[ring] + (dist[first][ring] - dist) % size[ring]
     col = np.empty_like(sc)
     row = np.empty_like(sr)
     col[slot], row[slot] = sc, sr
-    # a simple ring leaves its least corner rightward when it is an exterior
-    return label[heads], direction[heads] == _RIGHT, revisits, col, row, off
-
-
-def _split_at_repeats(walk: list[Vertex]) -> list[list[Vertex]]:
-    """Break a closed walk into vertex-simple closed rings.
-
-    A walk can legitimately pass through a pinch corner twice (the local
-    turn rule cannot know whether the two passes belong to one ring or
-    two; that depends on how the boundary arcs connect elsewhere). Each
-    time a vertex repeats, the loop formed since its previous visit is
-    carved out as its own ring. The combined edge set is untouched, so
-    orientation signs and rasterization behaviour are preserved.
-    """
-    rings: list[list[Vertex]] = []
-    stack: list[Vertex] = []
-    index: dict[Vertex, int] = {}
-    for v in walk:
-        if v in index:
-            i = index[v]
-            rings.append(stack[i:] + [v])
-            for u in stack[i + 1 :]:
-                del index[u]
-            del stack[i + 1 :]
-        else:
-            index[v] = len(stack)
-            stack.append(v)
-    return rings
-
-
-def _ring_signed_area2(ring: list[Vertex]) -> int:
-    s = 0
-    for (x1, y1), (x2, y2) in zip(ring[:-1], ring[1:]):
-        s += x1 * y2 - x2 * y1
-    return s
-
-
-def _point_in_ring(px: float, py: float, ring: list[Vertex]) -> bool:
-    crossings = 0
-    for (x1, y1), (x2, y2) in zip(ring[:-1], ring[1:]):
-        if (y1 > py) != (y2 > py):
-            if x1 + (py - y1) * (x2 - x1) / (y2 - y1) > px:
-                crossings += 1
-    return crossings % 2 == 1
-
-
-def _to_world_ring(ring: list[Vertex], transform: GeoTransform) -> tuple:
-    # reversed so exteriors run counterclockwise in world coordinates
-    return tuple(pixel_to_world(transform, c, r) for c, r in reversed(ring))
-
-
-def _grouped_polygons(
-    rings: list[list[Vertex]], transform: GeoTransform
-) -> list[PolygonAnnotation]:
-    """Polygons of a component with several exteriors, or with a ring that
-    had to be split where it passed a corner twice: each hole goes to the
-    smallest exterior holding the centre of the cell inside its top-left
-    corner."""
-    exteriors: list[tuple[list[Vertex], int]] = []
-    holes: list[list[Vertex]] = []
-    for ring in rings:
-        area2 = _ring_signed_area2(ring)
-        if area2 > 0:
-            exteriors.append((ring, area2))
-        else:
-            holes.append(ring)
-    grouped: list[tuple[list[Vertex], list[list[Vertex]]]] = [
-        (ext, []) for ext, _ in exteriors
-    ]
-    if len(grouped) > 1 and holes:
-        # (min col, min row, max col, max row); a point outside an
-        # exterior's box is outside the exterior
-        boxes = np.array([(*np.min(e, axis=0), *np.max(e, axis=0)) for e, _ in exteriors])
-    for hole in holes:
-        if len(grouped) == 1:
-            grouped[0][1].append(hole)
-            continue
-        # representative cell center just inside the hole's top edge
-        c_v, r_v = min(hole[:-1], key=lambda v: (v[1], v[0]))
-        px, py = c_v + 0.5, r_v + 0.5
-        near = (boxes[:, 0] < px) & (px < boxes[:, 2]) & (boxes[:, 1] < py) & (py < boxes[:, 3])
-        containing = [
-            i for i in np.flatnonzero(near).tolist() if _point_in_ring(px, py, exteriors[i][0])
-        ]
-        best = min(containing, key=lambda i: exteriors[i][1]) if containing else 0
-        grouped[best][1].append(hole)
-    return [
-        PolygonAnnotation(
-            _to_world_ring(ext, transform),
-            tuple(_to_world_ring(h, transform) for h in hole_list),
-            label="detection",
-        )
-        for ext, hole_list in grouped
-    ]
+    # a simple ring leaves its least corner rightward, along the top of a
+    # pixel, when it is an exterior, and downward, along the right side of
+    # one, when it is a hole
+    least = cycle[first]
+    exterior = direction[least] == _RIGHT
+    pixel_col = np.where(exterior, sc[least], sc[least] - 1)
+    return label[first], exterior, sr[least], pixel_col, col, row, off
 
 
 def polygonize(
@@ -537,7 +474,10 @@ def polygonize(
     """One Detection per label, outlining its pixel squares exactly.
 
     Labels above 0 are components; a pixel side is part of an outline
-    wherever the label across it differs, so two labels may touch.
+    wherever the label across it differs, so two labels may touch. Each
+    4-connected part of a label has one exterior ring; every other ring
+    bounding the part is one of its holes. A label's polygons come in the
+    order of their exteriors, each with its holes in ring order.
     ``probabilities`` (same grid as labels) feeds each detection's mean
     probability; without it the field is NaN. Area is pixel count times the
     pixel area in world units.
@@ -560,21 +500,23 @@ def polygonize(
     if count <= 0:
         return []
     pixels = np.bincount(labels[labels > 0], minlength=count + 1).tolist()
-    ring_label, exterior, revisits, col, row, off = _trace(labels)
+    ring_label, exterior, prow, pcol, col, row, off = _trace(labels)
+    # every ring runs along the pixels of one 4-connected part of its label,
+    # and each part has one exterior: the part's other rings are its holes
+    parts, n_parts = _label_parts(labels, 4)
+    part = parts[prow, pcol]
+    exteriors = np.flatnonzero(exterior)
+    owner = np.empty(n_parts + 1, dtype=np.int64)
+    owner[part[exteriors]] = exteriors
+    # each exterior, then the holes of its part in ring order
+    order = np.lexsort((~exterior, owner[part]))
+    starts = np.flatnonzero(exterior[order]).tolist() + [len(order)]
+    bounds = np.searchsorted(ring_label[exteriors], np.arange(1, count + 2)).tolist()
+    order = order.tolist()
     # world corners in float64 as pixel_to_world computes them; each ring's
     # tuples are built from slices of these lists
     xs = (transform.origin_x + col.astype(np.int64) * transform.pixel_width).tolist()
     ys = (transform.origin_y - row.astype(np.int64) * transform.pixel_height).tolist()
-    n_exteriors = np.bincount(ring_label[exterior], minlength=count + 1)
-    simple = np.bincount(ring_label[revisits], minlength=count + 1) == 0
-    # 1: one exterior, then its holes; 2: exteriors only, parts touching at
-    # corners (or no rings: an absent label); 0: split and group in Python
-    kind = np.where(
-        simple & (n_exteriors == 1),
-        1,
-        np.where(simple & (n_exteriors == np.bincount(ring_label, minlength=count + 1)), 2, 0),
-    )
-    bounds = np.searchsorted(ring_label, np.arange(1, count + 2)).tolist()
     off = off.tolist()
     mean_prob = mean_prob.tolist()
 
@@ -582,39 +524,22 @@ def polygonize(
         ring = tuple(zip(xs[off[j] : off[j + 1]], ys[off[j] : off[j + 1]]))
         return ring + ring[:1]
 
-    def corners(j: int) -> list[Vertex]:
-        a, b = off[j], off[j + 1]
-        back = list(zip(col[a:b].tolist(), row[a:b].tolist()))
-        return [back[0], *back[:0:-1], back[0]]
-
-    detections: list[Detection] = []
     with gc_paused():
-        for label, layout in enumerate(kind.tolist()[1:], start=1):
-            lo, hi = bounds[label - 1], bounds[label]
-            if layout == 1:
-                polygons = [
-                    PolygonAnnotation(
-                        world(lo), tuple(map(world, range(lo + 1, hi))), label="detection"
-                    )
-                ]
-            elif layout == 2:
-                polygons = [
-                    PolygonAnnotation(world(j), label="detection") for j in range(lo, hi)
-                ]
-            else:
-                rings: list[list[Vertex]] = []
-                for j in range(lo, hi):
-                    rings.extend(_split_at_repeats(corners(j)) if revisits[j] else [corners(j)])
-                polygons = _grouped_polygons(rings, transform)
-            detections.append(
-                Detection(
-                    polygons=polygons,
-                    pixel_count=pixels[label],
-                    area=pixels[label] * pixel_area,
-                    mean_probability=mean_prob[label],
-                )
+        polygons = [
+            PolygonAnnotation(
+                world(order[a]), tuple(map(world, order[a + 1 : b])), label="detection"
             )
-    return detections
+            for a, b in zip(starts, starts[1:])
+        ]
+        return [
+            Detection(
+                polygons=polygons[bounds[label - 1] : bounds[label]],
+                pixel_count=pixels[label],
+                area=pixels[label] * pixel_area,
+                mean_probability=mean_prob[label],
+            )
+            for label in range(1, count + 1)
+        ]
 
 
 def filter_detections(

@@ -546,6 +546,11 @@ def _polygon_parts(path: Path, doc: dict):
             continue
         if not isinstance(coords, list):
             raise ValueError(f"malformed feature in {path.name} feature {idx}: no coordinates")
+        if not coords:
+            raise ValueError(
+                f"malformed polygon in {path.name} feature {idx}: coordinates are [], not a "
+                f"list of one or more {'rings' if gtype == 'Polygon' else 'polygons'}"
+            )
         label = str(props.get("label", "dump"))
         for p, rings in [(None, coords)] if gtype == "Polygon" else enumerate(coords):
             if not isinstance(rings, list) or not rings:

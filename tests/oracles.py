@@ -394,8 +394,10 @@ def _split_at_repeats_oracle(walk):
     return rings
 
 
-def _trace_rings_oracle(pixels, in_comp):
-    """Walk one component's exposed pixel sides into closed rings.
+def walks_oracle(pixels, in_comp):
+    """Walk one component's exposed pixel sides into closed walks, each
+    given as its corners from start back to start; a walk may pass a
+    corner twice.
 
     Sides are directed with the interior kept on one side. Walks start at
     the least remaining corner in (col, row) order and take the least
@@ -415,7 +417,7 @@ def _trace_rings_oracle(pixels, in_comp):
             out_edges.setdefault((c, r + 1), []).append((c, r))
     for v in out_edges:
         out_edges[v].sort()
-    rings = []
+    walks = []
     for start in sorted(out_edges):
         while out_edges[start]:
             ring, current, prev_dir = [start], start, None
@@ -434,8 +436,14 @@ def _trace_rings_oracle(pixels, in_comp):
                 current = nxt
                 if current == start:
                     break
-            rings.extend(_split_at_repeats_oracle(ring))
-    return rings
+            walks.append(ring)
+    return walks
+
+
+def _trace_rings_oracle(pixels, in_comp):
+    """One component's closed rings: its walks, each split where it
+    revisits a corner."""
+    return [ring for walk in walks_oracle(pixels, in_comp) for ring in _split_at_repeats_oracle(walk)]
 
 
 def _collapse_collinear_oracle(ring):

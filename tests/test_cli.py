@@ -25,6 +25,7 @@ from dumpwatch.dataset import (
     SOURCE_BANDS,
     Chip,
     DatasetSplit,
+    NormalizationStats,
     load_catalog,
     save_catalog,
 )
@@ -445,6 +446,42 @@ def _catalog_with_mixed_sizes(root):
     return {"paths": {"catalog": str(root / "catalog")}}, root / "catalog" / "chips" / "chip_00001"
 
 
+def _catalog(root, stats=None, names=None):
+    """A catalog of one 3-band 16 px chip in every split, with ``stats``
+    and the chip's band ``names``."""
+    chip = Chip(
+        np.zeros((3, 16, 16), np.float32),
+        np.zeros((16, 16), np.uint8),
+        (0, 0),
+        GeoTransform(0.0, 16.0, 1.0, 1.0),
+        band_names=names,
+    )
+    save_catalog(root / "catalog", DatasetSplit([chip], [chip], [chip]), stats)
+    return {"paths": {"catalog": str(root / "catalog")}}
+
+
+def _edited_catalog(root, file, edit):
+    """A catalog whose ``file`` (index.json or stats.json) holds ``edit`` of
+    its JSON document."""
+    config = _catalog(root, NormalizationStats((0.0,) * 3, (1.0,) * 3))
+    path = root / "catalog" / file
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return config, path
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _evaluate_inputs(root, bands):
+    """A catalog of R,G,B chips and a checkpoint whose stats cover ``bands``."""
+    config = UNetConfig(in_channels=len(bands), depth=2, base_filters=2)
+    stats = NormalizationStats((0.0,) * len(bands), (1.0,) * len(bands), bands)
+    save_checkpoint(checkpoint_from_params(config, build_unet(config), normalization=stats), root / "model")
+    paths = {**_catalog(root, names=("R", "G", "B"))["paths"], "checkpoint": str(root / "model")}
+    return {"paths": paths}, root / "model"
+
+
 def _probability(root, value=0.5, header_edit=("", "")):
     samples = np.full((1, 8, 8), 0.25, np.float32)
     samples[0, 3, 5] = value
@@ -539,6 +576,13 @@ MALFORMED_INPUTS = {
         lambda r: _scene_with_feature(r, '"Feature"'),
         ["malformed feature in", "feature 0: not an object"],
     ),
+    "multipolygon-without-parts": (
+        "chip",
+        lambda r: _scene_with_feature(
+            r, '{"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": []}}'
+        ),
+        ["malformed polygon in", "feature 0: coordinates are [], not a list of one or more polygons"],
+    ),
     "mixed-chip-sizes": (
         "train",
         _catalog_with_mixed_sizes,
@@ -546,6 +590,27 @@ MALFORMED_INPUTS = {
     ),
     "nan-in-catalog-index": (
         "train", _catalog_with_nan_seed, ["invalid JSON", "constant NaN"]
+    ),
+    "catalog-index-without-chips": (
+        "train", lambda r: _edited_catalog(r, "index.json", _without("chips")), ["has no 'chips'"]
+    ),
+    "catalog-index-not-an-object": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", lambda doc: []),
+        ["unrecognized catalog format in"],
+    ),
+    "stats-without-means": (
+        "train", lambda r: _edited_catalog(r, "stats.json", _without("means")), ["has no 'means'"]
+    ),
+    "evaluate-checkpoint-bands-disagree": (
+        "evaluate",
+        lambda r: _evaluate_inputs(r, SOURCE_BANDS),
+        ["does not fit the chips of catalog", "catalog", "stats cover 6 bands", "the chips have 3"],
+    ),
+    "evaluate-checkpoint-band-names-disagree": (
+        "evaluate",
+        lambda r: _evaluate_inputs(r, ("B", "G", "R")),
+        ["does not fit the chips of catalog", "('B', 'G', 'R')", "('R', 'G', 'B')"],
     ),
     "infinity-in-raster-header": (
         "postprocess",

@@ -16,8 +16,8 @@ from dumpwatch.detect import (
     Detection,
     InferenceConfig,
     PostprocConfig,
+    _label_parts,
     _tile_origins,
-    _trace,
     connected_components,
     detections_from_binary,
     export_geojson,
@@ -49,6 +49,7 @@ from oracles import (
     polygonize_oracle,
     predict_raster_oracle,
     ring_is_simple_oracle,
+    walks_oracle,
 )
 
 T1 = GeoTransform(0.0, 16.0, 1.0, 1.0)
@@ -238,6 +239,23 @@ class TestConnectedComponents:
                 sizes, np.bincount(expected.ravel())[1:]
             ), f"trial {trial}"
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_label_grids_join_equal_neighbours(self, connectivity):
+        # polygonize finds the 4-connected parts of each label this way;
+        # a part is numbered when a row-major scan first meets it
+        rng = np.random.default_rng(29)
+        for trial in range(300):
+            values = rng.integers(0, 4, size=rng.integers(1, 16, 2))
+            own = {v: connected_components_oracle(values == v, connectivity) for v in (1, 2, 3)}
+            expected = np.zeros(values.shape, dtype=np.int32)
+            names = {}
+            for (r, c), v in np.ndenumerate(values):
+                if v:
+                    expected[r, c] = names.setdefault((v, own[v][r, c]), len(names) + 1)
+            parts, count = _label_parts(values, connectivity)
+            assert np.array_equal(parts, expected), f"trial {trial}"
+            assert count == len(names), f"trial {trial}"
+
     def test_empty_grid(self):
         labels, sizes = connected_components(_binary_raster(np.zeros((4, 4))))
         assert labels.max() == 0 and len(sizes) == 0
@@ -407,6 +425,17 @@ class TestPolygonizeExactness:
             # parts of one component never overlap: total count preserved
             assert sum(d.pixel_count for d in dets) == int(grid.sum())
 
+    def test_dense_random_grid_polygonizes_quickly(self):
+        # guards hole placement and ring cutting: thousands of exteriors and
+        # holes in one component, once placed by a Python even-odd test per
+        # (hole, exterior) pair in about 1.6 s
+        rng = np.random.default_rng(22)
+        grid = (rng.uniform(size=(256, 256)) < 0.7).astype(np.float32)
+        labels, _ = connected_components(_binary_raster(grid), connectivity=8)
+        start = time.perf_counter()
+        polygonize(labels, T1)
+        assert time.perf_counter() - start < 0.5
+
     def test_component_masks_reproduce_individually(self):
         rng = np.random.default_rng(23)
         grid = (rng.uniform(size=(10, 10)) < 0.5).astype(np.float32)
@@ -473,6 +502,22 @@ class TestPolygonizeExactness:
         )
 
 
+# an outer ring whose corner pixel touches, diagonally, a part inside its
+# hole; that inner part has a one-cell hole of its own
+NESTED = np.array(
+    [
+        [1, 1, 1, 1, 1, 1, 1],
+        [1, 1, 0, 0, 0, 0, 1],
+        [1, 0, 1, 1, 1, 0, 1],
+        [1, 0, 1, 0, 1, 0, 1],
+        [1, 0, 1, 1, 1, 0, 1],
+        [1, 0, 0, 0, 0, 0, 1],
+        [1, 1, 1, 1, 1, 1, 1],
+    ],
+    dtype=np.float32,
+)
+
+
 def _assert_same_detections(got, want):
     """Equal on every Detection field, every ring's vertices (order, start
     and float bits, by repr) and every polygon's label."""
@@ -536,17 +581,35 @@ class TestPolygonizeMatchesOracle:
                 ],
                 False,
             ),
+            # a part inside another part's hole, touching it at a corner,
+            # with a hole of its own
+            (NESTED, False),
         ],
     )
     def test_pinches_holes_and_revisits(self, grid, revisits):
         grid = np.asarray(grid, dtype=np.float32)
         labels, _ = connected_components(_binary_raster(grid), connectivity=8)
-        assert bool(_trace(labels)[2].any()) == revisits
+        walks = [
+            walk
+            for label in range(1, labels.max() + 1)
+            for pixels in [np.argwhere(labels == label)]
+            for walk in walks_oracle(pixels, {(int(r), int(c)) for r, c in pixels})
+        ]
+        assert any(len(set(walk)) < len(walk) - 1 for walk in walks) == revisits
         _assert_same_detections(polygonize(labels, T1), polygonize_oracle(labels, T1))
         h, w = grid.shape
         assert np.array_equal(
             _rasterize_back(polygonize(labels, T1), T1, w, h), grid.astype(np.uint8)
         )
+
+    def test_hole_of_a_nested_part_goes_to_that_part(self):
+        labels, _ = connected_components(_binary_raster(NESTED), connectivity=8)
+        assert labels.max() == 1
+        outer, inner = polygonize(labels, T1)[0].polygons
+        assert len(outer.holes) == 1 and len(inner.holes) == 1
+        # the inner part's hole is the one cell at row 3, col 3
+        assert sorted(inner.holes[0][:-1]) == [(3.0, 12.0), (3.0, 13.0), (4.0, 12.0), (4.0, 13.0)]
+        assert len(inner.exterior) == 5 and len(outer.holes[0]) > 5
 
     def test_touching_labels_keep_their_own_outlines(self):
         # hand-made labels: 1 and 2 share a side, so a side is exposed where

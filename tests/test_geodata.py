@@ -870,6 +870,10 @@ class TestAnnotationIO:
         empty = {**polygon, "geometry": {"type": "Polygon", "coordinates": []}}
         for bad, message in [
             (empty, r"malformed polygon in d\.geojson feature 0: coordinates are \[\], not a list of one or more rings"),
+            (
+                {**polygon, "geometry": {"type": "MultiPolygon", "coordinates": []}},
+                r"malformed polygon in d\.geojson feature 0: coordinates are \[\], not a list of one or more polygons",
+            ),
             ({**polygon, "properties": 5}, r"malformed feature in d\.geojson feature 0: geometry or properties not an object"),
         ]:
             path = self._write_doc(tmp_path / "d.geojson", {"type": "FeatureCollection", "features": [polygon, bad]})
