@@ -53,10 +53,10 @@ def _reject_constant(name: str):
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector for a block that builds many
-    containers but no reference cycles: a parsed JSON document, detections
-    and their GeoJSON. Each pass of the collector walks the containers
-    built so far, so on a large GeoJSON the passes take three times as long
-    as parsing it. A collector the caller had paused stays paused."""
+    containers but no reference cycles, such as a parsed JSON document.
+    Each pass of the collector walks the containers built so far, so on a
+    large GeoJSON the passes take three times as long as parsing it. A
+    collector the caller had paused stays paused."""
     enabled = gc.isenabled()
     gc.disable()
     try:

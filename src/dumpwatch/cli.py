@@ -444,7 +444,7 @@ def cmd_postprocess(cfg: RunConfig, args) -> int:
     summary = {
         "command": "postprocess",
         "detections": len(detections),
-        "total_area_m2": sum(d.area for d in detections),
+        "total_area_m2": sum(detections.area.tolist()),  # in label order, as summed before
         "pixels_above_threshold": int(binary.samples.sum()),
         "output": str(out),
     }

@@ -8,6 +8,7 @@ the stack only through the index.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -617,9 +618,14 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
         )
     buckets: dict[str, list[Chip]] = {"train": [], "val": [], "test": []}
     size = index.get("chip_size")
-    for k, entry in enumerate(_require(index, "chips", index_path)):
+    chips = _require(index, "chips", index_path)
+    if not isinstance(chips, list):
+        raise ValueError(f"{index_path}: chips is {json.dumps(chips)}, not a list")
+    for k, entry in enumerate(chips):
         where = f"{index_path} chip {k}"
         file, bucket, origin = (_require(entry, key, where) for key in ("file", "split", "origin"))
+        if not (isinstance(origin, list) and len(origin) == 2 and all(type(v) is int for v in origin)):
+            raise ValueError(f"{where}: origin is {json.dumps(origin)}, not a list of two integers")
         raster = geodata.read_raster(root / file)
         if (raster.height, raster.width) != (size, size):
             raise ValueError(

@@ -17,22 +17,33 @@ exposed pixel sides are joined into straight runs, each run is linked to
 the next by a sorted search, and rings are the cycles of that link, cut
 where one passes a pinch corner twice. Each 4-connected part of a
 component (found by the same run union-find as the labelling) has one
-exterior ring, and the other rings along the part are its holes. Python
-touches each polygon only to build its objects.
+exterior ring, and the other rings along the part are its holes.
+Detections stay columns (``Detections``: corner arrays with ring, polygon
+and detection offsets) through the area filter to the GeoJSON text, which
+is joined from each distinct coordinate formatted once; no Python object
+is built per ring unless a caller indexes the columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataset as ds
 from . import numerics, unet
-from ._fileio import atomic_write_json, gc_paused
+from ._fileio import atomic_write_text
 from .dataset import NormalizationStats
-from .geodata import GeoTransform, PolygonAnnotation, Raster, shift_transform
+from .geodata import (
+    GeoTransform,
+    PolygonAnnotation,
+    Polygons,
+    Raster,
+    shift_transform,
+    take_ragged,
+)
 from .numerics import Tensor
 from .unet import ParameterSet, UNetConfig
 
@@ -74,7 +85,8 @@ class PostprocConfig:
 
 @dataclass
 class Detection:
-    """One connected region: exact outline(s), pixel count, area, mean prob.
+    """One connected region as objects: exact outline(s), pixel count, area,
+    mean prob. ``Detections`` builds one per index, for callers that need it.
 
     ``polygons`` usually holds a single part; components whose pixels touch
     only at corners split into one simple polygon per touching square group,
@@ -85,6 +97,34 @@ class Detection:
     pixel_count: int
     area: float
     mean_probability: float
+
+
+@dataclass(eq=False)
+class Detections(Sequence):
+    """Detections as columns: their ``polygons`` (``geodata.Polygons``, each
+    labelled "detection"), ``offsets`` where each detection's polygons start
+    (with the end as a last entry), and per detection its ``pixel_count``,
+    ``area`` and ``mean_probability`` (NaN without probabilities). Indexing
+    and iteration build ``Detection`` objects."""
+
+    polygons: Polygons
+    offsets: np.ndarray
+    pixel_count: np.ndarray
+    area: np.ndarray
+    mean_probability: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pixel_count)
+
+    def __getitem__(self, k: int) -> Detection:
+        k = range(len(self))[k]
+        a, b = self.offsets[k : k + 2]
+        return Detection(
+            polygons=[self.polygons[j] for j in range(a, b)],
+            pixel_count=int(self.pixel_count[k]),
+            area=float(self.area[k]),
+            mean_probability=float(self.mean_probability[k]),
+        )
 
 
 def _tile_origins(extent: int, tile: int, overlap: int) -> list[int]:
@@ -470,14 +510,16 @@ def polygonize(
     labels: np.ndarray,
     transform: GeoTransform,
     probabilities: np.ndarray | None = None,
-) -> list[Detection]:
-    """One Detection per label, outlining its pixel squares exactly.
+) -> Detections:
+    """One detection per label, outlining its pixel squares exactly, as
+    columns.
 
     Labels above 0 are components; a pixel side is part of an outline
     wherever the label across it differs, so two labels may touch. Each
     4-connected part of a label has one exterior ring; every other ring
     bounding the part is one of its holes. A label's polygons come in the
-    order of their exteriors, each with its holes in ring order.
+    order of their exteriors, each with its holes in ring order. Corners
+    are float64 world coordinates, as ``pixel_to_world`` computes them.
     ``probabilities`` (same grid as labels) feeds each detection's mean
     probability; without it the field is NaN. Area is pixel count times the
     pixel area in world units.
@@ -485,8 +527,7 @@ def polygonize(
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("labels must be a 2-D array")
-    count = int(labels.max()) if labels.size else 0
-    pixel_area = transform.pixel_width * transform.pixel_height
+    count = max(int(labels.max()) if labels.size else 0, 0)
     mean_prob = np.full(count + 1, math.nan)
     if probabilities is not None:
         probabilities = np.asarray(probabilities)
@@ -497,9 +538,7 @@ def polygonize(
         counts = np.bincount(flat, minlength=count + 1)
         with np.errstate(invalid="ignore"):
             mean_prob = sums / np.maximum(counts, 1)
-    if count <= 0:
-        return []
-    pixels = np.bincount(labels[labels > 0], minlength=count + 1).tolist()
+    pixels = np.bincount(labels[labels > 0], minlength=count + 1)[1:]
     ring_label, exterior, prow, pcol, col, row, off = _trace(labels)
     # every ring runs along the pixels of one 4-connected part of its label,
     # and each part has one exterior: the part's other rings are its holes
@@ -510,77 +549,92 @@ def polygonize(
     owner[part[exteriors]] = exteriors
     # each exterior, then the holes of its part in ring order
     order = np.lexsort((~exterior, owner[part]))
-    starts = np.flatnonzero(exterior[order]).tolist() + [len(order)]
-    bounds = np.searchsorted(ring_label[exteriors], np.arange(1, count + 2)).tolist()
-    order = order.tolist()
-    # world corners in float64 as pixel_to_world computes them; each ring's
-    # tuples are built from slices of these lists
-    xs = (transform.origin_x + col.astype(np.int64) * transform.pixel_width).tolist()
-    ys = (transform.origin_y - row.astype(np.int64) * transform.pixel_height).tolist()
-    off = off.tolist()
-    mean_prob = mean_prob.tolist()
-
-    def world(j: int) -> tuple:
-        ring = tuple(zip(xs[off[j] : off[j + 1]], ys[off[j] : off[j + 1]]))
-        return ring + ring[:1]
-
-    with gc_paused():
-        polygons = [
-            PolygonAnnotation(
-                world(order[a]), tuple(map(world, order[a + 1 : b])), label="detection"
-            )
-            for a, b in zip(starts, starts[1:])
-        ]
-        return [
-            Detection(
-                polygons=polygons[bounds[label - 1] : bounds[label]],
-                pixel_count=pixels[label],
-                area=pixels[label] * pixel_area,
-                mean_probability=mean_prob[label],
-            )
-            for label in range(1, count + 1)
-        ]
+    polygon_offsets = np.append(np.flatnonzero(exterior[order]), len(order))
+    offsets = np.searchsorted(ring_label[exteriors], np.arange(1, count + 2))
+    sizes = np.diff(off)[order]
+    ring_offsets = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ring_offsets[1:])
+    corner = np.repeat(off[order] - ring_offsets[:-1], sizes) + np.arange(ring_offsets[-1])
+    x = transform.origin_x + col[corner].astype(np.float64) * transform.pixel_width
+    y = transform.origin_y - row[corner].astype(np.float64) * transform.pixel_height
+    polygons = Polygons(x, y, ring_offsets, polygon_offsets, ["detection"] * len(exteriors))
+    area = pixels * (transform.pixel_width * transform.pixel_height)
+    return Detections(polygons, offsets, pixels, area.astype(np.float64), mean_prob[1:])
 
 
-def filter_detections(
-    detections: list[Detection], pcfg: PostprocConfig
-) -> list[Detection]:
+def filter_detections(detections: Detections, pcfg: PostprocConfig) -> Detections:
     """Keep detections whose area meets min_area (boundary included)."""
-    return [d for d in detections if d.area >= pcfg.min_area]
+    keep = detections.area >= pcfg.min_area
+    offsets, polygons = take_ragged(detections.offsets, keep)
+    return Detections(
+        detections.polygons.take(polygons),
+        offsets,
+        detections.pixel_count[keep],
+        detections.area[keep],
+        detections.mean_probability[keep],
+    )
 
 
-def export_geojson(detections: list[Detection], path) -> None:
-    """Write detections as a GeoJSON FeatureCollection (atomic replace)."""
-    with gc_paused():
-        features = []
-        for det in detections:
-            # the JSON encoder writes the rings' tuples as lists
-            parts = [poly.rings() for poly in det.polygons]
-            if len(parts) == 1:
-                geometry = {"type": "Polygon", "coordinates": parts[0]}
-            else:
-                geometry = {"type": "MultiPolygon", "coordinates": parts}
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": geometry,
-                    "properties": {
-                        "area_m2": det.area,
-                        "mean_probability": (
-                            None
-                            if math.isnan(det.mean_probability)
-                            else det.mean_probability
-                        ),
-                        "pixel_count": det.pixel_count,
-                    },
-                }
-            )
-        atomic_write_json(path, {"type": "FeatureCollection", "features": features})
+def _float_text(values: np.ndarray, template: str) -> list[str]:
+    """``template`` formatted with each float in ``values``, whose ``{!r}``
+    writes it as ``json.dumps`` does, formatting each distinct value (by its
+    bits) once: corners on the pixel lattice take one value per grid line."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct = np.sort(bits)
+    new = np.ones(len(distinct), dtype=bool)
+    new[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[new]
+    text = np.array(list(map(template.format, distinct.view(np.float64).tolist())), dtype=object)
+    return text[np.searchsorted(distinct, bits)].tolist()
+
+
+def export_geojson(detections: Detections, path) -> None:
+    """Write detections as a GeoJSON FeatureCollection (atomic replace).
+
+    The text is joined from the columns, and is byte for byte what
+    ``json.dumps`` writes for the feature dicts: each ring closed by its
+    first vertex, a detection with one polygon as a Polygon and any other
+    as a MultiPolygon, and a NaN mean probability as null. Non-finite
+    coordinates or areas are refused, as the strict encoder refuses them,
+    before anything is written.
+    """
+    polys = detections.polygons
+    finite = np.isfinite(polys.x).all() and np.isfinite(polys.y).all()
+    if not (finite and np.isfinite(detections.area).all()) or np.isinf(detections.mean_probability).any():
+        raise ValueError(f"{path}: non-finite coordinates or areas are not JSON compliant")
+    vertex = list(map(str.__add__, _float_text(polys.x, "[{!r}, "), _float_text(polys.y, "{!r}]")))
+    bounds = polys.ring_offsets.tolist()
+    rings = [", ".join(vertex[a:b]) + ", " + vertex[a] for a, b in zip(bounds, bounds[1:])]
+    bounds = polys.polygon_offsets.tolist()
+    polygons = ["[[" + "], [".join(rings[a:b]) + "]]" for a, b in zip(bounds, bounds[1:])]
+    bounds = detections.offsets.tolist()
+    geometries = [
+        '{"type": "Polygon", "coordinates": ' + polygons[a]
+        if b - a == 1
+        else '{"type": "MultiPolygon", "coordinates": [' + ", ".join(polygons[a:b]) + "]"
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    means = _float_text(detections.mean_probability, "{!r}")
+    for k in np.flatnonzero(np.isnan(detections.mean_probability)).tolist():
+        means[k] = "null"
+    feature = (
+        '{{"type": "Feature", "geometry": {}}}, "properties": '
+        '{{"area_m2": {}, "mean_probability": {}, "pixel_count": {}}}}}'
+    )
+    features = map(
+        feature.format,
+        geometries,
+        _float_text(detections.area, "{!r}"),
+        means,
+        detections.pixel_count.tolist(),
+    )
+    text = '{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]}\n"
+    atomic_write_text(path, text)
 
 
 def detections_from_binary(
     binary: Raster, prob: Raster, pcfg: PostprocConfig
-) -> list[Detection]:
+) -> Detections:
     """label -> polygonize -> area filter on an already thresholded raster."""
     labels, _ = connected_components(binary, pcfg.connectivity)
     detections = polygonize(labels, prob.transform, prob.samples[0])

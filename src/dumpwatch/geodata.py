@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import warnings
+from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import chain, islice
+from dataclasses import dataclass
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,12 @@ def _read_header(header_path: Path) -> tuple:
                 f"transform is {json.dumps(t)}, not an object of finite numbers {', '.join(keys)}"
             )
         transform = GeoTransform(*(t[k] for k in keys))
+        x0, y0, dx, dy = (float(t[k]) for k in keys)
+        w, h = header["width"], header["height"]
+        if not all(map(math.isfinite, (x0 + w * dx, y0 - h * dy, w * h * (dx * dy)))):
+            raise ValueError(
+                f"transform is {json.dumps(t)}, whose world extent or area is not a finite float"
+            )
         if not (nodata is None or nodata == "nan" or finite(nodata)):
             raise ValueError(f'nodata is {json.dumps(nodata)}, not a finite number, "nan" or null')
         if not (names is None or isinstance(names, list) and all(isinstance(n, str) for n in names)):
@@ -340,8 +347,10 @@ class PolygonAnnotation:
     """A polygon with an exterior ring, optional holes, and a class label.
 
     Rings are closed (first vertex repeated at the end) and need at least
-    three distinct vertices. Full self-intersection checks run at load time
-    in :func:`read_annotations`, not here, so constructed geometry stays cheap.
+    three distinct vertices; they are normalized as ``read_annotations``
+    normalizes a file's rings (``_normalized``). Full self-intersection
+    checks run at load time in :func:`read_annotations`, not here, so
+    constructed geometry stays cheap.
     """
 
     exterior: Ring
@@ -349,8 +358,15 @@ class PolygonAnnotation:
     label: str = "dump"
 
     def __post_init__(self):
-        self.exterior = _normalize_ring(self.exterior)
-        self.holes = tuple(_normalize_ring(h) for h in self.holes)
+        rings = (self.exterior, *self.holes)
+        xy = [(_coord(x), _coord(y)) for ring in rings for x, y in ring]
+        x, y = np.array(xy, np.float64).reshape(-1, 2).T
+        x, y, offsets = _normalized(x, y, np.cumsum([0, *map(len, rings)]))
+        counts = np.diff(offsets)
+        if (counts < 3).any():
+            raise ValueError(f"ring needs >= 3 distinct vertices, got {counts[np.argmax(counts < 3)]}")
+        self.exterior, *holes = _closed_rings(x, y, offsets)
+        self.holes = tuple(holes)
 
     def rings(self) -> tuple[Ring, ...]:
         return (self.exterior, *self.holes)
@@ -363,6 +379,61 @@ class PolygonAnnotation:
         return total
 
 
+@dataclass(eq=False)
+class Polygons(Sequence):
+    """Polygons as columns, in the ragged layout of GeoArrow
+    (https://geoarrow.org): every vertex's ``x`` and ``y``; ``ring_offsets``,
+    where each ring's vertices start, with the end as a last entry;
+    ``polygon_offsets``, where each polygon's rings (its exterior, then its
+    holes) start, likewise; and one label per polygon. Rings are open (the
+    first vertex is not repeated) and normalized as ``PolygonAnnotation``
+    normalizes them. Indexing and iteration build ``PolygonAnnotation``
+    objects, for callers that need them.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    ring_offsets: np.ndarray
+    polygon_offsets: np.ndarray
+    labels: list[str]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, k: int) -> PolygonAnnotation:
+        k = range(len(self))[k]
+        a, b = self.polygon_offsets[k : k + 2]
+        poly = object.__new__(PolygonAnnotation)  # the rings are normalized already
+        poly.exterior, *holes = _closed_rings(self.x, self.y, self.ring_offsets[a : b + 1])
+        poly.holes, poly.label = tuple(holes), self.labels[k]
+        return poly
+
+    def take(self, keep: np.ndarray) -> Polygons:
+        """The polygons where the boolean ``keep`` is True."""
+        polygon_offsets, rings = take_ragged(self.polygon_offsets, keep)
+        ring_offsets, vertices = take_ragged(self.ring_offsets, rings)
+        labels = list(compress(self.labels, keep.tolist()))
+        return Polygons(self.x[vertices], self.y[vertices], ring_offsets, polygon_offsets, labels)
+
+
+def take_ragged(offsets: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The groups ``offsets`` delimits where ``keep`` is True: their offsets
+    in the kept members, and the mask of those members."""
+    sizes = np.diff(offsets)
+    kept = np.zeros(np.count_nonzero(keep) + 1, np.int64)
+    np.cumsum(sizes[keep], out=kept[1:])
+    return kept, np.repeat(keep, sizes)
+
+
+def _closed_rings(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> list[Ring]:
+    """The rings from ``offsets[0]`` to ``offsets[-1]`` of columns of open
+    rings, each as a tuple of (x, y) closed by its first vertex."""
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    pts = list(zip(x[lo:hi].tolist(), y[lo:hi].tolist()))
+    bounds = (offsets - lo).tolist()
+    return [(*pts[a:b], pts[a]) for a, b in zip(bounds, bounds[1:])]
+
+
 def _coord(value) -> float:
     """float(value), except that an integer too large for a float becomes
     +-inf, as a float literal of that size parses (and is then rejected as
@@ -373,26 +444,25 @@ def _coord(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _normalize_ring(ring) -> Ring:
-    try:
-        pts = [(float(x), float(y)) for x, y in ring]
-    except OverflowError:
-        pts = [(_coord(x), _coord(y)) for x, y in ring]
-    if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts.pop()
-    # drop consecutive duplicates; they add zero-length segments. Rings built
-    # by polygonize have none, so they skip the rebuild.
-    if any(map(operator.eq, pts, islice(pts, 1, None))):
-        deduped = [pts[0]]
-        for p in pts[1:]:
-            if p != deduped[-1]:
-                deduped.append(p)
-        pts = deduped
-    if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts.pop()
-    if len(pts) < 3:
-        raise ValueError(f"ring needs >= 3 distinct vertices, got {len(pts)}")
-    return (*pts, pts[0])
+def _normalized(x: np.ndarray, y: np.ndarray, offsets: np.ndarray):
+    """Rings in columns without their closing vertex and consecutive
+    repeats: the kept x, y and ring offsets. A ring's first vertex stays,
+    and each later one stays unless it equals the one before. The last run
+    of equal vertices closes the ring when it repeats the first vertex and
+    does not start the ring; its vertex goes too. Rings built by
+    ``polygonize`` lose nothing.
+    """
+    sizes = np.diff(offsets)
+    first, last = offsets[:-1][sizes > 0], offsets[1:][sizes > 0] - 1
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    keep[first] = True
+    run = np.maximum.accumulate(np.where(keep, np.arange(len(x)), 0))[last]
+    keep[run[(run != first) & (x[run] == x[first]) & (y[run] == y[first])]] = False
+    counts = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[keep], minlength=len(sizes))
+    kept = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(counts, out=kept[1:])
+    return x[keep], y[keep], kept
 
 
 def _signed_area(ring: Ring) -> float:
@@ -406,7 +476,8 @@ def ring_is_simple(ring: Ring) -> bool:
     """Whether a closed ring is finite, never folds back along its previous
     segment, and has no two non-adjacent segments that touch or cross: the
     check ``read_annotations`` runs on every ring (``_first_bad_ring``)."""
-    return _first_bad_ring([ring]) is None
+    x, y = np.array(ring[:-1], np.float64).reshape(-1, 2).T
+    return _first_bad_ring(x, y, np.array([0, len(x)])) is None
 
 
 # Rings are checked in blocks of about this many segments (a longer ring on
@@ -414,48 +485,50 @@ def ring_is_simple(ring: Ring) -> bool:
 _CHUNK = 1 << 13
 
 
-def _first_bad_ring(rings: list[Ring]) -> tuple[int, str] | None:
-    """The first of ``rings`` that is not finite and simple, with its defect:
-    a non-finite vertex, else the lowest vertex where it folds back, else the
+def _first_bad_ring(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> tuple[int, str] | None:
+    """The first of the open rings in columns (``x``, ``y``, ring
+    ``offsets``) that is not finite and simple, with its defect: a
+    non-finite vertex, else the lowest vertex where it folds back, else the
     least pair of non-adjacent segments that touch (segment ``i`` runs from
-    vertex ``i`` to ``i + 1``). None when every ring is good."""
-    before = np.cumsum(np.r_[0, np.fromiter(map(len, rings), np.intp, len(rings)) - 1])
-    start = 0
-    while start < len(rings):
-        stop = max(start + 1, int(np.searchsorted(before, before[start] + _CHUNK, "right")) - 1)
-        if (found := _block_defect(rings[start:stop])) is not None:
+    vertex ``i`` to the next, the last one back to vertex 0). None when
+    every ring is good."""
+    start, count = 0, len(offsets) - 1
+    while start < count:
+        stop = max(start + 1, int(np.searchsorted(offsets, offsets[start] + _CHUNK, "right")) - 1)
+        if (found := _block_defect(x, y, offsets[start : stop + 1])) is not None:
             return start + found[0], found[1]
         start = stop
     return None
 
 
-def _block_defect(rings: list[Ring]) -> tuple[int, str] | None:
-    """``_first_bad_ring`` in one numpy pass. Each ring's segments are sorted
-    by their low end along x or y, whichever they cover less of in total (so
+def _block_defect(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> tuple[int, str] | None:
+    """``_first_bad_ring`` in one numpy pass over the rings from
+    ``offsets[0]`` to ``offsets[-1]``. Each ring's segments are sorted by
+    their low end along x or y, whichever they cover less of in total (so
     that a comb's teeth do not all reach along its spine), and each is paired
     with the later ones of its ring whose low end it reaches and whose range
     on the other axis meets its own: touching segments share a point, so no
     touching pair is missed."""
-    sizes = np.fromiter(map(len, rings), np.intp, len(rings))
-    flat = chain.from_iterable(chain.from_iterable(rings))
-    xy = np.fromiter(flat, np.float64, 2 * int(sizes.sum())).reshape(-1, 2)
-    n, starts = sizes - 1, np.cumsum(sizes) - sizes
-    ring = np.repeat(np.arange(len(rings)), n)
-    a = np.arange(len(ring)) + ring  # each segment's first vertex
+    n, starts = np.diff(offsets), offsets[:-1]  # an open ring has a segment per vertex
+    ring = np.repeat(np.arange(len(n)), n)
+    a = np.arange(offsets[0], offsets[-1])  # each segment's first vertex
     k = a - starts[ring]  # and its index in the ring
-    (xa, ya), (xb, yb) = xy[a].T, xy[a + 1].T  # segment ends
-    limit, defect = len(rings), None
+    b = np.where(k == n[ring] - 1, starts[ring], a + 1)  # its last vertex
+    xa, ya, xb, yb = x[a], y[a], x[b], y[b]  # segment ends
+    limit, defect = len(n), None
     # overflow and inf - inf yield inf and NaN here, as in Python floats
     with np.errstate(all="ignore"):
         # fold-back at vertex k (a): p, a, b collinear and a - p, b - a opposed;
         # adjacent segments are never paired below, so only this catches it
-        xp, yp = xy[a - 1 + n[ring] * (k == 0)].T
+        p = np.where(k == 0, a + n[ring] - 1, a - 1)
+        xp, yp = x[p], y[p]
         ux, uy = xa - xp, ya - yp
         fold = (ux * (yb - yp) - uy * (xb - xp) == 0) & (ux * (xb - xa) + uy * (yb - ya) < 0)
         flagged = np.flatnonzero(fold | ~(np.isfinite(xa) & np.isfinite(ya)))
         if len(flagged):
             limit = int(ring[flagged[0]])
-            finite = np.isfinite(xy[starts[limit] : starts[limit] + sizes[limit]]).all()
+            own = slice(starts[limit], starts[limit] + n[limit])
+            finite = np.isfinite(x[own]).all() and np.isfinite(y[own]).all()
             defect = f"folds back at vertex {k[flagged[0]]}" if finite else "non-finite vertex"
         x0, x1 = np.minimum(xa, xb), np.maximum(xa, xb)
         y0, y1 = np.minimum(ya, yb), np.maximum(ya, yb)
@@ -561,17 +634,19 @@ def _polygon_parts(path: Path, doc: dict):
             yield idx, p, label, rings
 
 
-def _number_rings(rings) -> bool:
-    """Whether each of ``rings`` is a list of [x, y] pairs of JSON numbers. A
-    polygon builds from strings and booleans too, which ``float()`` takes.
-    A JSON value of length 2 whose items are numbers is a list."""
+def _coordinates(rings: list) -> list | None:
+    """The coordinates of ``rings`` in order (x, y, x, y, ...) when each is a
+    list of [x, y] pairs of JSON numbers, else None. A polygon builds from
+    strings and booleans too, which ``float()`` takes. A JSON value of
+    length 2 whose items are numbers is a list."""
     try:
-        rings = list(rings)
         vertices = list(chain.from_iterable(rings))
-        numbers = set(map(type, chain.from_iterable(vertices))) <= {int, float}
-        return numbers and set(map(type, rings)) <= {list} and set(map(len, vertices)) <= {2}
+        coords = list(chain.from_iterable(vertices))
     except TypeError:  # a ring or vertex that is a number, a boolean or null
-        return False
+        return None
+    if set(map(type, coords)) <= {int, float} and set(map(type, rings)) <= {list} and set(map(len, vertices)) <= {2}:
+        return coords
+    return None
 
 
 def _source(path: Path, feature: int, part: int | None, ring: int | None = None) -> str:
@@ -579,56 +654,77 @@ def _source(path: Path, feature: int, part: int | None, ring: int | None = None)
     return where if ring is None else where + (", exterior" if ring == 0 else f", hole {ring - 1}")
 
 
-def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
-    """Load polygons from a GeoJSON FeatureCollection.
+def read_annotations(path: str | Path) -> Polygons:
+    """Load polygons from a GeoJSON FeatureCollection, as columns.
 
-    MultiPolygons are split into one annotation per part. Features with any
+    MultiPolygons are split into one polygon per part. Features with any
     other geometry type are skipped; a single warning reports how many.
-    Polygons are built in one walk of the features, then one scan checks
-    that every ring is [x, y] number pairs and every ring is checked finite
-    and simple. The first fault in file order, a bad ring or a malformed or
-    invalid part, is reported with its feature and ring.
+    One walk of the features gathers every part's rings; one scan checks
+    that they are lists of [x, y] number pairs and flattens them. The
+    columns are then normalized (``_normalized``), and every ring is checked
+    to keep three distinct vertices and to be finite and simple, in numpy.
+    The first fault in file order, a bad ring or a malformed or invalid
+    part, is reported with its feature and ring.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing annotation file {path}")
-    doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
-    polygons, index, raws, skipped, fault = [], [], [], 0, None
-    try:
-        with gc_paused():
+    index, labels, rings, first, skipped, fault = [], [], [], [0], 0, None
+    # the collector stays paused until the parsed document is dropped, so
+    # that no pass walks it
+    with gc_paused():
+        doc = read_json(path)
+        if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+            raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
+        try:
             for part in _polygon_parts(path, doc):
                 if part is None:
                     skipped += 1
                     continue
                 index.append(part[:2])  # (feature, part)
-                raws.append(rings := part[3])
-                polygons.append(PolygonAnnotation(rings[0], tuple(rings[1:]), label=part[2]))
-    except (TypeError, ValueError) as exc:
-        fault = exc
-        if len(polygons) < len(raws):
-            fault = ValueError(f"invalid polygon in {_source(path, *index[-1])}: {exc}")
-    k = len(raws)  # the parts before the first malformed one, whose rings are checked
-    if fault is not None or not _number_rings(chain.from_iterable(raws)):
-        flat = [(k, r, ring) for k, rings in enumerate(raws) for r, ring in enumerate(rings)]
-        if located := next(((k, r, ring) for k, r, ring in flat if not _number_rings([ring])), None):
-            k, r, ring = located
-            where = _source(path, *index[k], r)
+                labels.append(part[2])
+                rings += part[3]
+                first.append(len(rings))  # where each part's rings start
+        except ValueError as exc:
+            fault = exc
+        parts = len(index)  # the parts before the first fault, as it stands
+        coords = _coordinates(rings)
+        if coords is None:
+            q = next(q for q, ring in enumerate(rings) if _coordinates([ring]) is None)
+            parts = bisect_right(first, q) - 1
+            ring, where = rings[q], _source(path, *index[parts], q - first[parts])
             message = f"malformed ring in {where}: {json.dumps(ring)} is not a list of vertices"
             if isinstance(ring, list):
-                v = next(v for v, xy in enumerate(ring) if not _number_rings([[xy]]))
+                v = next(v for v, xy in enumerate(ring) if _coordinates([[xy]]) is None)
                 message = (
                     f"malformed vertex in {where}: vertex {v} is {json.dumps(ring[v])}, "
                     "not an [x, y] pair of numbers"
                 )
             fault = ValueError(message)
-    # the parsed document is the read's largest object: drop it before the
-    # ring checks, which reread the file only to print a non-finite vertex
-    del doc, raws
-    found = _first_bad_ring([ring for poly in polygons[:k] for ring in poly.rings()])
+            coords = _coordinates(rings[: first[parts]])
+        offsets = np.cumsum([0, *map(len, rings[: first[parts]])])
+        # the parsed document is the read's largest object: drop it before
+        # the ring checks, which reread the file only to print a non-finite
+        # vertex
+        del doc, rings
+    try:
+        xy = np.array(coords, np.float64)
+    except OverflowError:
+        xy = np.array(list(map(_coord, coords)), np.float64)
+    del coords
+    x, y, offsets = _normalized(xy[0::2], xy[1::2], offsets)
+    counts = np.diff(offsets)
+    if (short := np.flatnonzero(counts < 3)).size:
+        q = int(short[0])
+        parts = bisect_right(first, q) - 1
+        fault = ValueError(
+            f"invalid polygon in {_source(path, *index[parts])}: "
+            f"ring needs >= 3 distinct vertices, got {counts[q]}"
+        )
+    found = _first_bad_ring(x, y, offsets[: first[parts] + 1])
     if found is not None:
-        k, r = [(k, r) for k, poly in enumerate(polygons) for r in range(len(poly.holes) + 1)][found[0]]
+        k = bisect_right(first, found[0]) - 1
+        r = found[0] - first[k]
         (feature, p), where = index[k], _source(path, *index[k], r)
         if found[1] == "non-finite vertex":
             coords = read_json(path)["features"][feature]["geometry"]["coordinates"]
@@ -642,7 +738,7 @@ def read_annotations(path: str | Path) -> list[PolygonAnnotation]:
         warnings.warn(
             f"skipped {skipped} non-polygon feature(s) in {path.name}", stacklevel=2
         )
-    return polygons
+    return Polygons(x, y, offsets, np.array(first, np.int64), labels)
 
 
 def _ring_coords(ring: Ring) -> list[list[float]]:

@@ -552,6 +552,33 @@ def polygonize_oracle(labels, transform, probabilities=None):
     return detections
 
 
+def export_geojson_oracle(detections, path) -> None:
+    """``Detection`` objects as a GeoJSON FeatureCollection: the dict tree
+    that ``detect.export_geojson`` once built, written by ``json.dumps``
+    (``atomic_write_json``)."""
+    from dumpwatch._fileio import atomic_write_json
+
+    features = []
+    for det in detections:
+        parts = [poly.rings() for poly in det.polygons]
+        if len(parts) == 1:
+            geometry = {"type": "Polygon", "coordinates": parts[0]}
+        else:
+            geometry = {"type": "MultiPolygon", "coordinates": parts}
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": geometry,
+                "properties": {
+                    "area_m2": det.area,
+                    "mean_probability": None if math.isnan(det.mean_probability) else det.mean_probability,
+                    "pixel_count": det.pixel_count,
+                },
+            }
+        )
+    atomic_write_json(path, {"type": "FeatureCollection", "features": features})
+
+
 def predict_raster_oracle(params, config, raster, stats=None, tile=256, overlap=32, batch_size=8):
     """Whole-raster tiled inference: the raster normalized at once, every
     tile cut from it in row-major order and forwarded in batches of

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -495,6 +496,16 @@ def _probability(root, value=0.5, header_edit=("", "")):
     return {"paths": {"probability": str(base)}}, header if header_edit[0] else base
 
 
+def _probability_over_detections(root, header_edit):
+    """``_probability`` with ``header_edit``, and an earlier
+    detections.geojson where postprocess writes its output."""
+    config, header = _probability(root, header_edit=header_edit)
+    earlier = root / "detections.geojson"
+    earlier.write_text('{"type": "FeatureCollection", "features": []}\n')
+    config["paths"]["detections"] = str(earlier)
+    return config, header
+
+
 def _predict_inputs(root, truncate=0, tile_size=256):
     """A flat source scene of 40x24 px, its payload cut short by
     ``truncate`` bytes, and a depth-2 checkpoint; ``tile_size`` for
@@ -599,6 +610,18 @@ MALFORMED_INPUTS = {
         lambda r: _edited_catalog(r, "index.json", lambda doc: []),
         ["unrecognized catalog format in"],
     ),
+    "catalog-chips-not-a-list": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "chips": 5}),
+        ["chips is 5, not a list"],
+    ),
+    "catalog-origin-not-a-pair": (
+        "train",
+        lambda r: _edited_catalog(
+            r, "index.json", lambda doc: {**doc, "chips": [{**doc["chips"][0], "origin": 3}]}
+        ),
+        ["index.json chip 0: origin is 3, not a list of two integers"],
+    ),
     "stats-without-means": (
         "train", lambda r: _edited_catalog(r, "stats.json", _without("means")), ["has no 'means'"]
     ),
@@ -642,6 +665,13 @@ MALFORMED_INPUTS = {
         lambda r: _probability(r, header_edit=('"origin_x": 0.0, ', "")),
         ["malformed raster header", "transform is {", "not an object of finite numbers"],
     ),
+    "pixel-area-overflows": (
+        "postprocess",
+        lambda r: _probability_over_detections(
+            r, ('"pixel_width": 1.0, "pixel_height": 1.0', '"pixel_width": 1e200, "pixel_height": 1e200')
+        ),
+        ["malformed raster header", "whose world extent or area is not a finite float"],
+    ),
     "band-names-not-a-list": (
         "postprocess",
         lambda r: _probability(r, header_edit=('"band_names": ["probability"]', '"band_names": 5')),
@@ -662,6 +692,7 @@ class TestMalformedInputs:
             raise AssertionError("a tile was run")
 
         monkeypatch.setattr(unet, "forward", no_forward)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         started = time.monotonic()
         code, summary = run_cli([command, "--config", str(cfg)], capsys)
         assert code == 1 and summary is None
@@ -669,7 +700,9 @@ class TestMalformedInputs:
         assert bad_file.name in caplog.text
         for fragment in fragments:
             assert fragment in caplog.text
-        assert not list(tmp_path.glob("out*"))  # predict wrote nothing
+        # nothing written or replaced: no predict output, earlier
+        # detections.geojson left in place
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestNodataChip:
@@ -756,6 +789,28 @@ class TestSynthSeeding:
         path = tmp_path / f"cfg_{name}.json"
         path.write_text(json.dumps({"synth": {"scene_size": 64, "dump_count": 2}}))
         return str(path)
+
+
+class TestDetectionBytes:
+    def test_postprocess_bytes_are_pinned(self, tmp_path, capsys):
+        # a seeded field with a nodata patch on a transform whose corners
+        # are not round numbers; the hash is of the file the dict-tree
+        # exporter wrote (``export_geojson_oracle``), so it holds the writer
+        # to those bytes on every numpy the CI runs
+        rng = np.random.default_rng(13)
+        samples = rng.uniform(size=(1, 64, 96)).astype(np.float32)
+        samples[0, 10:14, 20:30] = np.nan
+        transform = GeoTransform(-123.456, 7.1, 0.1, 0.3)
+        write_raster(Raster(samples, transform, band_names=("probability",)), tmp_path / "probability")
+        out = tmp_path / "detections.geojson"
+        cfg = tmp_path / "run.json"
+        paths = {"probability": str(tmp_path / "probability"), "detections": str(out)}
+        cfg.write_text(json.dumps({"paths": paths, "postprocess": {"min_area": 0.05}}))
+        code, summary = run_cli(["postprocess", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert (summary["detections"], summary["total_area_m2"]) == (13, 92.01)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "bdd5a6fd3cefdd9186969f23581402391ec4bdcc650fabeab375f31cc43178ef"
 
 
 class TestProcessLevel:

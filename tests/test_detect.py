@@ -13,7 +13,6 @@ from dumpwatch.dataset import (
     rasterize_mask,
 )
 from dumpwatch.detect import (
-    Detection,
     InferenceConfig,
     PostprocConfig,
     _label_parts,
@@ -46,6 +45,7 @@ from dumpwatch.unet import (
 )
 from oracles import (
     connected_components_oracle,
+    export_geojson_oracle,
     polygonize_oracle,
     predict_raster_oracle,
     ring_is_simple_oracle,
@@ -486,7 +486,7 @@ class TestPolygonizeExactness:
             polygonize(np.zeros((2, 2), dtype=np.int32), T1, np.zeros((3, 3)))
 
     def test_no_components(self):
-        assert polygonize(np.zeros((4, 4), dtype=np.int32), T1) == []
+        assert list(polygonize(np.zeros((4, 4), dtype=np.int32), T1)) == []
 
     def test_absent_label_gives_empty_detection(self):
         labels = np.zeros((4, 4), dtype=np.int32)
@@ -655,12 +655,16 @@ class TestThresholdAndFilter:
             threshold_probability(prob, 0.0)
 
     def test_area_filter_keeps_boundary(self):
-        def det(area):
-            return Detection(polygons=[], pixel_count=1, area=area, mean_probability=0.9)
-
-        pcfg = PostprocConfig(min_area=100.0)
-        kept = filter_detections([det(99.9), det(100.0), det(250.0)], pcfg)
-        assert [d.area for d in kept] == [100.0, 250.0]
+        # components of 1, 3, 2 and 4 pixels of 10 x 10 m; the filter keeps
+        # the columns of those of 200 m^2 or more, in label order
+        labels = np.array([[1, 0, 2, 2, 2], [0, 0, 0, 0, 0], [3, 3, 0, 4, 4], [0, 0, 0, 4, 4]])
+        probs = np.linspace(0.5, 0.9, labels.size).reshape(labels.shape)
+        transform = GeoTransform(0.0, 40.0, 10.0, 10.0)
+        dets = polygonize(labels, transform, probs)
+        kept = filter_detections(dets, PostprocConfig(min_area=200.0))
+        assert kept.area.tolist() == [300.0, 200.0, 400.0]
+        _assert_same_detections(kept, [dets[1], dets[2], dets[3]])
+        assert list(filter_detections(dets, PostprocConfig(min_area=1000.0))) == []
 
 
 class TestExportGeojson:
@@ -700,6 +704,88 @@ class TestExportGeojson:
         loaded = read_annotations(out)  # validates ring simplicity on load
         back = rasterize_mask(loaded, T1, 8, 8)
         assert np.array_equal(back, grid.astype(np.uint8))
+
+
+class TestExportMatchesOracle:
+    """``export_geojson`` on ``polygonize``'s columns writes the bytes that
+    ``json.dumps`` writes for ``polygonize_oracle``'s objects."""
+
+    @staticmethod
+    def _assert_same_bytes(tmp_path, labels, transform=T1, probs=None, min_area=None):
+        got = polygonize(labels, transform, probs)
+        want = polygonize_oracle(labels, transform, probs)
+        if min_area is not None:
+            got = filter_detections(got, PostprocConfig(min_area=min_area))
+            want = [d for d in want if d.area >= min_area]
+            assert 0 < len(want) < int(labels.max())  # the filter dropped some
+        export_geojson(got, tmp_path / "got.geojson")
+        export_geojson_oracle(want, tmp_path / "want.geojson")
+        assert (tmp_path / "got.geojson").read_bytes() == (tmp_path / "want.geojson").read_bytes()
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("density", [0.3, 0.6])
+    def test_random_grids(self, tmp_path, density, connectivity):
+        rng = np.random.default_rng(int(density * 10) + connectivity)
+        grid = (rng.uniform(size=(48, 40)) < density).astype(np.float32)
+        labels, _ = connected_components(_binary_raster(grid), connectivity)
+        transform = GeoTransform(500000.0, 4200000.0, 10.0, 10.0)
+        self._assert_same_bytes(tmp_path, labels, transform, rng.uniform(size=grid.shape))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            NESTED,  # nested parts with holes of their own
+            [[1, 0, 1], [0, 1, 0], [1, 0, 1]],  # five squares at four pinches
+            [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1]],  # a hole pinched to the outside
+            [[1, 1, 1, 1, 1], [1, 0, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1]],
+        ],
+    )
+    def test_holes_nested_parts_and_pinches(self, tmp_path, grid):
+        labels, _ = connected_components(_binary_raster(np.asarray(grid)), connectivity=8)
+        self._assert_same_bytes(tmp_path, labels)
+
+    def test_touching_labels(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            labels = rng.integers(0, 5, size=rng.integers(1, 12, size=2)).astype(np.int32)
+            self._assert_same_bytes(tmp_path, labels)
+
+    def test_nan_probabilities(self, tmp_path):
+        rng = np.random.default_rng(8)
+        grid = (rng.uniform(size=(20, 20)) < 0.4).astype(np.float32)
+        labels, _ = connected_components(_binary_raster(grid), connectivity=4)
+        probs = rng.uniform(size=grid.shape)
+        probs[rng.uniform(size=grid.shape) < 0.1] = np.nan  # NaN means become null
+        self._assert_same_bytes(tmp_path, labels, probs=probs)
+        self._assert_same_bytes(tmp_path, labels)  # no probabilities: all null
+
+    def test_min_area_drops_some(self, tmp_path):
+        rng = np.random.default_rng(9)
+        grid = (rng.uniform(size=(32, 32)) < 0.35).astype(np.float32)
+        labels, _ = connected_components(_binary_raster(grid), connectivity=8)
+        self._assert_same_bytes(tmp_path, labels, probs=rng.uniform(size=grid.shape), min_area=3.0)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_non_integer_transform(self, tmp_path, connectivity):
+        # corners such as -123.456 + 7 * 0.1 print with many digits and do
+        # not round-trip through short decimal forms
+        rng = np.random.default_rng(10 + connectivity)
+        grid = (rng.uniform(size=(40, 50)) < 0.45).astype(np.float32)
+        labels, _ = connected_components(_binary_raster(grid), connectivity)
+        transform = GeoTransform(-123.456, 7.1, 0.1, 0.3)
+        self._assert_same_bytes(tmp_path, labels, transform, rng.uniform(size=grid.shape), min_area=0.05)
+
+    def test_no_detections(self, tmp_path):
+        self._assert_same_bytes(tmp_path, np.zeros((3, 3), dtype=np.int32))
+
+    def test_non_finite_corners_are_refused(self, tmp_path):
+        labels = np.ones((2, 2), dtype=np.int32)
+        out = tmp_path / "d.geojson"
+        out.write_text("earlier")
+        dets = polygonize(labels, GeoTransform(0.0, 0.0, 1e200, 1e200))  # area overflows
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            export_geojson(dets, out)
+        assert out.read_text() == "earlier"
 
 
 def _probability_raster(grid, transform=None):

@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from dumpwatch.geodata import (
     shift_transform,
     write_annotations,
     write_raster,
-    _first_bad_ring,
 )
 from oracles import (
     polygon_area_oracle,
@@ -526,6 +526,15 @@ def _oracle_bad(ring) -> bool:
     )
 
 
+def _first_bad_ring(rings):
+    """``geodata._first_bad_ring`` on closed rings, given as columns of open
+    rings."""
+    open_rings = [np.array(ring[:-1], np.float64).reshape(-1, 2) for ring in rings]
+    x, y = np.concatenate(open_rings).T
+    offsets = np.cumsum([0, *map(len, open_rings)])
+    return geodata._first_bad_ring(x, y, offsets)
+
+
 def _first_bad(rings):
     found = _first_bad_ring(rings)
     return None if found is None else found[0]
@@ -944,3 +953,139 @@ class TestAnnotationIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_annotations(tmp_path / "absent.geojson")
+
+
+# ring replacements and the defect each one reports
+_BAD_RINGS = {
+    "bowtie": ([[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]], "self-intersecting ring in {}: segments 0 and 2 touch"),
+    "fold": ([[0, 0], [2, 0], [1, 0], [0, 0]], "self-intersecting ring in {}: folds back at vertex 0"),
+    "number": (5, "malformed ring in {}: 5 is not a list of vertices"),
+    "object": ({}, "malformed ring in {}: {{}} is not a list of vertices"),
+}
+_BAD_VERTICES = (["1", "0"], [True, 0], [None, 0], [1, 0, 0], "a", [1], {"x": 1}, 5)
+_INF = 1.2345e300  # written as 1e400, which parses as inf
+
+
+def _mutated_document(rng, name: str, stacked: bool = False):
+    """A GeoJSON text of polygonized label-grid polygons, as Polygon and
+    MultiPolygon features with labels and some Point features, with up to
+    three faults in distinct features (``stacked``: anywhere, several in one
+    part). Returns (text, the first fault's message or None, the polygons
+    (exterior, holes, label) the file holds, the Point feature count); the
+    message is None when ``stacked``, as is the count of faults."""
+    grid = rng.integers(0, 3, size=rng.integers(2, 9, size=2))
+    polygons = [p for det in polygonize(grid, GeoTransform(-3.5, 2.25, 0.5, 0.75)) for p in det.polygons]
+    features, expected, i, points = [], [], 0, 0
+    while i < len(polygons):
+        if rng.random() < 0.1:
+            features.append({"type": "Feature", "geometry": {"type": "Point", "coordinates": [0, 0]}})
+            points += 1
+        group = polygons[i : i + int(rng.integers(1, 4)) if rng.random() < 0.3 else i + 1]
+        i += len(group)
+        label = str(rng.choice(["dump", "site"]))
+        coords = [[[list(v) for v in ring] for ring in p.rings()] for p in group]
+        multi = len(group) > 1 or rng.random() < 0.2
+        geometry = {"type": "MultiPolygon", "coordinates": coords} if multi else {"type": "Polygon", "coordinates": coords[0]}
+        features.append({"type": "Feature", "geometry": geometry, "properties": {"label": label}})
+        expected += [(p.exterior, p.holes, label) for p in group]
+    polygonal = [f for f, feat in enumerate(features) if feat["geometry"]["type"] != "Point"]
+    faults = {}  # feature -> message
+    for _ in range(int(rng.integers(0, 4)) if polygonal else 0):
+        f = int(rng.choice(polygonal))
+        if f in faults and not stacked:
+            continue
+        feature = features[f]
+        if not isinstance(feature, dict) or not isinstance(feature.get("geometry"), dict):
+            continue
+        geometry = feature["geometry"]
+        gtype, coords = geometry["type"], geometry.get("coordinates")
+        kind = str(rng.choice([
+            "feature", "geometry", "properties", "no-coordinates", "empty", "part",
+            "ring", "ring", "vertex", "vertex", "short", "inf", "huge", "repeat", "repeat",
+        ]))
+        source = f"{name} feature {f}"
+        if kind == "feature":
+            features[f], message = "Feature", f"malformed feature in {source}: not an object"
+        elif kind in ("geometry", "properties"):
+            feature[kind] = 5 if kind == "geometry" else [1]
+            message = f"malformed feature in {source}: geometry or properties not an object"
+        elif not isinstance(coords, list) or not coords or not all(isinstance(c, list) and c for c in coords):
+            continue  # an earlier fault here left no part to change
+        elif kind == "no-coordinates":
+            del geometry["coordinates"]
+            message = f"malformed feature in {source}: no coordinates"
+        elif kind == "empty":
+            geometry["coordinates"] = []
+            what = "rings" if gtype == "Polygon" else "polygons"
+            message = f"malformed polygon in {source}: coordinates are [], not a list of one or more {what}"
+        else:
+            p = None if gtype == "Polygon" else int(rng.integers(len(coords)))
+            rings = coords if p is None else coords[p]
+            part = source if p is None else f"{source} part {p}"
+            if kind == "part":
+                if p is None:
+                    continue
+                coords[p] = bad = [7, []][int(rng.integers(2))]
+                message = f"malformed polygon in {part}: coordinates are {json.dumps(bad)}, not a list of one or more rings"
+                faults[f] = faults.get(f, message)
+                continue
+            r = int(rng.integers(len(rings)))
+            where = part + (", exterior" if r == 0 else f", hole {r - 1}")
+            ring = rings[r]
+            if kind == "ring":
+                bad, message = _BAD_RINGS[str(rng.choice(list(_BAD_RINGS)))]
+                rings[r] = json.loads(json.dumps(bad))  # a copy that later faults may change
+                message = message.format(where)
+            elif kind == "short":
+                rings[r] = [[0, 0], [1, 1], [0, 0]]
+                message = f"invalid polygon in {part}: ring needs >= 3 distinct vertices, got 2"
+            elif not isinstance(ring, list) or len(ring) < 3 or not all(isinstance(v, list) for v in ring):
+                continue
+            elif kind == "vertex":
+                v = int(rng.integers(len(ring)))
+                ring[v] = bad = json.loads(json.dumps(_BAD_VERTICES[int(rng.integers(len(_BAD_VERTICES)))]))
+                message = f"malformed vertex in {where}: vertex {v} is {json.dumps(bad)}, not an [x, y] pair of numbers"
+            elif kind in ("inf", "huge"):
+                v, axis = int(rng.integers(1, len(ring) - 1)), int(rng.integers(2))
+                if len(ring[v]) != 2:
+                    continue
+                ring[v] = vertex = list(ring[v])
+                vertex[axis] = _INF if kind == "inf" else int(rng.choice([-1, 1])) * 10**400
+                shown = [math.inf if c == _INF else c for c in vertex]
+                message = f"non-finite vertex in {where}: vertex {v} is {shown}"
+            else:  # repeat: normalized away
+                v = int(rng.integers(len(ring)))
+                ring.insert(v, ring[v])
+                continue
+        faults[f] = faults.get(f, message)
+    text = json.dumps({"type": "FeatureCollection", "features": features}).replace(repr(_INF), "1e400")
+    first = faults[min(faults)] if faults and not stacked else None
+    return text, first, expected, points
+
+
+class TestColumnarReader:
+    def test_mutated_documents(self, tmp_path):
+        # each document's faults sit in distinct features, so the first in
+        # file order is the one reported; documents without one read back
+        # the polygons written, repeats dropped
+        rng = np.random.default_rng(2026)
+        path = tmp_path / "m.geojson"
+        outcomes = {"fault": 0, "read": 0}
+        for trial in range(300):
+            text, message, expected, points = _mutated_document(rng, path.name)
+            path.write_text(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    polygons = read_annotations(path)
+                except ValueError as exc:
+                    assert str(exc) == message, f"trial {trial}"
+                    outcomes["fault"] += 1
+                    continue
+            assert message is None, f"trial {trial}: read, but expected {message}"
+            assert [(p.exterior, p.holes, p.label) for p in polygons] == expected, f"trial {trial}"
+            assert [str(w.message) for w in caught] == (
+                [f"skipped {points} non-polygon feature(s) in {path.name}"] if points else []
+            ), f"trial {trial}"
+            outcomes["read"] += 1
+        assert min(outcomes.values()) > 50
