@@ -31,7 +31,8 @@ import argparse
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,20 +97,42 @@ class RunConfig:
     postprocess: PostprocConfig = field(default_factory=PostprocConfig)
 
 
+# per field type: the JSON values it takes, and its name in messages
+_JSON_KINDS = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string")}
+
+
+def _typed(value, hint, name: str):
+    """``value`` for a field annotated ``hint``, a list as a tuple for a tuple
+    field. Raises ConfigError naming ``name`` when its JSON type does not
+    fit: an int field takes an integer (not a bool), a float field any
+    number, a tuple field a list of its length and item types."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        many = args[-1] is Ellipsis
+        items = args[:1] * len(value) if many and isinstance(value, list) else args
+        if isinstance(value, list) and len(value) == len(items):
+            return tuple(_typed(v, item, name) for v, item in zip(value, items))
+        count = "" if many else f"{len(args)} "
+        expected = f"list of {count}{_JSON_KINDS[args[0]][1]}s"
+    else:
+        kinds = args or (hint,)  # a union's members, or the one type
+        if any(isinstance(value, _JSON_KINDS[k][0]) and not isinstance(value, bool) for k in kinds):
+            return value
+        expected = " or ".join(_JSON_KINDS[k][1] for k in kinds)
+    raise ConfigError(f"{name}: expected {expected}, got {json.dumps(value)}")
+
+
 def _merge_section(cls, defaults, data: dict, section: str):
-    known = {f.name for f in fields(cls)}
+    """``defaults`` with the fields ``data`` sets, each checked against its
+    annotation."""
+    hints = typing.get_type_hints(cls)
     for key in data:
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"{section}.{key}: unknown field")
-    merged = {**{f.name: getattr(defaults, f.name) for f in fields(cls)}, **data}
-    for key in ("bands",):
-        if key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(merged[key])
-    if "dump_radius_range" in merged and isinstance(merged["dump_radius_range"], list):
-        merged["dump_radius_range"] = tuple(merged["dump_radius_range"])
+    values = {key: _typed(value, hints[key], f"{section}.{key}") for key, value in data.items()}
     try:
-        return cls(**merged)
-    except (ValueError, TypeError) as exc:
+        return replace(defaults, **values)
+    except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -137,9 +160,7 @@ def load_config(path: str | None) -> RunConfig:
     }
     for key, value in data.items():
         if key == "seed":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("seed: must be an integer")
-            cfg.seed = value
+            cfg.seed = _typed(value, int, "seed")
         elif key in sections:
             cls, name = sections[key]
             if not isinstance(value, dict):
@@ -304,8 +325,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     bands = split.train[0].samples.shape[0]
     config = _build_model_config(cfg, bands)
     params = unet.build_unet(config, substream(cfg.seed, "init"))
-    hyper = replace(cfg.train, seed=substream(cfg.seed, "shuffle"))
-    best, report = training.train(params, config, normalized, hyper)
+    shuffle = substream(cfg.seed, "shuffle")
+    best, report = training.train(params, config, normalized, cfg.train, shuffle)
     checkpoint_path = args.out or cfg.paths.checkpoint
     ckpt = unet.checkpoint_from_params(
         config,
@@ -316,13 +337,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
             "stopping_epoch": report.stopping_epoch,
             "pos_weight": report.pos_weight,
             "best_val_loss": min(e.val_loss for e in report.epochs),
-            "hyper": {
-                "batch_size": hyper.batch_size,
-                "max_epochs": hyper.max_epochs,
-                "learning_rate": hyper.learning_rate,
-                "plateau_patience": hyper.plateau_patience,
-                "plateau_min_delta": hyper.plateau_min_delta,
-            },
+            # pos_weight is recorded resolved, above
+            "hyper": {k: v for k, v in asdict(cfg.train).items() if k != "pos_weight"},
         },
     )
     unet.save_checkpoint(ckpt, checkpoint_path)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -400,31 +400,28 @@ def normalize_split(split: DatasetSplit, stats: NormalizationStats) -> DatasetSp
 # ---------------------------------------------------------------------------
 
 
-def default_spectral_profiles() -> dict[str, dict[str, tuple[float, float]]]:
-    """Per-class (mean, std) for each source band.
-
-    Dump sites are nearly indistinguishable in RGB, mildly darker in NIR,
-    and strongly separated in the shortwave bands, so NDSW carries most of
-    the signal. That ordering is what the input ablation exercises.
-    """
-    return {
-        "background": {
-            "R": (0.10, 0.030),
-            "G": (0.14, 0.030),
-            "B": (0.08, 0.030),
-            "NIR": (0.30, 0.060),
-            "SWIR1": (0.18, 0.040),
-            "SWIR2": (0.16, 0.040),
-        },
-        "dump": {
-            "R": (0.12, 0.030),
-            "G": (0.13, 0.030),
-            "B": (0.09, 0.030),
-            "NIR": (0.24, 0.060),
-            "SWIR1": (0.30, 0.040),
-            "SWIR2": (0.12, 0.040),
-        },
-    }
+# Per-class (mean, std) of each source band in synthetic scenes. Dump sites
+# are nearly indistinguishable in RGB, mildly darker in NIR, and strongly
+# separated in the shortwave bands, so NDSW carries most of the signal. That
+# ordering is what the input ablation exercises.
+SPECTRAL_PROFILES = {
+    "background": {
+        "R": (0.10, 0.030),
+        "G": (0.14, 0.030),
+        "B": (0.08, 0.030),
+        "NIR": (0.30, 0.060),
+        "SWIR1": (0.18, 0.040),
+        "SWIR2": (0.16, 0.040),
+    },
+    "dump": {
+        "R": (0.12, 0.030),
+        "G": (0.13, 0.030),
+        "B": (0.09, 0.030),
+        "NIR": (0.24, 0.060),
+        "SWIR1": (0.30, 0.040),
+        "SWIR2": (0.12, 0.040),
+    },
+}
 
 
 @dataclass
@@ -436,9 +433,6 @@ class SynthConfig:
     dump_count: int = 5
     dump_radius_range: tuple[float, float] = (4.0, 12.0)
     background_texture_seed: int = 0
-    spectral_profiles: dict[str, dict[str, tuple[float, float]]] = field(
-        default_factory=default_spectral_profiles
-    )
 
     def __post_init__(self):
         if self.scene_size < 16:
@@ -454,12 +448,6 @@ class SynthConfig:
             raise ValueError(
                 f"dump radius {rmax} too large for scene_size {self.scene_size}"
             )
-        for cls in ("background", "dump"):
-            if cls not in self.spectral_profiles:
-                raise ValueError(f"spectral_profiles missing class {cls!r}")
-            for band in SOURCE_BANDS:
-                if band not in self.spectral_profiles[cls]:
-                    raise ValueError(f"spectral_profiles[{cls!r}] missing band {band}")
 
 
 _BLOB_VERTICES = 28
@@ -521,14 +509,13 @@ def generate_synthetic(
     # load, and only the stages that make scenes need it
     from scipy.ndimage import uniform_filter
 
-    profiles = config.spectral_profiles
     layers = []
     for band in SOURCE_BANDS:
         noise = rng.standard_normal((size, size))
         texture = uniform_filter(noise, size=5, mode="reflect")
         texture = (texture - texture.mean()) / texture.std()
-        bg_mean, bg_std = profiles["background"][band]
-        dump_mean, dump_std = profiles["dump"][band]
+        bg_mean, bg_std = SPECTRAL_PROFILES["background"][band]
+        dump_mean, dump_std = SPECTRAL_PROFILES["dump"][band]
         values = np.where(
             mask == 1, dump_mean + dump_std * texture, bg_mean + bg_std * texture
         )

@@ -3,14 +3,15 @@
 Probability maps come from sliding a trained model over overlapping tiles
 and averaging overlapping predictions. Inference streams the raster one
 tile row at a time (``predict_rows``): each stripe of ``tile_size`` rows is
-read, stacked, normalized and cut into windows on its own, and rows are
-emitted as soon as no later tile reaches them. What stays resident is one
-stripe (two while a batch spans tile rows), one batch of windows, and the
-float64 sums and counts of the rows still open. Post-processing thresholds the map,
-labels connected components (a numpy union-find over horizontal pixel
-runs, so post-processing needs no scipy), traces the exact pixel-boundary
-outline of every component into world-coordinate polygons (holes
-included), filters by area, and exports GeoJSON. The tracing is exact:
+read once, stacked, normalized and cut into windows on its own, its windows
+run in batches of their own, and rows are emitted as soon as no later tile
+reaches them. What stays resident is one stripe, one batch of windows, and
+the float64 sums and counts of the rows the next tile row overlaps.
+Post-processing thresholds the map, labels connected components (a numpy
+union-find over horizontal pixel runs, so post-processing needs no scipy),
+traces the exact pixel-boundary outline of every component into
+world-coordinate polygons (holes included), filters by area, and exports
+GeoJSON. The tracing is exact:
 rasterizing the resulting polygons with the pixel-center rule reproduces
 the thresholded mask. It runs over the whole label grid at once, in numpy:
 exposed pixel sides are joined into straight runs, each run is linked to
@@ -150,11 +151,12 @@ def predict_rows(
     raster top to bottom, NaN where any band holds nodata.
 
     ``source`` is a ``Raster`` or a ``geodata.RasterReader``: anything with
-    the raster's header attributes and ``read_rows``. With ``bands``, each
-    stripe is first stacked to that band spec (``dataset.stack_bands``).
-    Tiles are normalized with the checkpoint stats, edge tiles are
-    reflection-padded up to tile_size, and overlapping predictions are
-    averaged. The arguments are checked here, before any row is read.
+    the raster's header attributes and ``read_rows``. Each tile row's stripe
+    is read once; with ``bands``, it is first stacked to that band spec
+    (``dataset.stack_bands``). Tiles are normalized with the checkpoint
+    stats, edge tiles are reflection-padded up to tile_size, and overlapping
+    predictions are averaged. Each block holds the rows above the next tile
+    row's origin. The arguments are checked here, before any row is read.
     """
     names = tuple(bands) if bands else source.band_names
     band_count = len(names) if bands else source.band_count
@@ -203,59 +205,43 @@ def _model_input(source, r0: int, r1: int, stats, bands):
 
 
 def _stream_rows(params, config, source, stats, icfg, bands):
-    """The tiling of ``predict_rows``. Tiles run in row-major order, in
-    batches of ``batch_size`` that may span tile rows, as they would over a
-    whole raster, so every forward input and every pixel's float64 sum come
-    out the same. Held at once: the stripe of one tile row (and of the row
-    before while a batch spans both), the pending windows, and the
-    accumulator rows that a later tile can still reach."""
+    """The tiling of ``predict_rows``, one tile row at a time. Its stripe is
+    read once and its windows run in batches of at most ``batch_size``, each
+    window added into the stripe's float64 sums and counts. The rows above
+    the next tile row's origin are then final and emitted; the rest are
+    carried into the next stripe. A window's forward does not depend on the
+    batch it runs in (a stacked matmul makes one product per window), and
+    every pixel still adds its tiles in row-major order, so the output is
+    that of whole-raster inference. Held at once: one stripe, one batch of
+    windows, and the carried rows."""
     tile, height, width = icfg.tile_size, source.height, source.width
     row_origins = _tile_origins(height, tile, icfg.overlap)
     col_origins = _tile_origins(width, tile, icfg.overlap)
-    tiles = [(k, c0) for k in range(len(row_origins)) for c0 in col_origins]
-    # accumulator rows, from ``top`` (the first row not yet emitted) down
-    top = 0
-    prob_sum = np.zeros((0, width), dtype=np.float64)
-    count = np.zeros((0, width), dtype=np.int32)
-    valid = np.zeros((0, width), dtype=bool)
-    stripes: dict[int, np.ndarray] = {}
-    for start in range(0, len(tiles), icfg.batch_size):
-        chunk = tiles[start : start + icfg.batch_size]
-        stripes = {k: d for k, d in stripes.items() if k >= chunk[0][0]}
-        windows = []
-        for k, c0 in chunk:
-            r0 = row_origins[k]
-            if k not in stripes:
-                data, stripe_valid = _model_input(source, r0, min(r0 + tile, height), stats, bands)
-                stripes[k] = data
-                held = top + len(valid) - r0  # stripe rows the accumulator holds
-                grow = len(stripe_valid) - held
-                prob_sum = np.concatenate([prob_sum, np.zeros((grow, width), np.float64)])
-                count = np.concatenate([count, np.zeros((grow, width), np.int32)])
-                valid = np.concatenate([valid, stripe_valid[held:]])
-            win = stripes[k][:, :, c0 : c0 + tile]
-            wh, ww = win.shape[1:]
-            if (wh, ww) != (tile, tile):
-                win = ds.reflect_pad(win, ((0, tile - wh), (0, tile - ww)))
-            windows.append(win)
-        with numerics.no_grad():
-            logits = unet.forward(params, config, Tensor(np.stack(windows)))
-        probs = numerics.sigmoid_values(logits.data)[:, 0]
-        for j, (k, c0) in enumerate(chunk):
-            r0 = row_origins[k] - top
-            wh, ww = min(tile, height - row_origins[k]), min(tile, width - c0)
-            prob_sum[r0 : r0 + wh, c0 : c0 + ww] += probs[j, :wh, :ww]
-            count[r0 : r0 + wh, c0 : c0 + ww] += 1
-        # rows above the first tile row still owed a tile are final
-        owed = start + len(chunk)
-        owed = tiles[owed][0] if owed < len(tiles) else len(row_origins)
-        finished = row_origins[owed] if owed < len(row_origins) else height
-        if finished > top:
-            n = finished - top
-            prob = (prob_sum[:n] / count[:n]).astype(np.float32)
-            prob[~valid[:n]] = np.nan
-            yield prob
-            top, prob_sum, count, valid = finished, prob_sum[n:], count[n:], valid[n:]
+    carry_sum = np.zeros((0, width), dtype=np.float64)
+    carry_count = np.zeros((0, width), dtype=np.int32)
+    for r0, end in zip(row_origins, [*row_origins[1:], height]):
+        data, valid = _model_input(source, r0, min(r0 + tile, height), stats, bands)
+        wh = len(valid)
+        if wh < tile or width < tile:  # a side shorter than a tile: one window there
+            data = ds.reflect_pad(data, ((0, max(tile - wh, 0)), (0, max(tile - width, 0))))
+        prob_sum = np.zeros((wh, width), dtype=np.float64)
+        count = np.zeros((wh, width), dtype=np.int32)
+        prob_sum[: len(carry_sum)], count[: len(carry_sum)] = carry_sum, carry_count
+        for start in range(0, len(col_origins), icfg.batch_size):
+            chunk = col_origins[start : start + icfg.batch_size]
+            windows = np.stack([data[:, :, c0 : c0 + tile] for c0 in chunk])
+            with numerics.no_grad():
+                logits = unet.forward(params, config, Tensor(windows))
+            for p, c0 in zip(numerics.sigmoid_values(logits.data)[:, 0], chunk):
+                ww = min(tile, width - c0)
+                prob_sum[:, c0 : c0 + ww] += p[:wh, :ww]
+                count[:, c0 : c0 + ww] += 1
+        del data, windows  # freed before the next stripe is read
+        n = end - r0
+        prob = (prob_sum[:n] / count[:n]).astype(np.float32)
+        prob[~valid[:n]] = np.nan
+        carry_sum, carry_count = prob_sum[n:], count[n:]
+        yield prob
 
 
 def predict_raster(

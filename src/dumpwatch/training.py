@@ -73,7 +73,6 @@ class Hyperparams:
     pos_weight: float | str = "auto"
     plateau_patience: int = 5
     plateau_min_delta: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -229,8 +228,10 @@ def train(
     config: UNetConfig,
     split: DatasetSplit,
     hyper: Hyperparams,
+    seed: int = 0,
 ) -> tuple[ParameterSet, TrainReport]:
-    """Adam + weighted BCE with early stopping on validation loss.
+    """Adam + weighted BCE with early stopping on validation loss; ``seed``
+    drives the shuffle.
 
     Returns the parameter snapshot with the lowest validation loss (the
     passed-in set is mutated to its final state) and the per-epoch report.
@@ -245,7 +246,7 @@ def train(
         if hyper.pos_weight == "auto"
         else float(hyper.pos_weight)
     )
-    rng = np.random.default_rng(hyper.seed)
+    rng = np.random.default_rng(seed)
     adam = AdamState(learning_rate=hyper.learning_rate)
     stopper = PlateauStopper(hyper.plateau_patience, hyper.plateau_min_delta)
     best_val = float("inf")
@@ -361,8 +362,7 @@ def ablate(
             in_channels=len(spec), depth=depth, base_filters=base_filters
         )
         params = unet.build_unet(config, seed)
-        run_hyper = replace(hyper, seed=seed)
-        best, report = train(params, config, normalized, run_hyper)
+        best, report = train(params, config, normalized, hyper, seed)
         metrics = report.test
         if metrics is None:
             metrics = evaluate(best, config, normalized.val or normalized.train)

@@ -178,7 +178,6 @@ class Checkpoint:
     config: UNetConfig
     parameters: dict[str, np.ndarray]
     normalization: NormalizationStats | None = None
-    format_version: int = CHECKPOINT_VERSION
     training_metadata: dict = field(default_factory=dict)
 
 
@@ -222,7 +221,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     manifest_path, payload_path = _checkpoint_paths(path)
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.config),
         "schema": [[name, list(shape)] for name, shape in schema],
         "normalization": (
@@ -277,6 +276,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         config=config,
         parameters=parameters,
         normalization=NormalizationStats.from_json_dict(norm) if norm else None,
-        format_version=version,
         training_metadata=manifest.get("training_metadata", {}),
     )

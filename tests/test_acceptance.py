@@ -253,9 +253,8 @@ def test_c3_overfit_four_chips():
         learning_rate=3e-3,
         plateau_patience=200,
         plateau_min_delta=0.0,
-        seed=3,
     )
-    _, report = training.train(params, config, split, hyper)
+    _, report = training.train(params, config, split, hyper, seed=3)
     best_loss = min(e.train_loss for e in report.epochs)
     first_below = next(
         (i for i, e in enumerate(report.epochs, 1) if e.train_loss < 0.01), None
@@ -302,9 +301,8 @@ def test_c4_end_to_end_quality():
         learning_rate=2e-3,
         pos_weight=5.0,
         plateau_patience=36,
-        seed=9,
     )
-    best, report = training.train(params, config, normalized, hyper)
+    best, report = training.train(params, config, normalized, hyper, seed=9)
     assert report.test is not None
     test_iou = report.test.mean_iou
     assert test_iou >= 0.5, f"test mean IoU {test_iou:.3f} < 0.5"
@@ -366,7 +364,6 @@ def test_c5_band_ablation_margin():
         learning_rate=2e-3,
         pos_weight=5.0,
         plateau_patience=16,
-        seed=0,
     )
     expected_labels = ["RGB", "RGB-NIR", "RGB-NIR-SWIR", "RGB-NIR-SWIR-NDSW"]
     by_label: dict[str, list[float]] = {}
@@ -454,7 +451,7 @@ def test_c6_reruns_are_bit_identical(tmp_path):
         SynthConfig(scene_size=96, dump_count=3, background_texture_seed=5)
     )
     chip = ds.ChipConfig(chip_size=48, stride=24)
-    hyper = training.Hyperparams(batch_size=8, max_epochs=1, seed=0)
+    hyper = training.Hyperparams(batch_size=8, max_epochs=1)
     for run in (run_a, run_b):
         chips = ds.chip_scenes([("scene_000", raster, polygons)], chip, 17)
         split = ds.split_dataset(chips, chip.test_frac, chip.val_frac, 17)

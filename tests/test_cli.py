@@ -88,6 +88,8 @@ class TestLoadConfig:
                     "model": {"depth": 2},
                     "chip": {"bands": ["R", "G", "B"]},
                     "train": {"max_epochs": 3},
+                    "postprocess": {"min_area": 300},  # a number field takes an integer
+                    "synth": {"dump_radius_range": [3, 5.5]},
                 }
             )
         )
@@ -98,6 +100,8 @@ class TestLoadConfig:
         assert cfg.chip.bands == ("R", "G", "B")
         assert cfg.train.max_epochs == 3
         assert cfg.train.batch_size == 16
+        assert cfg.postprocess.min_area == 300
+        assert cfg.synth.dump_radius_range == (3, 5.5)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -132,6 +136,31 @@ class TestLoadConfig:
         path.write_text(json.dumps({"postprocess": {"connectivity": 6}}))
         with pytest.raises(ConfigError, match="postprocess: "):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"inference": {"tile_size": 64.0}}, "inference.tile_size: expected integer, got 64.0"),
+            ({"synth": {"scene_count": 1.0}}, "synth.scene_count: expected integer, got 1.0"),
+            ({"chip": {"chip_size": 32.0}}, "chip.chip_size: expected integer, got 32.0"),
+            ({"chip": {"bands": "RGB"}}, 'chip.bands: expected list of strings, got "RGB"'),
+            ({"chip": {"bands": ["R", 1]}}, "chip.bands: expected string, got 1"),
+            ({"model": {"depth": True}}, "model.depth: expected integer, got true"),
+            (
+                {"synth": {"dump_radius_range": [4.0, 8.0, 12.0]}},
+                "synth.dump_radius_range: expected list of 2 numbers, got [4.0, 8.0, 12.0]",
+            ),
+            ({"train": {"pos_weight": None}}, "train.pos_weight: expected number or string, got null"),
+            ({"paths": {"catalog": 7}}, "paths.catalog: expected string, got 7"),
+            ({"train": {"seed": 5}}, "train.seed: unknown field"),
+        ],
+    )
+    def test_value_of_the_wrong_type_names_the_field(self, tmp_path, data, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == message
 
     def test_seed_must_be_integer(self, tmp_path):
         path = tmp_path / "run.json"
@@ -823,6 +852,18 @@ class TestProcessLevel:
         assert proc.returncode == 0
         for command in ("synth", "chip", "train", "predict", "postprocess", "ablate"):
             assert command in proc.stdout
+
+    def test_config_value_of_the_wrong_type_exits_without_a_traceback(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"synth": {"scene_count": 1.0}}))
+        argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dumpwatch.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "synth.scene_count: expected integer, got 1.0" in proc.stderr
+        assert not (tmp_path / "s").exists()
 
     def test_threads_env_caps_blas_pools(self):
         code = (

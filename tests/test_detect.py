@@ -987,7 +987,7 @@ class TestStreamedPredictMatchesOracle:
             (75, 61, 32, 8, 3),  # neither side a multiple of the step
             (90, 33, 32, 12, 1),  # batch size 1
             (70, 70, 16, 4, 50),  # one batch larger than the tiles per row
-            (100, 20, 16, 0, 4),  # one tile per row, batches span four rows
+            (100, 20, 16, 0, 4),  # one window per row, batches of one
             (64, 64, 32, 0, 8),  # no overlap, sides multiples of the tile
         ],
     )
@@ -1019,17 +1019,18 @@ class TestStreamedPredictMatchesOracle:
                 return raster.read_rows(r0, r1)
 
         params = build_unet(self.CFG, seed=1)
-        # two tiles per row, batches of three: every other batch spans two rows
+        # two tiles per row, batches of three: no batch reaches the next row
         icfg = InferenceConfig(tile_size=16, overlap=4, batch_size=3)
         rows = predict_rows(params, self.CFG, Source(), self.STATS, icfg)
         assert reads == []  # the arguments are checked, no row is read yet
         first = next(rows)
-        assert len(first) == 12 and reads == [(0, 16), (12, 28)]
+        assert len(first) == 12 and reads == [(0, 16)]
         blocks = [first, *rows]
-        assert reads == [(r0, r0 + 16) for r0 in _tile_origins(200, 16, 4)]  # each stripe once
-        # a batch of three finishes at most two tile rows: 2 steps of 12 rows,
-        # or the last stripe
-        assert sum(map(len, blocks)) == 200 and max(map(len, blocks)) <= 24
+        origins = _tile_origins(200, 16, 4)  # 0, 12, ..., 180, then 184
+        assert reads == [(r0, r0 + 16) for r0 in origins]  # each stripe once
+        # one block per tile row, up to the next row's origin: a step of 12
+        # rows, 4 before the last origin, and the whole last stripe
+        assert [len(b) for b in blocks] == [12] * 15 + [4, 16]
         want = predict_raster_oracle(params, self.CFG, raster, self.STATS, 16, 4, 3)
         assert np.concatenate(blocks).tobytes() == want.tobytes()
 

@@ -243,10 +243,9 @@ class TestTrain:
         split = _training_split()
         params = build_unet(self.CFG, seed=1)
         hyper = Hyperparams(
-            batch_size=4, max_epochs=8, learning_rate=3e-3, seed=5,
-            plateau_patience=8,
+            batch_size=4, max_epochs=8, learning_rate=3e-3, plateau_patience=8
         )
-        best, report = train(params, self.CFG, split, hyper)
+        best, report = train(params, self.CFG, split, hyper, seed=5)
         assert report.epochs[-1].train_loss < report.epochs[0].train_loss
         assert report.stopping_epoch == len(report.epochs)
         assert report.test is not None
@@ -255,8 +254,8 @@ class TestTrain:
     def test_best_val_snapshot_returned(self):
         split = _training_split()
         params = build_unet(self.CFG, seed=1)
-        hyper = Hyperparams(batch_size=4, max_epochs=6, learning_rate=3e-3, seed=5)
-        best, report = train(params, self.CFG, split, hyper)
+        hyper = Hyperparams(batch_size=4, max_epochs=6, learning_rate=3e-3)
+        best, report = train(params, self.CFG, split, hyper, seed=5)
         resolved = report.pos_weight
         re_eval = evaluate(
             best, self.CFG, split.val, pos_weight=resolved, batch_size=4
@@ -264,12 +263,12 @@ class TestTrain:
         assert re_eval.loss == min(e.val_loss for e in report.epochs)
 
     def test_deterministic_runs(self):
-        hyper = Hyperparams(batch_size=4, max_epochs=3, learning_rate=1e-3, seed=9)
+        hyper = Hyperparams(batch_size=4, max_epochs=3, learning_rate=1e-3)
         outputs = []
         for _ in range(2):
             split = _training_split()
             params = build_unet(self.CFG, seed=2)
-            best, report = train(params, self.CFG, split, hyper)
+            best, report = train(params, self.CFG, split, hyper, seed=9)
             payload = b"".join(
                 best[name].data.tobytes() for name in sorted(best)
             )

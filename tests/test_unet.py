@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dumpwatch.dataset import NormalizationStats
-from dumpwatch.numerics import Tensor, weighted_bce_with_logits
+from dumpwatch.numerics import Tensor, no_grad, weighted_bce_with_logits
 from dumpwatch.unet import (
     Checkpoint,
     UNetConfig,
@@ -176,6 +176,25 @@ class TestForward:
             assert leaf.grad.dtype == everything[id(leaf)].dtype
             assert leaf.grad.tobytes() == everything[id(leaf)].tobytes(), name
         assert id(logits) in everything and logits.grad is None and loss.grad is None
+
+
+class TestBatchInvariance:
+    """Streamed predict runs each tile row's windows in batches of their own,
+    not the batches a whole-raster pass would make; its bytes rest on a
+    window's forward not depending on the batch it runs in."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("sizes", [[1] * 7, [3, 4], [5, 1, 1], [2, 5], [6, 1]])
+    def test_stack_equals_concatenated_forwards(self, depth, sizes):
+        cfg = UNetConfig(in_channels=3, depth=depth, base_filters=4)
+        params = build_unet(cfg, seed=depth)
+        side = 2 * cfg.pool_factor
+        x = np.random.default_rng(depth).normal(size=(7, 3, side, side)).astype(np.float32)
+        with no_grad():
+            whole = forward(params, cfg, Tensor(x)).data
+            parts = np.split(x, np.cumsum(sizes)[:-1])
+            split = np.concatenate([forward(params, cfg, Tensor(p)).data for p in parts])
+        assert split.tobytes() == whole.tobytes()
 
 
 class TestReceptiveField:
