@@ -78,6 +78,20 @@ class SynthSection:
     dump_count: int = 5
     dump_radius_range: tuple[float, float] = (4.0, 12.0)
 
+    def __post_init__(self):
+        if self.scene_count < 1:
+            raise ValueError(f"scene_count: must be >= 1, got {self.scene_count}")
+        self.scene_config(0)  # the per-scene checks, before any scene is written
+
+    def scene_config(self, texture_seed: int) -> SynthConfig:
+        return SynthConfig(
+            scene_size=self.scene_size,
+            pixel_size=self.pixel_size,
+            dump_count=self.dump_count,
+            dump_radius_range=self.dump_radius_range,
+            background_texture_seed=texture_seed,
+        )
+
 
 @dataclass
 class ModelSection:
@@ -133,7 +147,9 @@ def _merge_section(cls, defaults, data: dict, section: str):
     try:
         return replace(defaults, **values)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        # a check whose message starts with its field is named by it
+        sep = "." if str(exc).split(":")[0] in hints else ": "
+        raise ConfigError(f"{section}{sep}{exc}") from exc
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -238,16 +254,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out) if args.out else Path(cfg.paths.scene_dir)
     written = []
     for i in range(cfg.synth.scene_count):
-        try:
-            synth_cfg = SynthConfig(
-                scene_size=cfg.synth.scene_size,
-                pixel_size=cfg.synth.pixel_size,
-                dump_count=cfg.synth.dump_count,
-                dump_radius_range=cfg.synth.dump_radius_range,
-                background_texture_seed=substream(cfg.seed, f"synth.{i}"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"synth: {exc}") from exc
+        synth_cfg = cfg.synth.scene_config(substream(cfg.seed, f"synth.{i}"))
         raster, polygons = ds.generate_synthetic(synth_cfg)
         base = out_dir / f"scene_{i:03d}"
         geodata.write_raster(raster, base)
@@ -579,7 +586,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _apply_flags(cfg, args)
         return _HANDLERS[args.command](cfg, args)
     except ConfigError as exc:
-        log.error("invalid configuration: %s", exc)
+        source = f" in {args.config}" if args.config else ""
+        log.error("invalid configuration%s: %s", source, exc)
         return 1
     except (FileNotFoundError, ValueError, training.TrainingDiverged) as exc:
         log.error("%s", exc)

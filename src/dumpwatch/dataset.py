@@ -238,6 +238,20 @@ class ChipConfig:
     test_frac: float = 0.1
     val_frac: float = 0.2
 
+    def __post_init__(self):
+        # each message starts with its field, which a config error names
+        for name, least in (("chip_size", 1), ("stride", 1), ("negatives_per_positive", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name}: must be >= {least}, got {getattr(self, name)}")
+        for name in ("test_frac", "val_frac"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)}")
+        if self.test_frac + self.val_frac >= 1:
+            raise ValueError(
+                f"val_frac: test_frac + val_frac must be below 1, got "
+                f"{self.test_frac} + {self.val_frac}"
+            )
+
 
 def chip_scenes(
     scenes: Iterable[tuple[str, Raster, list[PolygonAnnotation]]],
@@ -435,18 +449,21 @@ class SynthConfig:
     background_texture_seed: int = 0
 
     def __post_init__(self):
+        # each message starts with its field, which a config error names
         if self.scene_size < 16:
-            raise ValueError(f"scene_size must be >= 16, got {self.scene_size}")
+            raise ValueError(f"scene_size: must be >= 16, got {self.scene_size}")
         if self.pixel_size <= 0:
-            raise ValueError(f"pixel_size must be > 0, got {self.pixel_size}")
+            raise ValueError(f"pixel_size: must be > 0, got {self.pixel_size}")
         if self.dump_count < 0:
-            raise ValueError(f"dump_count must be >= 0, got {self.dump_count}")
+            raise ValueError(f"dump_count: must be >= 0, got {self.dump_count}")
         rmin, rmax = self.dump_radius_range
         if not (0 < rmin <= rmax):
-            raise ValueError(f"bad dump_radius_range {self.dump_radius_range}")
+            raise ValueError(
+                f"dump_radius_range: must be 0 < min <= max, got {self.dump_radius_range}"
+            )
         if rmax >= self.scene_size / 2:
             raise ValueError(
-                f"dump radius {rmax} too large for scene_size {self.scene_size}"
+                f"dump_radius_range: radius {rmax} too large for scene_size {self.scene_size}"
             )
 
 

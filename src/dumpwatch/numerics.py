@@ -4,16 +4,20 @@ Each op computes its forward value eagerly and records parent links plus a
 closure that maps the output gradient to parent gradients. ``backward`` on a
 scalar loss walks that implicit graph in reverse topological order and
 accumulates gradients into every leaf (a tensor no op produced) with
-``requires_grad`` set; an intermediate's gradient is dropped as soon as it
-has been passed to its parents. Repeated backward calls keep accumulating
-until ``zero_grads`` resets them.
+``requires_grad`` set. The walk consumes the graph: once a node's gradient
+has been passed to its parents, the node drops its closure and its parent
+links, so the arrays the closures saved are freed as the walk moves down and
+nothing of the graph outlives the call. A second backward through a consumed
+node raises. Repeated backward calls over fresh graphs keep accumulating
+into the leaves until ``zero_grads`` resets them.
 
 The op set is exactly what the segmentation model needs: 3x3 same-padded
 convolution, 2x2 max pooling, 2x2 stride-2 transposed convolution, channel
 concatenation, relu, a spatial crop, and weighted binary cross-entropy on
-logits. A 3x3 convolution zero-pads its input once into a flat buffer and
-runs as nine shifted GEMMs, one per kernel tap, so the heavy lifting stays
-in BLAS without building patch matrices. 2x2 pooling takes
+logits. A 3x3 convolution zero-pads its input into a flat buffer and runs
+as nine shifted GEMMs, one per kernel tap, so the heavy lifting stays in
+BLAS without building patch matrices; it keeps the unpadded input for its
+gradient and pads it again there. 2x2 pooling takes
 the maximum over the four strided views of its input, and its gradient
 finds the first maximum of each window again from the input and the
 output, so it stores nothing of its own. The 2x2 transposed convolution is
@@ -58,7 +62,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once backward consumed it
         self._grad_fn: Callable | None = None
 
     @property
@@ -136,6 +140,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise ValueError(
+                f"backward reached {node!r}, whose graph an earlier backward "
+                "consumed; run the forward pass again"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -147,22 +156,30 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into every requires_grad leaf.
 
     Leaves are tensors no op produced (no ``_grad_fn``), such as parameters
-    and inputs. An intermediate's gradient is freed once it has reached its
-    parents, so its ``.grad`` stays None.
+    and inputs. The walk consumes the graph: each node it passes drops its
+    gradient closure and parent links (``_parents`` becomes None, which sets
+    it apart from a leaf), so an intermediate's saved arrays and gradient
+    are freed once they have reached its parents, and its ``.grad`` stays
+    None. A second backward that reaches a consumed node raises ValueError;
+    repeated calls over fresh graphs keep accumulating into the leaves.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._grad_fn is None:
-            if node.requires_grad:
+        # read at walk time: a tracer may have swapped in a wrapper
+        grad_fn, parents = node._grad_fn, node._parents
+        if grad_fn is None:
+            if g is not None and node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._grad_fn(g)):
+        node._grad_fn = node._parents = None
+        if g is None:
+            continue
+        for parent, pg in zip(parents, grad_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
@@ -323,19 +340,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     taps = np.ascontiguousarray(
         kernel.data.reshape(cout, cin, 9).transpose(2, 0, 1), dtype=dtype
     )
-    xp = _pad_flat(x.data, dtype)
+    xp = _pad_flat(x.data, dtype)  # not kept: the gradient pads x again
     out = _correlate3(xp, taps, h, w) + bias.data.astype(dtype)[:, None, None]
 
     def grad_fn(g):
         gp = _pad_flat(g, dtype)
-        gx = None
-        if x.requires_grad:
-            # the adjoint correlates g with the flipped, transposed taps
-            gx = np.ascontiguousarray(
-                _correlate3(gp, taps[::-1].transpose(0, 2, 1), h, w)
-            )
         gw = None
         if kernel.requires_grad:
+            xp = _pad_flat(x.data, dtype)
             # g on the output grid; the wrap-around columns read zero padding
             n = h * (w + 2)
             gout = gp[:, :, w + 3 : w + 3 + n]
@@ -343,7 +355,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                 np.matmul(gout, xp[:, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
                 for off in _tap_offsets(w)
             ]
+            del xp  # freed before gx is built, which can take its memory
             gw = np.stack(per_tap, axis=-1).reshape(kernel.data.shape)
+        gx = None
+        if x.requires_grad:
+            # the adjoint correlates g with the flipped, transposed taps
+            gx = np.ascontiguousarray(
+                _correlate3(gp, taps[::-1].transpose(0, 2, 1), h, w)
+            )
         gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         return gx, gw, gb
 

@@ -162,6 +162,36 @@ class TestLoadConfig:
             load_config(str(path))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"chip": {"stride": 0}}, "chip.stride: must be >= 1, got 0"),
+            ({"chip": {"chip_size": 0}}, "chip.chip_size: must be >= 1, got 0"),
+            (
+                {"chip": {"negatives_per_positive": -1}},
+                "chip.negatives_per_positive: must be >= 0, got -1",
+            ),
+            ({"chip": {"test_frac": 1.5}}, "chip.test_frac: must be in [0, 1), got 1.5"),
+            (
+                {"chip": {"test_frac": 0.5, "val_frac": 0.5}},
+                "chip.val_frac: test_frac + val_frac must be below 1, got 0.5 + 0.5",
+            ),
+            ({"synth": {"scene_count": 0}}, "synth.scene_count: must be >= 1, got 0"),
+            ({"synth": {"scene_count": -2}}, "synth.scene_count: must be >= 1, got -2"),
+            ({"synth": {"scene_size": 4}}, "synth.scene_size: must be >= 16, got 4"),
+            (
+                {"synth": {"scene_size": 16, "dump_radius_range": [2, 8]}},
+                "synth.dump_radius_range: radius 8 too large for scene_size 16",
+            ),
+        ],
+    )
+    def test_value_out_of_range_names_the_field(self, tmp_path, data, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == message
+
     def test_seed_must_be_integer(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"seed": True}))
@@ -451,6 +481,17 @@ def _scene_with_feature(root, feature):
     return {"paths": {"scene_dir": str(root / "scenes")}}, path
 
 
+def _chip_config(root, **chip):
+    """A scene ``chip`` could cut, and ``chip`` set in the config file."""
+    config, _ = _scene_with_feature(
+        root,
+        '{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": '
+        "[[[2, 2], [8, 2], [8, 8], [2, 2]]]}}",
+    )
+    config["paths"]["catalog"] = str(root / "catalog")
+    return {**config, "chip": {"chip_size": 8, "stride": 4, **chip}}, root / "run.json"
+
+
 def _catalog_with_nan_seed(root):
     path = root / "catalog" / "index.json"
     path.parent.mkdir()
@@ -705,6 +746,24 @@ MALFORMED_INPUTS = {
         "postprocess",
         lambda r: _probability(r, header_edit=('"band_names": ["probability"]', '"band_names": 5')),
         ["malformed raster header", "band_names is 5, not a list of strings or null"],
+    ),
+    "chip-stride-zero": (
+        "chip", lambda r: _chip_config(r, stride=0), ["chip.stride: must be >= 1, got 0"]
+    ),
+    "chip-negative-negatives-per-positive": (
+        "chip",
+        lambda r: _chip_config(r, negatives_per_positive=-1),
+        ["chip.negatives_per_positive: must be >= 0, got -1"],
+    ),
+    "chip-test-frac-above-one": (
+        "chip",
+        lambda r: _chip_config(r, test_frac=1.5),
+        ["chip.test_frac: must be in [0, 1), got 1.5"],
+    ),
+    "synth-scene-count-zero": (
+        "synth",
+        lambda r: ({"paths": {"scene_dir": str(r / "scenes")}, "synth": {"scene_count": 0}}, r / "run.json"),
+        ["synth.scene_count: must be >= 1, got 0"],
     ),
 }
 

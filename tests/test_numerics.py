@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ class TestAutodiffMechanics:
         zero_grads([x])
         assert x.grad is None
         (x * 2.0).sum().backward()
+        assert np.array_equal(x.grad, [2.0])
+
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        y = x * 2.0
+        loss = y.sum()
+        loss.backward()
+        # consumed nodes hold no closure and no parents; the leaf keeps ()
+        assert loss._grad_fn is None and loss._parents is None and y._parents is None
+        assert x._parents == ()
+        with pytest.raises(ValueError, match="an earlier backward consumed"):
+            loss.backward()
+        # a fresh loss on top of a consumed node does not count it as a leaf
+        with pytest.raises(ValueError, match="an earlier backward consumed"):
+            (y * 3.0).sum().backward()
         assert np.array_equal(x.grad, [2.0])
 
     def test_zero_grads_accepts_mapping(self):
@@ -417,6 +433,22 @@ class TestConv2dGradients:
         assert [a.dtype for a in grads] == [np.float32] * 3
         for got, want in zip(grads, conv2d_grad_oracle(x, k, g)):
             assert np.allclose(got, want, rtol=1e-4, atol=1e-4)
+
+    def test_grad_mode_output_keeps_no_padded_copy(self):
+        rng = np.random.default_rng(5)
+        k = Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x = Tensor(np.ones((2, 16, 64, 64), dtype=np.float32), requires_grad=True)
+            out = conv2d(x, k, b)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a padded copy of x would add (66 * 66 + 2) / (64 * 64) of x
+        assert kept <= x.data.nbytes + out.data.nbytes + 32 * 1024
+        assert out._grad_fn is not None
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,27 @@ class TestForward:
             assert leaf.grad.dtype == everything[id(leaf)].dtype
             assert leaf.grad.tobytes() == everything[id(leaf)].tobytes(), name
         assert id(logits) in everything and logits.grad is None and loss.grad is None
+
+    def test_backward_frees_the_activations_while_loss_and_logits_are_held(self):
+        params = build_unet(SMALL, seed=1)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
+        y = Tensor((rng.uniform(size=(2, 1, 8, 8)) > 0.7).astype(np.float32))
+        logits = forward(params, SMALL, x)
+        loss = weighted_bce_with_logits(logits, y, pos_weight=3.0)
+        # the arrays of every op output between the input and the logits
+        refs, stack, seen = [], [logits], set()
+        while stack:
+            for parent in stack.pop()._parents:
+                if parent._grad_fn is not None and id(parent) not in seen:
+                    seen.add(id(parent))
+                    refs.append(weakref.ref(parent.data))
+                    stack.append(parent)
+        del parent
+        assert len(refs) > 20 and all(ref() is not None for ref in refs)
+        loss.backward()
+        assert sum(ref() is not None for ref in refs) == 0
+        assert logits.data.shape == (2, 1, 8, 8) and np.isfinite(loss.item())
 
 
 class TestBatchInvariance:
