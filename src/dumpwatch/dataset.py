@@ -349,23 +349,24 @@ class NormalizationStats:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "NormalizationStats":
+    def from_json_dict(cls, obj, where) -> "NormalizationStats":
+        """Stats from their JSON object; a fault is a ValueError naming
+        ``where``, the file the object came from."""
+        means, stds = (_require(obj, key, where) for key in ("means", "stds"))
         names = obj.get("band_names")
-        return cls(
-            means=tuple(obj["means"]),
-            stds=tuple(obj["stds"]),
-            band_names=tuple(names) if names else None,
-        )
+        if not (isinstance(means, list) and isinstance(stds, list)):
+            raise ValueError(f"{where}: means and stds must be lists of numbers")
+        try:
+            return cls(tuple(means), tuple(stds), tuple(names) if names else None)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
         atomic_write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "NormalizationStats":
-        obj = read_json(path)
-        for key in ("means", "stds"):
-            _require(obj, key, path)
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(read_json(path), path)
 
 
 def _require(obj, key: str, where):

@@ -137,23 +137,6 @@ class Raster:
         return ~(self.samples == self.nodata).any(axis=0)
 
 
-def rasters_equal(a: Raster, b: Raster) -> bool:
-    """Bitwise equality of samples plus matching metadata (NaN == NaN)."""
-    if a.samples.shape != b.samples.shape:
-        return False
-    if a.samples.tobytes() != b.samples.tobytes():
-        return False
-    if a.transform != b.transform or a.band_names != b.band_names:
-        return False
-    if (a.nodata is None) != (b.nodata is None):
-        return False
-    if a.nodata is not None:
-        return (
-            math.isnan(a.nodata) and math.isnan(b.nodata)
-        ) or a.nodata == b.nodata
-    return True
-
-
 def _raster_paths(path: str | Path) -> tuple[Path, Path]:
     base = str(path)
     return Path(base + ".json"), Path(base + ".bin")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import numerics, unet
-from ._fileio import atomic_write_json, atomic_write_text, read_json
+from ._fileio import atomic_write_json, atomic_write_text
 from .dataset import Chip, DatasetSplit
 from .numerics import AdamState, Tensor
 from .unet import ParameterSet, UNetConfig
@@ -395,8 +395,3 @@ def save_ablation(rows: Sequence[AblationRow], path: str | Path) -> None:
         ],
     )
     atomic_write_text(base + ".txt", format_ablation_table(rows) + "\n")
-
-
-def load_ablation(path: str | Path) -> list[AblationRow]:
-    rows = read_json(str(path) + ".json")
-    return [AblationRow(r["label"], r["loss"], r["mean_iou"]) for r in rows]

@@ -14,14 +14,15 @@ manifest next to a raw little-endian float32 payload.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import json
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics
 from ._fileio import atomic_write_bytes, atomic_write_json, read_json
-from .dataset import NormalizationStats
+from .dataset import NormalizationStats, _require
 from .numerics import Tensor
 
 CHECKPOINT_FORMAT = "dumpwatch.checkpoint"
@@ -142,32 +143,6 @@ def forward(params: ParameterSet, config: UNetConfig, batch: Tensor) -> Tensor:
     return numerics.conv2d(x, params["head.weight"], params["head.bias"])
 
 
-def receptive_field_radius(config: UNetConfig) -> int:
-    """Exact max distance (in input pixels) that can influence one output pixel.
-
-    Walked backwards through the graph as an interval [lo, hi] of input
-    offsets around the output pixel: a 3x3 conv widens each end by 1, 2x2
-    pooling maps it to [2*lo, 2*hi + 1] (the pool window covers indices 2p
-    and 2p+1), and the stride-2 upsampling maps it to [lo//2, hi//2] since
-    output o depends only on input o//2. The window ends up asymmetric
-    ([-10, 9] at depth 1); the returned radius is the larger extent, so
-    pixels further than this from a perturbation are provably unaffected.
-    """
-    lo, hi = -1, 1  # output head conv
-    for _ in range(config.depth):  # decoder stages, shallowest to deepest
-        lo -= 2
-        hi += 2
-        lo //= 2  # floor handles the negative end exactly
-        hi //= 2
-    lo -= 2  # bottleneck convs
-    hi += 2
-    for _ in range(config.depth):  # encoder stages, deepest to shallowest
-        lo, hi = 2 * lo, 2 * hi + 1
-        lo -= 2
-        hi += 2
-    return max(-lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -244,18 +219,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not payload_path.exists():
         raise FileNotFoundError(f"missing checkpoint payload {payload_path}")
     manifest = read_json(manifest_path)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {manifest_path}")
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
-    config = UNetConfig(**manifest["config"])
-    expected = parameter_schema(config)
-    stored = [(name, tuple(shape)) for name, shape in manifest["schema"]]
-    if stored != expected:
+        raise ValueError(f"unsupported checkpoint version {version!r} in {manifest_path}")
+    config = _require(manifest, "config", manifest_path)
+    if not (
+        isinstance(config, dict)
+        and set(config) <= {f.name for f in fields(UNetConfig)}
+        and all(type(v) is int for v in config.values())
+    ):
         raise ValueError(
-            "schema mismatch: stored parameter list does not match the "
-            "architecture implied by the checkpoint config"
+            f"{manifest_path}: config is {json.dumps(config)}, not an object of "
+            "integer UNetConfig fields"
+        )
+    try:
+        config = UNetConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: config: {exc}") from exc
+    norm = manifest.get("normalization")
+    where = f"{manifest_path} normalization"
+    normalization = NormalizationStats.from_json_dict(norm, where) if norm else None
+    expected = parameter_schema(config)
+    if _require(manifest, "schema", manifest_path) != [[n, list(s)] for n, s in expected]:
+        raise ValueError(
+            f"schema mismatch in {manifest_path}: stored parameter list does not "
+            "match the architecture implied by the checkpoint config"
         )
     payload = payload_path.read_bytes()
     total = sum(int(np.prod(shape)) for _, shape in expected)
@@ -271,10 +261,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         size = int(np.prod(shape))
         parameters[name] = flat[offset : offset + size].reshape(shape).copy()
         offset += size
-    norm = manifest.get("normalization")
+        if not np.isfinite(parameters[name]).all():
+            raise ValueError(f"non-finite weight in {payload_path}: parameter {name!r}")
     return Checkpoint(
         config=config,
         parameters=parameters,
-        normalization=NormalizationStats.from_json_dict(norm) if norm else None,
+        normalization=normalization,
         training_metadata=manifest.get("training_metadata", {}),
     )

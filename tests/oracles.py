@@ -1,4 +1,5 @@
-"""Slow, obviously-correct reference implementations used by the tests.
+"""Slow, obviously-correct reference implementations used by the tests,
+and the few helpers that only tests call.
 
 Everything here is written with plain loops and stdlib/numpy scalar math so
 that agreement with the fast vectorized code is meaningful. Keep these naive:
@@ -7,8 +8,10 @@ no shared helpers with the package beyond dataclass containers.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -128,10 +131,12 @@ def transposed_conv_2x2_oracle(
 
 
 def backward_oracle(loss) -> dict[int, np.ndarray]:
-    """Reverse-mode walk over dumpwatch tensors that keeps every gradient,
-    intermediates included: {id(tensor): d(loss)/d(tensor)}.
+    """Reverse-mode walk over a dumpwatch graph that keeps every gradient,
+    intermediates included: {id(vertex): d(loss)/d(vertex)}. A vertex is
+    the loss tensor, an op output's graph node (``tensor._node``) or a leaf
+    tensor.
 
-    Uses only each tensor's recorded parents and gradient closure; the order
+    Uses only each vertex's recorded parents and gradient closure; the order
     comes from its own depth-first search.
     """
     order, seen = [], set()
@@ -628,3 +633,59 @@ def predict_raster_oracle(params, config, raster, stats=None, tile=256, overlap=
     prob = (prob_sum / count).astype(np.float32)
     prob[~valid] = np.nan
     return prob
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers
+# ---------------------------------------------------------------------------
+
+
+def receptive_field_radius(config) -> int:
+    """Exact max distance (in input pixels) that can influence one output pixel.
+
+    Walked backwards through the graph as an interval [lo, hi] of input
+    offsets around the output pixel: a 3x3 conv widens each end by 1, 2x2
+    pooling maps it to [2*lo, 2*hi + 1] (the pool window covers indices 2p
+    and 2p+1), and the stride-2 upsampling maps it to [lo//2, hi//2] since
+    output o depends only on input o//2. The window ends up asymmetric
+    ([-10, 9] at depth 1); the returned radius is the larger extent, so
+    pixels further than this from a perturbation are provably unaffected.
+    """
+    lo, hi = -1, 1  # output head conv
+    for _ in range(config.depth):  # decoder stages, shallowest to deepest
+        lo -= 2
+        hi += 2
+        lo //= 2  # floor handles the negative end exactly
+        hi //= 2
+    lo -= 2  # bottleneck convs
+    hi += 2
+    for _ in range(config.depth):  # encoder stages, deepest to shallowest
+        lo, hi = 2 * lo, 2 * hi + 1
+        lo -= 2
+        hi += 2
+    return max(-lo, hi)
+
+
+def rasters_equal(a, b) -> bool:
+    """Bitwise equality of samples plus matching metadata (NaN == NaN)."""
+    if a.samples.shape != b.samples.shape:
+        return False
+    if a.samples.tobytes() != b.samples.tobytes():
+        return False
+    if a.transform != b.transform or a.band_names != b.band_names:
+        return False
+    if (a.nodata is None) != (b.nodata is None):
+        return False
+    if a.nodata is not None:
+        return (
+            math.isnan(a.nodata) and math.isnan(b.nodata)
+        ) or a.nodata == b.nodata
+    return True
+
+
+def load_ablation(path) -> list:
+    """The rows of an ablation table from its <path>.json."""
+    from dumpwatch.training import AblationRow
+
+    rows = json.loads(Path(str(path) + ".json").read_text())
+    return [AblationRow(r["label"], r["loss"], r["mean_iou"]) for r in rows]

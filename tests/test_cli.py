@@ -593,6 +593,24 @@ def _predict_inputs(root, truncate=0, tile_size=256):
     return {"paths": paths, "inference": {"tile_size": tile_size, "overlap": 0}}, payload
 
 
+def _edited_checkpoint(root, edit):
+    """``_predict_inputs`` whose model.json holds ``edit`` of its document."""
+    config, _ = _predict_inputs(root)
+    path = root / "model.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return config, path
+
+
+def _checkpoint_with_nan_weight(root):
+    """``_predict_inputs`` whose model.bin holds a NaN in head.weight."""
+    config, _ = _predict_inputs(root)
+    path = root / "model.bin"
+    weights = np.frombuffer(path.read_bytes(), "<f4").copy()
+    weights[-2] = np.nan  # the last value before head.bias
+    path.write_bytes(weights.tobytes())
+    return config, path
+
+
 # (command, input builder, fragments the error must carry besides the file)
 MALFORMED_INPUTS = {
     "nan-vertex": (
@@ -695,6 +713,11 @@ MALFORMED_INPUTS = {
     "stats-without-means": (
         "train", lambda r: _edited_catalog(r, "stats.json", _without("means")), ["has no 'means'"]
     ),
+    "stats-lengths-disagree": (
+        "train",
+        lambda r: _edited_catalog(r, "stats.json", lambda doc: {**doc, "stds": doc["stds"][:2]}),
+        ["means and stds differ in length"],
+    ),
     "evaluate-checkpoint-bands-disagree": (
         "evaluate",
         lambda r: _evaluate_inputs(r, SOURCE_BANDS),
@@ -729,6 +752,41 @@ MALFORMED_INPUTS = {
         "predict",
         lambda r: ({**_predict_inputs(r)[0], "chip": {"bands": ["R", "G", "B"]}}, r / "model"),
         ["chip.bands (--bands) R,G,B: model expects 6 bands, raster has 3"],
+    ),
+    "checkpoint-manifest-a-list": (
+        "predict",
+        lambda r: _edited_checkpoint(r, lambda doc: [doc]),
+        ["unrecognized checkpoint format in"],
+    ),
+    "checkpoint-without-schema": (
+        "predict", lambda r: _edited_checkpoint(r, _without("schema")), ["has no 'schema'"]
+    ),
+    "checkpoint-depth-a-string": (
+        "predict",
+        lambda r: _edited_checkpoint(r, lambda doc: {**doc, "config": {**doc["config"], "depth": "2"}}),
+        ['"depth": "2"', "not an object of integer UNetConfig fields"],
+    ),
+    "checkpoint-version-99": (
+        "predict",
+        lambda r: _edited_checkpoint(r, lambda doc: {**doc, "format_version": 99}),
+        ["unsupported checkpoint version 99"],
+    ),
+    "checkpoint-normalization-a-list": (
+        "predict",
+        lambda r: _edited_checkpoint(r, lambda doc: {**doc, "normalization": [0.0]}),
+        ["normalization has no 'means'"],
+    ),
+    "checkpoint-stats-lengths-disagree": (
+        "predict",
+        lambda r: _edited_checkpoint(
+            r, lambda doc: {**doc, "normalization": {"means": [0.0] * 6, "stds": [1.0] * 5}}
+        ),
+        ["means and stds differ in length"],
+    ),
+    "nan-weight-in-checkpoint": (
+        "predict",
+        _checkpoint_with_nan_weight,
+        ["non-finite weight in", "parameter 'head.weight'"],
     ),
     "transform-without-origin-x": (
         "postprocess",

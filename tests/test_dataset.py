@@ -29,8 +29,8 @@ from dumpwatch.dataset import (
     split_dataset,
     stack_bands,
 )
-from dumpwatch.geodata import GeoTransform, PolygonAnnotation, Raster, rasters_equal
-from oracles import rasterize_oracle
+from dumpwatch.geodata import GeoTransform, PolygonAnnotation, Raster
+from oracles import rasterize_oracle, rasters_equal
 
 
 class TestNdsw:

@@ -37,17 +37,13 @@ from dumpwatch.geodata import (
     write_raster,
 )
 from dumpwatch.numerics import Tensor
-from dumpwatch.unet import (
-    UNetConfig,
-    build_unet,
-    forward,
-    receptive_field_radius,
-)
+from dumpwatch.unet import UNetConfig, build_unet, forward
 from oracles import (
     connected_components_oracle,
     export_geojson_oracle,
     polygonize_oracle,
     predict_raster_oracle,
+    receptive_field_radius,
     ring_is_simple_oracle,
     walks_oracle,
 )

@@ -18,7 +18,6 @@ from dumpwatch.geodata import (
     RasterReader,
     pixel_to_world,
     raster_writer,
-    rasters_equal,
     read_annotations,
     read_raster,
     ring_is_simple,
@@ -28,6 +27,7 @@ from dumpwatch.geodata import (
 )
 from oracles import (
     polygon_area_oracle,
+    rasters_equal,
     ring_folds_back_oracle,
     ring_is_simple_oracle,
 )

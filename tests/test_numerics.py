@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from dumpwatch.numerics import (
     AdamState,
     Tensor,
+    _correlate3,
+    _pad_flat,
+    _tap_offsets,
     adam_step,
     backward,
     concat_channels,
@@ -109,6 +112,21 @@ class TestAutodiffMechanics:
         with pytest.raises(ValueError, match="an earlier backward consumed"):
             (y * 3.0).sum().backward()
         assert np.array_equal(x.grad, [2.0])
+
+    def test_backward_calls_the_closure_assigned_to_grad_fn(self):
+        x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        y = relu(x * 3.0)
+        calls = []
+        inner = y._grad_fn
+
+        def wrapper(g):
+            calls.append(g)
+            return inner(g)
+
+        y._grad_fn = wrapper
+        assert y._grad_fn is wrapper
+        y.sum().backward()
+        assert len(calls) == 1 and np.array_equal(x.grad, [3.0, 0.0])
 
     def test_zero_grads_accepts_mapping(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
@@ -449,6 +467,46 @@ class TestConv2dGradients:
         # a padded copy of x would add (66 * 66 + 2) / (64 * 64) of x
         assert kept <= x.data.nbytes + out.data.nbytes + 32 * 1024
         assert out._grad_fn is not None
+
+    def test_grad_mode_relu_of_conv_holds_one_activation(self):
+        rng = np.random.default_rng(6)
+        k = Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x = Tensor(np.ones((2, 16, 64, 64), dtype=np.float32), requires_grad=True)
+            y = relu(conv2d(x, k, b))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the graph keeps relu's output for its mask, not the conv's output
+        # (another 2 * 8 * 64 * 64 float32 values)
+        assert kept <= x.data.nbytes + y.data.nbytes + 32 * 1024
+        assert y._parents[0]._grad_fn is not None
+
+    @pytest.mark.parametrize(
+        "shape, dtype", [((11, 16, 112, 112), np.float32), ((2, 3, 5, 7), np.float64)]
+    )
+    def test_one_input_channel_is_bitwise_the_gemm_loop(self, shape, dtype):
+        # the head conv's input gradient (16 -> 1 at batch 11, 112 px): taps
+        # [9, out, 1]. g is zero in its lower half, as a crop's gradient
+        # leaves it, and channel 0's taps are all negative, so its products
+        # there are -0.0; the GEMM loop gives +0.0 for them.
+        b, cout, h, w = shape
+        rng = np.random.default_rng(15)
+        g = rng.normal(size=(b, 1, h, w)).astype(dtype)
+        g[:, :, h // 2 :] = 0.0
+        taps = rng.normal(size=(9, cout, 1)).astype(dtype)
+        taps[:, 0] = -np.abs(taps[:, 0])
+        gp = _pad_flat(g, dtype)
+        n = h * (w + 2)
+        want = np.matmul(taps[0], gp[:, :, :n])
+        for t, off in enumerate(_tap_offsets(w)[1:], start=1):
+            want += np.matmul(taps[t], gp[:, :, off : off + n])
+        want = want.reshape(b, cout, h, w + 2)[:, :, :, :w]
+        got = _correlate3(gp, taps, h, w)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20)

@@ -34,12 +34,11 @@ from dumpwatch.training import (
     evaluate,
     format_ablation_table,
     iou,
-    load_ablation,
     save_ablation,
     train,
 )
 from dumpwatch.unet import UNetConfig, build_unet
-from oracles import iou_oracle
+from oracles import iou_oracle, load_ablation
 
 T = GeoTransform(0, 64, 1, 1)
 

@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from dumpwatch import numerics
 from dumpwatch.dataset import NormalizationStats
 from dumpwatch.numerics import Tensor, no_grad, weighted_bce_with_logits
 from dumpwatch.unet import (
@@ -15,13 +16,13 @@ from dumpwatch.unet import (
     parameter_count,
     parameter_schema,
     params_from_checkpoint,
-    receptive_field_radius,
     save_checkpoint,
 )
 from oracles import (
     backward_oracle,
     conv2d_oracle,
     max_pool_2x2_oracle,
+    receptive_field_radius,
     transposed_conv_2x2_oracle,
 )
 
@@ -177,27 +178,39 @@ class TestForward:
         for name, leaf in [*params.items(), ("input", x)]:
             assert leaf.grad.dtype == everything[id(leaf)].dtype
             assert leaf.grad.tobytes() == everything[id(leaf)].tobytes(), name
-        assert id(logits) in everything and logits.grad is None and loss.grad is None
+        # the oracle keys an op output by its vertex in the graph, its node
+        assert id(logits._node) in everything and logits.grad is None and loss.grad is None
 
-    def test_backward_frees_the_activations_while_loss_and_logits_are_held(self):
+    def test_backward_frees_the_activations_while_loss_and_logits_are_held(self, monkeypatch):
         params = build_unet(SMALL, seed=1)
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
         y = Tensor((rng.uniform(size=(2, 1, 8, 8)) > 0.7).astype(np.float32))
+        refs = {}  # op name -> weakrefs to the arrays of its outputs
+        for name in ("conv2d", "transposed_conv_2x2", "relu", "max_pool_2x2", "concat_channels"):
+
+            def keeping_refs(*args, _op=getattr(numerics, name), _refs=refs.setdefault(name, [])):
+                out = _op(*args)
+                _refs.append(weakref.ref(out.data))
+                return out
+
+            monkeypatch.setattr(numerics, name, keeping_refs)
         logits = forward(params, SMALL, x)
         loss = weighted_bce_with_logits(logits, y, pos_weight=3.0)
-        # the arrays of every op output between the input and the logits
-        refs, stack, seen = [], [logits], set()
-        while stack:
-            for parent in stack.pop()._parents:
-                if parent._grad_fn is not None and id(parent) not in seen:
-                    seen.add(id(parent))
-                    refs.append(weakref.ref(parent.data))
-                    stack.append(parent)
-        del parent
-        assert len(refs) > 20 and all(ref() is not None for ref in refs)
+
+        def alive(*names):
+            return [ref() for name in names for ref in refs[name] if ref() is not None]
+
+        # no gradient reads a conv's or an up-conv's output, so each is freed
+        # once the op after it has run; the head conv's output is the logits
+        assert len(refs["conv2d"]) == 11 and len(refs["transposed_conv_2x2"]) == 2
+        assert [id(a) for a in alive("conv2d", "transposed_conv_2x2")] == [id(logits.data)]
+        # relu's gradient reads its output, pooling its input, and a conv its
+        # input (a concatenation or a relu output): those live until backward
+        saved = ("relu", "max_pool_2x2", "concat_channels")
+        assert len(alive(*saved)) == sum(len(refs[name]) for name in saved) == 14
         loss.backward()
-        assert sum(ref() is not None for ref in refs) == 0
+        assert alive(*saved) == []
         assert logits.data.shape == (2, 1, 8, 8) and np.isfinite(loss.item())
 
 
