@@ -209,8 +209,9 @@ def _stream_rows(params, config, source, stats, icfg, bands):
     read once and its windows run in batches of at most ``batch_size``, each
     window added into the stripe's float64 sums and counts. The rows above
     the next tile row's origin are then final and emitted; the rest are
-    carried into the next stripe. A window's forward does not depend on the
-    batch it runs in (a stacked matmul makes one product per window), and
+    carried into the next stripe. A window of nodata alone is not run: its
+    pixels come out NaN whatever it adds. A window's forward does not depend
+    on its batch (each conv runs per image, in blocks that ignore it), and
     every pixel still adds its tiles in row-major order, so the output is
     that of whole-raster inference. Held at once: one stripe, one batch of
     windows, and the carried rows."""
@@ -227,8 +228,9 @@ def _stream_rows(params, config, source, stats, icfg, bands):
         prob_sum = np.zeros((wh, width), dtype=np.float64)
         count = np.zeros((wh, width), dtype=np.int32)
         prob_sum[: len(carry_sum)], count[: len(carry_sum)] = carry_sum, carry_count
-        for start in range(0, len(col_origins), icfg.batch_size):
-            chunk = col_origins[start : start + icfg.batch_size]
+        live = [c0 for c0 in col_origins if valid[:, c0 : c0 + tile].any()]
+        for start in range(0, len(live), icfg.batch_size):
+            chunk = live[start : start + icfg.batch_size]
             windows = np.stack([data[:, :, c0 : c0 + tile] for c0 in chunk])
             with numerics.no_grad():
                 logits = unet.forward(params, config, Tensor(windows))
@@ -236,9 +238,10 @@ def _stream_rows(params, config, source, stats, icfg, bands):
                 ww = min(tile, width - c0)
                 prob_sum[:, c0 : c0 + ww] += p[:wh, :ww]
                 count[:, c0 : c0 + ww] += 1
-        del data, windows  # freed before the next stripe is read
+        del data  # freed before the next stripe is read
         n = end - r0
-        prob = (prob_sum[:n] / count[:n]).astype(np.float32)
+        with np.errstate(invalid="ignore"):  # 0 / 0 where no window ran: nodata
+            prob = (prob_sum[:n] / count[:n]).astype(np.float32)
         prob[~valid[:n]] = np.nan
         carry_sum, carry_count = prob_sum[n:], count[n:]
         yield prob

@@ -25,10 +25,12 @@ concatenation, relu, a spatial crop, and weighted binary cross-entropy on
 logits. A 3x3 convolution zero-pads its input into a flat buffer and runs
 as nine shifted GEMMs, one per kernel tap, so the heavy lifting stays in
 BLAS without building patch matrices; it keeps the unpadded input for its
-gradient and pads it again there. With one input channel, as in the
-output conv's input gradient, the taps are broadcast multiplies, not
-K = 1 GEMMs. 2x2 pooling takes
-the maximum over the four strided views of its input, and its gradient
+gradient and pads it again there. The taps, and the weight gradient's
+products, run one image and one L2-sized column block at a time; no block
+width depends on the batch, so neither does an image's output. With one
+input channel, as in the output conv's input gradient, the taps are
+broadcast multiplies, not K = 1 GEMMs. 2x2 pooling takes the maximum over
+the four strided views of its input, and its gradient
 finds the first maximum of each window again from the input and the
 output, so it stores nothing of its own. The 2x2 transposed convolution is
 one GEMM of the [4*out, in] taps against the flattened input, interleaved
@@ -352,28 +354,48 @@ def _tap_offsets(w: int) -> list[int]:
     return [ki * (w + 2) + kj for ki in range(3) for kj in range(3)]
 
 
+def _column_blocks(cin: int, cout: int, n: int, itemsize: int) -> list[tuple[int, int]]:
+    """[start, end) blocks of an n-column grid whose input, product and sum
+    take about 1 MiB, so the nine taps over one stay in L2 (Goto and van de
+    Geijn's cache blocking, around BLAS). Widths are multiples of 64 and
+    ignore the batch size. Below 4096 columns a GEMM takes OpenBLAS's
+    small-matrix path and rounds differently, so the last block absorbs a
+    narrower remainder."""
+    width = max(4096, (1 << 20) // ((cin + 2 * cout) * itemsize) // 64 * 64)
+    edges = [*range(0, n, width), n]
+    if len(edges) > 2 and n - edges[-2] < 4096:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _correlate3(ap: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.ndarray:
     """3x3 correlation of a _pad_flat input with taps [9, out, in], in row-major
     (ki, kj) order, as nine shifted GEMMs accumulated in place.
 
     Output pixel (i, j) sits at i*(w+2) + j on an h x (w+2) grid, and tap
     (ki, kj) reads the contiguous slice starting ki*(w+2) + kj later. The two
-    wrap-around columns per row are cropped from the returned view.
+    wrap-around columns per row are cropped from the returned view. The taps
+    run one image and one ``_column_blocks`` block at a time, in cache.
     """
-    n = h * (w + 2)
+    (b, cin), cout, n = ap.shape[:2], taps.shape[1], h * (w + 2)
     # With one input channel (K = 1) each tap is an outer product, which a
     # broadcast multiply computes ~5x faster than OpenBLAS's GEMM, with the
     # same rounding. The GEMM sums from +0.0, so a -0.0 product comes out
     # +0.0: adding 0.0 to the first tap keeps that sign, and the bits.
-    product = np.multiply if taps.shape[2] == 1 else np.matmul
-    acc = product(taps[0], ap[:, :, :n])
-    if product is np.multiply:
-        acc += 0.0
-    tmp = np.empty_like(acc)
-    for t, off in enumerate(_tap_offsets(w)[1:], start=1):
-        product(taps[t], ap[:, :, off : off + n], out=tmp)
-        acc += tmp
-    return acc.reshape(*acc.shape[:2], h, w + 2)[:, :, :, :w]
+    product = np.multiply if cin == 1 else np.matmul
+    acc = np.empty((b, cout, n), dtype=np.result_type(ap, taps))
+    blocks = _column_blocks(cin, cout, n, acc.itemsize)
+    tmp = np.empty((cout, max(c1 - c0 for c0, c1 in blocks)), dtype=acc.dtype)
+    for i in range(b):
+        for c0, c1 in blocks:
+            block, part = acc[i, :, c0:c1], tmp[:, : c1 - c0]
+            product(taps[0], ap[i, :, c0:c1], out=block)
+            if product is np.multiply:
+                block += 0.0
+            for t, off in enumerate(_tap_offsets(w)[1:], start=1):
+                product(taps[t], ap[i, :, off + c0 : off + c1], out=part)
+                block += part
+    return acc.reshape(b, cout, h, w + 2)[:, :, :, :w]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -404,12 +426,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             # g on the output grid; the wrap-around columns read zero padding
             n = h * (w + 2)
             gout = gp[:, :, w + 3 : w + 3 + n]
-            per_tap = [
-                np.matmul(gout, xp[:, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
-                for off in _tap_offsets(w)
-            ]
+            per_image = np.empty((len(g), 9, cout, cin), dtype=dtype)
+            for i, gi in enumerate(gout):
+                for t, off in enumerate(_tap_offsets(w)):
+                    np.matmul(gi, xp[i, :, off : off + n].T, out=per_image[i, t])
             del xp  # freed before gx is built, which can take its memory
-            gw = np.stack(per_tap, axis=-1).reshape(kernel.data.shape)
+            gw = per_image.sum(axis=0).transpose(1, 2, 0).reshape(kernel.data.shape)
         gx = None
         if x.requires_grad:
             # the adjoint correlates g with the flipped, transposed taps

@@ -137,7 +137,7 @@ class TrainReport:
     stopping_epoch: int
     pos_weight: float
     test: Metrics | None = None
-    metadata: dict = field(default_factory=dict)  # wall time etc, non-deterministic
+    metadata: dict = field(default_factory=dict)  # wall time, chips/s: non-deterministic
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,11 +252,13 @@ def train(
     best_val = float("inf")
     best_params = _clone_params(params)
     records: list[EpochRecord] = []
+    chips_per_s: list[float] = []  # per epoch, over its training steps
     started = time.perf_counter()
     epochs_run = 0
     for epoch in range(1, hyper.max_epochs + 1):
         order = rng.permutation(len(split.train))
         loss_sum = 0.0
+        epoch_started = time.perf_counter()
         for start in range(0, len(order), hyper.batch_size):
             batch = [split.train[i] for i in order[start : start + hyper.batch_size]]
             logits, targets = _forward_logits(params, config, batch)
@@ -270,6 +272,7 @@ def train(
             loss.backward()
             numerics.adam_step(params, adam)
             loss_sum += value * len(batch)
+        chips_per_s.append(len(split.train) / (time.perf_counter() - epoch_started))
         train_loss = loss_sum / len(split.train)
         val = evaluate(
             params,
@@ -282,11 +285,12 @@ def train(
         records.append(EpochRecord(train_loss, val.loss, val.mean_iou))
         epochs_run = epoch
         log.info(
-            "epoch %d: train_loss=%.6f val_loss=%.6f val_iou=%.4f",
+            "epoch %d: train_loss=%.6f val_loss=%.6f val_iou=%.4f chips/s=%.1f",
             epoch,
             train_loss,
             val.loss,
             val.mean_iou,
+            chips_per_s[-1],
         )
         if val.loss < best_val:
             best_val = val.loss
@@ -305,7 +309,7 @@ def train(
         stopping_epoch=epochs_run,
         pos_weight=pos_weight,
         test=test_metrics,
-        metadata={"wall_time_s": wall},
+        metadata={"wall_time_s": wall, "chips_per_s": chips_per_s},
     )
     return best_params, report
 

@@ -130,6 +130,56 @@ def transposed_conv_2x2_oracle(
     return out
 
 
+def correlate3_batched_oracle(
+    ap: np.ndarray, taps: np.ndarray, h: int, w: int
+) -> np.ndarray:
+    """The nine-shift 3x3 correlation over the whole batch at once: one
+    stacked product per tap, accumulated over the full [b, out, h*(w+2)]
+    grid. ``ap`` is [b, in, (h+2)*(w+2) + 2], zero-padded rows laid end to
+    end; ``taps`` is [9, out, in] in row-major (ki, kj) order. With one input
+    channel the taps are broadcast multiplies, their first sum plus 0.0."""
+    n = h * (w + 2)
+    product = np.multiply if taps.shape[2] == 1 else np.matmul
+    acc = product(taps[0], ap[:, :, :n])
+    if product is np.multiply:
+        acc += 0.0
+    tmp = np.empty_like(acc)
+    for t in range(1, 9):
+        off = (t // 3) * (w + 2) + t % 3
+        product(taps[t], ap[:, :, off : off + n], out=tmp)
+        acc += tmp
+    return acc.reshape(*acc.shape[:2], h, w + 2)[:, :, :, :w]
+
+
+def conv2d_batched_oracle(x, kernel, bias, g):
+    """(out, gx, gw, gb) of the 3x3 same conv and of sum(g * out), built on
+    ``correlate3_batched_oracle``; gw is one stacked product per tap, summed
+    over the batch."""
+    dtype = np.result_type(x, kernel, bias)
+    b, cin, h, w = x.shape
+    cout = kernel.shape[0]
+    n, size = h * (w + 2), (h + 2) * (w + 2)
+
+    def pad(a):
+        ap = np.zeros((b, a.shape[1], size + 2), dtype=dtype)
+        ap[:, :, :size].reshape(b, a.shape[1], h + 2, w + 2)[:, :, 1 : h + 1, 1 : w + 1] = a
+        return ap
+
+    taps = np.ascontiguousarray(kernel.reshape(cout, cin, 9).transpose(2, 0, 1), dtype=dtype)
+    xp, gp = pad(x), pad(g)
+    out = correlate3_batched_oracle(xp, taps, h, w) + bias.astype(dtype)[:, None, None]
+    gout = gp[:, :, w + 3 : w + 3 + n]
+    per_tap = [
+        np.matmul(gout, xp[:, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
+        for off in ((t // 3) * (w + 2) + t % 3 for t in range(9))
+    ]
+    gw = np.stack(per_tap, axis=-1).reshape(kernel.shape)
+    gx = np.ascontiguousarray(
+        correlate3_batched_oracle(gp, taps[::-1].transpose(0, 2, 1), h, w)
+    )
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
 def backward_oracle(loss) -> dict[int, np.ndarray]:
     """Reverse-mode walk over a dumpwatch graph that keeps every gradient,
     intermediates included: {id(vertex): d(loss)/d(vertex)}. A vertex is

@@ -2,10 +2,12 @@ import functools
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from dumpwatch import unet
 from dumpwatch.dataset import (
     NormalizationStats,
     SynthConfig,
@@ -1001,6 +1003,30 @@ class TestStreamedPredictMatchesOracle:
         got = self._check(raster, 32, 8, 4)
         assert np.isnan(got[20:30, 10:40]).all() and np.isnan(got[40:46, 55:61]).all()
         assert np.isfinite(got).sum() == 75 * 61 - 300 - 36
+
+    def test_windows_over_nodata_alone_are_not_run(self, monkeypatch):
+        raster = self._raster(75, 61, seed=6)
+        raster.samples[1, :, :33] = np.nan  # the left half is nodata
+        raster.samples[0, 40:, 33:] = np.nan  # and the bottom right
+        params = build_unet(self.CFG, seed=0)
+        icfg = InferenceConfig(tile_size=16, overlap=4, batch_size=3)
+        run = []
+        real_forward = unet.forward
+
+        def counting_forward(params, config, batch):
+            run.append(len(batch.data))
+            return real_forward(params, config, batch)
+
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            patch.setattr(unet, "forward", counting_forward)
+            warnings.simplefilter("error")  # no 0 / 0 warning where none ran
+            got = predict_raster(params, self.CFG, raster, self.STATS, icfg).samples[0]
+        # valid pixels fill rows 0-39, cols 33-60: of the 6 x 5 windows, those
+        # at rows 0, 12, 24, 36 and cols 24, 36, 45 reach one
+        assert sum(run) == 4 * 3
+        assert np.isfinite(got).sum() == 40 * 28
+        want = predict_raster_oracle(params, self.CFG, raster, self.STATS, 16, 4, 3)
+        assert got.tobytes() == want.tobytes()
 
     def test_rows_stream_before_the_raster_is_read(self):
         raster = self._raster(200, 24, seed=5)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dumpwatch.numerics import (
     AdamState,
     Tensor,
+    _column_blocks,
     _correlate3,
     _pad_flat,
     _tap_offsets,
@@ -27,8 +28,10 @@ from dumpwatch.numerics import (
     weighted_bce_with_logits,
     zero_grads,
 )
+from dumpwatch.unet import UNetConfig, parameter_schema
 from oracles import (
     adam_step_oracle,
+    conv2d_batched_oracle,
     conv2d_grad_oracle,
     conv2d_oracle,
     finite_difference_grad,
@@ -406,6 +409,58 @@ def _conv_case(seed, batch, cin, cout, h, w, dtype=np.float64):
     )
 
 
+def _net_conv_shapes(config: UNetConfig, batch: int, side: int):
+    """(input shape, kernel shape) of every 3x3 conv of the U-Net at a
+    batch of side x side inputs."""
+    shapes = []
+    for name, shape in parameter_schema(config):
+        if shape[2:] != (3, 3):  # biases and the 2x2 up-convs
+            continue
+        prefix = name.split(".")[0]  # encN, bottleneck, decN or head
+        if prefix == "head":
+            level = 0
+        elif prefix == "bottleneck":
+            level = config.depth
+        else:
+            level = int(prefix[3:])
+        shapes.append(((batch, shape[1], side >> level, side >> level), shape))
+    return shapes
+
+
+# (net, batch sizes, input side): the train net (CLI defaults, 100 px chips
+# padded to 112), the scene benchmark's checkpoint net at 256 px tiles, and
+# training.ablate's default net at each band set's width
+_NETS = [
+    (UNetConfig(), (11, 3), 112),
+    (UNetConfig(depth=2, base_filters=8), (5, 1), 256),
+    *((UNetConfig(c, depth=2, base_filters=8), (3,), 112) for c in (3, 4, 5, 6)),
+]
+_BLOCKED_CONV_CASES = list(
+    dict.fromkeys(
+        [
+            *(
+                (*shapes, np.float32)
+                for config, batches, side in _NETS
+                for b in batches
+                for shapes in _net_conv_shapes(config, b, side)
+            ),
+            # grids of 12393 and 9471 columns: three blocks, and two whose
+            # last absorbs a remainder, neither a multiple of 64
+            ((2, 32, 81, 151), (32, 32, 3, 3), np.float32),
+            ((2, 32, 77, 121), (32, 32, 3, 3), np.float32),
+            ((2, 32, 81, 151), (1, 32, 3, 3), np.float64),
+            ((2, 1, 81, 151), (32, 1, 3, 3), np.float64),
+        ]
+    )
+)
+
+
+def _case_id(value):
+    if isinstance(value, tuple):
+        return "x".join(map(str, value))
+    return None
+
+
 class TestConv2dGradients:
     @pytest.mark.parametrize("needs", list(itertools.product((False, True), repeat=3)))
     def test_requires_grad_combinations(self, needs):
@@ -507,6 +562,33 @@ class TestConv2dGradients:
         want = want.reshape(b, cout, h, w + 2)[:, :, :, :w]
         got = _correlate3(gp, taps, h, w)
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, dtype", _BLOCKED_CONV_CASES, ids=_case_id
+    )
+    def test_blocked_conv_is_bitwise_the_batched_conv(self, x_shape, k_shape, dtype):
+        rng = np.random.default_rng(x_shape[2] * 1000 + k_shape[0])
+        x, k, bias = (rng.normal(size=s).astype(dtype) for s in (x_shape, k_shape, k_shape[:1]))
+        g = rng.normal(size=(x_shape[0], k_shape[0], *x_shape[2:])).astype(dtype)
+        for a in (x, g):  # -0.0 inputs, and a gradient that is zero in part
+            a.reshape(-1)[::7] = -0.0
+        g[:, :, : x_shape[2] // 3] = 0.0
+        out = conv2d(*(Tensor(a, requires_grad=True) for a in (x, k, bias)))
+        got = (out.data, *out._grad_fn(g))
+        want = conv2d_batched_oracle(x, k, bias, g)
+        for name, a, b in zip(("out", "gx", "gw", "gb"), got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_column_blocks_tile_the_grid(self):
+        for cin, cout, n in [(32, 32, 12393), (32, 32, 9471), (6, 8, 66048), (8, 1, 100)]:
+            blocks = _column_blocks(cin, cout, n, 4)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all((c1 - c0) % 64 == 0 for c0, c1 in blocks[:-1])
+            assert len(blocks) == 1 or min(c1 - c0 for c0, c1 in blocks) >= 4096
+        assert len(_column_blocks(32, 32, 12393, 4)) == 3
+        assert len(_column_blocks(32, 32, 9471, 4)) == 2
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -249,6 +250,15 @@ class TestTrain:
         assert report.stopping_epoch == len(report.epochs)
         assert report.test is not None
         assert "wall_time_s" in report.metadata
+        rates = report.metadata["chips_per_s"]
+        assert len(rates) == len(report.epochs) and all(r > 0 for r in rates)
+
+    def test_epoch_log_carries_throughput(self, caplog):
+        hyper = Hyperparams(batch_size=4, max_epochs=2, learning_rate=1e-3)
+        with caplog.at_level(logging.INFO, logger="dumpwatch.training"):
+            train(build_unet(self.CFG, seed=1), self.CFG, _training_split(), hyper, seed=5)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+        assert len(lines) == 2 and all(" chips/s=" in line for line in lines)
 
     def test_best_val_snapshot_returned(self):
         split = _training_split()

@@ -219,18 +219,31 @@ class TestBatchInvariance:
     not the batches a whole-raster pass would make; its bytes rest on a
     window's forward not depending on the batch it runs in."""
 
-    @pytest.mark.parametrize("depth", [1, 2, 4])
-    @pytest.mark.parametrize("sizes", [[1] * 7, [3, 4], [5, 1, 1], [2, 5], [6, 1]])
-    def test_stack_equals_concatenated_forwards(self, depth, sizes):
-        cfg = UNetConfig(in_channels=3, depth=depth, base_filters=4)
-        params = build_unet(cfg, seed=depth)
-        side = 2 * cfg.pool_factor
-        x = np.random.default_rng(depth).normal(size=(7, 3, side, side)).astype(np.float32)
+    @staticmethod
+    def _check(cfg, x, sizes, seed):
+        params = build_unet(cfg, seed=seed)
         with no_grad():
             whole = forward(params, cfg, Tensor(x)).data
             parts = np.split(x, np.cumsum(sizes)[:-1])
             split = np.concatenate([forward(params, cfg, Tensor(p)).data for p in parts])
         assert split.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("sizes", [[1] * 7, [3, 4], [5, 1, 1], [2, 5], [6, 1]])
+    def test_stack_equals_concatenated_forwards(self, depth, sizes):
+        cfg = UNetConfig(in_channels=3, depth=depth, base_filters=4)
+        side = 2 * cfg.pool_factor
+        x = np.random.default_rng(depth).normal(size=(7, 3, side, side)).astype(np.float32)
+        self._check(cfg, x, sizes, seed=depth)
+
+    @pytest.mark.parametrize("sizes", [[2, 3], [1] * 5])
+    def test_column_blocked_convs_at_tile_size(self, sizes):
+        # at 256 px the convs split each image into column blocks, which the
+        # small inputs above are too narrow for
+        assert len(numerics._column_blocks(6, 8, 256 * 258, 4)) > 1
+        cfg = UNetConfig(in_channels=6, depth=2, base_filters=8)
+        x = np.random.default_rng(3).normal(size=(5, 6, 256, 256)).astype(np.float32)
+        self._check(cfg, x, sizes, seed=3)
 
 
 class TestReceptiveField:
