@@ -233,11 +233,13 @@ def _scene_bases(scene_dir: str) -> list[Path]:
 
 
 def _read_scenes(scene_dir: str):
-    """Yield (scene_id, source raster, polygons) one scene at a time."""
+    """Yield (scene_id, source raster, polygons) one scene at a time; a
+    scene without a .geojson beside it holds no dump."""
+    no_dumps = geodata.Polygons(np.zeros(0), np.zeros(0), np.zeros(1, np.int64), np.zeros(1, np.int64), [])
     for base in _scene_bases(scene_dir):
         raster = geodata.read_raster(base)
         ann_path = Path(str(base) + ".geojson")
-        polygons = geodata.read_annotations(ann_path) if ann_path.exists() else []
+        polygons = geodata.read_annotations(ann_path) if ann_path.exists() else no_dumps
         yield base.name, raster, polygons
 
 

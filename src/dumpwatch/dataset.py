@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geodata
 from ._fileio import atomic_write_json, read_json
-from .geodata import GeoTransform, PolygonAnnotation, Raster
+from .geodata import GeoTransform, Polygons, Raster
 
 NDSW_BAND = "NDSW"
 SOURCE_BANDS = ("R", "G", "B", "NIR", "SWIR1", "SWIR2")
@@ -97,7 +97,7 @@ def stack_bands(source: Raster, spec: tuple[str, ...] = DEFAULT_BAND_SPEC) -> Ra
 
 
 def rasterize_mask(
-    polygons: list[PolygonAnnotation],
+    polygons: Polygons,
     transform: GeoTransform,
     width: int,
     height: int,
@@ -108,27 +108,36 @@ def rasterize_mask(
     rule; holes subtract. Centers exactly on a boundary edge follow the
     half-open ray-crossing convention (crossings strictly right of the
     center are counted), applied identically here and in any point test.
+
+    Each edge crosses the rows whose center y lies in [its lower y, its
+    upper y), at x1 + (y - y1) * (x2 - x1) / (y2 - y1). A polygon's rings
+    cross a row an even number of times, so its crossings of that row,
+    sorted, pair up into the spans of columns whose centers lie inside it,
+    and a pixel any span covers is 1.
     """
     if width <= 0 or height <= 0:
         raise ValueError("mask dimensions must be positive")
-    mask = np.zeros((height, width), dtype=np.uint8)
     centers_x = transform.origin_x + (np.arange(width) + 0.5) * transform.pixel_width
-    for poly in polygons:
-        edges = []
-        for ring in poly.rings():
-            edges.extend(zip(ring[:-1], ring[1:]))
-        for row in range(height):
-            y = transform.origin_y - (row + 0.5) * transform.pixel_height
-            crossings = []
-            for (x1, y1), (x2, y2) in edges:
-                if (y1 > y) != (y2 > y):
-                    crossings.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
-            if not crossings:
-                continue
-            xs = np.sort(np.asarray(crossings))
-            greater = len(xs) - np.searchsorted(xs, centers_x, side="right")
-            mask[row, greater % 2 == 1] = 1
-    return mask
+    centers_y = transform.origin_y - (np.arange(height) + 0.5) * transform.pixel_height
+    x, y, ring_offsets = polygons.x, polygons.y, polygons.ring_offsets
+    succ = np.arange(1, len(x) + 1)
+    succ[ring_offsets[1:] - 1] = ring_offsets[:-1]  # each ring's last edge closes it
+    # centers_y falls row by row, so -centers_y is sorted
+    first = np.searchsorted(-centers_y, -np.maximum(y, y[succ]), "right")
+    count = np.searchsorted(-centers_y, -np.minimum(y, y[succ]), "right") - first
+    edge = np.repeat(np.arange(len(x)), count)
+    row = first[edge] + np.arange(len(edge)) - np.repeat(np.cumsum(count) - count, count)
+    x1, y1, x2, y2 = x[edge], y[edge], x[succ[edge]], y[succ[edge]]
+    y = centers_y[row]
+    col = np.searchsorted(centers_x, x1 + (y - y1) * (x2 - x1) / (y2 - y1))  # centers left of it
+    polygon = np.searchsorted(ring_offsets[polygons.polygon_offsets], edge, "right") - 1
+    order = np.lexsort((col, row, polygon))
+    start, length = col[order[0::2]], col[order[1::2]] - col[order[0::2]]
+    # every span's pixels in row-major order: its first pixel, then the next ones
+    pixel = np.repeat(row[order[0::2]] * width + start - np.cumsum(length) + length, length)
+    mask = np.zeros(height * width, dtype=np.uint8)
+    mask[pixel + np.arange(len(pixel))] = 1
+    return mask.reshape(height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +263,7 @@ class ChipConfig:
 
 
 def chip_scenes(
-    scenes: Iterable[tuple[str, Raster, list[PolygonAnnotation]]],
+    scenes: Iterable[tuple[str, Raster, Polygons]],
     chip: ChipConfig,
     seed: int,
 ) -> list[Chip]:
@@ -471,14 +480,12 @@ class SynthConfig:
 _BLOB_VERTICES = 28
 
 
-def generate_synthetic(
-    config: SynthConfig,
-) -> tuple[Raster, list[PolygonAnnotation]]:
+def generate_synthetic(config: SynthConfig) -> tuple[Raster, Polygons]:
     """Build a six-band scene with irregular elliptic dump blobs.
 
-    Returns the source raster [R, G, B, NIR, SWIR1, SWIR2] and polygon
-    annotations that exactly outline the painted blobs: the blob mask is
-    rasterized from the very polygons that are returned.
+    Returns the source raster [R, G, B, NIR, SWIR1, SWIR2] and the polygons,
+    labelled "dump", that exactly outline the painted blobs: the blob mask
+    is rasterized from the very polygons that are returned.
     """
     rng = np.random.default_rng(config.background_texture_seed)
     size = config.scene_size
@@ -487,7 +494,7 @@ def generate_synthetic(
 
     rmin, rmax = config.dump_radius_range
     placed: list[tuple[float, float, float]] = []
-    polygons: list[PolygonAnnotation] = []
+    corners: list[tuple[float, float]] = []
     for _ in range(config.dump_count):
         for _attempt in range(400):
             radius = float(rng.uniform(rmin, rmax))
@@ -511,16 +518,18 @@ def generate_synthetic(
         tilt = float(rng.uniform(0.0, math.pi))
         phase = float(rng.uniform(0.0, 2 * math.pi))
         jitter = rng.uniform(0.9, 1.1, _BLOB_VERTICES)
-        ring = []
         for k in range(_BLOB_VERTICES):
             ang = phase + 2 * math.pi * k / _BLOB_VERTICES
             ex = radius * math.cos(ang) * jitter[k]
             ey = radius * eccentricity * math.sin(ang) * jitter[k]
             px = cx + ex * math.cos(tilt) - ey * math.sin(tilt)
             py = cy + ex * math.sin(tilt) + ey * math.cos(tilt)
-            ring.append(geodata.pixel_to_world(transform, px, py))
-        polygons.append(PolygonAnnotation((*ring, ring[0])))
+            corners.append(geodata.pixel_to_world(transform, px, py))
 
+    x, y = np.array(corners, np.float64).reshape(-1, 2).T
+    n = len(placed)
+    x, y, ring_offsets = geodata._normalized(x, y, np.arange(n + 1) * _BLOB_VERTICES)
+    polygons = Polygons(x, y, ring_offsets, np.arange(n + 1), ["dump"] * n)
     mask = rasterize_mask(polygons, transform, size, size)
 
     # imported here, not at module level: scipy.ndimage takes about 0.3 s to

@@ -19,31 +19,31 @@ the next by a sorted search, and rings are the cycles of that link, cut
 where one passes a pinch corner twice. Each 4-connected part of a
 component (found by the same run union-find as the labelling) has one
 exterior ring, and the other rings along the part are its holes.
-Detections stay columns (``Detections``: corner arrays with ring, polygon
-and detection offsets) through the area filter to the GeoJSON text, which
-is joined from each distinct coordinate formatted once; no Python object
-is built per ring unless a caller indexes the columns.
+Detections stay columns (``Detections``: ``geodata.Polygons`` corner arrays
+with ring and polygon offsets, plus detection offsets) through the area
+filter to the GeoJSON text, which ``geodata.write_geojson`` joins from
+each distinct coordinate formatted once; no Python object is built per
+ring.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataset as ds
 from . import numerics, unet
-from ._fileio import atomic_write_text
 from .dataset import NormalizationStats
 from .geodata import (
     GeoTransform,
-    PolygonAnnotation,
     Polygons,
     Raster,
+    _float_text,
     shift_transform,
     take_ragged,
+    write_geojson,
 )
 from .numerics import Tensor
 from .unet import ParameterSet, UNetConfig
@@ -84,29 +84,17 @@ class PostprocConfig:
             raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity}")
 
 
-@dataclass
-class Detection:
-    """One connected region as objects: exact outline(s), pixel count, area,
-    mean prob. ``Detections`` builds one per index, for callers that need it.
-
-    ``polygons`` usually holds a single part; components whose pixels touch
-    only at corners split into one simple polygon per touching square group,
-    exported together as a MultiPolygon.
-    """
-
-    polygons: list[PolygonAnnotation]
-    pixel_count: int
-    area: float
-    mean_probability: float
-
-
 @dataclass(eq=False)
-class Detections(Sequence):
+class Detections:
     """Detections as columns: their ``polygons`` (``geodata.Polygons``, each
     labelled "detection"), ``offsets`` where each detection's polygons start
     (with the end as a last entry), and per detection its ``pixel_count``,
-    ``area`` and ``mean_probability`` (NaN without probabilities). Indexing
-    and iteration build ``Detection`` objects."""
+    ``area`` and ``mean_probability`` (NaN without probabilities).
+
+    A detection usually holds a single polygon; a component whose pixels
+    touch only at corners splits into one simple polygon per touching square
+    group, exported together as a MultiPolygon.
+    """
 
     polygons: Polygons
     offsets: np.ndarray
@@ -116,16 +104,6 @@ class Detections(Sequence):
 
     def __len__(self) -> int:
         return len(self.pixel_count)
-
-    def __getitem__(self, k: int) -> Detection:
-        k = range(len(self))[k]
-        a, b = self.offsets[k : k + 2]
-        return Detection(
-            polygons=[self.polygons[j] for j in range(a, b)],
-            pixel_count=int(self.pixel_count[k]),
-            area=float(self.area[k]),
-            mean_probability=float(self.mean_probability[k]),
-        )
 
 
 def _tile_origins(extent: int, tile: int, overlap: int) -> list[int]:
@@ -564,61 +542,22 @@ def filter_detections(detections: Detections, pcfg: PostprocConfig) -> Detection
     )
 
 
-def _float_text(values: np.ndarray, template: str) -> list[str]:
-    """``template`` formatted with each float in ``values``, whose ``{!r}``
-    writes it as ``json.dumps`` does, formatting each distinct value (by its
-    bits) once: corners on the pixel lattice take one value per grid line."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct = np.sort(bits)
-    new = np.ones(len(distinct), dtype=bool)
-    new[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[new]
-    text = np.array(list(map(template.format, distinct.view(np.float64).tolist())), dtype=object)
-    return text[np.searchsorted(distinct, bits)].tolist()
-
-
 def export_geojson(detections: Detections, path) -> None:
-    """Write detections as a GeoJSON FeatureCollection (atomic replace).
-
-    The text is joined from the columns, and is byte for byte what
-    ``json.dumps`` writes for the feature dicts: each ring closed by its
-    first vertex, a detection with one polygon as a Polygon and any other
-    as a MultiPolygon, and a NaN mean probability as null. Non-finite
-    coordinates or areas are refused, as the strict encoder refuses them,
-    before anything is written.
-    """
-    polys = detections.polygons
-    finite = np.isfinite(polys.x).all() and np.isfinite(polys.y).all()
-    if not (finite and np.isfinite(detections.area).all()) or np.isinf(detections.mean_probability).any():
-        raise ValueError(f"{path}: non-finite coordinates or areas are not JSON compliant")
-    vertex = list(map(str.__add__, _float_text(polys.x, "[{!r}, "), _float_text(polys.y, "{!r}]")))
-    bounds = polys.ring_offsets.tolist()
-    rings = [", ".join(vertex[a:b]) + ", " + vertex[a] for a, b in zip(bounds, bounds[1:])]
-    bounds = polys.polygon_offsets.tolist()
-    polygons = ["[[" + "], [".join(rings[a:b]) + "]]" for a, b in zip(bounds, bounds[1:])]
-    bounds = detections.offsets.tolist()
-    geometries = [
-        '{"type": "Polygon", "coordinates": ' + polygons[a]
-        if b - a == 1
-        else '{"type": "MultiPolygon", "coordinates": [' + ", ".join(polygons[a:b]) + "]"
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    """Write detections through ``geodata.write_geojson``, one feature each,
+    with its area, mean probability (null when NaN) and pixel count.
+    Non-finite areas and infinite means are refused, as non-finite
+    coordinates are, before anything is written."""
+    if not np.isfinite(detections.area).all() or np.isinf(detections.mean_probability).any():
+        raise ValueError(f"{path}: non-finite areas or mean probabilities are not JSON compliant")
     means = _float_text(detections.mean_probability, "{!r}")
     for k in np.flatnonzero(np.isnan(detections.mean_probability)).tolist():
         means[k] = "null"
-    feature = (
-        '{{"type": "Feature", "geometry": {}}}, "properties": '
-        '{{"area_m2": {}, "mean_probability": {}, "pixel_count": {}}}}}'
-    )
-    features = map(
-        feature.format,
-        geometries,
-        _float_text(detections.area, "{!r}"),
-        means,
-        detections.pixel_count.tolist(),
-    )
-    text = '{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]}\n"
-    atomic_write_text(path, text)
+    properties = {
+        "area_m2": _float_text(detections.area, "{!r}"),
+        "mean_probability": means,
+        "pixel_count": list(map(str, detections.pixel_count.tolist())),
+    }
+    write_geojson(path, detections.polygons, detections.offsets, properties)
 
 
 def detections_from_binary(

@@ -2,8 +2,10 @@
 
 Rasters use a native two-file layout: ``<base>.json`` holds the header
 (dimensions, band names, transform, nodata, dtype) and ``<base>.bin`` holds
-the raw little-endian float32 payload, band-major then row-major. Polygon
-annotations are read from and written to GeoJSON FeatureCollections.
+the raw little-endian float32 payload, band-major then row-major. Polygons
+are columns (``Polygons``), the one geometry type from the synthetic
+generator and the annotation reader to the file; ``write_geojson`` is the
+one GeoJSON text writer, for annotations and detections alike.
 
 Coordinates are assumed to share one projected CRS with meter-like units;
 alignment between rasters and annotations is the caller's responsibility and
@@ -28,6 +30,7 @@ import numpy as np
 from ._fileio import (
     atomic_open,
     atomic_write_json,
+    atomic_write_text,
     encode_nodata,
     gc_paused,
     read_json,
@@ -325,43 +328,6 @@ def read_raster(path: str | Path) -> Raster:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolygonAnnotation:
-    """A polygon with an exterior ring, optional holes, and a class label.
-
-    Rings are closed (first vertex repeated at the end) and need at least
-    three distinct vertices; they are normalized as ``read_annotations``
-    normalizes a file's rings (``_normalized``). Full self-intersection
-    checks run at load time in :func:`read_annotations`, not here, so
-    constructed geometry stays cheap.
-    """
-
-    exterior: Ring
-    holes: tuple[Ring, ...] = ()
-    label: str = "dump"
-
-    def __post_init__(self):
-        rings = (self.exterior, *self.holes)
-        xy = [(_coord(x), _coord(y)) for ring in rings for x, y in ring]
-        x, y = np.array(xy, np.float64).reshape(-1, 2).T
-        x, y, offsets = _normalized(x, y, np.cumsum([0, *map(len, rings)]))
-        counts = np.diff(offsets)
-        if (counts < 3).any():
-            raise ValueError(f"ring needs >= 3 distinct vertices, got {counts[np.argmax(counts < 3)]}")
-        self.exterior, *holes = _closed_rings(x, y, offsets)
-        self.holes = tuple(holes)
-
-    def rings(self) -> tuple[Ring, ...]:
-        return (self.exterior, *self.holes)
-
-    def area(self) -> float:
-        """Unsigned area of the exterior minus the holes (shoelace)."""
-        total = abs(_signed_area(self.exterior))
-        for hole in self.holes:
-            total -= abs(_signed_area(hole))
-        return total
-
-
 @dataclass(eq=False)
 class Polygons(Sequence):
     """Polygons as columns, in the ragged layout of GeoArrow
@@ -369,9 +335,10 @@ class Polygons(Sequence):
     where each ring's vertices start, with the end as a last entry;
     ``polygon_offsets``, where each polygon's rings (its exterior, then its
     holes) start, likewise; and one label per polygon. Rings are open (the
-    first vertex is not repeated) and normalized as ``PolygonAnnotation``
-    normalizes them. Indexing and iteration build ``PolygonAnnotation``
-    objects, for callers that need them.
+    first vertex is not repeated) and normalized (``_normalized``). This is
+    the one polygon type, from ``dataset.generate_synthetic`` and
+    ``read_annotations`` to ``write_geojson``. ``polygons[k]`` is polygon k
+    alone, as columns sliced from these.
     """
 
     x: np.ndarray
@@ -383,13 +350,19 @@ class Polygons(Sequence):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, k: int) -> PolygonAnnotation:
+    def __getitem__(self, k: int) -> Polygons:
         k = range(len(self))[k]
         a, b = self.polygon_offsets[k : k + 2]
-        poly = object.__new__(PolygonAnnotation)  # the rings are normalized already
-        poly.exterior, *holes = _closed_rings(self.x, self.y, self.ring_offsets[a : b + 1])
-        poly.holes, poly.label = tuple(holes), self.labels[k]
-        return poly
+        lo, hi = self.ring_offsets[a], self.ring_offsets[b]
+        offsets = self.ring_offsets[a : b + 1] - lo
+        return Polygons(self.x[lo:hi], self.y[lo:hi], offsets, np.array([0, b - a]), self.labels[k : k + 1])
+
+    def rings(self) -> list[Ring]:
+        """Every ring in order, each a tuple of (x, y) closed by its first
+        vertex."""
+        pts = list(zip(self.x.tolist(), self.y.tolist()))
+        bounds = self.ring_offsets.tolist()
+        return [(*pts[a:b], pts[a]) for a, b in zip(bounds, bounds[1:])]
 
     def take(self, keep: np.ndarray) -> Polygons:
         """The polygons where the boolean ``keep`` is True."""
@@ -406,15 +379,6 @@ def take_ragged(offsets: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.n
     kept = np.zeros(np.count_nonzero(keep) + 1, np.int64)
     np.cumsum(sizes[keep], out=kept[1:])
     return kept, np.repeat(keep, sizes)
-
-
-def _closed_rings(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> list[Ring]:
-    """The rings from ``offsets[0]`` to ``offsets[-1]`` of columns of open
-    rings, each as a tuple of (x, y) closed by its first vertex."""
-    lo, hi = int(offsets[0]), int(offsets[-1])
-    pts = list(zip(x[lo:hi].tolist(), y[lo:hi].tolist()))
-    bounds = (offsets - lo).tolist()
-    return [(*pts[a:b], pts[a]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _coord(value) -> float:
@@ -446,13 +410,6 @@ def _normalized(x: np.ndarray, y: np.ndarray, offsets: np.ndarray):
     kept = np.zeros(len(sizes) + 1, np.int64)
     np.cumsum(counts, out=kept[1:])
     return x[keep], y[keep], kept
-
-
-def _signed_area(ring: Ring) -> float:
-    s = 0.0
-    for (x1, y1), (x2, y2) in zip(ring[:-1], ring[1:]):
-        s += x1 * y2 - x2 * y1
-    return 0.5 * s
 
 
 def ring_is_simple(ring: Ring) -> bool:
@@ -724,22 +681,54 @@ def read_annotations(path: str | Path) -> Polygons:
     return Polygons(x, y, offsets, np.array(first, np.int64), labels)
 
 
-def _ring_coords(ring: Ring) -> list[list[float]]:
-    return [[x, y] for x, y in ring]
+def _float_text(values: np.ndarray, template: str) -> list[str]:
+    """``template`` formatted with each float in ``values``, whose ``{!r}``
+    writes it as ``json.dumps`` does, formatting each distinct value (by its
+    bits) once: corners on the pixel lattice take one value per grid line."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct = np.sort(bits)
+    new = np.ones(len(distinct), dtype=bool)
+    new[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[new]
+    text = np.array(list(map(template.format, distinct.view(np.float64).tolist())), dtype=object)
+    return text[np.searchsorted(distinct, bits)].tolist()
 
 
-def write_annotations(polygons: list[PolygonAnnotation], path: str | Path) -> None:
-    """Write polygons as a GeoJSON FeatureCollection (atomic replace)."""
-    features = []
-    for poly in polygons:
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [_ring_coords(r) for r in poly.rings()],
-                },
-                "properties": {"label": poly.label},
-            }
-        )
-    atomic_write_json(path, {"type": "FeatureCollection", "features": features})
+def write_geojson(path: str | Path, polygons: Polygons, offsets: np.ndarray, properties: dict[str, list[str]]) -> None:
+    """Write features as a GeoJSON FeatureCollection (atomic replace).
+
+    Feature k holds the polygons from ``offsets[k]`` to ``offsets[k + 1]``,
+    as a Polygon when it holds one and a MultiPolygon otherwise. Its
+    properties are, in key order, the k-th entry of each column of
+    ``properties``, given as JSON text. The text is joined from the columns,
+    each distinct coordinate formatted once, and is byte for byte what
+    ``json.dumps`` writes for the feature dicts, each ring closed by its
+    first vertex. Non-finite coordinates are refused, as the strict encoder
+    refuses them, before anything is written.
+    """
+    if not (np.isfinite(polygons.x).all() and np.isfinite(polygons.y).all()):
+        raise ValueError(f"{path}: non-finite coordinates are not JSON compliant")
+    vertex = list(map(str.__add__, _float_text(polygons.x, "[{!r}, "), _float_text(polygons.y, "{!r}]")))
+    bounds = polygons.ring_offsets.tolist()
+    rings = [", ".join(vertex[a:b]) + ", " + vertex[a] for a, b in zip(bounds, bounds[1:])]
+    bounds = polygons.polygon_offsets.tolist()
+    parts = ["[[" + "], [".join(rings[a:b]) + "]]" for a, b in zip(bounds, bounds[1:])]
+    bounds = offsets.tolist()
+    geometries = [
+        '{"type": "Polygon", "coordinates": ' + parts[a]
+        if b - a == 1
+        else '{"type": "MultiPolygon", "coordinates": [' + ", ".join(parts[a:b]) + "]"
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    keys = ", ".join(json.dumps(key) + ": {}" for key in properties)
+    feature = '{{"type": "Feature", "geometry": {}}}, "properties": {{' + keys + "}}}}"
+    features = map(feature.format, geometries, *properties.values())
+    text = '{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]}\n"
+    atomic_write_text(path, text)
+
+
+def write_annotations(polygons: Polygons, path: str | Path) -> None:
+    """Write labelled polygons as a GeoJSON FeatureCollection, one Polygon
+    feature each (atomic replace)."""
+    labels = list(map(json.dumps, polygons.labels))
+    write_geojson(path, polygons, np.arange(len(polygons) + 1), {"label": labels})

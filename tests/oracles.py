@@ -3,7 +3,10 @@ and the few helpers that only tests call.
 
 Everything here is written with plain loops and stdlib/numpy scalar math so
 that agreement with the fast vectorized code is meaningful. Keep these naive:
-no shared helpers with the package beyond dataclass containers.
+no shared helpers with the package beyond its containers and the ring
+normalization that fills them. Tests build polygon columns
+(``geodata.Polygons``) through ``polygon_columns`` alone, and read
+detections back as ``DetectionRecord``s.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 import math
 from collections import deque
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,6 +295,46 @@ def gradcheck_rel_error(numerical: np.ndarray, analytic: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def polygon_columns(polygons, labels="dump"):
+    """``geodata.Polygons`` of ``polygons``, each given as its rings (the
+    exterior, then the holes), each ring a sequence of (x, y) vertices,
+    closed or not; with one label for all, or a list of one per polygon.
+    The rings are normalized as ``read_annotations`` normalizes a file's
+    (``geodata._normalized``), and a ring left with fewer than three
+    distinct vertices raises ValueError."""
+    from dumpwatch import geodata
+
+    rings = [ring for poly in polygons for ring in poly]
+    xy = np.array([[geodata._coord(c) for c in v] for ring in rings for v in ring], np.float64)
+    xy = xy.reshape(-1, 2)
+    x, y, offsets = geodata._normalized(xy[:, 0], xy[:, 1], np.cumsum([0, *map(len, rings)]))
+    if (np.diff(offsets) < 3).any():
+        raise ValueError("ring needs >= 3 distinct vertices")
+    labels = [labels] * len(polygons) if isinstance(labels, str) else list(labels)
+    return geodata.Polygons(x, y, offsets, np.cumsum([0, *map(len, polygons)]), labels)
+
+
+def write_annotations_oracle(polygons, path) -> None:
+    """``geodata.Polygons`` as a GeoJSON FeatureCollection, one Polygon
+    feature per polygon with its label: the dict tree that
+    ``geodata.write_annotations`` once built, written by ``json.dumps``
+    (``atomic_write_json``)."""
+    from dumpwatch._fileio import atomic_write_json
+
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {
+                "type": "Polygon",
+                "coordinates": [[[x, y] for x, y in ring] for ring in poly.rings()],
+            },
+            "properties": {"label": poly.labels[0]},
+        }
+        for poly in polygons
+    ]
+    atomic_write_json(path, {"type": "FeatureCollection", "features": features})
+
+
 def point_in_rings_oracle(rings: list[list[tuple[float, float]]], x: float, y: float) -> bool:
     """Even-odd test counting edge crossings strictly right of the point.
 
@@ -359,14 +403,6 @@ def connected_components_oracle(
                             queue.append((rr, cc))
             next_label += 1
     return labels
-
-
-def polygon_area_oracle(ring: list[tuple[float, float]]) -> float:
-    """Absolute shoelace area of a closed ring."""
-    total = 0.0
-    for (x1, y1), (x2, y2) in zip(ring[:-1], ring[1:]):
-        total += x1 * y2 - x2 * y1
-    return abs(total) / 2.0
 
 
 def _cross(a, b, c) -> float:
@@ -527,9 +563,35 @@ def _point_in_ring_oracle(px, py, ring) -> bool:
     return crossings % 2 == 1
 
 
+class DetectionRecord(NamedTuple):
+    """One detection: each of its polygons as a list of closed rings (tuples
+    of (x, y), the exterior first, then the holes), pixel count, area and
+    mean probability."""
+
+    polygons: list
+    pixel_count: int
+    area: float
+    mean_probability: float
+
+
+def detection_records(detections) -> list[DetectionRecord]:
+    """``detect.Detections`` columns as one record per detection."""
+    bounds = detections.offsets.tolist()
+    return [
+        DetectionRecord(
+            [detections.polygons[j].rings() for j in range(a, b)],
+            int(detections.pixel_count[k]),
+            float(detections.area[k]),
+            float(detections.mean_probability[k]),
+        )
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
 def polygonize_oracle(labels, transform, probabilities=None):
     """One component at a time: the per-component walk that
-    ``detect.polygonize`` replaced, kept as its reference.
+    ``detect.polygonize`` replaced, kept as its reference. Returns one
+    ``DetectionRecord`` per label.
 
     Rings are the walks above, split where they revisit a corner and
     stripped of collinear corners; positive pixel-space area marks an
@@ -539,9 +601,6 @@ def polygonize_oracle(labels, transform, probabilities=None):
     are counterclockwise in world coordinates.
     """
     from scipy import ndimage
-
-    from dumpwatch.detect import Detection
-    from dumpwatch.geodata import PolygonAnnotation
 
     labels = np.asarray(labels)
     count = int(labels.max()) if labels.size else 0
@@ -594,11 +653,8 @@ def polygonize_oracle(labels, transform, probabilities=None):
             best = min(inside, key=lambda i: exteriors[i][1]) if inside else 0
             grouped[best][1].append(hole)
         detections.append(
-            Detection(
-                polygons=[
-                    PolygonAnnotation(world(ext), tuple(map(world, hs)), label="detection")
-                    for ext, hs in grouped
-                ],
+            DetectionRecord(
+                polygons=[[world(ext), *map(world, hs)] for ext, hs in grouped],
                 pixel_count=len(pixels),
                 area=len(pixels) * pixel_area,
                 mean_probability=float(mean_prob[label]),
@@ -608,14 +664,14 @@ def polygonize_oracle(labels, transform, probabilities=None):
 
 
 def export_geojson_oracle(detections, path) -> None:
-    """``Detection`` objects as a GeoJSON FeatureCollection: the dict tree
+    """``DetectionRecord``s as a GeoJSON FeatureCollection: the dict tree
     that ``detect.export_geojson`` once built, written by ``json.dumps``
     (``atomic_write_json``)."""
     from dumpwatch._fileio import atomic_write_json
 
     features = []
     for det in detections:
-        parts = [poly.rings() for poly in det.polygons]
+        parts = det.polygons
         if len(parts) == 1:
             geometry = {"type": "Polygon", "coordinates": parts[0]}
         else:

@@ -892,6 +892,42 @@ class TestNodataChip:
         assert after == before
 
 
+class TestChipWithoutAnnotations:
+    def test_scene_without_geojson_chips_as_an_empty_collection(self, tmp_path, capsys):
+        # a scene with no .geojson beside it holds no dump: it gives no
+        # positive chip, and the catalog is the one an empty
+        # FeatureCollection gives
+        catalogs = {}
+        for case in ("missing", "empty"):
+            root = tmp_path / case
+            root.mkdir()
+            cfg = root / "run.json"
+            cfg.write_text(
+                json.dumps(
+                    {
+                        "seed": 3,
+                        "paths": {"scene_dir": str(root / "scenes"), "catalog": str(root / "catalog")},
+                        "synth": {"scene_count": 2, "scene_size": 96, "dump_count": 2},
+                        "chip": {"chip_size": 48, "stride": 24, "test_frac": 0.0, "val_frac": 0.0},
+                    }
+                )
+            )
+            assert run_cli(["synth", "--config", str(cfg)], capsys)[0] == 0
+            annotations = root / "scenes" / "scene_001.geojson"
+            if case == "missing":
+                annotations.unlink()
+            else:
+                annotations.write_text('{"type": "FeatureCollection", "features": []}\n')
+            assert run_cli(["chip", "--config", str(cfg)], capsys)[0] == 0
+            files = sorted(p for p in (root / "catalog").rglob("*") if p.is_file())
+            catalogs[case] = {p.relative_to(root): p.read_bytes() for p in files}
+        assert catalogs["missing"] == catalogs["empty"]
+        split, _ = load_catalog(tmp_path / "missing" / "catalog")
+        chips = split.train + split.val + split.test
+        assert any(c.is_positive() for c in chips)
+        assert not any(c.is_positive() for c in chips if c.scene_id == "scene_001")
+
+
 class TestSynthSeeding:
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         for name in ("a", "b"):
@@ -957,6 +993,29 @@ class TestDetectionBytes:
         assert (summary["detections"], summary["total_area_m2"]) == (13, 92.01)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "bdd5a6fd3cefdd9186969f23581402391ec4bdcc650fabeab375f31cc43178ef"
+
+
+class TestSynthBytes:
+    def test_synth_bytes_are_pinned(self, tmp_path, capsys):
+        # two small seeded scenes; the hashes are of the files that the
+        # per-row rasterizer and the dict-tree annotation writer
+        # (``write_annotations_oracle``) wrote, so they hold the column
+        # rasterizer and the text writer to those bytes on every numpy the
+        # CI runs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"synth": {"scene_count": 2, "scene_size": 64, "dump_count": 3}}))
+        out = tmp_path / "scenes"
+        code, _ = run_cli(["synth", "--seed", "11", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+        assert digests == {
+            "scene_000.bin": "96a57a8810e200b6eb5480e47d4b58d9c14c8e9dea258a2d7e80c6e59ff890dd",
+            "scene_000.geojson": "dc998072389dd7a78ed4ea0dcf8a4bc5e67155481e17dd2406aa4cd1f591e7ea",
+            "scene_000.json": "abd218b7d4bc0c0ca5cc1752bb9e237e24ebbaf61083cba147a4bb70ea49b28f",
+            "scene_001.bin": "5e3e2ee81a2d965381bc8477100bf08223825213b19c7bfc7b2cda38315c35c0",
+            "scene_001.geojson": "afe027d42eaab6a794f2a192d092c8a3a685b03a02e038f5b1d7bf691e385395",
+            "scene_001.json": "abd218b7d4bc0c0ca5cc1752bb9e237e24ebbaf61083cba147a4bb70ea49b28f",
+        }
 
 
 class TestProcessLevel:

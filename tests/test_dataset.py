@@ -29,8 +29,8 @@ from dumpwatch.dataset import (
     split_dataset,
     stack_bands,
 )
-from dumpwatch.geodata import GeoTransform, PolygonAnnotation, Raster
-from oracles import rasterize_oracle, rasters_equal
+from dumpwatch.geodata import GeoTransform, Raster
+from oracles import polygon_columns, rasterize_oracle, rasters_equal
 
 
 class TestNdsw:
@@ -112,40 +112,39 @@ class TestStackBands:
         assert ABLATION_SPECS["RGB-NIR-SWIR-NDSW"] == DEFAULT_BAND_SPEC
 
 
-def _star_polygon(rng, cx, cy, rmax, n=9):
+def _star_ring(rng, cx, cy, rmax, n=9):
     angles = np.linspace(0, 2 * np.pi, n, endpoint=False)
     radii = rng.uniform(0.3 * rmax, rmax, n)
-    ring = tuple(
+    return tuple(
         (cx + float(r * np.cos(a)), cy + float(r * np.sin(a)))
         for r, a in zip(radii, angles)
     )
-    return PolygonAnnotation(ring)
 
 
 class TestRasterizeMask:
     T8 = GeoTransform(0.0, 8.0, 1.0, 1.0)
 
     def test_integer_square(self):
-        square = PolygonAnnotation(((2, 2), (5, 2), (5, 5), (2, 5)))
-        mask = rasterize_mask([square], self.T8, 8, 8)
+        square = polygon_columns([[((2, 2), (5, 2), (5, 5), (2, 5))]])
+        mask = rasterize_mask(square, self.T8, 8, 8)
         expected = np.zeros((8, 8), dtype=np.uint8)
         expected[3:6, 2:5] = 1
         assert np.array_equal(mask, expected)
 
     def test_half_pixel_square_covers_same_cells(self):
         # centers on the left/bottom edges count, right/top do not
-        square = PolygonAnnotation(((2.5, 2.5), (5.5, 2.5), (5.5, 5.5), (2.5, 5.5)))
-        mask = rasterize_mask([square], self.T8, 8, 8)
+        square = polygon_columns([[((2.5, 2.5), (5.5, 2.5), (5.5, 5.5), (2.5, 5.5))]])
+        mask = rasterize_mask(square, self.T8, 8, 8)
         expected = np.zeros((8, 8), dtype=np.uint8)
         expected[3:6, 2:5] = 1
         assert np.array_equal(mask, expected)
 
     def test_abutting_squares_partition(self):
-        a = PolygonAnnotation(((1.5, 2.5), (4.5, 2.5), (4.5, 5.5), (1.5, 5.5)))
-        b = PolygonAnnotation(((4.5, 2.5), (7.5, 2.5), (7.5, 5.5), (4.5, 5.5)))
-        ma = rasterize_mask([a], self.T8, 8, 8)
-        mb = rasterize_mask([b], self.T8, 8, 8)
-        both = rasterize_mask([a, b], self.T8, 8, 8)
+        a = [((1.5, 2.5), (4.5, 2.5), (4.5, 5.5), (1.5, 5.5))]
+        b = [((4.5, 2.5), (7.5, 2.5), (7.5, 5.5), (4.5, 5.5))]
+        ma = rasterize_mask(polygon_columns([a]), self.T8, 8, 8)
+        mb = rasterize_mask(polygon_columns([b]), self.T8, 8, 8)
+        both = rasterize_mask(polygon_columns([a, b]), self.T8, 8, 8)
         assert not np.any(ma & mb)  # shared edge assigned to exactly one side
         assert np.array_equal(ma | mb, both)
         assert both.sum() == 18
@@ -153,9 +152,8 @@ class TestRasterizeMask:
     def test_hole_subtracts(self):
         outer = ((1.5, 1.5), (6.5, 1.5), (6.5, 6.5), (1.5, 6.5))
         inner = ((3.5, 3.5), (4.5, 3.5), (4.5, 4.5), (3.5, 4.5))
-        poly = PolygonAnnotation(outer, (inner,))
-        mask = rasterize_mask([poly], self.T8, 8, 8)
-        no_hole = rasterize_mask([PolygonAnnotation(outer)], self.T8, 8, 8)
+        mask = rasterize_mask(polygon_columns([[outer, inner]]), self.T8, 8, 8)
+        no_hole = rasterize_mask(polygon_columns([[outer]]), self.T8, 8, 8)
         assert mask.sum() == no_hole.sum() - 1
         assert no_hole[4, 3] == 1 and mask[4, 3] == 0
 
@@ -163,28 +161,47 @@ class TestRasterizeMask:
         rng = np.random.default_rng(11)
         transform = GeoTransform(0.0, 20.0, 1.0, 1.0)
         for trial in range(20):
-            polys = [
-                _star_polygon(rng, rng.uniform(3, 17), rng.uniform(3, 17), 4.0)
+            polys = polygon_columns([
+                [_star_ring(rng, rng.uniform(3, 17), rng.uniform(3, 17), 4.0)]
                 for _ in range(rng.integers(1, 4))
-            ]
+            ])
             fast = rasterize_mask(polys, transform, 20, 20)
             slow = rasterize_oracle(polys, transform, 20, 20)
             assert np.array_equal(fast, slow), f"trial {trial}"
+        square = ((4.5, 4.5), (12.5, 4.5), (12.5, 12.5), (4.5, 12.5))
+        cases = {
+            # the overlap of two polygons is in their union, not their XOR
+            "overlap": [[square], [((8.5, 8.5), (16.5, 8.5), (16.5, 16.5), (8.5, 16.5))]],
+            "hole": [[square, ((6.5, 6.5), (9.5, 6.5), (9.5, 9.5), (6.5, 9.5))]],
+            # a star reaching past the left, top and right edges of the grid
+            "partly outside": [[_star_ring(rng, 1.0, 18.5, 9.0)], [_star_ring(rng, 19.0, 10.0, 6.0)]],
+            # whole polygons above and below the grid's rows, one wider than it
+            "row span off the grid": [
+                [((2.0, 21.0), (30.0, 22.0), (5.0, 30.0))],
+                [((-5.0, -3.0), (8.0, -1.0), (3.0, -9.0))],
+                [square],
+            ],
+        }
+        for name, polys in cases.items():
+            polys = polygon_columns(polys)
+            fast = rasterize_mask(polys, transform, 20, 20)
+            slow = rasterize_oracle(polys, transform, 20, 20)
+            assert np.array_equal(fast, slow), name
 
     def test_matches_oracle_nonunit_pixels(self):
         rng = np.random.default_rng(3)
         transform = GeoTransform(500.0, 4100.0, 10.0, 10.0)
-        polys = [
-            _star_polygon(rng, 560.0, 4040.0, 35.0),
-            _star_polygon(rng, 610.0, 4070.0, 25.0),
-        ]
+        polys = polygon_columns([
+            [_star_ring(rng, 560.0, 4040.0, 35.0)],
+            [_star_ring(rng, 610.0, 4070.0, 25.0)],
+        ])
         fast = rasterize_mask(polys, transform, 16, 16)
         slow = rasterize_oracle(polys, transform, 16, 16)
         assert np.array_equal(fast, slow)
 
     def test_rejects_empty_dims(self):
         with pytest.raises(ValueError, match="positive"):
-            rasterize_mask([], self.T8, 0, 8)
+            rasterize_mask(polygon_columns([]), self.T8, 0, 8)
 
 
 def _toy_raster(h=200, w=200, bands=2, seed=0):
@@ -426,7 +443,7 @@ class TestGenerateSynthetic:
         r1, p1 = generate_synthetic(cfg)
         r2, p2 = generate_synthetic(cfg)
         assert rasters_equal(r1, r2)
-        assert [p.exterior for p in p1] == [p.exterior for p in p2]
+        assert [p.rings()[0] for p in p1] == [p.rings()[0] for p in p2]
 
     def test_seed_changes_output(self):
         base = SynthConfig(scene_size=64, dump_count=3, background_texture_seed=1)
@@ -467,7 +484,7 @@ class TestGenerateSynthetic:
         raster, polygons = generate_synthetic(
             SynthConfig(scene_size=32, dump_count=0, dump_radius_range=(2.0, 4.0))
         )
-        assert polygons == []
+        assert len(polygons) == 0
         assert raster.band("R").std() > 0
 
     def test_config_validation(self):

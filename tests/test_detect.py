@@ -42,7 +42,9 @@ from dumpwatch.numerics import Tensor
 from dumpwatch.unet import UNetConfig, build_unet, forward
 from oracles import (
     connected_components_oracle,
+    detection_records,
     export_geojson_oracle,
+    polygon_columns,
     polygonize_oracle,
     predict_raster_oracle,
     receptive_field_radius,
@@ -294,8 +296,7 @@ class TestConnectedComponents:
 
 
 def _rasterize_back(detections, transform, width, height):
-    polys = [p for det in detections for p in det.polygons]
-    return rasterize_mask(polys, transform, width, height)
+    return rasterize_mask(detections.polygons, transform, width, height)
 
 
 class TestPolygonizeExactness:
@@ -304,10 +305,10 @@ class TestPolygonizeExactness:
         labels[1, 2] = 1
         dets = polygonize(labels, T1)
         assert len(dets) == 1
-        det = dets[0]
+        (det,) = detection_records(dets)
         assert det.pixel_count == 1 and det.area == 1.0
         assert len(det.polygons) == 1
-        ring = det.polygons[0].exterior
+        ring = det.polygons[0][0]
         assert len(ring) == 5  # unit square
         # counterclockwise in world coordinates: positive shoelace area
         area2 = sum(
@@ -325,10 +326,11 @@ class TestPolygonizeExactness:
         labels, _ = connected_components(_binary_raster(grid))
         dets = polygonize(labels, T1)
         assert len(dets) == 1
-        assert len(dets[0].polygons) == 1
-        poly = dets[0].polygons[0]
-        assert len(poly.holes) == 1
-        assert dets[0].pixel_count == 8
+        (det,) = detection_records(dets)
+        assert len(det.polygons) == 1
+        exterior, *holes = det.polygons[0]
+        assert len(holes) == 1
+        assert det.pixel_count == 8
         assert np.array_equal(
             _rasterize_back(dets, T1, 5, 5), grid.astype(np.uint8)
         )
@@ -339,10 +341,11 @@ class TestPolygonizeExactness:
         labels, _ = connected_components(_binary_raster(grid), connectivity=8)
         dets = polygonize(labels, T1)
         assert len(dets) == 1  # one component
-        assert len(dets[0].polygons) == 2  # but two simple parts
-        for poly in dets[0].polygons:
-            assert ring_is_simple(poly.exterior)
-            assert len(poly.exterior) == 5
+        (det,) = detection_records(dets)
+        assert len(det.polygons) == 2  # but two simple parts
+        for exterior, *_ in det.polygons:
+            assert ring_is_simple(exterior)
+            assert len(exterior) == 5
         assert np.array_equal(
             _rasterize_back(dets, T1, 4, 4), grid.astype(np.uint8)
         )
@@ -358,9 +361,9 @@ class TestPolygonizeExactness:
         assert np.array_equal(
             _rasterize_back(dets, T1, 6, 6), grid.astype(np.uint8)
         )
-        for det in dets:
-            for poly in det.polygons:
-                assert ring_is_simple(poly.exterior)
+        for det in detection_records(dets):
+            for exterior, *_ in det.polygons:
+                assert ring_is_simple(exterior)
 
     def test_pinched_hole(self):
         # plus-shaped opening whose corners pinch against the outer ring
@@ -379,10 +382,11 @@ class TestPolygonizeExactness:
         grid = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1]], dtype=np.float32)
         labels, _ = connected_components(_binary_raster(grid), connectivity=8)
         dets = polygonize(labels, T1)
-        assert len(dets) == 1 and len(dets[0].polygons) == 1
-        poly = dets[0].polygons[0]
-        assert len(poly.holes) == 1
-        assert ring_is_simple(poly.exterior) and ring_is_simple(poly.holes[0])
+        (det,) = detection_records(dets)
+        assert len(det.polygons) == 1
+        exterior, *holes = det.polygons[0]
+        assert len(holes) == 1
+        assert ring_is_simple(exterior) and ring_is_simple(holes[0])
         assert np.array_equal(
             _rasterize_back(dets, T1, 4, 3), grid.astype(np.uint8)
         )
@@ -395,11 +399,9 @@ class TestPolygonizeExactness:
             )
             labels, _ = connected_components(_binary_raster(grid), connectivity=8)
             dets = polygonize(labels, T1)
-            for det in dets:
-                for poly in det.polygons:
-                    for ring in [poly.exterior, *poly.holes]:
-                        assert ring_is_simple(ring), f"trial {trial}"
-                        assert ring_is_simple_oracle(ring), f"trial {trial}"
+            for ring in dets.polygons.rings():
+                assert ring_is_simple(ring), f"trial {trial}"
+                assert ring_is_simple_oracle(ring), f"trial {trial}"
             assert np.array_equal(
                 _rasterize_back(dets, T1, 20, 20), grid.astype(np.uint8)
             ), f"trial {trial}"
@@ -415,13 +417,11 @@ class TestPolygonizeExactness:
             dets = polygonize(labels, T1)
             back = _rasterize_back(dets, T1, w, h)
             assert np.array_equal(back, grid.astype(np.uint8)), f"trial {trial}"
-            for det in dets:
-                for poly in det.polygons:
-                    for ring in poly.rings():
-                        assert ring_is_simple(ring), f"trial {trial}"
-                        assert ring_is_simple_oracle(ring), f"trial {trial}"
+            for ring in dets.polygons.rings():
+                assert ring_is_simple(ring), f"trial {trial}"
+                assert ring_is_simple_oracle(ring), f"trial {trial}"
             # parts of one component never overlap: total count preserved
-            assert sum(d.pixel_count for d in dets) == int(grid.sum())
+            assert sum(d.pixel_count for d in detection_records(dets)) == int(grid.sum())
 
     def test_dense_random_grid_polygonizes_quickly(self):
         # guards hole placement and ring cutting: thousands of exteriors and
@@ -439,8 +439,8 @@ class TestPolygonizeExactness:
         grid = (rng.uniform(size=(10, 10)) < 0.5).astype(np.float32)
         labels, _ = connected_components(_binary_raster(grid), connectivity=8)
         dets = polygonize(labels, T1)
-        for k, det in enumerate(dets, start=1):
-            back = rasterize_mask(det.polygons, T1, 10, 10)
+        for k, det in enumerate(detection_records(dets), start=1):
+            back = rasterize_mask(polygon_columns(det.polygons), T1, 10, 10)
             assert np.array_equal(back, (labels == k).astype(np.uint8)), f"label {k}"
 
     def test_synthetic_blob_outlines(self):
@@ -458,7 +458,7 @@ class TestPolygonizeExactness:
         grid[2:4, 1:4] = 1
         labels, _ = connected_components(_binary_raster(grid, transform))
         dets = polygonize(labels, transform)
-        assert dets[0].area == pytest.approx(600.0)  # 6 pixels * 100 m^2
+        assert dets.area[0] == pytest.approx(600.0)  # 6 pixels * 100 m^2
         back = _rasterize_back(dets, transform, 6, 6)
         assert np.array_equal(back, grid.astype(np.uint8))
 
@@ -472,10 +472,10 @@ class TestPolygonizeExactness:
         probs[0, 1] = 0.6
         probs[2, 2] = 0.9
         dets = polygonize(labels, T1, probs)
-        assert dets[0].mean_probability == pytest.approx(0.7)
-        assert dets[1].mean_probability == pytest.approx(0.9)
+        assert dets.mean_probability[0] == pytest.approx(0.7)
+        assert dets.mean_probability[1] == pytest.approx(0.9)
         bare = polygonize(labels, T1)
-        assert math.isnan(bare[0].mean_probability)
+        assert math.isnan(bare.mean_probability[0])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -484,7 +484,7 @@ class TestPolygonizeExactness:
             polygonize(np.zeros((2, 2), dtype=np.int32), T1, np.zeros((3, 3)))
 
     def test_no_components(self):
-        assert list(polygonize(np.zeros((4, 4), dtype=np.int32), T1)) == []
+        assert detection_records(polygonize(np.zeros((4, 4), dtype=np.int32), T1)) == []
 
     def test_absent_label_gives_empty_detection(self):
         labels = np.zeros((4, 4), dtype=np.int32)
@@ -492,9 +492,10 @@ class TestPolygonizeExactness:
         labels[2:4, 2:4] = 3  # no pixel carries label 2
         dets = polygonize(labels, T1, np.full((4, 4), 0.75))
         assert len(dets) == 3
-        assert dets[1].polygons == [] and dets[1].pixel_count == 0
-        assert dets[1].area == 0.0
-        assert dets[0].pixel_count == 1 and dets[2].pixel_count == 4
+        records = detection_records(dets)
+        assert records[1].polygons == [] and records[1].pixel_count == 0
+        assert records[1].area == 0.0
+        assert records[0].pixel_count == 1 and records[2].pixel_count == 4
         assert np.array_equal(
             _rasterize_back(dets, T1, 4, 4), (labels != 0).astype(np.uint8)
         )
@@ -517,16 +518,16 @@ NESTED = np.array(
 
 
 def _assert_same_detections(got, want):
-    """Equal on every Detection field, every ring's vertices (order, start
-    and float bits, by repr) and every polygon's label."""
-    assert len(got) == len(want)
-    for k, (g, w) in enumerate(zip(got, want)):
+    """``got``'s columns equal the ``DetectionRecord``s ``want`` on every
+    field and every ring's vertices (order, start and float bits, by repr),
+    and label every polygon "detection"."""
+    records = detection_records(got)
+    assert len(records) == len(want)
+    for k, (g, w) in enumerate(zip(records, want)):
         assert (g.pixel_count, g.area) == (w.pixel_count, w.area), k
         assert repr(g.mean_probability) == repr(w.mean_probability), k
-        assert [p.label for p in g.polygons] == [p.label for p in w.polygons], k
-        assert repr([p.rings() for p in g.polygons]) == repr(
-            [p.rings() for p in w.polygons]
-        ), k
+        assert repr(g.polygons) == repr(w.polygons), k
+    assert got.polygons.labels == ["detection"] * len(got.polygons)
 
 
 class TestPolygonizeMatchesOracle:
@@ -603,11 +604,11 @@ class TestPolygonizeMatchesOracle:
     def test_hole_of_a_nested_part_goes_to_that_part(self):
         labels, _ = connected_components(_binary_raster(NESTED), connectivity=8)
         assert labels.max() == 1
-        outer, inner = polygonize(labels, T1)[0].polygons
-        assert len(outer.holes) == 1 and len(inner.holes) == 1
+        ((outer, *outer_holes), (inner, *inner_holes)) = detection_records(polygonize(labels, T1))[0].polygons
+        assert len(outer_holes) == 1 and len(inner_holes) == 1
         # the inner part's hole is the one cell at row 3, col 3
-        assert sorted(inner.holes[0][:-1]) == [(3.0, 12.0), (3.0, 13.0), (4.0, 12.0), (4.0, 13.0)]
-        assert len(inner.exterior) == 5 and len(outer.holes[0]) > 5
+        assert sorted(inner_holes[0][:-1]) == [(3.0, 12.0), (3.0, 13.0), (4.0, 12.0), (4.0, 13.0)]
+        assert len(inner) == 5 and len(outer_holes[0]) > 5
 
     def test_touching_labels_keep_their_own_outlines(self):
         # hand-made labels: 1 and 2 share a side, so a side is exposed where
@@ -615,10 +616,11 @@ class TestPolygonizeMatchesOracle:
         labels = np.array([[1, 2], [1, 2]], dtype=np.int32)
         dets = polygonize(labels, T1)
         _assert_same_detections(dets, polygonize_oracle(labels, T1))
-        assert dets[0].polygons[0].exterior == (
+        first, second = detection_records(dets)
+        assert first.polygons[0][0] == (
             (0.0, 16.0), (0.0, 14.0), (1.0, 14.0), (1.0, 16.0), (0.0, 16.0)
         )
-        assert dets[1].polygons[0].exterior == (
+        assert second.polygons[0][0] == (
             (1.0, 16.0), (1.0, 14.0), (2.0, 14.0), (2.0, 16.0), (1.0, 16.0)
         )
 
@@ -661,8 +663,8 @@ class TestThresholdAndFilter:
         dets = polygonize(labels, transform, probs)
         kept = filter_detections(dets, PostprocConfig(min_area=200.0))
         assert kept.area.tolist() == [300.0, 200.0, 400.0]
-        _assert_same_detections(kept, [dets[1], dets[2], dets[3]])
-        assert list(filter_detections(dets, PostprocConfig(min_area=1000.0))) == []
+        _assert_same_detections(kept, detection_records(dets)[1:])
+        assert len(filter_detections(dets, PostprocConfig(min_area=1000.0))) == 0
 
 
 class TestExportGeojson:
@@ -807,8 +809,8 @@ class TestPostprocessPipeline:
         assert len(both) == 2
         big_only = detections_from_binary(binary, prob, PostprocConfig(min_area=150.0))
         assert len(big_only) == 1
-        assert big_only[0].pixel_count == 9
-        assert big_only[0].mean_probability == pytest.approx(0.9, abs=1e-6)
+        assert big_only.pixel_count[0] == 9
+        assert big_only.mean_probability[0] == pytest.approx(0.9, abs=1e-6)
 
     def test_threshold_flag_changes_result(self):
         grid = np.full((8, 8), 0.45, dtype=np.float32)
@@ -816,9 +818,9 @@ class TestPostprocessPipeline:
         prob = _probability_raster(grid)
         pcfg = PostprocConfig(min_area=0.0)
         low = detections_from_binary(threshold_probability(prob, 0.4), prob, pcfg)
-        assert low[0].pixel_count == 64
+        assert low.pixel_count[0] == 64
         high = detections_from_binary(threshold_probability(prob, 0.5), prob, pcfg)
-        assert high[0].pixel_count == 4
+        assert high.pixel_count[0] == 4
 
 
 class TestPredictRaster:

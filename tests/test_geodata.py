@@ -13,7 +13,6 @@ from dumpwatch import geodata
 from dumpwatch.detect import connected_components, polygonize
 from dumpwatch.geodata import (
     GeoTransform,
-    PolygonAnnotation,
     Raster,
     RasterReader,
     pixel_to_world,
@@ -26,10 +25,11 @@ from dumpwatch.geodata import (
     write_raster,
 )
 from oracles import (
-    polygon_area_oracle,
+    polygon_columns,
     rasters_equal,
     ring_folds_back_oracle,
     ring_is_simple_oracle,
+    write_annotations_oracle,
 )
 
 
@@ -317,69 +317,56 @@ class TestRasterIO:
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
 
-class TestPolygonAnnotation:
+def _ring(points):
+    """``points`` as the one closed ring of a polygon built as columns."""
+    return polygon_columns([[points]]).rings()[0]
+
+
+class TestRingNormalization:
+    """Rings are normalized as they become columns (``_normalized``): by the
+    annotation reader and the synthetic generator."""
+
     def test_ring_closure_is_normalized(self):
-        open_ring = PolygonAnnotation(UNIT_SQUARE)
-        closed_ring = PolygonAnnotation((*UNIT_SQUARE, UNIT_SQUARE[0]))
-        assert open_ring.exterior == closed_ring.exterior
-        assert open_ring.exterior[0] == open_ring.exterior[-1]
+        open_ring = _ring(UNIT_SQUARE)
+        closed_ring = _ring((*UNIT_SQUARE, UNIT_SQUARE[0]))
+        assert open_ring == closed_ring
+        assert open_ring[0] == open_ring[-1]
 
     def test_consecutive_duplicates_dropped(self):
         ring = ((0, 0), (0, 0), (1, 0), (1, 1), (1, 1), (0, 1))
-        poly = PolygonAnnotation(ring)
-        assert len(poly.exterior) == 5  # 4 distinct + repeated closure
+        assert len(_ring(ring)) == 5  # 4 distinct + repeated closure
 
-    def test_degenerate_ring_rejected(self):
+    def test_degenerate_ring_rejected(self, tmp_path):
+        def read(ring):
+            feature = {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [ring]}}
+            path = tmp_path / "ring.geojson"
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+            return read_annotations(path)
+
         with pytest.raises(ValueError, match="3 distinct"):
-            PolygonAnnotation(((0, 0), (1, 1)))
+            read([[0, 0], [1, 1]])
         with pytest.raises(ValueError, match="3 distinct"):
-            PolygonAnnotation(((0, 0), (0, 0), (1, 1)))
-        # alternating repeats survive construction but fail the simplicity check
-        zigzag = PolygonAnnotation(((0, 0), (1, 1), (0, 0), (1, 1)))
-        assert not ring_is_simple(zigzag.exterior)
-
-    def test_area_square(self):
-        assert PolygonAnnotation(UNIT_SQUARE).area() == pytest.approx(1.0)
-
-    def test_area_with_hole(self):
-        outer = ((0, 0), (3, 0), (3, 3), (0, 3))
-        inner = ((1, 1), (2, 1), (2, 2), (1, 2))
-        poly = PolygonAnnotation(outer, (inner,))
-        assert poly.area() == pytest.approx(8.0)
-
-    @given(
-        n=st.integers(3, 12),
-        seed=st.integers(0, 10_000),
-    )
-    def test_area_matches_oracle_on_star_shaped_polygons(self, n, seed):
-        rng = np.random.default_rng(seed)
-        angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
-        if np.min(np.diff(angles)) < 1e-3:
-            angles = np.linspace(0, 2 * np.pi, n, endpoint=False)
-        radii = rng.uniform(1.0, 5.0, size=n)
-        ring = tuple(
-            (float(r * np.cos(a)), float(r * np.sin(a)))
-            for r, a in zip(radii, angles)
-        )
-        poly = PolygonAnnotation(ring)
-        assert poly.area() == pytest.approx(
-            polygon_area_oracle(list(poly.exterior)), rel=1e-12
-        )
+            read([[0, 0], [0, 0], [1, 1]])
+        # alternating repeats survive normalization but fail the simplicity check
+        zigzag = ((0, 0), (1, 1), (0, 0), (1, 1))
+        assert not ring_is_simple(_ring(zigzag))
+        with pytest.raises(ValueError, match="self-intersecting"):
+            read([list(v) for v in zigzag])
 
 
 class TestRingSimplicity:
     def test_square_is_simple(self):
-        assert ring_is_simple(PolygonAnnotation(UNIT_SQUARE).exterior)
+        assert ring_is_simple(_ring(UNIT_SQUARE))
 
     def test_bowtie_is_not_simple(self):
-        bowtie = PolygonAnnotation(((0, 0), (2, 2), (2, 0), (0, 2)))
-        assert not ring_is_simple(bowtie.exterior)
+        bowtie = _ring(((0, 0), (2, 2), (2, 0), (0, 2)))
+        assert not ring_is_simple(bowtie)
 
     def test_spike_touching_edge_is_not_simple(self):
         # vertex 4 lands on the segment from vertex 0 to vertex 1
-        ring = PolygonAnnotation(
+        ring = _ring(
             ((0, 0), (4, 0), (4, 4), (2, 4), (2, 0), (1, 3))
-        ).exterior
+        )
         assert not ring_is_simple(ring)
 
     @pytest.mark.parametrize("transpose", [False, True])
@@ -389,7 +376,7 @@ class TestRingSimplicity:
         points = ((0, 0), (4, 0), (4, 4), (0, 4), (0, 3), (4, 2), (0, 1))
         if transpose:
             points = tuple((y, x) for x, y in points)
-        assert not ring_is_simple(PolygonAnnotation(points).exterior)
+        assert not ring_is_simple(_ring(points))
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_spike_touching_edge_at_its_sweep_extreme_is_not_simple(self, transpose):
@@ -400,12 +387,12 @@ class TestRingSimplicity:
         points = ((0, 0), (4, 0), (4, 12), (0, 12), (0, 9), (4, 6), (0, 3))
         if transpose:
             points = tuple((y, x) for x, y in points)
-        assert not ring_is_simple(PolygonAnnotation(points).exterior)
+        assert not ring_is_simple(_ring(points))
 
     def test_fold_back_is_not_simple(self):
         # zero-area ring that doubles back along its previous segment; all
         # three segments are pairwise adjacent, so no pair test sees it
-        assert not ring_is_simple(PolygonAnnotation(((0, 0), (2, 0), (1, 0))).exterior)
+        assert not ring_is_simple(_ring(((0, 0), (2, 0), (1, 0))))
 
     def test_fold_back_oracle_rounds_as_the_validator(self):
         # on the lattice this ring folds back at vertex 4; scaled by 3.7 the
@@ -413,14 +400,14 @@ class TestRingSimplicity:
         # it is computed as (b - a) x (c - a) (the other grouping, (b - a)
         # x (c - b), still rounds to zero)
         points = ((0, 1), (-2, -1), (-3, 1), (-6, 6), (6, -4))
-        lattice = PolygonAnnotation(points).exterior
+        lattice = _ring(points)
         assert ring_folds_back_oracle(lattice) and not ring_is_simple(lattice)
-        scaled = PolygonAnnotation(tuple((3.7 * x, 3.7 * y) for x, y in points)).exterior
+        scaled = _ring(tuple((3.7 * x, 3.7 * y) for x, y in points))
         expected = ring_is_simple_oracle(scaled) and not ring_folds_back_oracle(scaled)
         assert ring_is_simple(scaled) == expected
 
     def test_straight_continuation_is_simple(self):
-        ring = PolygonAnnotation(((0, 0), (1, 0), (2, 0), (1, 1))).exterior
+        ring = _ring(((0, 0), (1, 0), (2, 0), (1, 1)))
         assert ring_is_simple(ring)
 
     @given(
@@ -431,7 +418,7 @@ class TestRingSimplicity:
     @settings(max_examples=500)
     def test_matches_oracle_on_lattice_rings(self, points):
         try:
-            ring = PolygonAnnotation(points).exterior
+            ring = _ring(points)
         except ValueError:
             assume(False)  # fewer than three distinct vertices
         expected = ring_is_simple_oracle(ring) and not ring_folds_back_oracle(ring)
@@ -451,7 +438,7 @@ class TestRingSimplicity:
             points = list(ring[:-1])
             k = int(rng.integers(len(points)))
             points[k] = (float(rng.integers(w + 1)), float(rng.integers(h + 1)))
-            moved = PolygonAnnotation(points).exterior
+            moved = _ring(points)
             expected = ring_is_simple_oracle(moved) and not ring_folds_back_oracle(
                 moved
             )
@@ -500,16 +487,15 @@ def _comb_ring(grid: np.ndarray):
         nodata=None,
     )
     labels, _ = connected_components(raster, connectivity=8)
-    (detection,) = polygonize(labels, raster.transform)
-    (poly,) = detection.polygons
-    return poly.exterior
+    (exterior,) = polygonize(labels, raster.transform).polygons.rings()
+    return exterior
 
 
 def _polygon_ring(n: int, radius: float = 50.0):
     """A convex, hence simple, closed ring of n lattice vertices."""
     angles = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     pts = [(float(round(radius * np.cos(a))), float(round(radius * np.sin(a)))) for a in angles]
-    return PolygonAnnotation(pts).exterior
+    return _ring(pts)
 
 
 def _crossed(ring):
@@ -517,7 +503,7 @@ def _crossed(ring):
     segments now cross."""
     pts = list(ring[:-1])
     pts[1], pts[2] = pts[2], pts[1]
-    return PolygonAnnotation(pts).exterior
+    return _ring(pts)
 
 
 def _oracle_bad(ring) -> bool:
@@ -555,7 +541,7 @@ class TestBatchedRingValidation:
         rings = []
         for points in point_lists:
             try:
-                rings.append(PolygonAnnotation(points).exterior)
+                rings.append(_ring(points))
             except ValueError:
                 pass  # fewer than three distinct vertices
         assume(rings)
@@ -581,13 +567,13 @@ class TestBatchedRingValidation:
         assert _first_bad([short, bad_long, long, bad_short]) == 1
         six = _polygon_ring(6)
         assert _first_bad([six, bad_short, short, _crossed(six)]) == 1
-        inf_ring = PolygonAnnotation(((0, 0), (math.inf, 0), (1, 1))).exterior
+        inf_ring = _ring(((0, 0), (math.inf, 0), (1, 1)))
         assert _first_bad_ring([long, inf_ring, bad_long]) == (1, "non-finite vertex")
 
     def test_fold_back_and_touching_vertex(self):
         # a three-segment fold-back, and a vertex resting on a far segment
-        fold = PolygonAnnotation(((0, 0), (2, 0), (1, 0))).exterior
-        touch = PolygonAnnotation(((0, 0), (4, 0), (4, 4), (2, 0), (0, 4))).exterior
+        fold = _ring(((0, 0), (2, 0), (1, 0)))
+        touch = _ring(((0, 0), (4, 0), (4, 4), (2, 0), (0, 4)))
         assert _first_bad_ring([fold]) == (0, "folds back at vertex 0")
         assert _first_bad_ring([touch]) == (0, "segments 0 and 2 touch")
         assert _first_bad_ring([UNIT_SQUARE + (UNIT_SQUARE[0],)]) is None
@@ -597,13 +583,13 @@ class TestBatchedRingValidation:
         # 3 (x = 4) and 5 (x = 2); a sweep along x, the axis this tall ring
         # covers less of, meets the pair (0, 5) first
         points = ((0, 0), (6, 0), (6, 1), (4, 1), (4, -9), (2, -9), (2, 9), (0, 9))
-        ring = PolygonAnnotation(points).exterior
+        ring = _ring(points)
         assert not ring_is_simple_oracle(ring) and not ring_folds_back_oracle(ring)
         square = UNIT_SQUARE + (UNIT_SQUARE[0],)
         assert _first_bad_ring([square, ring]) == (1, "segments 0 and 3 touch")
         # a fold-back is named before any touching pair: vertex 3 turns back
         # along segment 2, and segment 4 then overlaps segment 2
-        folded = PolygonAnnotation(((0, 0), (4, 0), (4, 4), (1, 4), (3, 4), (0, 4))).exterior
+        folded = _ring(((0, 0), (4, 0), (4, 4), (1, 4), (3, 4), (0, 4)))
         assert _first_bad_ring([folded]) == (0, "folds back at vertex 3")
 
     def test_first_bad_ring_past_the_first_block(self):
@@ -612,7 +598,7 @@ class TestBatchedRingValidation:
         square = UNIT_SQUARE + (UNIT_SQUARE[0],)
         comb = _comb_ring(_comb_grid(teeth=5000, tooth_max=8, seed=7))
         squares = [square] * (geodata._CHUNK // 4 + 3)
-        bowtie = PolygonAnnotation(((0, 0), (2, 2), (2, 0), (0, 2))).exterior
+        bowtie = _ring(((0, 0), (2, 2), (2, 0), (0, 2)))
         n = len(squares)
         assert _first_bad(squares + [comb] + squares) is None
         assert _first_bad_ring(squares + [comb, bowtie]) == (n + 1, "segments 0 and 2 touch")
@@ -627,7 +613,7 @@ class TestBatchedRingValidation:
             for _ in range(rng.integers(1, 6)):
                 points = rng.integers(0, 7, (rng.integers(3, 41), 2)).tolist()
                 try:
-                    rings.append(PolygonAnnotation(points).exterior)
+                    rings.append(_ring(points))
                 except ValueError:
                     pass
             lists.append(rings)
@@ -655,11 +641,10 @@ class TestBatchedRingValidation:
             lo, hi = lo + 2, hi - 2
         raster = Raster(grid[None], GeoTransform(0.0, float(size), 1.0, 1.0), nodata=None)
         labels, _ = connected_components(raster, connectivity=4)
-        (detection,) = polygonize(labels, raster.transform)
-        (poly,) = detection.polygons
-        assert len(poly.exterior) == 3005
+        (exterior,) = polygonize(labels, raster.transform).polygons.rings()
+        assert len(exterior) == 3005
         start = time.perf_counter()
-        assert ring_is_simple(poly.exterior)
+        assert ring_is_simple(exterior)
         assert time.perf_counter() - start < 1.0
 
 
@@ -669,21 +654,51 @@ class TestAnnotationIO:
         return path
 
     def test_round_trip(self, tmp_path):
-        polys = [
-            PolygonAnnotation(UNIT_SQUARE, label="dump"),
-            PolygonAnnotation(
-                ((10, 10), (20, 10), (20, 20), (10, 20)),
-                (((12, 12), (14, 12), (14, 14), (12, 14)),),
-                label="legacy",
-            ),
-        ]
+        polys = polygon_columns(
+            [
+                [UNIT_SQUARE],
+                [((10, 10), (20, 10), (20, 20), (10, 20)), ((12, 12), (14, 12), (14, 14), (12, 14))],
+            ],
+            ["dump", "legacy"],
+        )
         out = tmp_path / "ann.geojson"
         write_annotations(polys, out)
         loaded = read_annotations(out)
         assert len(loaded) == 2
-        assert loaded[0].exterior == polys[0].exterior
-        assert loaded[1].holes == polys[1].holes
-        assert loaded[1].label == "legacy"
+        assert loaded[0].rings()[0] == polys[0].rings()[0]
+        assert loaded[1].rings()[1:] == polys[1].rings()[1:]
+        assert loaded[1].labels == ["legacy"]
+
+    def test_writes_the_bytes_of_the_dict_tree_writer(self, tmp_path):
+        # holes, coordinates that are not round numbers, and labels that
+        # json escapes: quotes, backslashes, non-ASCII and control characters
+        polygons = polygon_columns(
+            [
+                [((10, 10), (20, 10), (20, 20), (10, 20)), ((12, 12), (14, 12), (14, 14), (12, 14))],
+                [((-3.5, 2.25), (0.1, 0.2), (7.0 / 3.0, -1e-7)), ((0.0, 0.5), (0.2, 0.4), (0.1, 0.35))],
+                [UNIT_SQUARE],
+                [((1e17, -2e-300), (1e17 + 64, -2e-300), (1e17, 5.0))],
+            ],
+            ['say "dump"', "back\\slash", "décharge, 垃圾", "tab\tnewline\nbell\x07"],
+        )
+        for name, polys in (("labelled", polygons), ("empty", polygon_columns([]))):
+            write_annotations(polys, tmp_path / f"{name}.geojson")
+            write_annotations_oracle(polys, tmp_path / f"{name}.want.geojson")
+            got = (tmp_path / f"{name}.geojson").read_bytes()
+            assert got == (tmp_path / f"{name}.want.geojson").read_bytes(), name
+        loaded = read_annotations(tmp_path / "labelled.geojson")
+        assert loaded.labels == polygons.labels
+        assert loaded.rings() == polygons.rings()
+
+    def test_non_finite_coordinates_are_refused_naming_the_file(self, tmp_path):
+        out = tmp_path / "ann.geojson"
+        out.write_text("earlier")
+        for bad in (math.inf, -math.inf, math.nan):
+            polygons = polygon_columns([[UNIT_SQUARE], [((0, 0), (bad, 0), (1, 1))]])
+            with pytest.raises(ValueError, match=r"ann\.geojson: non-finite coordinates"):
+                write_annotations(polygons, out)
+            assert out.read_text() == "earlier"
+            assert [p.name for p in tmp_path.iterdir()] == ["ann.geojson"]
 
     def test_multipolygon_is_split(self, tmp_path):
         doc = {
@@ -705,7 +720,7 @@ class TestAnnotationIO:
         path = self._write_doc(tmp_path / "mp.geojson", doc)
         loaded = read_annotations(path)
         assert len(loaded) == 2
-        assert all(p.label == "dump" for p in loaded)
+        assert loaded.labels == ["dump", "dump"]
 
     def test_non_polygon_features_warn_once(self, tmp_path):
         doc = {
@@ -910,7 +925,7 @@ class TestAnnotationIO:
             match=r"non-finite vertex in big\.geojson feature 0, exterior: vertex 1 is \[-1000",
         ):
             read_annotations(path)
-        assert PolygonAnnotation(((0, 0), (10**400, 0), (1, 1))).exterior[1] == (math.inf, 0.0)
+        assert _ring(((0, 0), (10**400, 0), (1, 1)))[1] == (math.inf, 0.0)
 
     def test_json_reader_restores_the_garbage_collector(self, tmp_path):
         import gc
@@ -971,10 +986,10 @@ def _mutated_document(rng, name: str, stacked: bool = False):
     MultiPolygon features with labels and some Point features, with up to
     three faults in distinct features (``stacked``: anywhere, several in one
     part). Returns (text, the first fault's message or None, the polygons
-    (exterior, holes, label) the file holds, the Point feature count); the
+    (rings, label) the file holds, the Point feature count); the
     message is None when ``stacked``, as is the count of faults."""
     grid = rng.integers(0, 3, size=rng.integers(2, 9, size=2))
-    polygons = [p for det in polygonize(grid, GeoTransform(-3.5, 2.25, 0.5, 0.75)) for p in det.polygons]
+    polygons = list(polygonize(grid, GeoTransform(-3.5, 2.25, 0.5, 0.75)).polygons)
     features, expected, i, points = [], [], 0, 0
     while i < len(polygons):
         if rng.random() < 0.1:
@@ -987,7 +1002,7 @@ def _mutated_document(rng, name: str, stacked: bool = False):
         multi = len(group) > 1 or rng.random() < 0.2
         geometry = {"type": "MultiPolygon", "coordinates": coords} if multi else {"type": "Polygon", "coordinates": coords[0]}
         features.append({"type": "Feature", "geometry": geometry, "properties": {"label": label}})
-        expected += [(p.exterior, p.holes, label) for p in group]
+        expected += [(p.rings(), label) for p in group]
     polygonal = [f for f, feat in enumerate(features) if feat["geometry"]["type"] != "Point"]
     faults = {}  # feature -> message
     for _ in range(int(rng.integers(0, 4)) if polygonal else 0):
@@ -1083,7 +1098,7 @@ class TestColumnarReader:
                     outcomes["fault"] += 1
                     continue
             assert message is None, f"trial {trial}: read, but expected {message}"
-            assert [(p.exterior, p.holes, p.label) for p in polygons] == expected, f"trial {trial}"
+            assert [(p.rings(), *p.labels) for p in polygons] == expected, f"trial {trial}"
             assert [str(w.message) for w in caught] == (
                 [f"skipped {points} non-polygon feature(s) in {path.name}"] if points else []
             ), f"trial {trial}"
