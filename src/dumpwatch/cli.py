@@ -203,20 +203,9 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"postprocess.min_area: {exc}") from exc
     if getattr(args, "bands", None) is not None:
-        names = tuple(b.strip() for b in args.bands.split(",") if b.strip())
-        if not names:
-            raise ConfigError("chip.bands: empty band list")
-        cfg.chip = replace(cfg.chip, bands=names)
+        names = [b.strip() for b in args.bands.split(",") if b.strip()]
+        cfg.chip = _merge_section(ChipConfig, cfg.chip, {"bands": names}, "chip")
     return cfg
-
-
-def _validate_bands(bands: tuple[str, ...]) -> None:
-    allowed = (*ds.SOURCE_BANDS, ds.NDSW_BAND)
-    for name in bands:
-        if name not in allowed:
-            raise ConfigError(
-                f"chip.bands: unknown band {name!r} (allowed: {', '.join(allowed)})"
-            )
 
 
 def _scene_bases(scene_dir: str) -> list[Path]:
@@ -277,7 +266,6 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_chip(cfg: RunConfig, args) -> int:
-    _validate_bands(cfg.chip.bands)
     catalog_dir = args.out or cfg.paths.catalog
     chips = ds.chip_scenes(
         _read_scenes(cfg.paths.scene_dir), cfg.chip, substream(cfg.seed, "chip")
@@ -287,7 +275,7 @@ def cmd_chip(cfg: RunConfig, args) -> int:
         log.warning("no positive chips extracted")
     if not chips:
         ds.save_catalog(
-            catalog_dir, DatasetSplit(train=[], val=[], test=[], seed=cfg.seed)
+            catalog_dir, DatasetSplit(train=[], val=[], test=[], seed=substream(cfg.seed, "split"))
         )
         _summary(
             {"command": "chip", "chips": 0, "positives": 0, "catalog": str(catalog_dir)}
@@ -397,7 +385,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
             "command": "evaluate",
             "split": args.split,
             "count": len(chips),
-            **metrics.to_json_dict(),
+            **asdict(metrics),
         }
     )
     return 0
@@ -438,8 +426,8 @@ def cmd_predict(cfg: RunConfig, args) -> int:
         ) as write_rows:
             for block in rows:
                 write_rows(block[None])
-                prob = geodata.Raster(block[None], source.transform, band_names=("probability",))
-                above += int(np.count_nonzero(detect.threshold_probability(prob, threshold).samples))
+                with np.errstate(invalid="ignore"):  # NaN, nodata, compares false
+                    above += int(np.count_nonzero(block >= threshold))
     geodata.RasterReader(out).close()  # write-then-verify: header and payload length
     _summary(
         {
@@ -506,10 +494,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
         {
             "command": "ablate",
             "output": str(out),
-            "rows": [
-                {"label": r.label, "loss": r.loss, "mean_iou": r.mean_iou}
-                for r in rows
-            ],
+            "rows": [asdict(r) for r in rows],
         }
     )
     return 0

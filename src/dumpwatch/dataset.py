@@ -260,6 +260,12 @@ class ChipConfig:
                 f"val_frac: test_frac + val_frac must be below 1, got "
                 f"{self.test_frac} + {self.val_frac}"
             )
+        if not self.bands:
+            raise ValueError("bands: empty band list")
+        allowed = (*SOURCE_BANDS, NDSW_BAND)
+        for name in self.bands:
+            if name not in allowed:
+                raise ValueError(f"bands: unknown band {name!r} (allowed: {', '.join(allowed)})")
 
 
 def chip_scenes(

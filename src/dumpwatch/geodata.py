@@ -22,7 +22,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -363,22 +363,6 @@ class Polygons(Sequence):
         pts = list(zip(self.x.tolist(), self.y.tolist()))
         bounds = self.ring_offsets.tolist()
         return [(*pts[a:b], pts[a]) for a, b in zip(bounds, bounds[1:])]
-
-    def take(self, keep: np.ndarray) -> Polygons:
-        """The polygons where the boolean ``keep`` is True."""
-        polygon_offsets, rings = take_ragged(self.polygon_offsets, keep)
-        ring_offsets, vertices = take_ragged(self.ring_offsets, rings)
-        labels = list(compress(self.labels, keep.tolist()))
-        return Polygons(self.x[vertices], self.y[vertices], ring_offsets, polygon_offsets, labels)
-
-
-def take_ragged(offsets: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The groups ``offsets`` delimits where ``keep`` is True: their offsets
-    in the kept members, and the mask of those members."""
-    sizes = np.diff(offsets)
-    kept = np.zeros(np.count_nonzero(keep) + 1, np.int64)
-    np.cumsum(sizes[keep], out=kept[1:])
-    return kept, np.repeat(keep, sizes)
 
 
 def _coord(value) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -116,13 +116,6 @@ class Metrics:
     loss: float
     per_chip_iou: list[float] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_iou": self.mean_iou,
-            "loss": self.loss,
-            "per_chip_iou": self.per_chip_iou,
-        }
-
 
 @dataclass
 class EpochRecord:
@@ -139,24 +132,8 @@ class TrainReport:
     test: Metrics | None = None
     metadata: dict = field(default_factory=dict)  # wall time, chips/s: non-deterministic
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epochs": [
-                {
-                    "train_loss": e.train_loss,
-                    "val_loss": e.val_loss,
-                    "val_mean_iou": e.val_mean_iou,
-                }
-                for e in self.epochs
-            ],
-            "stopping_epoch": self.stopping_epoch,
-            "pos_weight": self.pos_weight,
-            "test": self.test.to_json_dict() if self.test else None,
-            "metadata": self.metadata,
-        }
-
     def save(self, path: str | Path) -> None:
-        atomic_write_json(path, self.to_json_dict())
+        atomic_write_json(path, asdict(self))
 
 
 def _batch_tensors(chips: Sequence[Chip], factor: int) -> tuple[Tensor, Tensor, int]:
@@ -391,11 +368,5 @@ def format_ablation_table(rows: Sequence[AblationRow]) -> str:
 def save_ablation(rows: Sequence[AblationRow], path: str | Path) -> None:
     """Write <path>.json (machine) and <path>.txt (aligned table)."""
     base = str(path)
-    atomic_write_json(
-        base + ".json",
-        [
-            {"label": r.label, "loss": r.loss, "mean_iou": r.mean_iou}
-            for r in rows
-        ],
-    )
+    atomic_write_json(base + ".json", [asdict(r) for r in rows])
     atomic_write_text(base + ".txt", format_ablation_table(rows) + "\n")

@@ -16,7 +16,6 @@ from dumpwatch.cli import (
     ConfigError,
     RunConfig,
     _apply_flags,
-    _validate_bands,
     build_parser,
     load_config,
     substream,
@@ -229,10 +228,9 @@ class TestFlags:
         with pytest.raises(ConfigError, match="empty band list"):
             _apply_flags(RunConfig(), self._args(bands=" , "))
 
-    def test_validate_bands(self):
-        _validate_bands(("R", "NIR", "NDSW"))
-        with pytest.raises(ConfigError, match="unknown band 'XYZ'"):
-            _validate_bands(("R", "XYZ"))
+    def test_unknown_band_names_the_field(self):
+        with pytest.raises(ConfigError, match="^chip.bands: unknown band 'XYZ'"):
+            _apply_flags(RunConfig(), self._args(bands="R,XYZ"))
 
 
 class TestParser:
@@ -753,6 +751,14 @@ MALFORMED_INPUTS = {
         lambda r: ({**_predict_inputs(r)[0], "chip": {"bands": ["R", "G", "B"]}}, r / "model"),
         ["chip.bands (--bands) R,G,B: model expects 6 bands, raster has 3"],
     ),
+    "predict-unknown-band": (
+        "predict",
+        lambda r: (
+            {**_predict_inputs(r)[0], "chip": {"bands": ["R", "G", "B", "NIR", "SWIR1", "XYZ"]}},
+            r / "run.json",
+        ),
+        ["chip.bands: unknown band 'XYZ'"],
+    ),
     "checkpoint-manifest-a-list": (
         "predict",
         lambda r: _edited_checkpoint(r, lambda doc: [doc]),
@@ -926,6 +932,31 @@ class TestChipWithoutAnnotations:
         chips = split.train + split.val + split.test
         assert any(c.is_positive() for c in chips)
         assert not any(c.is_positive() for c in chips if c.scene_id == "scene_001")
+
+
+    def test_index_records_the_split_seed_with_or_without_chips(self, tmp_path, capsys):
+        # without annotations or negatives no chip is cut; the empty
+        # catalog records the seed the split draws from, as a full one does
+        cfg = tmp_path / "run.json"
+        config = {
+            "seed": 3,
+            "paths": {"scene_dir": str(tmp_path / "scenes"), "catalog": str(tmp_path / "catalog")},
+            "synth": {"scene_count": 1, "scene_size": 96, "dump_count": 2},
+            "chip": {"chip_size": 48, "stride": 24},
+        }
+        cfg.write_text(json.dumps(config))
+        assert run_cli(["synth", "--config", str(cfg)], capsys)[0] == 0
+        index = tmp_path / "catalog" / "index.json"
+        seeds = []
+        for chips in (True, False):
+            if not chips:
+                (tmp_path / "scenes" / "scene_000.geojson").unlink()
+                config["chip"]["negatives_per_positive"] = 0.0
+                cfg.write_text(json.dumps(config))
+            code, summary = run_cli(["chip", "--config", str(cfg)], capsys)
+            assert code == 0 and (summary["chips"] > 0) == chips
+            seeds.append(json.loads(index.read_text())["seed"])
+        assert seeds == [substream(3, "split")] * 2
 
 
 class TestSynthSeeding:

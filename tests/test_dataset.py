@@ -295,6 +295,15 @@ def _two_scenes():
     return [(f"scene_{i}", *generate_synthetic(cfg)) for i, cfg in enumerate(cfgs)]
 
 
+class TestChipConfig:
+    def test_validate_bands(self):
+        assert ChipConfig(bands=("R", "NIR", "NDSW")).bands == ("R", "NIR", "NDSW")
+        with pytest.raises(ValueError, match=r"^bands: unknown band 'XYZ' \(allowed: R, G, B, NIR, SWIR1, SWIR2, NDSW\)"):
+            ChipConfig(bands=("R", "XYZ"))
+        with pytest.raises(ValueError, match="^bands: empty band list"):
+            ChipConfig(bands=())
+
+
 class TestChipScenes:
     def test_matches_per_scene_extraction(self):
         scenes = _two_scenes()

@@ -22,7 +22,6 @@ from dumpwatch.detect import (
     connected_components,
     detections_from_binary,
     export_geojson,
-    filter_detections,
     polygonize,
     predict_raster,
     predict_rows,
@@ -655,16 +654,16 @@ class TestThresholdAndFilter:
             threshold_probability(prob, 0.0)
 
     def test_area_filter_keeps_boundary(self):
-        # components of 1, 3, 2 and 4 pixels of 10 x 10 m; the filter keeps
-        # the columns of those of 200 m^2 or more, in label order
+        # components of 1, 3, 2 and 4 pixels of 10 x 10 m; those of 200 m^2
+        # or more become detections, in label order
         labels = np.array([[1, 0, 2, 2, 2], [0, 0, 0, 0, 0], [3, 3, 0, 4, 4], [0, 0, 0, 4, 4]])
-        probs = np.linspace(0.5, 0.9, labels.size).reshape(labels.shape)
         transform = GeoTransform(0.0, 40.0, 10.0, 10.0)
-        dets = polygonize(labels, transform, probs)
-        kept = filter_detections(dets, PostprocConfig(min_area=200.0))
+        binary = _binary_raster(labels > 0, transform)
+        prob = _probability_raster(np.linspace(0.5, 0.9, labels.size).reshape(labels.shape), transform)
+        kept = detections_from_binary(binary, prob, PostprocConfig(min_area=200.0))
         assert kept.area.tolist() == [300.0, 200.0, 400.0]
-        _assert_same_detections(kept, detection_records(dets)[1:])
-        assert len(filter_detections(dets, PostprocConfig(min_area=1000.0))) == 0
+        _assert_same_detections(kept, detection_records(polygonize(labels, transform, prob.samples[0]))[1:])
+        assert len(detections_from_binary(binary, prob, PostprocConfig(min_area=1000.0))) == 0
 
 
 class TestExportGeojson:
@@ -711,16 +710,26 @@ class TestExportMatchesOracle:
     ``json.dumps`` writes for ``polygonize_oracle``'s objects."""
 
     @staticmethod
-    def _assert_same_bytes(tmp_path, labels, transform=T1, probs=None, min_area=None):
-        got = polygonize(labels, transform, probs)
-        want = polygonize_oracle(labels, transform, probs)
-        if min_area is not None:
-            got = filter_detections(got, PostprocConfig(min_area=min_area))
-            want = [d for d in want if d.area >= min_area]
-            assert 0 < len(want) < int(labels.max())  # the filter dropped some
-        export_geojson(got, tmp_path / "got.geojson")
+    def _assert_same_bytes(tmp_path, labels, transform=T1, probs=None):
+        export_geojson(polygonize(labels, transform, probs), tmp_path / "got.geojson")
+        export_geojson_oracle(polygonize_oracle(labels, transform, probs), tmp_path / "want.geojson")
+        assert (tmp_path / "got.geojson").read_bytes() == (tmp_path / "want.geojson").read_bytes()
+
+    @staticmethod
+    def _assert_filtered_bytes(tmp_path, grid, connectivity, transform, probs, min_area):
+        """``detections_from_binary``, which drops the small components
+        before tracing, writes the bytes of the oracle chain that traces
+        them all and drops them afterwards; returns the oracle's areas."""
+        prob = _probability_raster(probs, transform)
+        pcfg = PostprocConfig(min_area=min_area, connectivity=connectivity)
+        export_geojson(detections_from_binary(_binary_raster(grid, transform), prob, pcfg), tmp_path / "got.geojson")
+        labels = connected_components_oracle(grid, connectivity)
+        every = polygonize_oracle(labels, transform, prob.samples[0])
+        want = [d for d in every if d.area >= min_area]
+        assert 0 < len(want) < len(every)  # the filter dropped some
         export_geojson_oracle(want, tmp_path / "want.geojson")
         assert (tmp_path / "got.geojson").read_bytes() == (tmp_path / "want.geojson").read_bytes()
+        return [d.area for d in every]
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     @pytest.mark.parametrize("density", [0.3, 0.6])
@@ -762,8 +771,7 @@ class TestExportMatchesOracle:
     def test_min_area_drops_some(self, tmp_path):
         rng = np.random.default_rng(9)
         grid = (rng.uniform(size=(32, 32)) < 0.35).astype(np.float32)
-        labels, _ = connected_components(_binary_raster(grid), connectivity=8)
-        self._assert_same_bytes(tmp_path, labels, probs=rng.uniform(size=grid.shape), min_area=3.0)
+        self._assert_filtered_bytes(tmp_path, grid, 8, T1, rng.uniform(size=grid.shape), min_area=3.0)
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_non_integer_transform(self, tmp_path, connectivity):
@@ -771,9 +779,29 @@ class TestExportMatchesOracle:
         # not round-trip through short decimal forms
         rng = np.random.default_rng(10 + connectivity)
         grid = (rng.uniform(size=(40, 50)) < 0.45).astype(np.float32)
-        labels, _ = connected_components(_binary_raster(grid), connectivity)
         transform = GeoTransform(-123.456, 7.1, 0.1, 0.3)
-        self._assert_same_bytes(tmp_path, labels, transform, rng.uniform(size=grid.shape), min_area=0.05)
+        self._assert_filtered_bytes(tmp_path, grid, connectivity, transform, rng.uniform(size=grid.shape), min_area=0.05)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_filter_before_tracing(self, tmp_path, seed, connectivity):
+        # random grids hold holes and diagonal pinches; NESTED adds parts
+        # nested in holes. The cut is the area of the second-smallest
+        # component size, so detections of exactly min_area are kept, and
+        # the dropped components lie between kept ones in label order
+        rng = np.random.default_rng(seed)
+        grid = (rng.uniform(size=(36, 44)) < 0.4).astype(np.float32)
+        grid[-NESTED.shape[0] - 1 :, -NESTED.shape[1] - 1 :] = 0
+        grid[-NESTED.shape[0] :, -NESTED.shape[1] :] = NESTED
+        transform = GeoTransform(-123.456, 7.1, 0.1, 0.3)
+        sizes = np.bincount(connected_components_oracle(grid, connectivity).ravel())[1:]
+        min_area = int(np.unique(sizes)[1]) * (transform.pixel_width * transform.pixel_height)
+        areas = np.array(self._assert_filtered_bytes(
+            tmp_path, grid, connectivity, transform, rng.uniform(size=grid.shape), min_area
+        ))
+        kept = np.flatnonzero(areas >= min_area)
+        assert min_area in areas
+        assert (areas[kept[0] : kept[-1]] < min_area).any()
 
     def test_no_detections(self, tmp_path):
         self._assert_same_bytes(tmp_path, np.zeros((3, 3), dtype=np.int32))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 import logging
 import math
 
@@ -281,7 +282,7 @@ class TestTrain:
             payload = b"".join(
                 best[name].data.tobytes() for name in sorted(best)
             )
-            d = report.to_json_dict()
+            d = asdict(report)
             d.pop("metadata")
             outputs.append((payload, json.dumps(d, sort_keys=True)))
         assert outputs[0] == outputs[1]
