@@ -2,10 +2,12 @@
 postprocess, ablate.
 
 Configuration comes from a JSON file plus flag overrides (flags beat the
-file, the file beats defaults). Every run takes one global seed; stage
-randomness is derived through named substreams so, e.g., chip extraction
-stays identical whether or not other stages run. Logs go to stderr and each
-subcommand prints a single summary JSON object on stdout.
+file, the file beats defaults; both go through one check per section).
+Every run takes one global seed; stage randomness is derived through named
+substreams so, e.g., chip extraction stays identical whether or not other
+stages run. ``ablate`` runs ``chip``'s chip step and ``train``'s training
+step once per band set, under those same substreams. Logs go to stderr and
+each subcommand prints a single summary JSON object on stdout.
 
 Set DUMPWATCH_THREADS=1 before launching for the reference deterministic
 mode; the value caps the BLAS thread pools and must be set before numpy
@@ -165,44 +167,26 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    sections = {
-        "paths": (PathsConfig, "paths"),
-        "synth": (SynthSection, "synth"),
-        "chip": (ChipConfig, "chip"),
-        "model": (ModelSection, "model"),
-        "train": (Hyperparams, "train"),
-        "inference": (InferenceConfig, "inference"),
-        "postprocess": (PostprocConfig, "postprocess"),
-    }
+    sections = typing.get_type_hints(RunConfig)
     for key, value in data.items():
+        if key not in sections:
+            raise ConfigError(f"{key}: unknown config section")
         if key == "seed":
             cfg.seed = _typed(value, int, "seed")
-        elif key in sections:
-            cls, name = sections[key]
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name}: must be a JSON object")
-            setattr(cfg, name, _merge_section(cls, getattr(cfg, name), value, name))
+        elif not isinstance(value, dict):
+            raise ConfigError(f"{key}: must be a JSON object")
         else:
-            raise ConfigError(f"{key}: unknown config section")
+            setattr(cfg, key, _merge_section(sections[key], getattr(cfg, key), value, key))
     return cfg
 
 
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "threshold", None) is not None:
-        try:
-            cfg.postprocess = replace(
-                cfg.postprocess, probability_threshold=args.threshold
-            )
-        except ValueError as exc:
-            raise ConfigError(f"postprocess.probability_threshold: {exc}") from exc
-    if getattr(args, "min_area", None) is not None:
-        try:
-            cfg.postprocess = replace(cfg.postprocess, min_area=args.min_area)
-        except ValueError as exc:
-            raise ConfigError(f"postprocess.min_area: {exc}") from exc
-    if getattr(args, "bands", None) is not None:
+    flags = {"probability_threshold": args.threshold, "min_area": args.min_area}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    cfg.postprocess = _merge_section(PostprocConfig, cfg.postprocess, flags, "postprocess")
+    if args.bands is not None:
         names = [b.strip() for b in args.bands.split(",") if b.strip()]
         cfg.chip = _merge_section(ChipConfig, cfg.chip, {"bands": names}, "chip")
     return cfg
@@ -265,33 +249,33 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_chip(cfg: RunConfig, args) -> int:
-    catalog_dir = args.out or cfg.paths.catalog
+def _chip(cfg: RunConfig) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
+    """The scenes' chips of ``cfg.chip.bands``, split, with the normalization
+    fitted on the training chips (None without any)."""
     chips = ds.chip_scenes(
         _read_scenes(cfg.paths.scene_dir), cfg.chip, substream(cfg.seed, "chip")
     )
-    positives = sum(1 for c in chips if c.is_positive())
-    if positives == 0:
+    if not any(c.is_positive() for c in chips):
         log.warning("no positive chips extracted")
-    if not chips:
-        ds.save_catalog(
-            catalog_dir, DatasetSplit(train=[], val=[], test=[], seed=substream(cfg.seed, "split"))
-        )
-        _summary(
-            {"command": "chip", "chips": 0, "positives": 0, "catalog": str(catalog_dir)}
-        )
-        return 0
-    split = ds.split_dataset(
-        chips, cfg.chip.test_frac, cfg.chip.val_frac, substream(cfg.seed, "split")
-    )
-    stats = ds.fit_normalization(split.train) if split.train else None
+    seed = substream(cfg.seed, "split")
+    if chips:
+        split = ds.split_dataset(chips, cfg.chip.test_frac, cfg.chip.val_frac, seed)
+    else:
+        split = DatasetSplit(train=[], val=[], test=[], seed=seed)
+    return split, ds.fit_normalization(split.train) if split.train else None
+
+
+def cmd_chip(cfg: RunConfig, args) -> int:
+    catalog_dir = args.out or cfg.paths.catalog
+    split, stats = _chip(cfg)
     ds.save_catalog(catalog_dir, split, stats)
     ds.load_catalog(catalog_dir)  # write-then-verify
+    chips = split.train + split.val + split.test
     _summary(
         {
             "command": "chip",
             "chips": len(chips),
-            "positives": positives,
+            "positives": sum(1 for c in chips if c.is_positive()),
             "train": len(split.train),
             "val": len(split.val),
             "test": len(split.test),
@@ -312,18 +296,24 @@ def _build_model_config(cfg: RunConfig, in_channels: int) -> UNetConfig:
         raise ConfigError(f"model: {exc}") from exc
 
 
+def _train(cfg: RunConfig, split: DatasetSplit, stats: ds.NormalizationStats):
+    """The ``cfg.model`` U-Net trained on ``split`` normalized with ``stats``:
+    its config, best parameters and training report."""
+    normalized = ds.normalize_split(split, stats)
+    config = _build_model_config(cfg, split.train[0].samples.shape[0])
+    params = unet.build_unet(config, substream(cfg.seed, "init"))
+    shuffle = substream(cfg.seed, "shuffle")
+    best, report = training.train(params, config, normalized, cfg.train, shuffle)
+    return config, best, report
+
+
 def cmd_train(cfg: RunConfig, args) -> int:
     split, stats = ds.load_catalog(cfg.paths.catalog)
     if not split.train:
         raise ConfigError("paths.catalog: catalog has no training chips")
     if stats is None:
         raise ConfigError("paths.catalog: catalog is missing stats.json")
-    normalized = ds.normalize_split(split, stats)
-    bands = split.train[0].samples.shape[0]
-    config = _build_model_config(cfg, bands)
-    params = unet.build_unet(config, substream(cfg.seed, "init"))
-    shuffle = substream(cfg.seed, "shuffle")
-    best, report = training.train(params, config, normalized, cfg.train, shuffle)
+    config, best, report = _train(cfg, split, stats)
     checkpoint_path = args.out or cfg.paths.checkpoint
     ckpt = unet.checkpoint_from_params(
         config,
@@ -458,7 +448,7 @@ def cmd_postprocess(cfg: RunConfig, args) -> int:
         "command": "postprocess",
         "detections": len(detections),
         "total_area_m2": sum(detections.area.tolist()),  # in label order, as summed before
-        "pixels_above_threshold": int(binary.samples.sum()),
+        "pixels_above_threshold": int(np.count_nonzero(binary.samples)),
         "output": str(out),
     }
     del detections  # freed before the verify read, which holds the whole file
@@ -468,25 +458,24 @@ def cmd_postprocess(cfg: RunConfig, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    if getattr(args, "bands", None) is not None:
+    if args.bands is not None:
         raise ConfigError(
             "--bands: ablate trains its own band sets "
             f"({', '.join(ds.ABLATION_SPECS)}); drop the flag"
         )
-    # chipped once with every band; training.ablate slices each spec's channels
-    bands = tuple(dict.fromkeys(b for spec in ds.ABLATION_SPECS.values() for b in spec))
-    seed = substream(cfg.seed, "ablate")
-    chips = ds.chip_scenes(
-        _read_scenes(cfg.paths.scene_dir), replace(cfg.chip, bands=bands), seed
-    )
-    split = ds.split_dataset(chips, cfg.chip.test_frac, cfg.chip.val_frac, seed)
-    rows = training.ablate(
-        split,
-        depth=cfg.model.depth,
-        base_filters=cfg.model.base_filters,
-        hyper=cfg.train,
-        seed=seed,
-    )
+    rows = []
+    for label, bands in ds.ABLATION_SPECS.items():
+        # chip's and train's own steps: the full band set's row is train's test
+        run = replace(cfg, chip=replace(cfg.chip, bands=bands))
+        split, stats = _chip(run)
+        if stats is None:
+            raise ConfigError("paths.scene_dir: the scenes give no training chips")
+        config, best, report = _train(run, split, stats)
+        metrics = report.test or training.evaluate(
+            best, config, [ds.apply_normalization(c, stats) for c in split.val or split.train]
+        )
+        rows.append(training.AblationRow(label, metrics.loss, metrics.mean_iou))
+        log.info("ablation %s: loss=%.4f mean_iou=%.4f", label, metrics.loss, metrics.mean_iou)
     out = args.out or cfg.paths.ablation
     training.save_ablation(rows, out)
     sys.stderr.write(training.format_ablation_table(rows) + "\n")

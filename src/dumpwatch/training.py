@@ -1,4 +1,4 @@
-"""Training loop, evaluation metrics, and the band-subset ablation harness.
+"""Training loop, evaluation metrics, and the band-subset ablation table.
 
 Training is deterministic for a fixed seed: shuffling comes from one seeded
 generator, every numeric op is a plain numpy computation, and the returned
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -292,7 +292,7 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# ablation harness
+# ablation table
 # ---------------------------------------------------------------------------
 
 
@@ -301,57 +301,6 @@ class AblationRow:
     label: str
     loss: float
     mean_iou: float
-
-
-def ablate(
-    split: DatasetSplit,
-    specs: dict[str, tuple[str, ...]] | None = None,
-    *,
-    depth: int = 2,
-    base_filters: int = 8,
-    hyper: Hyperparams | None = None,
-    seed: int = 0,
-) -> list[AblationRow]:
-    """Train one model per band spec on the same chips under identical seeds.
-
-    The split's chips carry every band any spec names; each spec trains on
-    its own channels of them, so all specs share the chip windows and the
-    split assignment. Each row reports loss and mean IoU on the test chips.
-    """
-    if specs is None:
-        specs = ds.ABLATION_SPECS
-    if hyper is None:
-        hyper = Hyperparams()
-    if not split.train:
-        raise ValueError("training split is empty")
-    names = split.train[0].band_names or ()
-    for label, spec in specs.items():
-        for band in spec:
-            if band not in names:
-                raise ValueError(f"ablation spec {label!r}: chips have no {band!r} band")
-    rows: list[AblationRow] = []
-    for label, spec in specs.items():
-        idx = [names.index(band) for band in spec]
-        parts = [
-            [replace(c, samples=c.samples[idx], band_names=spec) for c in chips]
-            for chips in (split.train, split.val, split.test)
-        ]
-        sliced = DatasetSplit(*parts, seed=split.seed)
-        stats = ds.fit_normalization(sliced.train)
-        normalized = ds.normalize_split(sliced, stats)
-        config = UNetConfig(
-            in_channels=len(spec), depth=depth, base_filters=base_filters
-        )
-        params = unet.build_unet(config, seed)
-        best, report = train(params, config, normalized, hyper, seed)
-        metrics = report.test
-        if metrics is None:
-            metrics = evaluate(best, config, normalized.val or normalized.train)
-        rows.append(AblationRow(label, metrics.loss, metrics.mean_iou))
-        log.info(
-            "ablation %s: loss=%.4f mean_iou=%.4f", label, metrics.loss, metrics.mean_iou
-        )
-    return rows
 
 
 def format_ablation_table(rows: Sequence[AblationRow]) -> str:

@@ -6,6 +6,8 @@ use fixed seeds throughout, so their outcomes are reproducible runs of
 the same recipes, not statistical samples.
 """
 
+import contextlib
+import io
 import json
 import math
 import time
@@ -342,32 +344,41 @@ def test_c4_end_to_end_quality():
 # ---------------------------------------------------------------------------
 
 
-def test_c5_band_ablation_margin():
+def test_c5_band_ablation_margin(tmp_path):
     started = time.monotonic()
-    scenes = []
+    scene_dir = tmp_path / "scenes"
+    scene_dir.mkdir()
     for i in range(2):
         cfg = SynthConfig(
             scene_size=160, dump_count=4, background_texture_seed=300 + i
         )
-        scenes.append((f"scene_{i:03d}", *ds.generate_synthetic(cfg)))
-    chip = ds.ChipConfig(chip_size=64, stride=32)
-
-    hyper = training.Hyperparams(
-        batch_size=16,
-        max_epochs=16,
-        learning_rate=2e-3,
-        pos_weight=5.0,
-        plateau_patience=16,
-    )
+        raster, polygons = ds.generate_synthetic(cfg)
+        base = scene_dir / f"scene_{i:03d}"
+        geodata.write_raster(raster, base)
+        geodata.write_annotations(polygons, str(base) + ".geojson")
+    config = {
+        "paths": {"scene_dir": str(scene_dir), "ablation": str(tmp_path / "ablation")},
+        "chip": {"chip_size": 64, "stride": 32},
+        "model": {"depth": 2, "base_filters": 8},
+        "train": {
+            "batch_size": 16,
+            "max_epochs": 16,
+            "learning_rate": 2e-3,
+            "pos_weight": 5.0,
+            "plateau_patience": 16,
+        },
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
     expected_labels = ["RGB", "RGB-NIR", "RGB-NIR-SWIR", "RGB-NIR-SWIR-NDSW"]
     by_label: dict[str, list[float]] = {}
     for seed in (0, 1, 2):
-        chips = ds.chip_scenes(scenes, chip, seed)
-        split = ds.split_dataset(chips, chip.test_frac, chip.val_frac, seed)
-        rows = training.ablate(split, hyper=hyper, seed=seed)
-        assert [r.label for r in rows] == expected_labels
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ablate", "--config", str(path), "--seed", str(seed)]) == 0
+        rows = json.loads((tmp_path / "ablation.json").read_text())
+        assert [r["label"] for r in rows] == expected_labels
         for row in rows:
-            by_label.setdefault(row.label, []).append(row.mean_iou)
+            by_label.setdefault(row["label"], []).append(row["mean_iou"])
 
     rgb = float(np.mean(by_label["RGB"]))
     full = float(np.mean(by_label["RGB-NIR-SWIR-NDSW"]))
@@ -408,10 +419,7 @@ def _run_pipeline(root: Path) -> None:
     }
     path = root / "run.json"
     path.write_text(json.dumps(config))
-    import contextlib
-    import io
-
-    for command in ("synth", "chip", "train", "predict", "postprocess"):
+    for command in ("synth", "chip", "train", "predict", "postprocess", "ablate"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([command, "--config", str(path)]) == 0, command
 
@@ -440,17 +448,6 @@ def test_c6_reruns_are_bit_identical(tmp_path):
     report_b.pop("metadata")
     assert report_a == report_b
 
-    # ablation artifact determinism on a deliberately tiny setup
-    raster, polygons = ds.generate_synthetic(
-        SynthConfig(scene_size=96, dump_count=3, background_texture_seed=5)
-    )
-    chip = ds.ChipConfig(chip_size=48, stride=24)
-    hyper = training.Hyperparams(batch_size=8, max_epochs=1)
-    for run in (run_a, run_b):
-        chips = ds.chip_scenes([("scene_000", raster, polygons)], chip, 17)
-        split = ds.split_dataset(chips, chip.test_frac, chip.val_frac, 17)
-        rows = training.ablate(split, depth=1, base_filters=4, hyper=hyper, seed=17)
-        training.save_ablation(rows, run / "ablation")
     same_bytes("ablation.json")
     elapsed = time.monotonic() - started
     print(f"C6 PASS: all rerun artifacts bit-identical, {elapsed:.1f}s")

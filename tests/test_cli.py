@@ -133,7 +133,7 @@ class TestLoadConfig:
     def test_invalid_value_wrapped(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"postprocess": {"connectivity": 6}}))
-        with pytest.raises(ConfigError, match="postprocess: "):
+        with pytest.raises(ConfigError, match="^postprocess.connectivity: must be 4 or 8, got 6$"):
             load_config(str(path))
 
     @pytest.mark.parametrize(
@@ -217,8 +217,21 @@ class TestFlags:
         assert cfg.postprocess.min_area == 250.0
 
     def test_invalid_threshold_is_config_error(self):
-        with pytest.raises(ConfigError, match="probability_threshold"):
+        with pytest.raises(ConfigError, match=r"^postprocess.probability_threshold: must be in \(0, 1\)"):
             _apply_flags(RunConfig(), self._args(threshold=1.5))
+
+    @pytest.mark.parametrize(
+        "flag, field, value", [("threshold", "probability_threshold", 1.5), ("min_area", "min_area", -1.0)]
+    )
+    def test_flag_and_config_file_give_one_message(self, tmp_path, flag, field, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"postprocess": {field: value}}))
+        with pytest.raises(ConfigError) as from_file:
+            load_config(str(path))
+        with pytest.raises(ConfigError) as from_flag:
+            _apply_flags(RunConfig(), self._args(**{flag: value}))
+        assert str(from_flag.value) == str(from_file.value)
+        assert str(from_file.value).startswith(f"postprocess.{field}: must be ")
 
     def test_bands_csv(self):
         cfg = _apply_flags(RunConfig(), self._args(bands="R, G,B"))
@@ -364,8 +377,10 @@ class TestEndToEnd:
         assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_postprocess(self, ws, capsys):
+        _, predicted = run_cli(["predict", "--config", ws["config"]], capsys)
         code, summary = run_cli(["postprocess", "--config", ws["config"]], capsys)
         assert code == 0
+        assert summary["pixels_above_threshold"] == predicted["pixels_above_threshold"]
         doc = json.loads((ws["root"] / "detections.geojson").read_text())
         assert doc["type"] == "FeatureCollection"
         assert len(doc["features"]) == summary["detections"]
@@ -398,6 +413,16 @@ class TestEndToEnd:
         assert (ws["root"] / "ablation.json").exists()
         assert (ws["root"] / "ablation.txt").exists()
 
+    def test_ablate_full_band_row_is_trains_test(self, ws, capsys):
+        # ablate runs chip's and train's own steps, so its row for the
+        # default band stack is the model train built, scored alike
+        code, summary = run_cli(["ablate", "--config", ws["config"]], capsys)
+        assert code == 0
+        full = summary["rows"][-1]
+        assert full["label"] == "RGB-NIR-SWIR-NDSW"
+        test = json.loads((ws["root"] / "report.json").read_text())["test"]
+        assert (full["loss"], full["mean_iou"]) == (test["loss"], test["mean_iou"])
+
 
 class TestErrorExits:
     def test_ablate_rejects_bands_flag(self, tmp_path, capsys, caplog):
@@ -424,6 +449,25 @@ class TestErrorExits:
         assert code == 1
         assert "paths.scene_dir: no such directory" in caplog.text
         assert "--bands" not in caplog.text
+
+    def test_ablate_without_training_chips(self, tmp_path, capsys, caplog):
+        # a scene without a dump gives no chip to train on
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "paths": {"scene_dir": str(tmp_path / "scenes"), "ablation": str(tmp_path / "ablation")},
+                    "synth": {"scene_count": 1, "scene_size": 96},
+                    "chip": {"chip_size": 48},
+                }
+            )
+        )
+        assert run_cli(["synth", "--config", str(cfg)], capsys)[0] == 0
+        (tmp_path / "scenes" / "scene_000.geojson").unlink()
+        code, summary = run_cli(["ablate", "--config", str(cfg)], capsys)
+        assert code == 1 and summary is None
+        assert "paths.scene_dir: the scenes give no training chips" in caplog.text
+        assert not (tmp_path / "ablation.json").exists()
 
     def test_chip_without_scenes(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

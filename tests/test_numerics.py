@@ -429,7 +429,7 @@ def _net_conv_shapes(config: UNetConfig, batch: int, side: int):
 
 # (net, batch sizes, input side): the train net (CLI defaults, 100 px chips
 # padded to 112), the scene benchmark's checkpoint net at 256 px tiles, and
-# training.ablate's default net at each band set's width
+# the depth-2, 8-filter net C5 ablates at each band set's width
 _NETS = [
     (UNetConfig(), (11, 3), 112),
     (UNetConfig(depth=2, base_filters=8), (5, 1), 256),

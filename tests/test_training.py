@@ -10,16 +10,11 @@ from hypothesis import strategies as st
 
 from dumpwatch.dataset import (
     Chip,
-    ChipConfig,
     DatasetSplit,
-    SynthConfig,
-    chip_scenes,
     extract_chips,
     fit_normalization,
-    generate_synthetic,
     normalize_split,
     rasterize_mask,
-    split_dataset,
     stack_bands,
 )
 from dumpwatch.geodata import GeoTransform
@@ -31,7 +26,6 @@ from dumpwatch.training import (
     PlateauStopper,
     TrainingDiverged,
     TrainReport,
-    ablate,
     auto_pos_weight,
     evaluate,
     format_ablation_table,
@@ -348,33 +342,6 @@ class TestTrain:
 
 
 class TestAblation:
-    def _split(self, seed, bands=ChipConfig.bands):
-        cfg = SynthConfig(scene_size=64, dump_count=2, background_texture_seed=3)
-        scenes = [("scene_000", *generate_synthetic(cfg))]
-        chip = ChipConfig(chip_size=32, stride=16, bands=bands)
-        chips = chip_scenes(scenes, chip, seed)
-        return split_dataset(chips, chip.test_frac, chip.val_frac, seed)
-
-    def test_mini_ablation_runs(self):
-        rows = ablate(
-            self._split(4),
-            specs={"RGB": ("R", "G", "B"), "SWIR-pair": ("SWIR1", "NDSW")},
-            depth=1,
-            base_filters=4,
-            hyper=Hyperparams(batch_size=8, max_epochs=2),
-            seed=4,
-        )
-        assert [r.label for r in rows] == ["RGB", "SWIR-pair"]
-        for row in rows:
-            assert math.isfinite(row.loss)
-            assert 0.0 <= row.mean_iou <= 1.0
-
-    def test_spec_with_a_band_the_chips_lack_raises(self):
-        split = self._split(4, bands=("R", "G", "B", "NIR"))
-        specs = {"RGB": ("R", "G", "B"), "SWIR-pair": ("SWIR1", "NDSW")}
-        with pytest.raises(ValueError, match="spec 'SWIR-pair': chips have no 'SWIR1'"):
-            ablate(split, specs, depth=1, base_filters=4)
-
     def test_save_load_round_trip(self, tmp_path):
         rows = [
             AblationRow("RGB", 0.5, 0.21),
