@@ -205,17 +205,6 @@ def _scene_bases(scene_dir: str) -> list[Path]:
     return bases
 
 
-def _read_scenes(scene_dir: str):
-    """Yield (scene_id, source raster, polygons) one scene at a time; a
-    scene without a .geojson beside it holds no dump."""
-    no_dumps = geodata.Polygons(np.zeros(0), np.zeros(0), np.zeros(1, np.int64), np.zeros(1, np.int64), [])
-    for base in _scene_bases(scene_dir):
-        raster = geodata.read_raster(base)
-        ann_path = Path(str(base) + ".geojson")
-        polygons = geodata.read_annotations(ann_path) if ann_path.exists() else no_dumps
-        yield base.name, raster, polygons
-
-
 def _summary(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -252,9 +241,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def _chip(cfg: RunConfig) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
     """The scenes' chips of ``cfg.chip.bands``, split, with the normalization
     fitted on the training chips (None without any)."""
-    chips = ds.chip_scenes(
-        _read_scenes(cfg.paths.scene_dir), cfg.chip, substream(cfg.seed, "chip")
-    )
+    scenes = ((base.name, *ds.read_scene(base)) for base in _scene_bases(cfg.paths.scene_dir))
+    chips = ds.chip_scenes(scenes, cfg.chip, substream(cfg.seed, "chip"))
     if not any(c.is_positive() for c in chips):
         log.warning("no positive chips extracted")
     seed = substream(cfg.seed, "split")
@@ -268,7 +256,7 @@ def _chip(cfg: RunConfig) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
 def cmd_chip(cfg: RunConfig, args) -> int:
     catalog_dir = args.out or cfg.paths.catalog
     split, stats = _chip(cfg)
-    ds.save_catalog(catalog_dir, split, stats)
+    ds.save_catalog(catalog_dir, split, cfg.paths.scene_dir, stats)
     ds.load_catalog(catalog_dir)  # write-then-verify
     chips = split.train + split.val + split.test
     _summary(
@@ -356,11 +344,11 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     if not chips:
         raise ConfigError(f"catalog split {args.split!r} is empty")
     names, count = chips[0].band_names, chips[0].samples.shape[0]
-    if len(stats.means) != count or (stats.band_names and names and stats.band_names != names):
+    if len(stats.means) != count or (stats.band_names and stats.band_names != names):
         raise ConfigError(
             f"checkpoint {cfg.paths.checkpoint} does not fit the chips of catalog "
             f"{cfg.paths.catalog}: its stats cover {len(stats.means)} bands "
-            f"{stats.band_names or '(unnamed)'}, the chips have {count} {names or '(unnamed)'}"
+            f"{stats.band_names or '(unnamed)'}, the chips have {count} {names}"
         )
     normalized = [ds.apply_normalization(c, stats) for c in chips]
     params = unet.params_from_checkpoint(ckpt)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,7 +37,8 @@ ABLATION_SPECS: dict[str, tuple[str, ...]] = {
 _NDSW_EPS = 1e-12
 
 CATALOG_FORMAT = "dumpwatch.catalog"
-CATALOG_FORMAT_VERSION = 1
+CATALOG_FORMAT_VERSION = 2
+SPLITS = ("train", "val", "test")
 
 
 def compute_ndsw(
@@ -147,12 +149,12 @@ def rasterize_mask(
 
 @dataclass
 class Chip:
-    """One training window: image samples, binary mask, and georeferencing."""
+    """One training window of a scene: its samples and binary mask, views of
+    the scene's arrays (write into neither), and its place in the scene."""
 
     samples: np.ndarray  # [band, size, size] float32
     mask: np.ndarray  # [size, size] uint8
     origin: tuple[int, int]  # (col, row) in the source raster
-    transform: GeoTransform
     band_names: tuple[str, ...] | None = None
     scene_id: str = ""
 
@@ -179,7 +181,8 @@ def extract_chips(
     pixel, ordered by origin (row-major). Negatives are
     ceil(negatives_per_positive * positives) seeded-random all-zero windows
     appended after the positives. The lattice is clipped to the raster, so
-    windows never extend past the edge.
+    windows never extend past the edge. A chip's samples and mask are views
+    of ``image`` and ``mask``, not copies.
     """
     mask = np.asarray(mask)
     if mask.shape != (image.height, image.width):
@@ -199,10 +202,9 @@ def extract_chips(
 
     def cut(col: int, row: int) -> Chip:
         return Chip(
-            samples=image.samples[:, row : row + chip_size, col : col + chip_size].copy(),
-            mask=mask[row : row + chip_size, col : col + chip_size].astype(np.uint8),
+            samples=image.samples[:, row : row + chip_size, col : col + chip_size],
+            mask=mask[row : row + chip_size, col : col + chip_size],
             origin=(col, row),
-            transform=geodata.shift_transform(image.transform, col, row),
             band_names=image.band_names,
             scene_id=scene_id,
         )
@@ -266,6 +268,16 @@ class ChipConfig:
         for name in self.bands:
             if name not in allowed:
                 raise ValueError(f"bands: unknown band {name!r} (allowed: {', '.join(allowed)})")
+
+
+def read_scene(base: str | Path) -> tuple[Raster, Polygons]:
+    """The source raster at ``base`` and its annotations from the .geojson
+    beside it; a scene without one holds no dump."""
+    raster = geodata.read_raster(base)
+    annotations = Path(f"{base}.geojson")
+    if annotations.exists():
+        return raster, geodata.read_annotations(annotations)
+    return raster, Polygons(np.zeros(0), np.zeros(0), np.zeros(1, np.int64), np.zeros(1, np.int64), [])
 
 
 def chip_scenes(
@@ -568,63 +580,66 @@ def generate_synthetic(config: SynthConfig) -> tuple[Raster, Polygons]:
 def save_catalog(
     path: str | Path,
     split: DatasetSplit,
+    scene_dir: str | Path,
     stats: NormalizationStats | None = None,
 ) -> None:
-    """Persist a split as one native raster pair per chip plus an index.
-
-    Each chip raster carries the image bands plus a trailing "mask" band.
-    Raw (unnormalized) samples are stored; stats ride along in stats.json.
-    """
+    """Write the split as ``index.json``: ``scene_dir`` relative to the
+    catalog, and each window's scene, origin, split and whether it holds a
+    dump, but no pixels. ``stats``, if given, go to ``stats.json``."""
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    entries = []
-    chip_size = None
-    band_names = None
-    for split_name in ("train", "val", "test"):
-        for chip in getattr(split, split_name):
-            idx = len(entries)
-            rel = f"chips/chip_{idx:05d}"
-            names = chip.band_names or tuple(
-                f"band{i}" for i in range(chip.samples.shape[0])
-            )
-            stackable = np.concatenate(
-                [chip.samples, chip.mask[None].astype(np.float32)]
-            )
-            geodata.write_raster(
-                Raster(
-                    stackable,
-                    chip.transform,
-                    nodata=None,
-                    band_names=(*names, "mask"),
-                ),
-                root / rel,
-            )
-            entries.append(
-                {
-                    "id": idx,
-                    "file": rel,
-                    "origin": list(chip.origin),
-                    "split": split_name,
-                    "positive": chip.is_positive(),
-                    "scene": chip.scene_id,
-                }
-            )
-            chip_size = chip.size
-            band_names = names
+    chips = [(name, chip) for name in SPLITS for chip in getattr(split, name)]
+    first = chips[0][1] if chips else None
     index = {
         "format": CATALOG_FORMAT,
         "format_version": CATALOG_FORMAT_VERSION,
-        "chip_size": chip_size,
-        "band_names": list(band_names) if band_names else None,
+        "chip_size": first.size if first else None,
+        "band_names": list(first.band_names) if first and first.band_names else None,
         "seed": split.seed,
-        "chips": entries,
+        "scenes": os.path.relpath(scene_dir, root),
+        "chips": [
+            {"scene": c.scene_id, "origin": list(c.origin), "split": name, "positive": c.is_positive()}
+            for name, c in chips
+        ],
     }
     atomic_write_json(root / "index.json", index)
     if stats is not None:
         stats.save(root / "stats.json")
 
 
+# each field of index.json and of its chips: its check, and what it must be
+_INDEX_FIELDS = {
+    "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "scenes": (lambda v: type(v) is str and v != "", "a directory path"),
+    "chips": (lambda v: type(v) is list, "a list"),
+    "chip_size": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    "band_names": (lambda v: type(v) is list and v != [] and all(type(b) is str for b in v), "a list of band names"),
+    "scene": (lambda v: type(v) is str and v != "", "a scene name"),
+    "origin": (lambda v: type(v) is list and len(v) == 2 and all(type(c) is int for c in v), "a list of two integers"),
+    "split": (lambda v: v in SPLITS, f"one of {', '.join(SPLITS)}"),
+    "positive": (lambda v: type(v) is bool, "true or false"),
+}
+
+
+def _fields(obj, keys: str, where) -> list:
+    """``obj``'s checked values of the space-separated ``keys``; a fault names ``where``."""
+    values = [_require(obj, key, where) for key in keys.split()]
+    for key, value in zip(keys.split(), values):
+        ok, expected = _INDEX_FIELDS[key]
+        if not ok(value):
+            raise ValueError(f"{where}: {key} is {json.dumps(value)}, not {expected}")
+    return values
+
+
 def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | None]:
+    """The split a catalog indexes, and its stats (None without stats.json).
+
+    Every field of ``index.json`` is checked first. Then each scene it names
+    is read once, its ``band_names`` stacked and its annotations rasterized,
+    and the chips are views of that stack and mask. A fault is a ValueError
+    naming ``index.json``; it names the scene too when the scene is missing
+    or unreadable, a window lies outside it, or its annotations no longer
+    give a window's recorded ``positive``.
+    """
     root = Path(path)
     index_path = root / "index.json"
     if not index_path.exists():
@@ -632,48 +647,43 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
     index = read_json(index_path)
     if not isinstance(index, dict) or index.get("format") != CATALOG_FORMAT:
         raise ValueError(f"unrecognized catalog format in {index_path}")
-    if index.get("format_version") != CATALOG_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported catalog version {index.get('format_version')!r}"
-        )
-    buckets: dict[str, list[Chip]] = {"train": [], "val": [], "test": []}
-    size = index.get("chip_size")
-    chips = _require(index, "chips", index_path)
-    if not isinstance(chips, list):
-        raise ValueError(f"{index_path}: chips is {json.dumps(chips)}, not a list")
-    for k, entry in enumerate(chips):
-        where = f"{index_path} chip {k}"
-        file, bucket, origin = (_require(entry, key, where) for key in ("file", "split", "origin"))
-        if not (isinstance(origin, list) and len(origin) == 2 and all(type(v) is int for v in origin)):
-            raise ValueError(f"{where}: origin is {json.dumps(origin)}, not a list of two integers")
-        raster = geodata.read_raster(root / file)
-        if (raster.height, raster.width) != (size, size):
-            raise ValueError(
-                f"chip {root / file} is {raster.width}x{raster.height} px, "
-                f"but the catalog's chip_size is {size}"
-            )
-        chip = Chip(
-            samples=raster.samples[:-1],
-            mask=raster.samples[-1].astype(np.uint8),
-            origin=tuple(origin),
-            transform=raster.transform,
-            band_names=raster.band_names[:-1] if raster.band_names else None,
-            scene_id=entry.get("scene", ""),
-        )
-        if bucket not in buckets:
-            raise ValueError(f"unknown split {bucket!r} in catalog index")
-        buckets[bucket].append(chip)
-    stats = None
+    version = index.get("format_version")
+    if type(version) is not int or version != CATALOG_FORMAT_VERSION:
+        raise ValueError(f"{index_path}: unsupported catalog version {json.dumps(version)}; re-run `dumpwatch chip`")
+    seed, scenes, entries = _fields(index, "seed scenes chips", index_path)
+    size, bands = _fields(index, "chip_size band_names", index_path) if entries else (None, None)
+    for k, entry in enumerate(entries):
+        _fields(entry, "scene origin split positive", f"{index_path} chip {k}")
     stats_path = root / "stats.json"
-    if stats_path.exists():
-        stats = NormalizationStats.load(stats_path)
-    split = DatasetSplit(
-        train=buckets["train"],
-        val=buckets["val"],
-        test=buckets["test"],
-        seed=int(index.get("seed", 0)),
-    )
-    return split, stats
+    stats = NormalizationStats.load(stats_path) if stats_path.exists() else None
+    if stats is not None and entries and stats.band_names != tuple(bands):
+        raise ValueError(f"{stats_path} covers bands {stats.band_names}, but {index_path} names {tuple(bands)}")
+
+    layers, buckets = {}, {name: [] for name in SPLITS}
+    for k, entry in enumerate(entries):
+        where, name, (col, row) = f"{index_path} chip {k}", entry["scene"], entry["origin"]
+        if name not in layers:
+            try:
+                raster, polygons = read_scene(root / scenes / name)
+                mask = rasterize_mask(polygons, raster.transform, raster.width, raster.height)
+                layers[name] = stack_bands(raster, tuple(bands)).samples, mask
+            except (OSError, KeyError, ValueError) as exc:
+                raise ValueError(f"{where}: scene {name!r} ({root / scenes / name}): {exc}") from exc
+        stack, mask = layers[name]
+        if not (0 <= col <= mask.shape[1] - size and 0 <= row <= mask.shape[0] - size):
+            raise ValueError(
+                f"{where}: its {size} px window at origin [{col}, {row}] lies outside scene "
+                f"{name!r}, {mask.shape[1]}x{mask.shape[0]} px"
+            )
+        window = mask[row : row + size, col : col + size]
+        if window.any() != entry["positive"]:
+            raise ValueError(
+                f"{where}: recorded positive {json.dumps(entry['positive'])}, but the annotations of scene "
+                f"{name!r} give {json.dumps(not entry['positive'])}; edited after `dumpwatch chip`? re-run it"
+            )
+        chip = Chip(stack[:, row : row + size, col : col + size], window, (col, row), tuple(bands), name)
+        buckets[entry["split"]].append(chip)
+    return DatasetSplit(**buckets, seed=seed), stats
 
 
 def reflect_pad(array: np.ndarray, pads: tuple[tuple[int, int], tuple[int, int]]) -> np.ndarray:

@@ -559,31 +559,36 @@ def test_c8_format_round_trips(tmp_path):
     for name, arr in ckpt.parameters.items():
         assert reloaded.parameters[name].tobytes() == arr.tobytes()
 
-    transform = GeoTransform(0.0, 64.0, 1.0, 1.0)
-    chips = [
-        ds.Chip(
-            samples=rng.normal(size=(3, 8, 8)).astype(np.float32),
-            mask=(rng.uniform(size=(8, 8)) < 0.3).astype(np.uint8),
-            origin=(int(rng.integers(0, 50)), int(rng.integers(0, 50))),
-            transform=transform,
-            scene_id=f"s{i}",
-            band_names=("a", "b", "c"),
+    # the catalog indexes windows of scene files on disk, and its loader
+    # cuts them from those files again
+    bases = [tmp_path / "scenes" / f"s{i}" for i in range(2)]
+    for i, base in enumerate(bases):
+        scene = Raster(
+            rng.uniform(0.05, 0.5, size=(6, 24, 20)).astype(np.float32),
+            GeoTransform(100.0 * i, 240.0, 10.0, 10.0),
+            band_names=ds.SOURCE_BANDS,
         )
-        for i in range(6)
-    ]
-    split = ds.DatasetSplit(
-        train=chips[:3], val=chips[3:5], test=chips[5:], seed=42
-    )
-    ds.save_catalog(tmp_path / "cat", split, stats)
+        geodata.write_raster(scene, base)
+        x0 = 100.0 * i + 30.0
+        ring = [(x0, 60.0), (x0 + 70.0, 60.0), (x0 + 40.0, 170.0), (x0, 60.0)]
+        geodata.write_annotations(polygon_columns([[ring]], ["dump"]), f"{base}.geojson")
+    chip = ds.ChipConfig(chip_size=8, stride=4, bands=("R", "NIR", "NDSW"))
+    chips = ds.chip_scenes(((b.name, *ds.read_scene(b)) for b in bases), chip, seed=7)
+    split = ds.split_dataset(chips, 0.2, 0.2, seed=42)
+    cat_stats = ds.fit_normalization(split.train)
+    ds.save_catalog(tmp_path / "cat", split, tmp_path / "scenes", cat_stats)
+    assert sorted(p.name for p in (tmp_path / "cat").iterdir()) == ["index.json", "stats.json"]
     split2, stats2 = ds.load_catalog(tmp_path / "cat")
-    assert stats2 == stats
+    assert stats2 == cat_stats
     assert split2.seed == 42
     for name in ("train", "val", "test"):
+        assert len(getattr(split2, name)) == len(getattr(split, name)) > 0
         for before, after in zip(getattr(split, name), getattr(split2, name)):
             assert after.samples.tobytes() == before.samples.tobytes()
             assert np.array_equal(after.mask, before.mask)
             assert after.origin == before.origin
             assert after.scene_id == before.scene_id
+    assert {c.scene_id for c in chips} == {"s0", "s1"} and any(c.is_positive() for c in chips)
 
     polygons = polygon_columns(
         [

@@ -28,6 +28,7 @@ from dumpwatch.dataset import (
     NormalizationStats,
     load_catalog,
     save_catalog,
+    stack_bands,
 )
 from dumpwatch.geodata import (
     GeoTransform,
@@ -538,48 +539,53 @@ def _catalog_with_nan_seed(root):
     path = root / "catalog" / "index.json"
     path.parent.mkdir()
     path.write_text(
-        '{"format": "dumpwatch.catalog", "format_version": 1, "chip_size": null, '
-        '"band_names": null, "seed": NaN, "chips": []}'
+        '{"format": "dumpwatch.catalog", "format_version": 2, "chip_size": null, '
+        '"band_names": null, "seed": NaN, "scenes": "../scenes", "chips": []}'
     )
     return {"paths": {"catalog": str(path.parent)}}, path
 
 
-def _catalog_with_mixed_sizes(root):
-    """A catalog of 48 px chips whose second chip is 40 px."""
-
-    def chip(size):
-        return Chip(
-            np.zeros((len(DEFAULT_BAND_SPEC), size, size), np.float32),
-            np.zeros((size, size), np.uint8),
-            (0, 0),
-            GeoTransform(0.0, float(size), 1.0, 1.0),
-        )
-
-    save_catalog(root / "catalog", DatasetSplit([chip(48), chip(40), chip(48)], [], []))
-    return {"paths": {"catalog": str(root / "catalog")}}, root / "catalog" / "chips" / "chip_00001"
-
-
-def _catalog(root, stats=None, names=None):
-    """A catalog of one 3-band 16 px chip in every split, with ``stats``
-    and the chip's band ``names``."""
-    chip = Chip(
-        np.zeros((3, 16, 16), np.float32),
-        np.zeros((16, 16), np.uint8),
-        (0, 0),
-        GeoTransform(0.0, 16.0, 1.0, 1.0),
-        band_names=names,
-    )
-    save_catalog(root / "catalog", DatasetSplit([chip], [chip], [chip]), stats)
+def _catalog(root, stats=None, bands=("R", "G", "B")):
+    """A catalog of the one 16 px window of a flat dump-free scene, of
+    ``bands``, in every split, with ``stats``."""
+    base = root / "scenes" / "scene_000"
+    raster = Raster(np.ones((6, 16, 16), np.float32), GeoTransform(0.0, 16.0, 1.0, 1.0), band_names=SOURCE_BANDS)
+    write_raster(raster, base)
+    chip = Chip(stack_bands(raster, bands).samples, np.zeros((16, 16), np.uint8), (0, 0), bands, base.name)
+    save_catalog(root / "catalog", DatasetSplit([chip], [chip], [chip]), root / "scenes", stats)
     return {"paths": {"catalog": str(root / "catalog")}}
 
 
 def _edited_catalog(root, file, edit):
     """A catalog whose ``file`` (index.json or stats.json) holds ``edit`` of
     its JSON document."""
-    config = _catalog(root, NormalizationStats((0.0,) * 3, (1.0,) * 3))
+    config = _catalog(root, NormalizationStats((0.0,) * 3, (1.0,) * 3, ("R", "G", "B")))
     path = root / "catalog" / file
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     return config, path
+
+
+def _edited_chip(key, value):
+    """An index edit that sets the first chip's ``key`` to ``value``."""
+    return lambda doc: {**doc, "chips": [{**doc["chips"][0], key: value}, *doc["chips"][1:]]}
+
+
+def _catalog_without_scene(root):
+    config, index = _edited_catalog(root, "index.json", lambda doc: doc)
+    for suffix in (".json", ".bin"):
+        (root / "scenes" / f"scene_000{suffix}").unlink()
+    return config, index
+
+
+def _catalog_with_edited_annotations(root):
+    """A catalog of a dump-free window whose scene gained a dump after it
+    was chipped."""
+    config, index = _edited_catalog(root, "index.json", lambda doc: doc)
+    (root / "scenes" / "scene_000.geojson").write_text(
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": '
+        '{"type": "Polygon", "coordinates": [[[2, 2], [8, 2], [8, 8], [2, 2]]]}}]}'
+    )
+    return config, index
 
 
 def _without(key):
@@ -591,7 +597,7 @@ def _evaluate_inputs(root, bands):
     config = UNetConfig(in_channels=len(bands), depth=2, base_filters=2)
     stats = NormalizationStats((0.0,) * len(bands), (1.0,) * len(bands), bands)
     save_checkpoint(checkpoint_from_params(config, build_unet(config), normalization=stats), root / "model")
-    paths = {**_catalog(root, names=("R", "G", "B"))["paths"], "checkpoint": str(root / "model")}
+    paths = {**_catalog(root)["paths"], "checkpoint": str(root / "model")}
     return {"paths": paths}, root / "model"
 
 
@@ -724,10 +730,59 @@ MALFORMED_INPUTS = {
         ),
         ["malformed polygon in", "feature 0: coordinates are [], not a list of one or more polygons"],
     ),
-    "mixed-chip-sizes": (
+    "catalog-window-outside-scene": (
         "train",
-        _catalog_with_mixed_sizes,
-        ["is 40x40 px, but the catalog's chip_size is 48"],
+        lambda r: _edited_catalog(r, "index.json", _edited_chip("origin", [-1, 0])),
+        ["index.json chip 0: its 16 px window at origin [-1, 0] lies outside scene 'scene_000', 16x16 px"],
+    ),
+    "catalog-window-past-scene-edge": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", _edited_chip("origin", [0, 1])),
+        ["index.json chip 0: its 16 px window at origin [0, 1] lies outside scene 'scene_000'"],
+    ),
+    "catalog-scene-missing": (
+        "train",
+        _catalog_without_scene,
+        ["index.json chip 0: scene 'scene_000' (", "scene_000.json"],
+    ),
+    "catalog-annotations-edited-after-chip": (
+        "train",
+        _catalog_with_edited_annotations,
+        [
+            "index.json chip 0: recorded positive false, but the annotations of scene "
+            "'scene_000' give true",
+            "edited after `dumpwatch chip`? re-run it",
+        ],
+    ),
+    "catalog-version-1": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "format_version": 1}),
+        ["index.json: unsupported catalog version 1;", "re-run `dumpwatch chip`"],
+    ),
+    "catalog-seed-null": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "seed": None}),
+        ["index.json: seed is null, not a non-negative integer"],
+    ),
+    "catalog-seed-a-string": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "seed": "x"}),
+        ['index.json: seed is "x", not a non-negative integer'],
+    ),
+    "catalog-chip-size-a-string": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "chip_size": "16"}),
+        ['index.json: chip_size is "16", not a positive integer'],
+    ),
+    "catalog-split-a-list": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", _edited_chip("split", ["train"])),
+        ['index.json chip 0: split is ["train"], not one of train, val, test'],
+    ),
+    "catalog-bands-disagree-with-stats": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "band_names": ["R", "G"]}),
+        ["stats.json covers bands ('R', 'G', 'B'), but", "index.json names ('R', 'G')"],
     ),
     "nan-in-catalog-index": (
         "train", _catalog_with_nan_seed, ["invalid JSON", "constant NaN"]
@@ -747,9 +802,7 @@ MALFORMED_INPUTS = {
     ),
     "catalog-origin-not-a-pair": (
         "train",
-        lambda r: _edited_catalog(
-            r, "index.json", lambda doc: {**doc, "chips": [{**doc["chips"][0], "origin": 3}]}
-        ),
+        lambda r: _edited_catalog(r, "index.json", _edited_chip("origin", 3)),
         ["index.json chip 0: origin is 3, not a list of two integers"],
     ),
     "stats-without-means": (
@@ -899,6 +952,88 @@ class TestMalformedInputs:
         # nothing written or replaced: no predict output, earlier
         # detections.geojson left in place
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def _mutated_index(rng, text):
+    """``index.json`` ``text`` with one seeded mutation: a key deleted, a
+    value of another JSON type, a non-finite number, a fixed-length list
+    (origin, band_names) one item longer or shorter, or the text truncated.
+    Top-level fields and one chip's fields are equally likely targets."""
+    doc = json.loads(text)
+    k = int(rng.integers(len(doc["chips"])))
+    entry = doc["chips"][k]
+    slots = [(doc, key) for key in doc] + [(entry, key) for key in entry]
+    slots += [(entry["origin"], 0), (entry["origin"], 1), (doc["chips"], k), (doc["band_names"], 0)]
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return text[: int(rng.integers(len(text)))]
+    if kind == 1:
+        target = [doc["band_names"], entry["origin"]][int(rng.integers(2))]
+        if rng.integers(2):
+            target.append(target[0])
+        else:
+            target.pop()
+        return json.dumps(doc)
+    if kind == 2:
+        slots = [(c, key) for c, key in slots if type(c[key]) is int]
+    container, key = slots[int(rng.integers(len(slots)))]
+    if kind == 2:
+        container[key] = "@"
+        literal = ["NaN", "Infinity", "-Infinity", "1e400"][int(rng.integers(4))]
+        return json.dumps(doc).replace('"@"', literal)
+    if kind == 3 and isinstance(container, dict):
+        del container[key]
+    else:
+        others = [v for v in (None, True, 2.5, "x", [], {}, 7) if type(v) is not type(container[key])]
+        container[key] = others[int(rng.integers(len(others)))]
+    return json.dumps(doc)
+
+
+class TestCatalogIndexMutations:
+    def test_train_exits_one_naming_the_index_or_trains_as_before(self, tmp_path, capsys, caplog):
+        # a catalog of positive and negative windows of two scenes, and the
+        # model train makes of it unmutated; each mutated index either
+        # trains that same model or fails naming index.json, writing nothing
+        rng = np.random.default_rng(2121)
+        config, cfg = _chip_config(tmp_path)
+        base = tmp_path / "scenes" / "scene_000"
+        write_raster(
+            Raster(rng.uniform(0.1, 0.5, (6, 16, 16)).astype(np.float32), GeoTransform(0.0, 16.0, 1.0, 1.0), band_names=SOURCE_BANDS),
+            base,
+        )
+        for suffix in (".json", ".bin", ".geojson"):
+            (tmp_path / "scenes" / f"scene_001{suffix}").write_bytes(Path(f"{base}{suffix}").read_bytes())
+        config["paths"].update(checkpoint=str(tmp_path / "model"), report=str(tmp_path / "report.json"))
+        config.update(model={"depth": 1, "base_filters": 2}, train={"max_epochs": 1, "pos_weight": 1.0})
+        cfg.write_text(json.dumps(config))
+        assert run_cli(["chip", "--config", str(cfg)], capsys)[0] == 0
+        assert run_cli(["train", "--config", str(cfg)], capsys)[0] == 0
+        model = (tmp_path / "model.bin").read_bytes()
+        for name in ("model.bin", "model.json", "report.json"):
+            (tmp_path / name).unlink()
+        index = tmp_path / "catalog" / "index.json"
+        text = index.read_text()
+        doc = json.loads(text)
+        assert len({entry["scene"] for entry in doc["chips"]}) == 2
+        assert len({entry["positive"] for entry in doc["chips"]}) == 2
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file() and p != index}
+        outcomes = {"refused": 0, "trained": 0}
+        for trial in range(150):
+            index.write_text(_mutated_index(rng, text))
+            caplog.clear()
+            code, summary = run_cli(["train", "--config", str(cfg)], capsys)
+            if code == 0:
+                assert (tmp_path / "model.bin").read_bytes() == model, f"trial {trial}"
+                for name in ("model.bin", "model.json", "report.json"):
+                    (tmp_path / name).unlink()
+                outcomes["trained"] += 1
+            else:
+                assert code == 1 and summary is None, f"trial {trial}"
+                assert "index.json" in caplog.text, f"trial {trial}: {caplog.text}"
+                outcomes["refused"] += 1
+            after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file() and p != index}
+            assert after == before, f"trial {trial}"
+        assert outcomes["refused"] > 100
 
 
 class TestNodataChip:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -24,12 +25,13 @@ from dumpwatch.dataset import (
     load_catalog,
     normalize_split,
     rasterize_mask,
+    read_scene,
     reflect_pad,
     save_catalog,
     split_dataset,
     stack_bands,
 )
-from dumpwatch.geodata import GeoTransform, Raster
+from dumpwatch.geodata import GeoTransform, Raster, write_annotations, write_raster
 from oracles import polygon_columns, rasterize_oracle, rasters_equal
 
 
@@ -225,19 +227,19 @@ class TestExtractChips:
         assert len(negatives) == 2  # ceil(0.5 * 4)
         assert chips[: len(positives)] == positives  # positives come first
 
-    def test_samples_and_transform_match_source(self):
+    def test_chips_are_views_of_the_source(self):
         image = _toy_raster()
         mask = np.zeros((200, 200), dtype=np.uint8)
         mask[10, 120] = 1
-        chips = extract_chips(image, mask, 100, 50, negatives_per_positive=0)
-        chip = chips[0]
-        col, row = chip.origin
-        assert np.array_equal(
-            chip.samples, image.samples[:, row : row + 100, col : col + 100]
-        )
-        assert chip.transform.origin_x == image.transform.origin_x + col * 10.0
-        assert chip.transform.origin_y == image.transform.origin_y - row * 10.0
-        assert chip.mask[10 - row, 120 - col] == 1
+        chips = extract_chips(image, mask, 100, 50, negatives_per_positive=1.0, seed=2)
+        for chip in chips:
+            col, row = chip.origin
+            assert np.array_equal(
+                chip.samples, image.samples[:, row : row + 100, col : col + 100]
+            )
+            assert np.shares_memory(chip.samples, image.samples)
+            assert np.shares_memory(chip.mask, mask)
+        assert chips[0].mask[10 - chips[0].origin[1], 120 - chips[0].origin[0]] == 1
 
     def test_negative_chips_are_clean_and_unique(self):
         image = _toy_raster()
@@ -278,13 +280,11 @@ class TestExtractChips:
 
 
 def _dummy_chips(n):
-    t = GeoTransform(0, 8, 1, 1)
     return [
         Chip(
             samples=np.full((1, 2, 2), i, dtype=np.float32),
             mask=np.zeros((2, 2), dtype=np.uint8),
             origin=(i, 0),
-            transform=t,
         )
         for i in range(n)
     ]
@@ -370,7 +370,6 @@ class TestSplitDataset:
 class TestNormalization:
     def _chips(self, seed=0, n=8):
         rng = np.random.default_rng(seed)
-        t = GeoTransform(0, 8, 1, 1)
         return [
             Chip(
                 samples=rng.normal(
@@ -378,7 +377,6 @@ class TestNormalization:
                 ).astype(np.float32),
                 mask=np.zeros((8, 8), dtype=np.uint8),
                 origin=(0, 0),
-                transform=t,
                 band_names=("a", "b"),
             )
             for _ in range(n)
@@ -413,13 +411,11 @@ class TestNormalization:
         assert not np.array_equal(out.val[0].samples, split.val[0].samples)
 
     def test_constant_band_rejected(self):
-        t = GeoTransform(0, 4, 1, 1)
         chips = [
             Chip(
                 samples=np.ones((1, 4, 4), dtype=np.float32),
                 mask=np.zeros((4, 4), dtype=np.uint8),
                 origin=(0, 0),
-                transform=t,
             )
         ]
         with pytest.raises(ValueError, match="std is zero"):
@@ -505,53 +501,75 @@ class TestGenerateSynthetic:
             SynthConfig(dump_radius_range=(5.0, 3.0))
 
 
-class TestCatalogIO:
-    def _split(self):
-        cfg = SynthConfig(scene_size=96, dump_count=3, background_texture_seed=5)
-        raster, polygons = generate_synthetic(cfg)
-        stacked = stack_bands(raster)
-        mask = rasterize_mask(polygons, raster.transform, raster.width, raster.height)
-        chips = extract_chips(stacked, mask, 32, 16, seed=1, scene_id="scene_005")
-        return split_dataset(chips, 0.2, 0.2, seed=2)
+def _catalog_run(root):
+    """One synthetic scene written under ``root``/scenes, and its chips,
+    cut as ``chip`` cuts them and split."""
+    raster, polygons = generate_synthetic(SynthConfig(scene_size=96, dump_count=3, background_texture_seed=5))
+    base = root / "scenes" / "scene_005"
+    write_raster(raster, base)
+    write_annotations(polygons, f"{base}.geojson")
+    chips = chip_scenes([("scene_005", *read_scene(base))], ChipConfig(chip_size=32, stride=16), seed=1)
+    return split_dataset(chips, 0.2, 0.2, seed=2)
 
-    def test_round_trip(self, tmp_path):
-        split = self._split()
-        stats = fit_normalization(split.train)
-        save_catalog(tmp_path / "cat", split, stats)
-        loaded, loaded_stats = load_catalog(tmp_path / "cat")
-        assert loaded_stats == stats
+
+class TestCatalogIO:
+    def _assert_same_windows(self, split, loaded):
         assert loaded.seed == split.seed
         for name in ("train", "val", "test"):
             orig = getattr(split, name)
             back = getattr(loaded, name)
-            assert len(back) == len(orig)
+            assert len(back) == len(orig) > 0
             for a, b in zip(orig, back):
                 assert a.samples.tobytes() == b.samples.tobytes()
-                assert np.array_equal(a.mask, b.mask)
+                assert np.array_equal(a.mask, b.mask) and b.mask.dtype == np.uint8
                 assert a.origin == b.origin
                 assert a.band_names == b.band_names
                 assert a.scene_id == b.scene_id
-                assert a.transform == b.transform
+
+    def test_round_trip(self, tmp_path):
+        split = _catalog_run(tmp_path)
+        stats = fit_normalization(split.train)
+        save_catalog(tmp_path / "cat", split, tmp_path / "scenes", stats)
+        loaded, loaded_stats = load_catalog(tmp_path / "cat")
+        assert loaded_stats == stats
+        self._assert_same_windows(split, loaded)
+        # the chips are views of one stack of the scene, not copies
+        chips = loaded.train + loaded.val + loaded.test
+        assert all(c.samples.base is chips[0].samples.base is not None for c in chips)
+
+    def test_catalog_is_an_index_and_stats(self, tmp_path):
+        split = _catalog_run(tmp_path)
+        save_catalog(tmp_path / "cat", split, tmp_path / "scenes", fit_normalization(split.train))
+        assert sorted(p.name for p in (tmp_path / "cat").iterdir()) == ["index.json", "stats.json"]
+        index = json.loads((tmp_path / "cat" / "index.json").read_text())
+        assert (index["format_version"], index["scenes"]) == (2, "../scenes")
+        chips = split.train + split.val + split.test
+        assert [set(entry) for entry in index["chips"]] == [{"scene", "origin", "split", "positive"}] * len(chips)
+
+    def test_moved_run_directory_still_loads(self, tmp_path):
+        split = _catalog_run(tmp_path / "run")
+        save_catalog(tmp_path / "run" / "cat", split, tmp_path / "run" / "scenes")
+        (tmp_path / "run").rename(tmp_path / "moved")
+        loaded, _ = load_catalog(tmp_path / "moved" / "cat")
+        self._assert_same_windows(split, loaded)
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_catalog(tmp_path / "nope")
 
     def test_bad_version(self, tmp_path):
-        import json
-
-        split = self._split()
-        save_catalog(tmp_path / "cat", split)
+        split = _catalog_run(tmp_path)
+        save_catalog(tmp_path / "cat", split, tmp_path / "scenes")
         index_path = tmp_path / "cat" / "index.json"
         index = json.loads(index_path.read_text())
-        index["format_version"] = 2
+        index["format_version"] = 1
         index_path.write_text(json.dumps(index))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=r"index\.json: unsupported catalog version 1;.*re-run `dumpwatch chip`"):
             load_catalog(tmp_path / "cat")
 
     def test_catalog_without_stats(self, tmp_path):
-        split = self._split()
-        save_catalog(tmp_path / "cat", split)
+        split = _catalog_run(tmp_path)
+        save_catalog(tmp_path / "cat", split, tmp_path / "scenes")
         _, stats = load_catalog(tmp_path / "cat")
         assert stats is None
 

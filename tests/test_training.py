@@ -17,7 +17,6 @@ from dumpwatch.dataset import (
     rasterize_mask,
     stack_bands,
 )
-from dumpwatch.geodata import GeoTransform
 from dumpwatch.numerics import Tensor
 from dumpwatch.training import (
     AblationRow,
@@ -36,8 +35,6 @@ from dumpwatch.training import (
 from dumpwatch.unet import UNetConfig, build_unet
 from oracles import iou_oracle, load_ablation
 
-T = GeoTransform(0, 64, 1, 1)
-
 
 def _chip(mask_values, bands=2, size=8, fill=0.5):
     mask = np.zeros((size, size), dtype=np.uint8)
@@ -47,7 +44,6 @@ def _chip(mask_values, bands=2, size=8, fill=0.5):
         samples=np.full((bands, size, size), fill, dtype=np.float32),
         mask=mask,
         origin=(0, 0),
-        transform=T,
     )
 
 
@@ -190,7 +186,6 @@ class TestEvaluate:
                 samples=rng.normal(size=(2, 8, 8)).astype(np.float32),
                 mask=(rng.uniform(size=(8, 8)) < 0.2).astype(np.uint8),
                 origin=(0, 0),
-                transform=T,
             )
             for _ in range(5)
         ]
@@ -226,7 +221,7 @@ def _training_split(seed=0, n_chips=12, size=16):
             mask[r : r + 4, c : c + 4] = 1
             samples[:, r : r + 4, c : c + 4] += 2.0  # signal in both bands
         chips.append(
-            Chip(samples=samples, mask=mask, origin=(0, 0), transform=T)
+            Chip(samples=samples, mask=mask, origin=(0, 0))
         )
     return DatasetSplit(train=chips[:8], val=chips[8:10], test=chips[10:], seed=seed)
 
