@@ -86,13 +86,8 @@ class SynthSection:
         self.scene_config(0)  # the per-scene checks, before any scene is written
 
     def scene_config(self, texture_seed: int) -> SynthConfig:
-        return SynthConfig(
-            scene_size=self.scene_size,
-            pixel_size=self.pixel_size,
-            dump_count=self.dump_count,
-            dump_radius_range=self.dump_radius_range,
-            background_texture_seed=texture_seed,
-        )
+        fields = {k: v for k, v in asdict(self).items() if k != "scene_count"}
+        return SynthConfig(**fields, background_texture_seed=texture_seed)
 
 
 @dataclass
@@ -241,7 +236,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def _chip(cfg: RunConfig) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
     """The scenes' chips of ``cfg.chip.bands``, split, with the normalization
     fitted on the training chips (None without any)."""
-    scenes = ((base.name, *ds.read_scene(base)) for base in _scene_bases(cfg.paths.scene_dir))
+    scenes = ((b.name, geodata.read_raster(b), ds.scene_annotations(b)) for b in _scene_bases(cfg.paths.scene_dir))
     chips = ds.chip_scenes(scenes, cfg.chip, substream(cfg.seed, "chip"))
     if not any(c.is_positive() for c in chips):
         log.warning("no positive chips extracted")
@@ -257,7 +252,8 @@ def cmd_chip(cfg: RunConfig, args) -> int:
     catalog_dir = args.out or cfg.paths.catalog
     split, stats = _chip(cfg)
     ds.save_catalog(catalog_dir, split, cfg.paths.scene_dir, stats)
-    ds.load_catalog(catalog_dir)  # write-then-verify
+    del split  # freed before the write-then-verify read, which reads every scene again
+    split, _ = ds.load_catalog(catalog_dir)
     chips = split.train + split.val + split.test
     _summary(
         {
@@ -481,6 +477,17 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# each subcommand: its handler and its help
+_COMMANDS = {
+    "synth": (cmd_synth, "generate synthetic scenes and annotations"),
+    "chip": (cmd_chip, "extract a training chip catalog from scenes"),
+    "train": (cmd_train, "train a segmentation model on a chip catalog"),
+    "evaluate": (cmd_evaluate, "compute metrics for a checkpoint on a catalog split"),
+    "predict": (cmd_predict, "run tiled inference over a raster"),
+    "postprocess": (cmd_postprocess, "vectorize a probability raster into detections"),
+    "ablate": (cmd_ablate, "train one model per band subset and tabulate metrics"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -488,16 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect dump-site-like regions in multi-band rasters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "synth": "generate synthetic scenes and annotations",
-        "chip": "extract a training chip catalog from scenes",
-        "train": "train a segmentation model on a chip catalog",
-        "evaluate": "compute metrics for a checkpoint on a catalog split",
-        "predict": "run tiled inference over a raster",
-        "postprocess": "vectorize a probability raster into detections",
-        "ablate": "train one model per band subset and tabulate metrics",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON run configuration")
         p.add_argument("--seed", type=int, help="override the global seed")
@@ -518,23 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--raster", help="raster base path to predict")
         if name == "evaluate":
             p.add_argument(
-                "--split",
-                choices=("train", "val", "test"),
-                default="test",
-                help="catalog split to evaluate (default: test)",
+                "--split", choices=ds.SPLITS, default="test", help="catalog split to evaluate (default: test)"
             )
     return parser
-
-
-_HANDLERS = {
-    "synth": cmd_synth,
-    "chip": cmd_chip,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "predict": cmd_predict,
-    "postprocess": cmd_postprocess,
-    "ablate": cmd_ablate,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -548,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _apply_flags(cfg, args)
-        return _HANDLERS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         source = f" in {args.config}" if args.config else ""
         log.error("invalid configuration%s: %s", source, exc)

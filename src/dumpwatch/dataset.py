@@ -8,6 +8,7 @@ the stack only through the index.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -77,20 +78,20 @@ def stack_bands(source: Raster, spec: tuple[str, ...] = DEFAULT_BAND_SPEC) -> Ra
         raise ValueError("band spec is empty")
     if source.band_names is None:
         raise ValueError("source raster has no band names")
-    layers = []
-    for name in spec:
-        if name == NDSW_BAND:
-            layers.append(
-                compute_ndsw(source.band("SWIR1"), source.band("SWIR2"), source.nodata)
-            )
-        else:
-            layers.append(source.band(name))
-    return Raster(
-        np.stack(layers),
-        source.transform,
-        nodata=source.nodata,
-        band_names=tuple(spec),
-    )
+    layers = [
+        source.band(name) if name != NDSW_BAND
+        else compute_ndsw(source.band("SWIR1"), source.band("SWIR2"), source.nodata)
+        for name in spec
+    ]
+    return Raster(np.stack(layers), source.transform, nodata=source.nodata, band_names=tuple(spec))
+
+
+def stacked_rows(source, r0: int, r1: int, bands: tuple[str, ...] | None) -> Raster:
+    """Rows ``r0`` to ``r1`` of ``source`` (a ``Raster`` or an open
+    ``geodata.RasterReader``), stacked to ``bands`` when given."""
+    transform = geodata.shift_transform(source.transform, 0, r0)
+    rows = Raster(source.read_rows(r0, r1), transform, source.nodata, source.band_names)
+    return stack_bands(rows, bands) if bands else rows
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,8 @@ def rasterize_mask(
 @dataclass
 class Chip:
     """One training window of a scene: its samples and binary mask, views of
-    the scene's arrays (write into neither), and its place in the scene."""
+    the scene's arrays or copies of them (write into neither), and its place
+    in the scene."""
 
     samples: np.ndarray  # [band, size, size] float32
     mask: np.ndarray  # [size, size] uint8
@@ -270,14 +272,13 @@ class ChipConfig:
                 raise ValueError(f"bands: unknown band {name!r} (allowed: {', '.join(allowed)})")
 
 
-def read_scene(base: str | Path) -> tuple[Raster, Polygons]:
-    """The source raster at ``base`` and its annotations from the .geojson
-    beside it; a scene without one holds no dump."""
-    raster = geodata.read_raster(base)
-    annotations = Path(f"{base}.geojson")
-    if annotations.exists():
-        return raster, geodata.read_annotations(annotations)
-    return raster, Polygons(np.zeros(0), np.zeros(0), np.zeros(1, np.int64), np.zeros(1, np.int64), [])
+def scene_annotations(base: str | Path) -> Polygons:
+    """The annotations in the .geojson beside the scene raster at ``base``;
+    a scene without one holds no dump."""
+    path = Path(f"{base}.geojson")
+    if path.exists():
+        return geodata.read_annotations(path)
+    return Polygons(np.zeros(0), np.zeros(0), np.zeros(1, np.int64), np.zeros(1, np.int64), [])
 
 
 def chip_scenes(
@@ -286,22 +287,25 @@ def chip_scenes(
     seed: int,
 ) -> list[Chip]:
     """Chips of each (scene_id, source raster, polygons) scene's ``chip.bands``
-    stack, all cut with ``seed``; pass a generator to hold one scene at a time."""
+    stack, all cut with ``seed``, and owned as ``_own_if_sparse`` decides.
+    With a generator, a scene whose chips are copies is freed once cut."""
     chips: list[Chip] = []
     for scene_id, raster, polygons in scenes:
         mask = rasterize_mask(polygons, raster.transform, raster.width, raster.height)
-        chips.extend(
-            extract_chips(
-                stack_bands(raster, chip.bands),
-                mask,
-                chip.chip_size,
-                chip.stride,
-                chip.negatives_per_positive,
-                seed=seed,
-                scene_id=scene_id,
-            )
-        )
+        stack = stack_bands(raster, chip.bands)
+        cut = extract_chips(stack, mask, chip.chip_size, chip.stride, chip.negatives_per_positive, seed, scene_id)
+        chips.extend(_own_if_sparse(cut, mask.size))
+        del raster, stack, mask, cut  # freed before the next scene is read, unless chips view them
     return chips
+
+
+def _own_if_sparse(chips: list[Chip], pixels: int) -> list[Chip]:
+    """Chips cut from one array of ``pixels`` pixels per band, copied out of
+    it when their windows add up to fewer pixels (so the array can be
+    freed), else left as views of it, which then hold less than copies."""
+    if sum(c.mask.size for c in chips) >= pixels:
+        return chips
+    return [replace(c, samples=c.samples.copy(), mask=c.mask.copy()) for c in chips]
 
 
 @dataclass
@@ -388,13 +392,6 @@ class NormalizationStats:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from exc
 
-    def save(self, path: str | Path) -> None:
-        atomic_write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NormalizationStats":
-        return cls.from_json_dict(read_json(path), path)
-
 
 def _require(obj, key: str, where):
     """``obj[key]``, or a ValueError naming ``where`` and the missing key."""
@@ -429,12 +426,8 @@ def apply_normalization(chip: Chip, stats: NormalizationStats) -> Chip:
 
 
 def normalize_split(split: DatasetSplit, stats: NormalizationStats) -> DatasetSplit:
-    return DatasetSplit(
-        train=[apply_normalization(c, stats) for c in split.train],
-        val=[apply_normalization(c, stats) for c in split.val],
-        test=[apply_normalization(c, stats) for c in split.test],
-        seed=split.seed,
-    )
+    normalized = {name: [apply_normalization(c, stats) for c in getattr(split, name)] for name in SPLITS}
+    return DatasetSplit(**normalized, seed=split.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +570,16 @@ def generate_synthetic(config: SynthConfig) -> tuple[Raster, Polygons]:
 # ---------------------------------------------------------------------------
 
 
+def _scene_digest(base: str | Path) -> str:
+    """The sha256 of the scene raster at ``base``: its header, then its pixels."""
+    digest = hashlib.sha256()
+    for path in (f"{base}.json", f"{base}.bin"):
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    return digest.hexdigest()
+
+
 def save_catalog(
     path: str | Path,
     split: DatasetSplit,
@@ -584,8 +587,9 @@ def save_catalog(
     stats: NormalizationStats | None = None,
 ) -> None:
     """Write the split as ``index.json``: ``scene_dir`` relative to the
-    catalog, and each window's scene, origin, split and whether it holds a
-    dump, but no pixels. ``stats``, if given, go to ``stats.json``."""
+    catalog, the ``_scene_digest`` of each scene the chips come from, and each
+    window's scene, origin, split and whether it holds a dump, but no
+    pixels. ``stats``, if given, go to ``stats.json``."""
     root = Path(path)
     chips = [(name, chip) for name in SPLITS for chip in getattr(split, name)]
     first = chips[0][1] if chips else None
@@ -596,6 +600,7 @@ def save_catalog(
         "band_names": list(first.band_names) if first and first.band_names else None,
         "seed": split.seed,
         "scenes": os.path.relpath(scene_dir, root),
+        "scene_sha256": {s: _scene_digest(Path(scene_dir) / s) for s in sorted({c.scene_id for _, c in chips})},
         "chips": [
             {"scene": c.scene_id, "origin": list(c.origin), "split": name, "positive": c.is_positive()}
             for name, c in chips
@@ -603,7 +608,7 @@ def save_catalog(
     }
     atomic_write_json(root / "index.json", index)
     if stats is not None:
-        stats.save(root / "stats.json")
+        atomic_write_json(root / "stats.json", stats.to_json_dict())
 
 
 # each field of index.json and of its chips: its check, and what it must be
@@ -613,6 +618,7 @@ _INDEX_FIELDS = {
     "chips": (lambda v: type(v) is list, "a list"),
     "chip_size": (lambda v: type(v) is int and v >= 1, "a positive integer"),
     "band_names": (lambda v: type(v) is list and v != [] and all(type(b) is str for b in v), "a list of band names"),
+    "scene_sha256": (lambda v: type(v) is dict and all(type(h) is str for h in v.values()), "an object of digests"),
     "scene": (lambda v: type(v) is str and v != "", "a scene name"),
     "origin": (lambda v: type(v) is list and len(v) == 2 and all(type(c) is int for c in v), "a list of two integers"),
     "split": (lambda v: v in SPLITS, f"one of {', '.join(SPLITS)}"),
@@ -633,56 +639,75 @@ def _fields(obj, keys: str, where) -> list:
 def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | None]:
     """The split a catalog indexes, and its stats (None without stats.json).
 
-    Every field of ``index.json`` is checked first. Then each scene it names
-    is read once, its ``band_names`` stacked and its annotations rasterized,
-    and the chips are views of that stack and mask. A fault is a ValueError
-    naming ``index.json``; it names the scene too when the scene is missing
-    or unreadable, a window lies outside it, or its annotations no longer
-    give a window's recorded ``positive``.
+    Every field of ``index.json`` is checked first. Then, one scene at a
+    time, its annotations are rasterized and its ``band_names`` read and
+    stacked in slabs of up to 2 * ``chip_size`` rows, in row order, each
+    starting at the next window; a slab's chips are owned as
+    ``_own_if_sparse`` decides, so memory follows the windows, not the
+    scenes. Values are those of a whole-scene stack. A fault is a ValueError
+    naming ``index.json``, and the scene too when the scene is missing or
+    unreadable, its raster is not the one chipped (its ``scene_sha256``
+    differs), a window lies outside it (naming the chip), or its
+    annotations no longer give a window's recorded ``positive`` (likewise).
     """
     root = Path(path)
     index_path = root / "index.json"
-    if not index_path.exists():
-        raise FileNotFoundError(f"missing catalog index {index_path}")
     index = read_json(index_path)
     if not isinstance(index, dict) or index.get("format") != CATALOG_FORMAT:
         raise ValueError(f"unrecognized catalog format in {index_path}")
     version = index.get("format_version")
     if type(version) is not int or version != CATALOG_FORMAT_VERSION:
         raise ValueError(f"{index_path}: unsupported catalog version {json.dumps(version)}; re-run `dumpwatch chip`")
-    seed, scenes, entries = _fields(index, "seed scenes chips", index_path)
+    seed, scenes, digests, entries = _fields(index, "seed scenes scene_sha256 chips", index_path)
     size, bands = _fields(index, "chip_size band_names", index_path) if entries else (None, None)
+    by_scene: dict[str, list[int]] = {}
     for k, entry in enumerate(entries):
-        _fields(entry, "scene origin split positive", f"{index_path} chip {k}")
+        name = _fields(entry, "scene origin split positive", f"{index_path} chip {k}")[0]
+        if name not in digests:
+            raise ValueError(f"{index_path} chip {k}: scene {name!r} has no scene_sha256")
+        by_scene.setdefault(name, []).append(k)
     stats_path = root / "stats.json"
-    stats = NormalizationStats.load(stats_path) if stats_path.exists() else None
+    stats = NormalizationStats.from_json_dict(read_json(stats_path), stats_path) if stats_path.exists() else None
     if stats is not None and entries and stats.band_names != tuple(bands):
         raise ValueError(f"{stats_path} covers bands {stats.band_names}, but {index_path} names {tuple(bands)}")
 
-    layers, buckets = {}, {name: [] for name in SPLITS}
-    for k, entry in enumerate(entries):
-        where, name, (col, row) = f"{index_path} chip {k}", entry["scene"], entry["origin"]
-        if name not in layers:
-            try:
-                raster, polygons = read_scene(root / scenes / name)
-                mask = rasterize_mask(polygons, raster.transform, raster.width, raster.height)
-                layers[name] = stack_bands(raster, tuple(bands)).samples, mask
-            except (OSError, KeyError, ValueError) as exc:
-                raise ValueError(f"{where}: scene {name!r} ({root / scenes / name}): {exc}") from exc
-        stack, mask = layers[name]
-        if not (0 <= col <= mask.shape[1] - size and 0 <= row <= mask.shape[0] - size):
-            raise ValueError(
-                f"{where}: its {size} px window at origin [{col}, {row}] lies outside scene "
-                f"{name!r}, {mask.shape[1]}x{mask.shape[0]} px"
-            )
-        window = mask[row : row + size, col : col + size]
-        if window.any() != entry["positive"]:
-            raise ValueError(
-                f"{where}: recorded positive {json.dumps(entry['positive'])}, but the annotations of scene "
-                f"{name!r} give {json.dumps(not entry['positive'])}; edited after `dumpwatch chip`? re-run it"
-            )
-        chip = Chip(stack[:, row : row + size, col : col + size], window, (col, row), tuple(bands), name)
-        buckets[entry["split"]].append(chip)
+    def scene_chips(name: str, ks: list[int]) -> list[tuple[int, Chip]]:
+        base = root / scenes / name
+        try:
+            if _scene_digest(base) != digests[name]:
+                raise ValueError(f"its sha256 is not {digests[name]}; written again after `dumpwatch chip`? re-run it")
+            polygons = scene_annotations(base)
+            with geodata.RasterReader(base) as src:
+                mask = rasterize_mask(polygons, src.transform, src.width, src.height)
+                chips, cut, top, bottom = [], [], 0, 0
+                ks = sorted(ks, key=lambda k: entries[k]["origin"][1])
+                for k in ks:
+                    (col, row), positive = entries[k]["origin"], entries[k]["positive"]
+                    if not (0 <= col <= src.width - size and 0 <= row <= src.height - size):
+                        raise ValueError(
+                            f"chip {k}: its {size} px window at origin [{col}, {row}] lies outside the scene's "
+                            f"{src.width}x{src.height} px"
+                        )
+                    if mask[row : row + size, col : col + size].any() != positive:
+                        raise ValueError(
+                            f"chip {k}: recorded positive {json.dumps(positive)}, but the annotations give "
+                            f"{json.dumps(not positive)}; edited after `dumpwatch chip`? re-run it"
+                        )
+                    if row + size > bottom:  # past this slab: the next starts at this window
+                        chips += _own_if_sparse(cut, (bottom - top) * src.width)
+                        cut, top, bottom = [], row, min(row + 2 * size, src.height)
+                        stack = stacked_rows(src, top, bottom, tuple(bands)).samples
+                    samples = stack[:, row - top : row - top + size, col : col + size]
+                    cut.append(Chip(samples, mask[row : row + size, col : col + size], (col, row), tuple(bands), name))
+                chips += _own_if_sparse(cut, (bottom - top) * src.width)
+        except (OSError, KeyError, ValueError) as exc:
+            raise ValueError(f"{index_path}: scene {name!r} ({base}): {exc}") from exc
+        return [*zip(ks, chips)]
+
+    loaded: dict[int, Chip] = {}
+    for name, ks in by_scene.items():
+        loaded.update(scene_chips(name, ks))
+    buckets = {name: [loaded[k] for k, entry in enumerate(entries) if entry["split"] == name] for name in SPLITS}
     return DatasetSplit(**buckets, seed=seed), stats
 
 

@@ -41,7 +41,6 @@ from .geodata import (
     Polygons,
     Raster,
     _float_text,
-    shift_transform,
     write_geojson,
 )
 from .numerics import Tensor
@@ -163,14 +162,7 @@ def _model_input(source, r0: int, r1: int, stats, bands):
     """Rows ``r0`` to ``r1`` as the model sees them, with their valid mask:
     stacked, normalized, and zeroed at nodata (which so forwards as the band
     mean)."""
-    stripe = Raster(
-        source.read_rows(r0, r1),
-        shift_transform(source.transform, 0, r0),
-        nodata=source.nodata,
-        band_names=source.band_names,
-    )
-    if bands:
-        stripe = ds.stack_bands(stripe, bands)
+    stripe = ds.stacked_rows(source, r0, r1, bands)
     valid = stripe.valid_mask()
     if stats is None:
         data = stripe.samples.copy()

@@ -588,6 +588,16 @@ def _catalog_with_edited_annotations(root):
     return config, index
 
 
+def _catalog_with_rewritten_scene(root):
+    """A catalog whose scene raster was written again, with other pixels,
+    after it was chipped; its annotations are unchanged."""
+    config, index = _edited_catalog(root, "index.json", lambda doc: doc)
+    base = root / "scenes" / "scene_000"
+    raster = read_raster(base)
+    write_raster(Raster(raster.samples * 2, raster.transform, band_names=raster.band_names), base)
+    return config, index
+
+
 def _without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
@@ -733,26 +743,36 @@ MALFORMED_INPUTS = {
     "catalog-window-outside-scene": (
         "train",
         lambda r: _edited_catalog(r, "index.json", _edited_chip("origin", [-1, 0])),
-        ["index.json chip 0: its 16 px window at origin [-1, 0] lies outside scene 'scene_000', 16x16 px"],
+        ["index.json: scene 'scene_000' (", "chip 0: its 16 px window at origin [-1, 0] lies outside the scene's 16x16 px"],
     ),
     "catalog-window-past-scene-edge": (
         "train",
         lambda r: _edited_catalog(r, "index.json", _edited_chip("origin", [0, 1])),
-        ["index.json chip 0: its 16 px window at origin [0, 1] lies outside scene 'scene_000'"],
+        ["index.json: scene 'scene_000' (", "chip 0: its 16 px window at origin [0, 1] lies outside the scene's 16x16 px"],
     ),
     "catalog-scene-missing": (
         "train",
         _catalog_without_scene,
-        ["index.json chip 0: scene 'scene_000' (", "scene_000.json"],
+        ["index.json: scene 'scene_000' (", "scene_000.json"],
     ),
     "catalog-annotations-edited-after-chip": (
         "train",
         _catalog_with_edited_annotations,
         [
-            "index.json chip 0: recorded positive false, but the annotations of scene "
-            "'scene_000' give true",
+            "index.json: scene 'scene_000' (",
+            "chip 0: recorded positive false, but the annotations give true",
             "edited after `dumpwatch chip`? re-run it",
         ],
+    ),
+    "catalog-scene-rewritten-after-chip": (
+        "train",
+        _catalog_with_rewritten_scene,
+        ["index.json: scene 'scene_000' (", "its sha256 is not ", "written again after `dumpwatch chip`? re-run it"],
+    ),
+    "catalog-scene-without-digest": (
+        "train",
+        lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "scene_sha256": {}}),
+        ["index.json chip 0: scene 'scene_000' has no scene_sha256"],
     ),
     "catalog-version-1": (
         "train",
@@ -958,12 +978,14 @@ def _mutated_index(rng, text):
     """``index.json`` ``text`` with one seeded mutation: a key deleted, a
     value of another JSON type, a non-finite number, a fixed-length list
     (origin, band_names) one item longer or shorter, or the text truncated.
-    Top-level fields and one chip's fields are equally likely targets."""
+    Top-level fields, one chip's fields and its scene's digest are equally
+    likely targets."""
     doc = json.loads(text)
     k = int(rng.integers(len(doc["chips"])))
     entry = doc["chips"][k]
     slots = [(doc, key) for key in doc] + [(entry, key) for key in entry]
     slots += [(entry["origin"], 0), (entry["origin"], 1), (doc["chips"], k), (doc["band_names"], 0)]
+    slots += [(doc["scene_sha256"], entry["scene"])]
     kind = int(rng.integers(5))
     if kind == 0:
         return text[: int(rng.integers(len(text)))]

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +27,13 @@ from dumpwatch.dataset import (
     load_catalog,
     normalize_split,
     rasterize_mask,
-    read_scene,
     reflect_pad,
     save_catalog,
+    scene_annotations,
     split_dataset,
     stack_bands,
 )
-from dumpwatch.geodata import GeoTransform, Raster, write_annotations, write_raster
+from dumpwatch.geodata import GeoTransform, Raster, read_raster, write_annotations, write_raster
 from oracles import polygon_columns, rasterize_oracle, rasters_equal
 
 
@@ -423,8 +425,8 @@ class TestNormalization:
 
     def test_stats_round_trip(self, tmp_path):
         stats = NormalizationStats((0.1, 0.2), (1.0, 2.0), ("a", "b"))
-        stats.save(tmp_path / "stats.json")
-        loaded = NormalizationStats.load(tmp_path / "stats.json")
+        (tmp_path / "stats.json").write_text(json.dumps(stats.to_json_dict()))
+        loaded = NormalizationStats.from_json_dict(json.loads((tmp_path / "stats.json").read_text()), "stats.json")
         assert loaded == stats
 
     def test_stats_validation(self):
@@ -501,14 +503,15 @@ class TestGenerateSynthetic:
             SynthConfig(dump_radius_range=(5.0, 3.0))
 
 
-def _catalog_run(root):
+def _catalog_run(root, size=96, dumps=3):
     """One synthetic scene written under ``root``/scenes, and its chips,
     cut as ``chip`` cuts them and split."""
-    raster, polygons = generate_synthetic(SynthConfig(scene_size=96, dump_count=3, background_texture_seed=5))
+    raster, polygons = generate_synthetic(SynthConfig(scene_size=size, dump_count=dumps, background_texture_seed=5))
     base = root / "scenes" / "scene_005"
     write_raster(raster, base)
     write_annotations(polygons, f"{base}.geojson")
-    chips = chip_scenes([("scene_005", *read_scene(base))], ChipConfig(chip_size=32, stride=16), seed=1)
+    scenes = [("scene_005", read_raster(base), scene_annotations(base))]
+    chips = chip_scenes(scenes, ChipConfig(chip_size=32, stride=16), seed=1)
     return split_dataset(chips, 0.2, 0.2, seed=2)
 
 
@@ -533,9 +536,6 @@ class TestCatalogIO:
         loaded, loaded_stats = load_catalog(tmp_path / "cat")
         assert loaded_stats == stats
         self._assert_same_windows(split, loaded)
-        # the chips are views of one stack of the scene, not copies
-        chips = loaded.train + loaded.val + loaded.test
-        assert all(c.samples.base is chips[0].samples.base is not None for c in chips)
 
     def test_catalog_is_an_index_and_stats(self, tmp_path):
         split = _catalog_run(tmp_path)
@@ -543,6 +543,9 @@ class TestCatalogIO:
         assert sorted(p.name for p in (tmp_path / "cat").iterdir()) == ["index.json", "stats.json"]
         index = json.loads((tmp_path / "cat" / "index.json").read_text())
         assert (index["format_version"], index["scenes"]) == (2, "../scenes")
+        base = tmp_path / "scenes" / "scene_005"
+        digest = hashlib.sha256(Path(f"{base}.json").read_bytes() + Path(f"{base}.bin").read_bytes())
+        assert index["scene_sha256"] == {"scene_005": digest.hexdigest()}
         chips = split.train + split.val + split.test
         assert [set(entry) for entry in index["chips"]] == [{"scene", "origin", "split", "positive"}] * len(chips)
 
@@ -552,6 +555,20 @@ class TestCatalogIO:
         (tmp_path / "run").rename(tmp_path / "moved")
         loaded, _ = load_catalog(tmp_path / "moved" / "cat")
         self._assert_same_windows(split, loaded)
+
+    @pytest.mark.parametrize("size, dumps, views", [(96, 3, True), (512, 1, False)])
+    def test_chips_view_their_scene_only_where_windows_cover_it(self, tmp_path, size, dumps, views):
+        # where the windows add up to fewer pixels than their scene (chip)
+        # or row slab (load), they are copies and it can be freed; else views
+        split = _catalog_run(tmp_path, size, dumps)
+        save_catalog(tmp_path / "cat", split, tmp_path / "scenes")
+        loaded, _ = load_catalog(tmp_path / "cat")
+        self._assert_same_windows(split, loaded)
+        for chips in (split.train + split.val + split.test, loaded.train + loaded.val + loaded.test):
+            assert {c.samples.base is not None for c in chips} == {views}
+            assert {c.mask.base is not None for c in chips} == {views}
+        windows = sum(c.mask.size for c in split.train + split.val + split.test)
+        assert (windows >= size * size) == views
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(FileNotFoundError):
