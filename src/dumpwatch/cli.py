@@ -33,6 +33,7 @@ import argparse
 import hashlib
 import json
 import logging
+import time
 import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -233,11 +234,26 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _scenes(cfg: RunConfig):
+    """Each scene under ``paths.scene_dir`` as (name, source raster,
+    annotations), read one at a time. A scene without a source band that
+    ``chip.bands`` needs is refused, naming its header."""
+    for base in _scene_bases(cfg.paths.scene_dir):
+        raster = geodata.read_raster(base)
+        try:
+            ds.stacked_rows(raster, 0, 1, cfg.chip.bands)  # one row: a check of the bands
+        except (KeyError, ValueError) as exc:
+            raise ValueError(
+                f"{base}.json: {exc.args[0]} (chip.bands {','.join(cfg.chip.bands)}; "
+                f"the scene has {','.join(raster.band_names or ())})"
+            ) from None
+        yield base.name, raster, ds.scene_annotations(base)
+
+
 def _chip(cfg: RunConfig) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
     """The scenes' chips of ``cfg.chip.bands``, split, with the normalization
     fitted on the training chips (None without any)."""
-    scenes = ((b.name, geodata.read_raster(b), ds.scene_annotations(b)) for b in _scene_bases(cfg.paths.scene_dir))
-    chips = ds.chip_scenes(scenes, cfg.chip, substream(cfg.seed, "chip"))
+    chips = ds.chip_scenes(_scenes(cfg), cfg.chip, substream(cfg.seed, "chip"))
     if not any(c.is_positive() for c in chips):
         log.warning("no positive chips extracted")
     seed = substream(cfg.seed, "split")
@@ -394,14 +410,27 @@ def cmd_predict(cfg: RunConfig, args) -> int:
             raise ConfigError(
                 f"checkpoint {cfg.paths.checkpoint} does not fit {given}: {exc}"
             ) from exc
+        # wall seconds pulling rows (read and forward) and writing them
+        timing = {"predict_rows_s": 0.0, "write_rows_s": 0.0}
         with geodata.raster_writer(
             out, 1, source.height, source.width, source.transform,
             band_names=("probability",),
         ) as write_rows:
+            clock = time.perf_counter()
             for block in rows:
+                pulled = time.perf_counter()
                 write_rows(block[None])
+                written = time.perf_counter()
+                timing["predict_rows_s"] += pulled - clock
+                timing["write_rows_s"] += written - pulled
                 with np.errstate(invalid="ignore"):  # NaN, nodata, compares false
                     above += int(np.count_nonzero(block >= threshold))
+                clock = time.perf_counter()
+        # the tiling's windows, counting those of nodata alone, which are not run
+        tile, overlap = cfg.inference.tile_size, cfg.inference.overlap
+        tiles = len(detect.tile_origins(source.height, tile, overlap)) * len(
+            detect.tile_origins(source.width, tile, overlap)
+        )
     geodata.RasterReader(out).close()  # write-then-verify: header and payload length
     _summary(
         {
@@ -410,6 +439,8 @@ def cmd_predict(cfg: RunConfig, args) -> int:
             "probability": str(out),
             "threshold": threshold,
             "pixels_above_threshold": above,
+            "tiles": tiles,
+            "timing": timing,  # not deterministic
         }
     )
     return 0

@@ -104,7 +104,9 @@ class Detections:
         return len(self.pixel_count)
 
 
-def _tile_origins(extent: int, tile: int, overlap: int) -> list[int]:
+def tile_origins(extent: int, tile: int, overlap: int) -> list[int]:
+    """Tile starts along an axis of ``extent`` pixels, ``tile - overlap``
+    apart, the last flush with the end; one tile at 0 on a shorter axis."""
     if extent <= tile:
         return [0]
     step = tile - overlap
@@ -185,8 +187,8 @@ def _stream_rows(params, config, source, stats, icfg, bands):
     that of whole-raster inference. Held at once: one stripe, one batch of
     windows, and the carried rows."""
     tile, height, width = icfg.tile_size, source.height, source.width
-    row_origins = _tile_origins(height, tile, icfg.overlap)
-    col_origins = _tile_origins(width, tile, icfg.overlap)
+    row_origins = tile_origins(height, tile, icfg.overlap)
+    col_origins = tile_origins(width, tile, icfg.overlap)
     carry_sum = np.zeros((0, width), dtype=np.float64)
     carry_count = np.zeros((0, width), dtype=np.int32)
     for r0, end in zip(row_origins, [*row_origins[1:], height]):

@@ -22,21 +22,30 @@ until ``zero_grads`` resets them.
 The op set is exactly what the segmentation model needs: 3x3 same-padded
 convolution, 2x2 max pooling, 2x2 stride-2 transposed convolution, channel
 concatenation, relu, a spatial crop, and weighted binary cross-entropy on
-logits. A 3x3 convolution zero-pads its input into a flat buffer and runs
-as nine shifted GEMMs, one per kernel tap, so the heavy lifting stays in
-BLAS without building patch matrices; it keeps the unpadded input for its
-gradient and pads it again there. The taps, and the weight gradient's
-products, run one image and one L2-sized column block at a time; no block
-width depends on the batch, so neither does an image's output. With one
-input channel, as in the output conv's input gradient, the taps are
-broadcast multiplies, not K = 1 GEMMs. 2x2 pooling takes the maximum over
-the four strided views of its input, and its gradient
-finds the first maximum of each window again from the input and the
-output, so it stores nothing of its own. The 2x2 transposed convolution is
-one GEMM of the [4*out, in] taps against the flattened input, interleaved
-into the output (bias included) by four strided copies; its backward runs
-the same GEMM shapes the other way. relu's gradient mask is taken from its
-output when backward runs.
+logits. A 3x3 convolution reads its input zero-padded into a flat buffer
+(the padded layout: ``[batch, ch, (h+2)*(w+2) + 2]``, padded rows end to
+end and two trailing zeros) and runs as nine shifted GEMMs, one per kernel
+tap, so the heavy lifting stays in BLAS without building patch matrices.
+The taps, and the weight gradient's products, run one image and one
+L2-sized column block at a time; no block width depends on the batch, so
+neither does an image's output. Each block's sum gets its bias while it
+is still in cache and lands in the interior of the output's own padded
+buffer; the cells it writes past a row's end are then zeroed. So a conv's output, whose
+``data`` is the interior view, is already the input the next conv reads
+(``Tensor._flat`` keeps the buffer). Where no gradient is recorded (under
+``no_grad``, or when no input needs one) relu, pooling, the up-conv and
+concatenation write this layout too, so in inference only the network input
+is padded. In grad mode they return plain arrays, since their gradient
+closures hold their outputs; conv pads such an input itself and, for its
+weight gradient, again in backward. With one input channel, as in the
+output conv's input gradient, the taps are broadcast multiplies, not K = 1
+GEMMs. 2x2 pooling takes the maximum of column pairs, then of row pairs,
+and its gradient finds the first maximum of each window again from the
+input and the output, so it stores nothing of its own. The 2x2
+transposed convolution is one GEMM of the [4*out, in] taps against the
+flattened input, interleaved into the output (bias included) by four
+strided copies; its backward runs the same GEMM shapes the other way.
+relu's gradient mask is taken from its output when backward runs.
 """
 
 from __future__ import annotations
@@ -81,9 +90,11 @@ class Tensor:
     none and is its own vertex in the graph, since backward gives it
     ``.grad``. ``_grad_fn`` and ``_parents`` read the node (a leaf has no
     closure and the parents ``()``), and ``_grad_fn`` can be reassigned.
+    ``_flat`` is the padded-layout buffer whose interior ``data`` views, where
+    an op wrote one, else None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_flat")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -93,6 +104,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
+        self._flat: np.ndarray | None = None
 
     @property
     def _grad_fn(self) -> Callable | None:
@@ -160,12 +172,21 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-def _record(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
-    """Wrap an op's output; in grad mode, give it a node over its inputs'
-    vertices. The node holds no Tensor but leaves, so an output's array
-    lives only while its Tensor is referenced or a closure saved it."""
+def _recording(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over ``parents`` records a gradient node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
+def _record(
+    data: np.ndarray, parents: tuple[Tensor, ...], grad_fn, flat: np.ndarray | None = None
+) -> Tensor:
+    """Wrap an op's output, whose padded-layout buffer is ``flat`` if it has
+    one; in grad mode, give it a node over its inputs' vertices. The node
+    holds no Tensor but leaves, so an output's array lives only while its
+    Tensor is referenced or a closure saved it."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    out._flat = flat
+    if _recording(parents):
         out.requires_grad = True
         out._node = _Node(grad_fn, tuple(p._node or p for p in parents))
     return out
@@ -245,12 +266,18 @@ def zero_grads(params: Iterable[Tensor] | Mapping[str, "Tensor"]) -> None:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
+    flat = _flat_of(x)
+    if flat is not None and not _recording((x,)):
+        flat = np.maximum(flat, 0)  # one contiguous pass; the zero border stays zero
+        out = _interior(flat, *x.data.shape[2:])
+    else:
+        out, flat = _new_output((x,), x.data.shape, x.data.dtype)
+        np.maximum(x.data, 0, out=out)
 
     def grad_fn(g):
         return (g * (out > 0),)  # subgradient 0 at the kink
 
-    return _record(out, (x,), grad_fn)
+    return _record(out, (x,), grad_fn, flat)
 
 
 def sigmoid_values(z: np.ndarray) -> np.ndarray:
@@ -311,13 +338,20 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("concat_channels expects [batch, ch, h, w] tensors")
     if sa[0] != sb[0] or sa[2:] != sb[2:]:
         raise ValueError(f"incompatible shapes for concat: {sa} vs {sb}")
-    out = np.concatenate([a.data, b.data], axis=1)
     ca = sa[1]
+    fa, fb = _flat_of(a), _flat_of(b)
+    if fa is not None and fb is not None and not _recording((a, b)):
+        flat = np.concatenate([fa, fb], axis=1)  # the borders line up
+        out = _interior(flat, *sa[2:])
+    else:
+        shape = (sa[0], ca + sb[1], *sa[2:])
+        out, flat = _new_output((a, b), shape, np.result_type(a.data, b.data))
+        out[:, :ca], out[:, ca:] = a.data, b.data
 
     def grad_fn(g):
         return g[:, :ca], g[:, ca:]
 
-    return _record(out, (a, b), grad_fn)
+    return _record(out, (a, b), grad_fn, flat)
 
 
 def crop_spatial(x: Tensor, height: int, width: int) -> Tensor:
@@ -336,17 +370,68 @@ def crop_spatial(x: Tensor, height: int, width: int) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
+def _grid(flat: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The [batch, ch, h, w+2] output grid of a padded-layout buffer of an
+    h x w image. Row i starts at the interior's row i; its last two cells
+    are the right border of that row and the left border of the next."""
+    b, c = flat.shape[:2]
+    return flat[:, :, w + 3 : w + 3 + h * (w + 2)].reshape(b, c, h, w + 2)
+
+
+def _interior(flat: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The [batch, ch, h, w] image view of a padded-layout buffer."""
+    return _grid(flat, h, w)[..., :w]
+
+
+def _zero_border(flat: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Zero every cell of a padded-layout buffer outside its interior: the
+    top row and the next row's left border, the wrap-around cells of each
+    grid row (through the first cell of the bottom row), and the rest of the
+    bottom row with the two trailing cells. Returns ``flat``."""
+    grid = _grid(flat, h, w)
+    flat[:, :, : w + 3] = 0
+    grid[..., w] = grid[..., w + 1] = 0  # one strided loop per channel each
+    flat[:, :, w + 3 + h * (w + 2) :] = 0
+    return flat
+
+
 def _pad_flat(a: np.ndarray, dtype) -> np.ndarray:
-    """[batch, ch, h, w] -> [batch, ch, (h+2)*(w+2) + 2] under zero padding 1.
+    """[batch, ch, h, w] -> [batch, ch, (h+2)*(w+2) + 2] under zero padding 1:
+    the padded layout.
 
     Rows of the padded image are laid end to end; the two trailing zeros keep
     the last tap's slice in _correlate3 inside the buffer.
     """
     b, c, h, w = a.shape
-    size = (h + 2) * (w + 2)
-    ap = np.zeros((b, c, size + 2), dtype=dtype)
-    ap[:, :, :size].reshape(b, c, h + 2, w + 2)[:, :, 1 : h + 1, 1 : w + 1] = a
+    ap = np.zeros((b, c, (h + 2) * (w + 2) + 2), dtype=dtype)
+    _interior(ap, h, w)[...] = a
     return ap
+
+
+def _flat_of(t: Tensor) -> np.ndarray | None:
+    """The padded-layout buffer an op wrote for ``t``, or None, also when
+    ``t.data`` was reassigned since and no longer views it."""
+    flat = t._flat
+    return flat if flat is not None and t.data.base is flat else None
+
+
+def _flat_input(x: Tensor, dtype) -> np.ndarray:
+    """``x`` in the padded layout and ``dtype``: the buffer an op wrote for
+    it, or a padded copy."""
+    flat = _flat_of(x)
+    return flat if flat is not None and flat.dtype == dtype else _pad_flat(x.data, dtype)
+
+
+def _new_output(parents: tuple[Tensor, ...], shape: tuple[int, ...], dtype):
+    """An op's empty output and its padded-layout buffer: the interior of a
+    zero-bordered buffer for a [b, c, h, w] output that records no gradient,
+    else a plain array and None (gradient closures hold their outputs, and
+    a border would only make them larger)."""
+    if len(shape) != 4 or _recording(parents):
+        return np.empty(shape, dtype), None
+    b, c, h, w = shape
+    flat = _zero_border(np.empty((b, c, (h + 2) * (w + 2) + 2), dtype), h, w)
+    return _interior(flat, h, w), flat
 
 
 def _tap_offsets(w: int) -> list[int]:
@@ -368,14 +453,19 @@ def _column_blocks(cin: int, cout: int, n: int, itemsize: int) -> list[tuple[int
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _correlate3(ap: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.ndarray:
+def _correlate3(
+    ap: np.ndarray, taps: np.ndarray, h: int, w: int, bias: np.ndarray | None = None
+) -> np.ndarray:
     """3x3 correlation of a _pad_flat input with taps [9, out, in], in row-major
-    (ki, kj) order, as nine shifted GEMMs accumulated in place.
+    (ki, kj) order, as nine shifted GEMMs, plus ``bias`` [out] if given;
+    returned in the padded layout, its border not set.
 
     Output pixel (i, j) sits at i*(w+2) + j on an h x (w+2) grid, and tap
-    (ki, kj) reads the contiguous slice starting ki*(w+2) + kj later. The two
-    wrap-around columns per row are cropped from the returned view. The taps
-    run one image and one ``_column_blocks`` block at a time, in cache.
+    (ki, kj) reads the contiguous slice starting ki*(w+2) + kj later. That
+    grid is ``_grid`` of the output buffer, so the sums land in its interior
+    and the two wrap-around columns per row on its border (``_zero_border``
+    clears them). The taps run one image and one ``_column_blocks`` block at
+    a time, in cache, and each block gets its bias there.
     """
     (b, cin), cout, n = ap.shape[:2], taps.shape[1], h * (w + 2)
     # With one input channel (K = 1) each tap is an outer product, which a
@@ -383,25 +473,37 @@ def _correlate3(ap: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.ndarray:
     # same rounding. The GEMM sums from +0.0, so a -0.0 product comes out
     # +0.0: adding 0.0 to the first tap keeps that sign, and the bits.
     product = np.multiply if cin == 1 else np.matmul
-    acc = np.empty((b, cout, n), dtype=np.result_type(ap, taps))
-    blocks = _column_blocks(cin, cout, n, acc.itemsize)
-    tmp = np.empty((cout, max(c1 - c0 for c0, c1 in blocks)), dtype=acc.dtype)
+    flat = np.empty((b, cout, (h + 2) * (w + 2) + 2), dtype=np.result_type(ap, taps))
+    grid = flat[:, :, w + 3 : w + 3 + n]  # _grid, flattened
+    blocks = _column_blocks(cin, cout, n, flat.itemsize)
+    # A block's sum builds in contiguous scratch, where each add is one loop
+    # however short the grid's rows, and goes to the grid once, with its bias.
+    scratch = np.empty((2, cout * max(c1 - c0 for c0, c1 in blocks)), dtype=flat.dtype)
     for i in range(b):
         for c0, c1 in blocks:
-            block, part = acc[i, :, c0:c1], tmp[:, : c1 - c0]
-            product(taps[0], ap[i, :, c0:c1], out=block)
+            acc, part = (a[: cout * (c1 - c0)].reshape(cout, c1 - c0) for a in scratch)
+            product(taps[0], ap[i, :, c0:c1], out=acc)
             if product is np.multiply:
-                block += 0.0
+                acc += 0.0
             for t, off in enumerate(_tap_offsets(w)[1:], start=1):
                 product(taps[t], ap[i, :, off + c0 : off + c1], out=part)
-                block += part
-    return acc.reshape(b, cout, h, w + 2)[:, :, :, :w]
+                acc += part
+            if bias is None:
+                grid[i, :, c0:c1] = acc
+            else:
+                np.add(acc, bias[:, None], out=grid[i, :, c0:c1])
+    return flat
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """3x3 cross-correlation, stride 1, zero padding 1 (same-size output).
 
-    kernel is [out_ch, in_ch, 3, 3]; bias is [out_ch].
+    kernel is [out_ch, in_ch, 3, 3]; bias is [out_ch]. The input is read in
+    the padded layout: ``x._flat`` where an op wrote one, else a padded copy
+    that is not kept. The output is always written in that layout, bias
+    added block by block, and its ``data`` is the interior view. The
+    gradient pads ``g``, and for the weight gradient pads ``x`` again unless
+    ``x`` holds a padded buffer.
     """
     _, cin, h, w = x.data.shape
     if kernel.data.ndim != 4 or kernel.data.shape[2:] != (3, 3):
@@ -415,14 +517,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     taps = np.ascontiguousarray(
         kernel.data.reshape(cout, cin, 9).transpose(2, 0, 1), dtype=dtype
     )
-    xp = _pad_flat(x.data, dtype)  # not kept: the gradient pads x again
-    out = _correlate3(xp, taps, h, w) + bias.data.astype(dtype)[:, None, None]
+    flat = _correlate3(_flat_input(x, dtype), taps, h, w, bias.data.astype(dtype))
+    out = _interior(_zero_border(flat, h, w), h, w)
 
     def grad_fn(g):
         gp = _pad_flat(g, dtype)
         gw = None
         if kernel.requires_grad:
-            xp = _pad_flat(x.data, dtype)
+            xp = _flat_input(x, dtype)
             # g on the output grid; the wrap-around columns read zero padding
             n = h * (w + 2)
             gout = gp[:, :, w + 3 : w + 3 + n]
@@ -430,18 +532,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             for i, gi in enumerate(gout):
                 for t, off in enumerate(_tap_offsets(w)):
                     np.matmul(gi, xp[i, :, off : off + n].T, out=per_image[i, t])
-            del xp  # freed before gx is built, which can take its memory
+            del xp  # a copy is freed before gx is built, which can take its memory
             gw = per_image.sum(axis=0).transpose(1, 2, 0).reshape(kernel.data.shape)
         gx = None
         if x.requires_grad:
             # the adjoint correlates g with the flipped, transposed taps
             gx = np.ascontiguousarray(
-                _correlate3(gp, taps[::-1].transpose(0, 2, 1), h, w)
+                _interior(_correlate3(gp, taps[::-1].transpose(0, 2, 1), h, w), h, w)
             )
         gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         return gx, gw, gb
 
-    return _record(out, (x, kernel, bias), grad_fn)
+    return _record(out, (x, kernel, bias), grad_fn, flat)
 
 
 def max_pool_2x2(x: Tensor) -> Tensor:
@@ -453,11 +555,17 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     xd = x.data
     corners = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
     views = [xd[:, :, dy::2, dx::2] for dy, dx in corners]
-    # folded from the last view: np.maximum returns its second argument on a
-    # tie, so a window of -0.0 and 0.0 keeps its first maximum's sign
-    out = np.maximum(views[3], views[2])
-    np.maximum(out, views[1], out=out)
-    np.maximum(out, views[0], out=out)
+    # Column pairs, then row pairs, each with the later one first:
+    # np.maximum returns its second argument on a tie, so a window keeps its
+    # first maximum (and a window of -0.0 and 0.0 its sign). On a padded
+    # input the column pass runs over whole rows of the padded layout, whose
+    # two border cells pair to a zero column the row pass drops: so its rows
+    # are one strided loop, as on a contiguous input.
+    fx = _flat_of(x)
+    rows = xd if fx is None else _grid(fx, h, w)
+    cols = np.maximum(rows[..., 1::2], rows[..., 0::2])
+    out, flat = _new_output((x,), (b, c, h // 2, w // 2), xd.dtype)
+    np.maximum(cols[:, :, 1::2, : w // 2], cols[:, :, 0::2, : w // 2], out=out)
 
     def grad_fn(g):
         # Each view of gx gets g's bits where its element is the window's
@@ -476,7 +584,7 @@ def max_pool_2x2(x: Tensor) -> Tensor:
             taken |= hit
         return (gx,)
 
-    return _record(out, (x,), grad_fn)
+    return _record(out, (x,), grad_fn, flat)
 
 
 def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -500,8 +608,8 @@ def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     taps = kernel.data.transpose(2, 3, 1, 0).reshape(4 * cout, cin)
     y = np.matmul(taps, x.data.reshape(b, cin, h * w)).reshape(b, 2, 2, cout, h, w)
     dtype = np.result_type(y, bias.data)
-    out = np.empty((b, cout, 2 * h, 2 * w), dtype=dtype)
-    out6 = out.reshape(b, cout, h, 2, w, 2)
+    out, flat = _new_output((x, kernel, bias), (b, cout, 2 * h, 2 * w), dtype)
+    out6 = out.reshape(b, cout, h, 2, w, 2)  # a view, also of a padded interior
     bias3 = bias.data[:, None, None]
     for dy in (0, 1):
         for dx in (0, 1):
@@ -524,7 +632,7 @@ def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         return gx, gk, gb
 
-    return _record(out, (x, kernel, bias), grad_fn)
+    return _record(out, (x, kernel, bias), grad_fn, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,9 @@ class TestEndToEnd:
         vals = prob.samples[np.isfinite(prob.samples)]
         assert np.all((vals >= 0) & (vals <= 1))
         assert summary["pixels_above_threshold"] >= 0
+        assert summary["tiles"] == 9  # origins 0, 40 and 48 along each 96 px axis
+        assert set(summary["timing"]) == {"predict_rows_s", "write_rows_s"}
+        assert all(s >= 0 for s in summary["timing"].values())
 
     def test_predict_is_deterministic(self, ws, capsys):
         out_b = ws["root"] / "probability_second"
@@ -506,6 +509,20 @@ def _scene_with_vertex(root, vertex):
         '{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": '
         f'[[[0, 0], {vertex}, [1, 1], [0, 0]]]}}, "properties": {{}}}}',
     )
+
+
+def _scene_with_bands(root, bands):
+    """One flat 32 px source scene of ``bands`` with one dump, under the
+    default ``chip.bands``; its header is the file to name."""
+    base = root / "scenes" / "scene_000"
+    raster = Raster(np.ones((len(bands), 32, 32), np.float32), GeoTransform(0.0, 32.0, 1.0, 1.0), band_names=bands)
+    write_raster(raster, base)
+    Path(str(base) + ".geojson").write_text(
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {}, '
+        '"geometry": {"type": "Polygon", "coordinates": [[[4, 4], [12, 4], [12, 12], [4, 12], [4, 4]]]}}]}'
+    )
+    config = {"paths": {"scene_dir": str(root / "scenes"), "catalog": str(root / "catalog")}}
+    return config, Path(str(base) + ".json")
 
 
 def _scene_with_feature(root, feature):
@@ -927,6 +944,11 @@ MALFORMED_INPUTS = {
         "postprocess",
         lambda r: _probability(r, header_edit=('"band_names": ["probability"]', '"band_names": 5')),
         ["malformed raster header", "band_names is 5, not a list of strings or null"],
+    ),
+    "chip-scene-without-a-band": (
+        "chip",
+        lambda r: _scene_with_bands(r, ("R", "G", "B")),
+        ["no band named 'NIR'", "chip.bands R,G,B,NIR,SWIR1,NDSW", "the scene has R,G,B"],
     ),
     "chip-stride-zero": (
         "chip", lambda r: _chip_config(r, stride=0), ["chip.stride: must be >= 1, got 0"]

@@ -18,7 +18,7 @@ from dumpwatch.detect import (
     InferenceConfig,
     PostprocConfig,
     _label_parts,
-    _tile_origins,
+    tile_origins,
     connected_components,
     detections_from_binary,
     export_geojson,
@@ -83,17 +83,17 @@ class TestConfigs:
 
 class TestTileOrigins:
     def test_small_extent_single_tile(self):
-        assert _tile_origins(20, 32, 8) == [0]
-        assert _tile_origins(32, 32, 8) == [0]
+        assert tile_origins(20, 32, 8) == [0]
+        assert tile_origins(32, 32, 8) == [0]
 
     def test_last_tile_clamped_flush(self):
-        origins = _tile_origins(300, 256, 32)
+        origins = tile_origins(300, 256, 32)
         assert origins == [0, 44]
         assert origins[-1] + 256 == 300
 
     def test_full_coverage(self):
         for extent in (33, 64, 100, 257):
-            origins = _tile_origins(extent, 32, 8)
+            origins = tile_origins(extent, 32, 8)
             covered = np.zeros(extent, dtype=bool)
             for o in origins:
                 covered[o : o + 32] = True
@@ -940,7 +940,7 @@ class TestPredictRaster:
 
         def clear_1d(extent):
             ok = np.ones(extent, dtype=bool)
-            for o in _tile_origins(extent, tile, overlap):
+            for o in tile_origins(extent, tile, overlap):
                 if o > 0:
                     ok[o : o + r] = False
                 if o + tile < extent:
@@ -1078,7 +1078,7 @@ class TestStreamedPredictMatchesOracle:
         first = next(rows)
         assert len(first) == 12 and reads == [(0, 16)]
         blocks = [first, *rows]
-        origins = _tile_origins(200, 16, 4)  # 0, 12, ..., 180, then 184
+        origins = tile_origins(200, 16, 4)  # 0, 12, ..., 180, then 184
         assert reads == [(r0, r0 + 16) for r0 in origins]  # each stripe once
         # one block per tile row, up to the next row's origin: a step of 12
         # rows, 4 before the last origin, and the whole last stripe

@@ -12,6 +12,7 @@ from dumpwatch.numerics import (
     Tensor,
     _column_blocks,
     _correlate3,
+    _interior,
     _pad_flat,
     _tap_offsets,
     adam_step,
@@ -28,7 +29,7 @@ from dumpwatch.numerics import (
     weighted_bce_with_logits,
     zero_grads,
 )
-from dumpwatch.unet import UNetConfig, parameter_schema
+from dumpwatch.unet import UNetConfig, build_unet, forward, parameter_schema
 from oracles import (
     adam_step_oracle,
     conv2d_batched_oracle,
@@ -560,7 +561,7 @@ class TestConv2dGradients:
         for t, off in enumerate(_tap_offsets(w)[1:], start=1):
             want += np.matmul(taps[t], gp[:, :, off : off + n])
         want = want.reshape(b, cout, h, w + 2)[:, :, :, :w]
-        got = _correlate3(gp, taps, h, w)
+        got = _interior(_correlate3(gp, taps, h, w), h, w)
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -674,6 +675,156 @@ class TestPoolAndUpconvGradients:
         assert out.data.dtype == np.float32
         assert np.allclose(out.data, transposed_conv_2x2_oracle(x, k, b), rtol=1e-5, atol=1e-5)
         assert [a.dtype for a in out._grad_fn(g)] == [np.float32] * 3
+
+
+def _padded(a):
+    """A Tensor of ``a`` held in the padded layout, as an op writes it."""
+    flat = _pad_flat(a, a.dtype)
+    t = Tensor(_interior(flat, *a.shape[2:]))
+    t._flat = flat
+    return t
+
+
+def _with_signed_zeros(rng, shape, dtype):
+    a = rng.normal(size=shape).astype(dtype)
+    a.reshape(-1)[::5] = -0.0
+    a.reshape(-1)[1::7] = 0.0
+    return a
+
+
+def _pool_fold(x):
+    """2x2 max pooling as a fold over the four window views from the last
+    one, on a contiguous input: the reference for pooling's bits."""
+    views = [x[:, :, dy::2, dx::2] for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    out = np.maximum(views[3], views[2])
+    np.maximum(out, views[1], out=out)
+    return np.maximum(out, views[0], out=out)
+
+
+_DTYPES = [np.float32, np.float64]
+
+
+class TestPaddedLayout:
+    """Where no gradient is recorded, conv, relu, pooling, the up-conv and
+    concatenation write the padded layout (``Tensor._flat``) that the next
+    conv reads. Its border must be zero bits, even where a conv's column
+    blocks wrote sums into it, and its interior must hold the bits of the
+    contiguous result."""
+
+    @staticmethod
+    def _assert_padded(out, want):
+        flat = out._flat
+        b, c, h, w = want.shape
+        assert flat is not None and out.data.base is flat
+        assert flat.shape == (b, c, (h + 2) * (w + 2) + 2) and flat.dtype == want.dtype
+        border = np.ones(flat.shape[2], dtype=bool)
+        border[: (h + 2) * (w + 2)].reshape(h + 2, w + 2)[1:-1, 1:-1] = False
+        # top and bottom rows, left and right columns, two trailing cells
+        assert border.sum() == 2 * (w + 2) + 2 * h + 2
+        assert not flat[:, :, border].view(f"u{flat.itemsize}").any()
+        assert out.data.dtype == want.dtype and out.data.shape == want.shape
+        assert out.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("padded_input", [False, True])
+    @pytest.mark.parametrize(
+        "batch, cin, cout, h, w",
+        [
+            (2, 3, 4, 1, 1),
+            (2, 2, 3, 1, 6),
+            (2, 2, 3, 6, 1),
+            (2, 1, 4, 5, 7),
+            # a grid of 64 * 130 = 8320 columns: two blocks, the last from
+            # 4096 on, writing through the first cell of the bottom row
+            (1, 32, 32, 64, 128),
+        ],
+        ids=_case_id,
+    )
+    def test_conv(self, batch, cin, cout, h, w, padded_input, dtype):
+        x, k, bias, g = _conv_case(h * 100 + w, batch, cin, cout, h, w, dtype)
+        x.reshape(-1)[::5] = -0.0
+        bias += 3.0  # every wrap-around cell the taps write is nonzero
+        n = h * (w + 2)
+        assert len(_column_blocks(cin, cout, n, x.itemsize)) == (2 if n > 8192 else 1)
+        with no_grad():
+            out = conv2d(_padded(x) if padded_input else Tensor(x), Tensor(k), Tensor(bias))
+        self._assert_padded(out, conv2d_batched_oracle(x, k, bias, g)[0])
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("padded_input", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 3, 1, 1), (1, 2, 1, 5), (2, 1, 4, 1), (2, 3, 6, 9)], ids=_case_id)
+    def test_relu(self, shape, padded_input, dtype):
+        x = _with_signed_zeros(np.random.default_rng(shape[3]), shape, dtype)
+        with no_grad():
+            out = relu(_padded(x) if padded_input else Tensor(x))
+        self._assert_padded(out, np.maximum(x, 0))
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("padded_input", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 2), (1, 2, 2, 8), (2, 1, 6, 2), (2, 3, 8, 10)], ids=_case_id)
+    def test_max_pool(self, shape, padded_input, dtype):
+        for kind in ("relu", "int"):
+            x = _tie_heavy(kind, shape[2], shape, dtype)
+            x[x == 0] = np.where(np.random.default_rng(0).random((x == 0).sum()) < 0.5, -0.0, 0.0)
+            with no_grad():
+                out = max_pool_2x2(_padded(x) if padded_input else Tensor(x))
+            self._assert_padded(out, _pool_fold(x))
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("padded_input", [False, True])
+    @pytest.mark.parametrize(
+        "batch, cin, cout, h, w", [(2, 3, 2, 1, 1), (1, 1, 3, 2, 5), (2, 4, 1, 3, 1)], ids=_case_id
+    )
+    def test_transposed_conv(self, batch, cin, cout, h, w, padded_input, dtype):
+        rng = np.random.default_rng(h * 10 + w)
+        x = _with_signed_zeros(rng, (batch, cin, h, w), dtype)
+        k, bias = (rng.normal(size=s).astype(dtype) for s in ((cin, cout, 2, 2), (cout,)))
+        # the contiguous result: the same op where it records a gradient
+        want = transposed_conv_2x2(Tensor(x, requires_grad=True), Tensor(k), Tensor(bias))
+        with no_grad():
+            out = transposed_conv_2x2(_padded(x) if padded_input else Tensor(x), Tensor(k), Tensor(bias))
+        self._assert_padded(out, want.data)
+
+    @pytest.mark.parametrize("dtypes", [(np.float32,) * 2, (np.float64,) * 2, (np.float32, np.float64)])
+    @pytest.mark.parametrize("padded", [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 1), (1, 2, 1, 4), (2, 3, 5, 1), (2, 2, 4, 6)], ids=_case_id)
+    def test_concat(self, shape, padded, dtypes):
+        rng = np.random.default_rng(shape[2])
+        a = _with_signed_zeros(rng, shape, dtypes[0])
+        b = _with_signed_zeros(rng, (shape[0], 3, *shape[2:]), dtypes[1])
+        with no_grad():
+            out = concat_channels(*(_padded(v) if p else Tensor(v) for v, p in zip((a, b), padded)))
+        self._assert_padded(out, np.concatenate([a, b], axis=1))
+
+    def test_grad_mode_outputs_stay_contiguous(self):
+        # gradient closures hold these outputs; a border would make them larger
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 3, 4, 6)), requires_grad=True)
+        c = conv2d(x, Tensor(rng.normal(size=(3, 3, 3, 3))), Tensor(rng.normal(size=3)))
+        assert c._flat is not None and c._grad_fn is not None  # conv writes it in any mode
+        k, bias = Tensor(rng.normal(size=(3, 2, 2, 2))), Tensor(rng.normal(size=2))
+        for out in (relu(c), max_pool_2x2(c), transposed_conv_2x2(c, k, bias), concat_channels(c, c)):
+            assert out._flat is None and out.data.flags.c_contiguous and out._grad_fn is not None
+
+    def test_reassigned_data_is_read_not_the_old_buffer(self):
+        x, k, bias, g = _conv_case(6, 1, 2, 3, 4, 5)
+        with no_grad():
+            t = relu(Tensor(x))
+            t.data = x  # relu's buffer is stale now
+            out = conv2d(t, Tensor(k), Tensor(bias))
+        self._assert_padded(out, conv2d_batched_oracle(x, k, bias, g)[0])
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_inference_forward_is_bitwise_the_grad_mode_forward(self, dtype):
+        # under no_grad every activation after the input is padded; with
+        # gradients only the conv outputs are
+        config = UNetConfig(in_channels=3, depth=2, base_filters=4)
+        params = {n: Tensor(p.data.astype(dtype), requires_grad=True) for n, p in build_unet(config, 5).items()}
+        x = np.random.default_rng(5).normal(size=(2, 3, 12, 20)).astype(dtype)
+        want = forward(params, config, Tensor(x)).data
+        with no_grad():
+            got = forward(params, config, Tensor(x))
+        self._assert_padded(got, np.ascontiguousarray(want))
 
 
 class TestAdam:
