@@ -32,12 +32,10 @@ neither does an image's output. Each block's sum gets its bias while it
 is still in cache and lands in the interior of the output's own padded
 buffer; the cells it writes past a row's end are then zeroed. So a conv's output, whose
 ``data`` is the interior view, is already the input the next conv reads
-(``Tensor._flat`` keeps the buffer). Where no gradient is recorded (under
-``no_grad``, or when no input needs one) relu, pooling, the up-conv and
-concatenation write this layout too, so in inference only the network input
-is padded. In grad mode they return plain arrays, since their gradient
-closures hold their outputs; conv pads such an input itself and, for its
-weight gradient, again in backward. With one input channel, as in the
+(``Tensor._flat`` keeps the buffer). relu, pooling, the up-conv and
+concatenation write this layout too, whether or not a gradient is recorded,
+so only the network input is padded, and a conv's weight gradient reads the
+buffer its input already holds. With one input channel, as in the
 output conv's input gradient, the taps are broadcast multiplies, not K = 1
 GEMMs. 2x2 pooling takes the maximum of column pairs, then of row pairs,
 and its gradient finds the first maximum of each window again from the
@@ -266,13 +264,12 @@ def zero_grads(params: Iterable[Tensor] | Mapping[str, "Tensor"]) -> None:
 
 
 def relu(x: Tensor) -> Tensor:
-    flat = _flat_of(x)
-    if flat is not None and not _recording((x,)):
-        flat = np.maximum(flat, 0)  # one contiguous pass; the zero border stays zero
+    flat = None
+    if x.data.ndim == 4:
+        flat = np.maximum(_flat_input(x, x.data.dtype), 0)  # the zero border stays zero
         out = _interior(flat, *x.data.shape[2:])
     else:
-        out, flat = _new_output((x,), x.data.shape, x.data.dtype)
-        np.maximum(x.data, 0, out=out)
+        out = np.maximum(x.data, 0)
 
     def grad_fn(g):
         return (g * (out > 0),)  # subgradient 0 at the kink
@@ -339,14 +336,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if sa[0] != sb[0] or sa[2:] != sb[2:]:
         raise ValueError(f"incompatible shapes for concat: {sa} vs {sb}")
     ca = sa[1]
-    fa, fb = _flat_of(a), _flat_of(b)
-    if fa is not None and fb is not None and not _recording((a, b)):
-        flat = np.concatenate([fa, fb], axis=1)  # the borders line up
-        out = _interior(flat, *sa[2:])
-    else:
-        shape = (sa[0], ca + sb[1], *sa[2:])
-        out, flat = _new_output((a, b), shape, np.result_type(a.data, b.data))
-        out[:, :ca], out[:, ca:] = a.data, b.data
+    # the borders line up
+    flat = np.concatenate([_flat_input(t, t.data.dtype) for t in (a, b)], axis=1)
+    out = _interior(flat, *sa[2:])
 
     def grad_fn(g):
         return g[:, :ca], g[:, ca:]
@@ -408,27 +400,27 @@ def _pad_flat(a: np.ndarray, dtype) -> np.ndarray:
     return ap
 
 
-def _flat_of(t: Tensor) -> np.ndarray | None:
-    """The padded-layout buffer an op wrote for ``t``, or None, also when
-    ``t.data`` was reassigned since and no longer views it."""
-    flat = t._flat
-    return flat if flat is not None and t.data.base is flat else None
-
-
 def _flat_input(x: Tensor, dtype) -> np.ndarray:
-    """``x`` in the padded layout and ``dtype``: the buffer an op wrote for
-    it, or a padded copy."""
-    flat = _flat_of(x)
-    return flat if flat is not None and flat.dtype == dtype else _pad_flat(x.data, dtype)
+    """[batch, ch, h, w] ``x`` in the padded layout and ``dtype``: the buffer
+    an op wrote for it, or a padded copy. The buffer is taken only while
+    ``x.data`` is exactly its interior view, not after ``data`` was
+    reassigned, even to a slice of the buffer."""
+    flat, data = x._flat, x.data
+    b, c, h, w = data.shape
+    if (
+        flat is not None
+        and flat.shape == (b, c, (h + 2) * (w + 2) + 2)
+        and flat.dtype == data.dtype == dtype
+    ):
+        view = _interior(flat, h, w)
+        if (view.ctypes.data, view.strides) == (data.ctypes.data, data.strides):
+            return flat
+    return _pad_flat(data, dtype)
 
 
-def _new_output(parents: tuple[Tensor, ...], shape: tuple[int, ...], dtype):
-    """An op's empty output and its padded-layout buffer: the interior of a
-    zero-bordered buffer for a [b, c, h, w] output that records no gradient,
-    else a plain array and None (gradient closures hold their outputs, and
-    a border would only make them larger)."""
-    if len(shape) != 4 or _recording(parents):
-        return np.empty(shape, dtype), None
+def _new_output(shape: tuple[int, ...], dtype):
+    """An op's empty [b, c, h, w] output, the interior of a zero-bordered
+    padded-layout buffer, and that buffer."""
     b, c, h, w = shape
     flat = _zero_border(np.empty((b, c, (h + 2) * (w + 2) + 2), dtype), h, w)
     return _interior(flat, h, w), flat
@@ -500,10 +492,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     kernel is [out_ch, in_ch, 3, 3]; bias is [out_ch]. The input is read in
     the padded layout: ``x._flat`` where an op wrote one, else a padded copy
-    that is not kept. The output is always written in that layout, bias
-    added block by block, and its ``data`` is the interior view. The
-    gradient pads ``g``, and for the weight gradient pads ``x`` again unless
-    ``x`` holds a padded buffer.
+    that is not kept. The output is written in that layout, bias added block
+    by block, and its ``data`` is the interior view. The gradient pads ``g``.
     """
     _, cin, h, w = x.data.shape
     if kernel.data.ndim != 4 or kernel.data.shape[2:] != (3, 3):
@@ -532,7 +522,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             for i, gi in enumerate(gout):
                 for t, off in enumerate(_tap_offsets(w)):
                     np.matmul(gi, xp[i, :, off : off + n].T, out=per_image[i, t])
-            del xp  # a copy is freed before gx is built, which can take its memory
             gw = per_image.sum(axis=0).transpose(1, 2, 0).reshape(kernel.data.shape)
         gx = None
         if x.requires_grad:
@@ -557,14 +546,12 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     views = [xd[:, :, dy::2, dx::2] for dy, dx in corners]
     # Column pairs, then row pairs, each with the later one first:
     # np.maximum returns its second argument on a tie, so a window keeps its
-    # first maximum (and a window of -0.0 and 0.0 its sign). On a padded
-    # input the column pass runs over whole rows of the padded layout, whose
-    # two border cells pair to a zero column the row pass drops: so its rows
-    # are one strided loop, as on a contiguous input.
-    fx = _flat_of(x)
-    rows = xd if fx is None else _grid(fx, h, w)
+    # first maximum (and a window of -0.0 and 0.0 its sign). The column pass
+    # runs over whole rows of the padded layout, whose two border cells pair
+    # to a zero column the row pass drops: so its rows are one strided loop.
+    rows = _grid(_flat_input(x, xd.dtype), h, w)
     cols = np.maximum(rows[..., 1::2], rows[..., 0::2])
-    out, flat = _new_output((x,), (b, c, h // 2, w // 2), xd.dtype)
+    out, flat = _new_output((b, c, h // 2, w // 2), xd.dtype)
     np.maximum(cols[:, :, 1::2, : w // 2], cols[:, :, 0::2, : w // 2], out=out)
 
     def grad_fn(g):
@@ -608,8 +595,8 @@ def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     taps = kernel.data.transpose(2, 3, 1, 0).reshape(4 * cout, cin)
     y = np.matmul(taps, x.data.reshape(b, cin, h * w)).reshape(b, 2, 2, cout, h, w)
     dtype = np.result_type(y, bias.data)
-    out, flat = _new_output((x, kernel, bias), (b, cout, 2 * h, 2 * w), dtype)
-    out6 = out.reshape(b, cout, h, 2, w, 2)  # a view, also of a padded interior
+    out, flat = _new_output((b, cout, 2 * h, 2 * w), dtype)
+    out6 = out.reshape(b, cout, h, 2, w, 2)  # a view of the padded interior
     bias3 = bias.data[:, None, None]
     for dy in (0, 1):
         for dx in (0, 1):

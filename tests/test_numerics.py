@@ -1,12 +1,14 @@
 import itertools
 import math
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dumpwatch import numerics
 from dumpwatch.numerics import (
     AdamState,
     Tensor,
@@ -705,11 +707,11 @@ _DTYPES = [np.float32, np.float64]
 
 
 class TestPaddedLayout:
-    """Where no gradient is recorded, conv, relu, pooling, the up-conv and
-    concatenation write the padded layout (``Tensor._flat``) that the next
-    conv reads. Its border must be zero bits, even where a conv's column
-    blocks wrote sums into it, and its interior must hold the bits of the
-    contiguous result."""
+    """conv, relu, pooling, the up-conv and concatenation write the padded
+    layout (``Tensor._flat``) that the next conv reads, whether or not they
+    record a gradient. Its border must be zero bits, even where a conv's
+    column blocks wrote sums into it, and its interior must hold the bits of
+    the contiguous result."""
 
     @staticmethod
     def _assert_padded(out, want):
@@ -724,6 +726,18 @@ class TestPaddedLayout:
         assert not flat[:, :, border].view(f"u{flat.itemsize}").any()
         assert out.data.dtype == want.dtype and out.data.shape == want.shape
         assert out.data.tobytes() == want.tobytes()
+
+    @classmethod
+    def _assert_padded_in_both_modes(cls, op, inputs, want):
+        """``op(*inputs)`` writes ``want`` in the padded layout under
+        ``no_grad`` and where every input needs a gradient."""
+        with no_grad():
+            cls._assert_padded(op(*inputs), want)
+        for t in inputs:
+            t.requires_grad = True
+        out = op(*inputs)
+        assert out._grad_fn is not None
+        cls._assert_padded(out, want)
 
     @pytest.mark.parametrize("dtype", _DTYPES)
     @pytest.mark.parametrize("padded_input", [False, True])
@@ -746,18 +760,16 @@ class TestPaddedLayout:
         bias += 3.0  # every wrap-around cell the taps write is nonzero
         n = h * (w + 2)
         assert len(_column_blocks(cin, cout, n, x.itemsize)) == (2 if n > 8192 else 1)
-        with no_grad():
-            out = conv2d(_padded(x) if padded_input else Tensor(x), Tensor(k), Tensor(bias))
-        self._assert_padded(out, conv2d_batched_oracle(x, k, bias, g)[0])
+        inputs = (_padded(x) if padded_input else Tensor(x), Tensor(k), Tensor(bias))
+        self._assert_padded_in_both_modes(conv2d, inputs, conv2d_batched_oracle(x, k, bias, g)[0])
 
     @pytest.mark.parametrize("dtype", _DTYPES)
     @pytest.mark.parametrize("padded_input", [False, True])
     @pytest.mark.parametrize("shape", [(2, 3, 1, 1), (1, 2, 1, 5), (2, 1, 4, 1), (2, 3, 6, 9)], ids=_case_id)
     def test_relu(self, shape, padded_input, dtype):
         x = _with_signed_zeros(np.random.default_rng(shape[3]), shape, dtype)
-        with no_grad():
-            out = relu(_padded(x) if padded_input else Tensor(x))
-        self._assert_padded(out, np.maximum(x, 0))
+        inputs = (_padded(x) if padded_input else Tensor(x),)
+        self._assert_padded_in_both_modes(relu, inputs, np.maximum(x, 0))
 
     @pytest.mark.parametrize("dtype", _DTYPES)
     @pytest.mark.parametrize("padded_input", [False, True])
@@ -766,9 +778,8 @@ class TestPaddedLayout:
         for kind in ("relu", "int"):
             x = _tie_heavy(kind, shape[2], shape, dtype)
             x[x == 0] = np.where(np.random.default_rng(0).random((x == 0).sum()) < 0.5, -0.0, 0.0)
-            with no_grad():
-                out = max_pool_2x2(_padded(x) if padded_input else Tensor(x))
-            self._assert_padded(out, _pool_fold(x))
+            inputs = (_padded(x) if padded_input else Tensor(x),)
+            self._assert_padded_in_both_modes(max_pool_2x2, inputs, _pool_fold(x))
 
     @pytest.mark.parametrize("dtype", _DTYPES)
     @pytest.mark.parametrize("padded_input", [False, True])
@@ -779,11 +790,12 @@ class TestPaddedLayout:
         rng = np.random.default_rng(h * 10 + w)
         x = _with_signed_zeros(rng, (batch, cin, h, w), dtype)
         k, bias = (rng.normal(size=s).astype(dtype) for s in ((cin, cout, 2, 2), (cout,)))
-        # the contiguous result: the same op where it records a gradient
-        want = transposed_conv_2x2(Tensor(x, requires_grad=True), Tensor(k), Tensor(bias))
-        with no_grad():
-            out = transposed_conv_2x2(_padded(x) if padded_input else Tensor(x), Tensor(k), Tensor(bias))
-        self._assert_padded(out, want.data)
+        # the contiguous result: the op's one GEMM, its taps interleaved
+        taps = k.transpose(2, 3, 1, 0).reshape(4 * cout, cin)
+        y = np.matmul(taps, x.reshape(batch, cin, h * w)).reshape(batch, 2, 2, cout, h, w)
+        want = (y + bias[:, None, None]).transpose(0, 3, 4, 1, 5, 2).reshape(batch, cout, 2 * h, 2 * w)
+        inputs = (_padded(x) if padded_input else Tensor(x), Tensor(k), Tensor(bias))
+        self._assert_padded_in_both_modes(transposed_conv_2x2, inputs, want)
 
     @pytest.mark.parametrize("dtypes", [(np.float32,) * 2, (np.float64,) * 2, (np.float32, np.float64)])
     @pytest.mark.parametrize("padded", [(False, False), (True, False), (True, True)])
@@ -792,19 +804,17 @@ class TestPaddedLayout:
         rng = np.random.default_rng(shape[2])
         a = _with_signed_zeros(rng, shape, dtypes[0])
         b = _with_signed_zeros(rng, (shape[0], 3, *shape[2:]), dtypes[1])
-        with no_grad():
-            out = concat_channels(*(_padded(v) if p else Tensor(v) for v, p in zip((a, b), padded)))
-        self._assert_padded(out, np.concatenate([a, b], axis=1))
+        inputs = tuple(_padded(v) if p else Tensor(v) for v, p in zip((a, b), padded))
+        self._assert_padded_in_both_modes(concat_channels, inputs, np.concatenate([a, b], axis=1))
 
-    def test_grad_mode_outputs_stay_contiguous(self):
-        # gradient closures hold these outputs; a border would make them larger
+    def test_grad_mode_outputs_are_padded(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(2, 3, 4, 6)), requires_grad=True)
         c = conv2d(x, Tensor(rng.normal(size=(3, 3, 3, 3))), Tensor(rng.normal(size=3)))
-        assert c._flat is not None and c._grad_fn is not None  # conv writes it in any mode
         k, bias = Tensor(rng.normal(size=(3, 2, 2, 2))), Tensor(rng.normal(size=2))
-        for out in (relu(c), max_pool_2x2(c), transposed_conv_2x2(c, k, bias), concat_channels(c, c)):
-            assert out._flat is None and out.data.flags.c_contiguous and out._grad_fn is not None
+        for out in (c, relu(c), max_pool_2x2(c), transposed_conv_2x2(c, k, bias), concat_channels(c, c)):
+            assert out._grad_fn is not None
+            self._assert_padded(out, np.ascontiguousarray(out.data))
 
     def test_reassigned_data_is_read_not_the_old_buffer(self):
         x, k, bias, g = _conv_case(6, 1, 2, 3, 4, 5)
@@ -814,10 +824,46 @@ class TestPaddedLayout:
             out = conv2d(t, Tensor(k), Tensor(bias))
         self._assert_padded(out, conv2d_batched_oracle(x, k, bias, g)[0])
 
+    @pytest.mark.parametrize("record", [False, True], ids=["no_grad", "grad"])
+    def test_data_sliced_from_its_buffer_is_read_as_the_slice(self, record):
+        # a slice of the buffer views it too, but with another geometry
+        x, k, bias, _ = _conv_case(7, 2, 3, 3, 6, 6)
+        k2, bias2, g = _conv_case(8, 2, 3, 4, 4, 4)[1:]
+        params = (Tensor(k, requires_grad=record), Tensor(bias), Tensor(k2, requires_grad=record), Tensor(bias2))
+        with nullcontext() if record else no_grad():
+            t = relu(conv2d(Tensor(x), *params[:2]))
+        assert (t._grad_fn is not None) == record
+        t.data = t.data[:, :, :4, :4]
+        crop = np.ascontiguousarray(t.data)
+        want = conv2d_batched_oracle(crop, k2, bias2, g)
+        out = conv2d(t, *params[2:])
+        self._assert_padded(out, want[0])
+        if record:
+            assert np.array_equal(out._grad_fn(g)[1], want[2])
+
+    def test_grad_step_pads_only_the_input_and_the_conv_gradients(self, monkeypatch):
+        # the forward pads the network input; the backward pads each conv's
+        # g, and the input again for the first conv's weight gradient
+        config = UNetConfig(in_channels=3, depth=2, base_filters=4)
+        params = build_unet(config, 3)
+        calls = []
+
+        def counted(a, dtype):
+            calls.append(a.shape)
+            return _pad_flat(a, dtype)
+
+        monkeypatch.setattr(numerics, "_pad_flat", counted)
+        x = np.random.default_rng(3).normal(size=(2, 3, 8, 8))
+        logits = forward(params, config, Tensor(x))
+        assert calls == [x.shape]
+        target = Tensor((np.random.default_rng(4).random(logits.shape) < 0.3).astype(np.float64))
+        weighted_bce_with_logits(logits, target).backward()
+        gs = [(2, k[0], *s[2:]) for s, k in _net_conv_shapes(config, 2, 8)]
+        assert sorted(calls[1:]) == sorted([*gs, x.shape])
+        assert all(p.grad is not None for p in params.values())
+
     @pytest.mark.parametrize("dtype", _DTYPES)
     def test_inference_forward_is_bitwise_the_grad_mode_forward(self, dtype):
-        # under no_grad every activation after the input is padded; with
-        # gradients only the conv outputs are
         config = UNetConfig(in_channels=3, depth=2, base_filters=4)
         params = {n: Tensor(p.data.astype(dtype), requires_grad=True) for n, p in build_unet(config, 5).items()}
         x = np.random.default_rng(5).normal(size=(2, 3, 12, 20)).astype(dtype)
