@@ -234,33 +234,29 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _scenes(cfg: RunConfig):
-    """Each scene under ``paths.scene_dir`` as (name, source raster,
-    annotations), read one at a time. A scene without a source band that
-    ``chip.bands`` needs is refused, naming its header."""
-    for base in _scene_bases(cfg.paths.scene_dir):
-        raster = geodata.read_raster(base)
-        try:
-            ds.stacked_rows(raster, 0, 1, cfg.chip.bands)  # one row: a check of the bands
-        except (KeyError, ValueError) as exc:
-            raise ValueError(
-                f"{base}.json: {exc.args[0]} (chip.bands {','.join(cfg.chip.bands)}; "
-                f"the scene has {','.join(raster.band_names or ())})"
-            ) from None
-        yield base.name, raster, ds.scene_annotations(base)
-
-
 def _chip(cfg: RunConfig) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
-    """The scenes' chips of ``cfg.chip.bands``, split, with the normalization
-    fitted on the training chips (None without any)."""
-    chips = ds.chip_scenes(_scenes(cfg), cfg.chip, substream(cfg.seed, "chip"))
+    """The chips of ``cfg.chip.bands`` of each scene under ``paths.scene_dir``,
+    split, with the normalization fitted on the training chips (None without
+    any). Each scene is read in row slabs (``ds.extract_chips``); one without
+    a source band that ``chip.bands`` needs is refused, naming its header."""
+    chip, chips = cfg.chip, []
+    for base in _scene_bases(cfg.paths.scene_dir):
+        with geodata.RasterReader(base) as source:
+            try:
+                ds.stacked_rows(source, 0, 1, chip.bands)  # one row: a check of the bands
+            except (KeyError, ValueError) as exc:
+                raise ValueError(
+                    f"{base}.json: {exc.args[0]} (chip.bands {','.join(chip.bands)}; "
+                    f"the scene has {','.join(source.band_names or ())})"
+                ) from None
+            mask = ds.rasterize_mask(ds.scene_annotations(base), source.transform, source.width, source.height)
+            chips += ds.extract_chips(
+                source, mask, chip.chip_size, chip.stride, chip.negatives_per_positive,
+                substream(cfg.seed, "chip"), base.name, chip.bands,
+            )
     if not any(c.is_positive() for c in chips):
         log.warning("no positive chips extracted")
-    seed = substream(cfg.seed, "split")
-    if chips:
-        split = ds.split_dataset(chips, cfg.chip.test_frac, cfg.chip.val_frac, seed)
-    else:
-        split = DatasetSplit(train=[], val=[], test=[], seed=seed)
+    split = ds.split_dataset(chips, chip.test_frac, chip.val_frac, substream(cfg.seed, "split"))
     return split, ds.fit_normalization(split.train) if split.train else None
 
 

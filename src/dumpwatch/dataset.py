@@ -15,7 +15,6 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -151,8 +150,8 @@ def rasterize_mask(
 @dataclass
 class Chip:
     """One training window of a scene: its samples and binary mask, views of
-    the scene's arrays or copies of them (write into neither), and its place
-    in the scene."""
+    the row slab and mask it was cut from or copies of them (write into
+    neither; see ``cut_windows``), and its place in the scene."""
 
     samples: np.ndarray  # [band, size, size] float32
     mask: np.ndarray  # [size, size] uint8
@@ -169,22 +168,25 @@ class Chip:
 
 
 def extract_chips(
-    image: Raster,
+    image,
     mask: np.ndarray,
     chip_size: int,
     stride: int,
     negatives_per_positive: float = 1.0,
     seed: int = 0,
     scene_id: str = "",
+    bands: tuple[str, ...] | None = None,
 ) -> list[Chip]:
-    """Cut positive and negative windows out of an image/mask pair.
+    """Pick positive and negative windows of an image/mask pair from the
+    mask alone, and cut them from ``image`` (a ``Raster`` or an open
+    ``geodata.RasterReader``), stacked to ``bands`` when given.
 
     Positives are every stride-lattice window containing at least one mask
     pixel, ordered by origin (row-major). Negatives are
     ceil(negatives_per_positive * positives) seeded-random all-zero windows
     appended after the positives. The lattice is clipped to the raster, so
-    windows never extend past the edge. A chip's samples and mask are views
-    of ``image`` and ``mask``, not copies.
+    windows never extend past the edge. The chips are cut in that order by
+    ``cut_windows``, which reads ``image`` in row slabs.
     """
     mask = np.asarray(mask)
     if mask.shape != (image.height, image.width):
@@ -202,23 +204,15 @@ def extract_chips(
     if negatives_per_positive < 0:
         raise ValueError("negatives_per_positive must be >= 0")
 
-    def cut(col: int, row: int) -> Chip:
-        return Chip(
-            samples=image.samples[:, row : row + chip_size, col : col + chip_size],
-            mask=mask[row : row + chip_size, col : col + chip_size],
-            origin=(col, row),
-            band_names=image.band_names,
-            scene_id=scene_id,
-        )
-
-    positives = []
-    for row in range(0, image.height - chip_size + 1, stride):
-        for col in range(0, image.width - chip_size + 1, stride):
-            if mask[row : row + chip_size, col : col + chip_size].any():
-                positives.append(cut(col, row))
+    positives = [
+        (col, row)
+        for row in range(0, image.height - chip_size + 1, stride)
+        for col in range(0, image.width - chip_size + 1, stride)
+        if mask[row : row + chip_size, col : col + chip_size].any()
+    ]
 
     wanted = math.ceil(negatives_per_positive * len(positives))
-    negatives: list[Chip] = []
+    negatives: list[tuple[int, int]] = []
     if wanted:
         rng = np.random.default_rng(seed)
         seen: set[tuple[int, int]] = set()
@@ -233,13 +227,52 @@ def extract_chips(
             seen.add((col, row))
             if mask[row : row + chip_size, col : col + chip_size].any():
                 continue
-            negatives.append(cut(col, row))
+            negatives.append((col, row))
         if len(negatives) < wanted:
             warnings.warn(
                 f"found only {len(negatives)} of {wanted} all-negative windows",
                 stacklevel=2,
             )
-    return positives + negatives
+    return cut_windows(image, mask, positives + negatives, chip_size, bands, scene_id)
+
+
+def cut_windows(
+    source,
+    mask: np.ndarray,
+    origins: list,
+    chip_size: int,
+    bands: tuple[str, ...] | None = None,
+    scene_id: str = "",
+) -> list[Chip]:
+    """The chips of ``source`` (a ``Raster`` or an open
+    ``geodata.RasterReader``) and its ``mask`` at the (col, row) ``origins``,
+    in the order given.
+
+    Rows are read and stacked to ``bands`` (when given) in slabs of up to
+    2 * ``chip_size`` rows, in row order, each starting at the next window;
+    a slab's chips are owned as ``_own_if_sparse`` decides, so memory
+    follows the windows, not the scene. Values are those of a whole-scene
+    stack.
+    """
+    order = sorted(range(len(origins)), key=lambda i: origins[i][1])
+    chips, cut, top, bottom = [], [], 0, 0
+    for i in order:
+        col, row = origins[i]
+        if row + chip_size > bottom:  # past this slab: the next starts at this window
+            chips += _own_if_sparse(cut, (bottom - top) * source.width)
+            cut, top, bottom, slab = [], row, min(row + 2 * chip_size, source.height), None
+            slab = stacked_rows(source, top, bottom, bands)  # the last one freed first, unless viewed
+        cut.append(
+            Chip(
+                slab.samples[:, row - top : row - top + chip_size, col : col + chip_size],
+                mask[row : row + chip_size, col : col + chip_size],
+                (col, row),
+                slab.band_names,
+                scene_id,
+            )
+        )
+    chips += _own_if_sparse(cut, (bottom - top) * source.width)
+    return [chip for _, chip in sorted(zip(order, chips), key=lambda pair: pair[0])]
 
 
 @dataclass
@@ -281,24 +314,6 @@ def scene_annotations(base: str | Path) -> Polygons:
     return Polygons(np.zeros(0), np.zeros(0), np.zeros(1, np.int64), np.zeros(1, np.int64), [])
 
 
-def chip_scenes(
-    scenes: Iterable[tuple[str, Raster, Polygons]],
-    chip: ChipConfig,
-    seed: int,
-) -> list[Chip]:
-    """Chips of each (scene_id, source raster, polygons) scene's ``chip.bands``
-    stack, all cut with ``seed``, and owned as ``_own_if_sparse`` decides.
-    With a generator, a scene whose chips are copies is freed once cut."""
-    chips: list[Chip] = []
-    for scene_id, raster, polygons in scenes:
-        mask = rasterize_mask(polygons, raster.transform, raster.width, raster.height)
-        stack = stack_bands(raster, chip.bands)
-        cut = extract_chips(stack, mask, chip.chip_size, chip.stride, chip.negatives_per_positive, seed, scene_id)
-        chips.extend(_own_if_sparse(cut, mask.size))
-        del raster, stack, mask, cut  # freed before the next scene is read, unless chips view them
-    return chips
-
-
 def _own_if_sparse(chips: list[Chip], pixels: int) -> list[Chip]:
     """Chips cut from one array of ``pixels`` pixels per band, copied out of
     it when their windows add up to fewer pixels (so the array can be
@@ -322,9 +337,8 @@ def split_dataset(
     val_frac: float = 0.2,
     seed: int = 0,
 ) -> DatasetSplit:
-    """Shuffle once with the seed, then slice off test and val by rounding."""
-    if not chips:
-        raise ValueError("cannot split an empty chip list")
+    """Shuffle once with the seed, then slice off test and val by rounding;
+    no chips give an empty split."""
     if test_frac < 0 or val_frac < 0 or test_frac + val_frac >= 1:
         raise ValueError(
             f"fractions must be >= 0 and sum below 1, got test={test_frac} "
@@ -640,11 +654,9 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
     """The split a catalog indexes, and its stats (None without stats.json).
 
     Every field of ``index.json`` is checked first. Then, one scene at a
-    time, its annotations are rasterized and its ``band_names`` read and
-    stacked in slabs of up to 2 * ``chip_size`` rows, in row order, each
-    starting at the next window; a slab's chips are owned as
-    ``_own_if_sparse`` decides, so memory follows the windows, not the
-    scenes. Values are those of a whole-scene stack. A fault is a ValueError
+    time, its annotations are rasterized, its windows checked against them,
+    and its ``band_names`` windows cut by ``cut_windows``, which reads the
+    scene in row slabs, as ``chip`` does. A fault is a ValueError
     naming ``index.json``, and the scene too when the scene is missing or
     unreadable, its raster is not the one chipped (its ``scene_sha256``
     differs), a window lies outside it (naming the chip), or its
@@ -671,7 +683,8 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
     if stats is not None and entries and stats.band_names != tuple(bands):
         raise ValueError(f"{stats_path} covers bands {stats.band_names}, but {index_path} names {tuple(bands)}")
 
-    def scene_chips(name: str, ks: list[int]) -> list[tuple[int, Chip]]:
+    loaded: dict[int, Chip] = {}
+    for name, ks in by_scene.items():
         base = root / scenes / name
         try:
             if _scene_digest(base) != digests[name]:
@@ -679,8 +692,6 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
             polygons = scene_annotations(base)
             with geodata.RasterReader(base) as src:
                 mask = rasterize_mask(polygons, src.transform, src.width, src.height)
-                chips, cut, top, bottom = [], [], 0, 0
-                ks = sorted(ks, key=lambda k: entries[k]["origin"][1])
                 for k in ks:
                     (col, row), positive = entries[k]["origin"], entries[k]["positive"]
                     if not (0 <= col <= src.width - size and 0 <= row <= src.height - size):
@@ -693,20 +704,10 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
                             f"chip {k}: recorded positive {json.dumps(positive)}, but the annotations give "
                             f"{json.dumps(not positive)}; edited after `dumpwatch chip`? re-run it"
                         )
-                    if row + size > bottom:  # past this slab: the next starts at this window
-                        chips += _own_if_sparse(cut, (bottom - top) * src.width)
-                        cut, top, bottom = [], row, min(row + 2 * size, src.height)
-                        stack = stacked_rows(src, top, bottom, tuple(bands)).samples
-                    samples = stack[:, row - top : row - top + size, col : col + size]
-                    cut.append(Chip(samples, mask[row : row + size, col : col + size], (col, row), tuple(bands), name))
-                chips += _own_if_sparse(cut, (bottom - top) * src.width)
+                origins = [entries[k]["origin"] for k in ks]
+                loaded.update(zip(ks, cut_windows(src, mask, origins, size, tuple(bands), name)))
         except (OSError, KeyError, ValueError) as exc:
             raise ValueError(f"{index_path}: scene {name!r} ({base}): {exc}") from exc
-        return [*zip(ks, chips)]
-
-    loaded: dict[int, Chip] = {}
-    for name, ks in by_scene.items():
-        loaded.update(scene_chips(name, ks))
     buckets = {name: [loaded[k] for k, entry in enumerate(entries) if entry["split"] == name] for name in SPLITS}
     return DatasetSplit(**buckets, seed=seed), stats
 

@@ -143,7 +143,7 @@ def _batch_tensors(chips: Sequence[Chip], factor: int) -> tuple[Tensor, Tensor, 
     bottom/right; the caller crops logits back to the original size.
     """
     size = chips[0].size
-    x = np.stack([c.samples for c in chips]).astype(np.float32)
+    x = np.stack([c.samples for c in chips]).astype(np.float32, copy=False)
     y = np.stack([c.mask for c in chips]).astype(np.float32)[:, None]
     pad = (-size) % factor
     if pad:

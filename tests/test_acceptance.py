@@ -573,8 +573,11 @@ def test_c8_format_round_trips(tmp_path):
         ring = [(x0, 60.0), (x0 + 70.0, 60.0), (x0 + 40.0, 170.0), (x0, 60.0)]
         geodata.write_annotations(polygon_columns([[ring]], ["dump"]), f"{base}.geojson")
     chip = ds.ChipConfig(chip_size=8, stride=4, bands=("R", "NIR", "NDSW"))
-    scenes = ((b.name, geodata.read_raster(b), ds.scene_annotations(b)) for b in bases)
-    chips = ds.chip_scenes(scenes, chip, seed=7)
+    chips = []
+    for b in bases:
+        with geodata.RasterReader(b) as source:
+            mask = ds.rasterize_mask(ds.scene_annotations(b), source.transform, source.width, source.height)
+            chips += ds.extract_chips(source, mask, chip.chip_size, chip.stride, 1.0, 7, b.name, chip.bands)
     split = ds.split_dataset(chips, 0.2, 0.2, seed=42)
     cat_stats = ds.fit_normalization(split.train)
     ds.save_catalog(tmp_path / "cat", split, tmp_path / "scenes", cat_stats)

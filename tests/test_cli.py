@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dumpwatch import cli, unet
+from dumpwatch import cli, geodata, unet
 from dumpwatch.cli import (
     ConfigError,
     RunConfig,
@@ -21,11 +21,14 @@ from dumpwatch.cli import (
     substream,
 )
 from dumpwatch.dataset import (
+    ABLATION_SPECS,
     DEFAULT_BAND_SPEC,
     SOURCE_BANDS,
     Chip,
     DatasetSplit,
     NormalizationStats,
+    SynthConfig,
+    generate_synthetic,
     load_catalog,
     save_catalog,
     stack_bands,
@@ -35,6 +38,7 @@ from dumpwatch.geodata import (
     Raster,
     read_annotations,
     read_raster,
+    write_annotations,
     write_raster,
 )
 from dumpwatch.unet import (
@@ -1182,6 +1186,53 @@ class TestChipWithoutAnnotations:
         assert seeds == [substream(3, "split")] * 2
 
 
+class TestChipReadsRowSlabs:
+    def test_chip_and_ablate_read_no_scene_whole(self, tmp_path, capsys, monkeypatch):
+        # after a one-row probe of its bands, each scene is read in row slabs
+        # of at most 2 * chip_size rows, by the chip step and by the
+        # catalog's write-then-verify load alike
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "paths": {
+                        "scene_dir": str(tmp_path / "scenes"),
+                        "catalog": str(tmp_path / "catalog"),
+                        "ablation": str(tmp_path / "ablation"),
+                    },
+                    "synth": {"scene_count": 2, "scene_size": 160, "dump_count": 3},
+                    "chip": {"chip_size": 32, "stride": 32},
+                    "model": {"depth": 1, "base_filters": 2},
+                    "train": {"batch_size": 16, "max_epochs": 1},
+                }
+            )
+        )
+        assert run_cli(["synth", "--config", str(cfg)], capsys)[0] == 0
+        reads, wholes = [], []
+        read_rows = geodata.RasterReader.read_rows
+
+        def recorded(reader, r0, r1):
+            reads.append((r0, r1))
+            return read_rows(reader, r0, r1)
+
+        read_raster = geodata.read_raster
+
+        def whole(path):
+            wholes.append(path)
+            return read_raster(path)
+
+        monkeypatch.setattr(geodata.RasterReader, "read_rows", recorded)
+        monkeypatch.setattr(geodata, "read_raster", whole)
+        for command, probes in (("chip", 2), ("ablate", 2 * len(ABLATION_SPECS))):
+            reads.clear()
+            code, _ = run_cli([command, "--config", str(cfg)], capsys)
+            assert code == 0
+            slabs = [r for r in reads if r != (0, 1)]
+            assert len(reads) - len(slabs) == probes
+            assert slabs and max(r1 - r0 for r0, r1 in slabs) <= 2 * 32, (command, reads)
+        assert wholes == []
+
+
 class TestSynthSeeding:
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         for name in ("a", "b"):
@@ -1402,6 +1453,41 @@ class TestProcessLevel:
             assert proc.returncode == 0, proc.stderr
             peak_kib.append(int(proc.stdout.split()[-1]))
         payload_kib = 6 * 4 * height * width * 4 // 1024
+        assert peak_kib[1] - peak_kib[0] < payload_kib / 8, (peak_kib, payload_kib)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status"
+    )
+    def test_chip_peak_memory_does_not_grow_with_height(self, tmp_path):
+        """chip reads row slabs: on a one-dump scene made four times as tall
+        by background rows below it, a child's own peak RSS (VmHWM) grows by
+        under an eighth of the tall scene's payload (reading and stacking
+        each scene whole grew it by about twice the payload)."""
+        size = 768
+        raster, polygons = generate_synthetic(SynthConfig(scene_size=size, dump_count=1, background_texture_seed=3))
+        filler, _ = generate_synthetic(SynthConfig(scene_size=size, dump_count=0, background_texture_seed=4))
+        code = (
+            "import sys; from dumpwatch import cli; code = cli.main(sys.argv[1:]); "
+            "print([line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')][0]); sys.exit(code)"
+        )
+        peak_kib, summaries = [], []
+        for h in (size, 4 * size):
+            root = tmp_path / f"tall_{h}"
+            samples = np.concatenate([raster.samples] + [filler.samples] * (h // size - 1), axis=1)
+            write_raster(Raster(samples, raster.transform, band_names=SOURCE_BANDS), root / "scenes" / "scene")
+            write_annotations(polygons, root / "scenes" / "scene.geojson")
+            cfg = root / "run.json"
+            cfg.write_text(json.dumps({"paths": {"scene_dir": str(root / "scenes"), "catalog": str(root / "catalog")}}))
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "chip", "--config", str(cfg)], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            summary, peak = proc.stdout.splitlines()
+            summaries.append(json.loads(summary))
+            peak_kib.append(int(peak))
+        assert summaries[0]["chips"] == summaries[1]["chips"] > 0
+        payload_kib = 6 * 4 * size * size * 4 // 1024
         assert peak_kib[1] - peak_kib[0] < payload_kib / 8, (peak_kib, payload_kib)
 
     def test_threads_env_respects_existing_setting(self):

@@ -19,8 +19,8 @@ from dumpwatch.dataset import (
     NormalizationStats,
     SynthConfig,
     apply_normalization,
-    chip_scenes,
     compute_ndsw,
+    cut_windows,
     extract_chips,
     fit_normalization,
     generate_synthetic,
@@ -29,11 +29,11 @@ from dumpwatch.dataset import (
     rasterize_mask,
     reflect_pad,
     save_catalog,
-    scene_annotations,
     split_dataset,
     stack_bands,
 )
-from dumpwatch.geodata import GeoTransform, Raster, read_raster, write_annotations, write_raster
+from dumpwatch import cli
+from dumpwatch.geodata import GeoTransform, Raster, RasterReader, write_annotations, write_raster
 from oracles import polygon_columns, rasterize_oracle, rasters_equal
 
 
@@ -229,19 +229,47 @@ class TestExtractChips:
         assert len(negatives) == 2  # ceil(0.5 * 4)
         assert chips[: len(positives)] == positives  # positives come first
 
-    def test_chips_are_views_of_the_source(self):
+    def test_chips_view_the_source_only_where_windows_cover_their_slab(self):
+        # chips are cut per row slab of 2 * chip_size rows: views of it (here
+        # of the source, which the slab views) where the slab's windows add
+        # up to at least its pixels, else copies, so the slab can be freed
         image = _toy_raster()
-        mask = np.zeros((200, 200), dtype=np.uint8)
-        mask[10, 120] = 1
-        chips = extract_chips(image, mask, 100, 50, negatives_per_positive=1.0, seed=2)
+        for dense, count in ((True, 9), (False, 2)):  # windows on the one 200-row slab
+            mask = np.zeros((200, 200), dtype=np.uint8)
+            if dense:
+                mask[:, :] = 1
+            else:
+                mask[10, 120] = 1
+            chips = extract_chips(image, mask, 100, 50, negatives_per_positive=0.0, seed=2)
+            assert len(chips) == count
+            for chip in chips:
+                col, row = chip.origin
+                assert np.array_equal(
+                    chip.samples, image.samples[:, row : row + 100, col : col + 100]
+                )
+                assert np.array_equal(chip.mask, mask[row : row + 100, col : col + 100])
+                assert np.shares_memory(chip.samples, image.samples) == dense
+                assert np.shares_memory(chip.mask, mask) == dense
+        assert chips[0].mask[10 - chips[0].origin[1], 120 - chips[0].origin[0]] == 1
+
+    def test_cut_windows_keeps_the_order_given(self, tmp_path):
+        # windows are read slab by slab in row order (here slabs 0:64 and
+        # 40:96), but come back in the order given, each its window of the
+        # whole band stack
+        scene_id, raster, polygons = _two_scenes()[0]
+        write_raster(raster, tmp_path / scene_id)
+        mask = rasterize_mask(polygons, raster.transform, 96, 96)
+        spec = ("R", "SWIR1", "NDSW")
+        stacked = stack_bands(raster, spec).samples
+        origins = [(64, 64), (0, 0), (16, 64), (32, 0), (0, 40)]
+        with RasterReader(tmp_path / scene_id) as source:
+            chips = cut_windows(source, mask, origins, 32, spec, scene_id)
+        assert [c.origin for c in chips] == origins
         for chip in chips:
             col, row = chip.origin
-            assert np.array_equal(
-                chip.samples, image.samples[:, row : row + 100, col : col + 100]
-            )
-            assert np.shares_memory(chip.samples, image.samples)
-            assert np.shares_memory(chip.mask, mask)
-        assert chips[0].mask[10 - chips[0].origin[1], 120 - chips[0].origin[0]] == 1
+            assert chip.samples.tobytes() == stacked[:, row : row + 32, col : col + 32].tobytes()
+            assert np.array_equal(chip.mask, mask[row : row + 32, col : col + 32])
+            assert chip.band_names == spec and chip.scene_id == scene_id
 
     def test_negative_chips_are_clean_and_unique(self):
         image = _toy_raster()
@@ -297,6 +325,14 @@ def _two_scenes():
     return [(f"scene_{i}", *generate_synthetic(cfg)) for i, cfg in enumerate(cfgs)]
 
 
+def _scene_dir(root):
+    """``root``, holding the two scenes of ``_two_scenes`` and their annotations."""
+    for scene_id, raster, polygons in _two_scenes():
+        write_raster(raster, root / scene_id)
+        write_annotations(polygons, root / f"{scene_id}.geojson")
+    return root
+
+
 class TestChipConfig:
     def test_validate_bands(self):
         assert ChipConfig(bands=("R", "NIR", "NDSW")).bands == ("R", "NIR", "NDSW")
@@ -307,36 +343,51 @@ class TestChipConfig:
 
 
 class TestChipScenes:
-    def test_matches_per_scene_extraction(self):
-        scenes = _two_scenes()
+    # ``chip`` and ``ablate`` cut each scene of the scene directory as
+    # ``extract_chips`` does on its open reader
+    def test_matches_per_scene_extraction(self, tmp_path):
         chip = ChipConfig(chip_size=32, stride=16, bands=("R", "SWIR1", "NDSW"))
-        got = chip_scenes(iter(scenes), chip, seed=6)
+        cfg = cli.RunConfig(seed=3, paths=cli.PathsConfig(scene_dir=str(_scene_dir(tmp_path))), chip=chip)
+        split, _ = cli._chip(cfg)
         want = []
-        for scene_id, raster, polygons in scenes:
+        for scene_id, raster, polygons in _two_scenes():
             mask = rasterize_mask(polygons, raster.transform, 96, 96)
             stacked = stack_bands(raster, chip.bands)
-            want += extract_chips(stacked, mask, 32, 16, 1.0, seed=6, scene_id=scene_id)
-        assert [c.scene_id for c in got] == [c.scene_id for c in want]
-        for a, b in zip(got, want, strict=True):
-            assert a.origin == b.origin and a.band_names == b.band_names
-            assert a.samples.tobytes() == b.samples.tobytes()
-            assert a.mask.tobytes() == b.mask.tobytes()
-
-    def test_union_chips_sliced_to_a_spec_equal_that_spec_chips(self):
-        scenes = _two_scenes()
-        union = chip_scenes(scenes, ChipConfig(chip_size=32, stride=16), seed=2)
-        for spec in ABLATION_SPECS.values():
-            idx = [DEFAULT_BAND_SPEC.index(band) for band in spec]
-            sliced = [replace(c, samples=c.samples[idx], band_names=spec) for c in union]
-            direct = chip_scenes(
-                scenes, ChipConfig(chip_size=32, stride=16, bands=spec), seed=2
-            )
-            for a, b in zip(sliced, direct, strict=True):
+            want += extract_chips(stacked, mask, 32, 16, 1.0, cli.substream(3, "chip"), scene_id)
+        want = split_dataset(want, chip.test_frac, chip.val_frac, cli.substream(3, "split"))
+        for name in ("train", "val", "test"):
+            got, expected = getattr(split, name), getattr(want, name)
+            assert [c.scene_id for c in got] == [c.scene_id for c in expected]
+            for a, b in zip(got, expected, strict=True):
                 assert a.origin == b.origin and a.band_names == b.band_names
-                assert a.samples.shape == b.samples.shape
                 assert a.samples.tobytes() == b.samples.tobytes()
                 assert a.mask.tobytes() == b.mask.tobytes()
-            assert fit_normalization(sliced) == fit_normalization(direct)
+        assert {c.scene_id for c in split.train} == {"scene_0", "scene_1"}
+
+    def test_union_chips_sliced_to_a_spec_equal_that_spec_chips(self, tmp_path):
+        # every band set gets the same windows in the same splits, so ablate's
+        # rows differ by their bands alone
+        cfg = cli.RunConfig(
+            seed=2,
+            paths=cli.PathsConfig(scene_dir=str(_scene_dir(tmp_path))),
+            chip=ChipConfig(chip_size=32, stride=16),
+        )
+        union, _ = cli._chip(cfg)
+        for spec in ABLATION_SPECS.values():
+            idx = [DEFAULT_BAND_SPEC.index(band) for band in spec]
+            direct, stats = cli._chip(replace(cfg, chip=replace(cfg.chip, bands=spec)))
+            sliced = {
+                name: [replace(c, samples=c.samples[idx], band_names=spec) for c in getattr(union, name)]
+                for name in ("train", "val", "test")
+            }
+            for name, chips in sliced.items():
+                for a, b in zip(chips, getattr(direct, name), strict=True):
+                    assert a.origin == b.origin and a.band_names == b.band_names
+                    assert a.scene_id == b.scene_id
+                    assert a.samples.shape == b.samples.shape
+                    assert a.samples.tobytes() == b.samples.tobytes()
+                    assert a.mask.tobytes() == b.mask.tobytes()
+            assert fit_normalization(sliced["train"]) == stats
 
 
 class TestSplitDataset:
@@ -363,8 +414,8 @@ class TestSplitDataset:
         assert [x.origin for x in a.train] != [x.origin for x in c.train]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="empty"):
-            split_dataset([], 0.1, 0.2)
+        # no chips (scenes without a window) give an empty split with its seed
+        assert split_dataset([], 0.1, 0.2, seed=5) == DatasetSplit(train=[], val=[], test=[], seed=5)
         with pytest.raises(ValueError, match="fractions"):
             split_dataset(_dummy_chips(5), 0.6, 0.5)
 
@@ -510,8 +561,9 @@ def _catalog_run(root, size=96, dumps=3):
     base = root / "scenes" / "scene_005"
     write_raster(raster, base)
     write_annotations(polygons, f"{base}.geojson")
-    scenes = [("scene_005", read_raster(base), scene_annotations(base))]
-    chips = chip_scenes(scenes, ChipConfig(chip_size=32, stride=16), seed=1)
+    mask = rasterize_mask(polygons, raster.transform, size, size)
+    with RasterReader(base) as source:
+        chips = extract_chips(source, mask, 32, 16, 1.0, seed=1, scene_id="scene_005", bands=DEFAULT_BAND_SPEC)
     return split_dataset(chips, 0.2, 0.2, seed=2)
 
 
