@@ -2,12 +2,13 @@
 postprocess, ablate.
 
 Configuration comes from a JSON file plus flag overrides (flags beat the
-file, the file beats defaults; both go through one check per section).
-Every run takes one global seed; stage randomness is derived through named
-substreams so, e.g., chip extraction stays identical whether or not other
-stages run. ``ablate`` runs ``chip``'s chip step and ``train``'s training
-step once per band set, under those same substreams. Logs go to stderr and
-each subcommand prints a single summary JSON object on stdout.
+file, the file beats defaults; both go through ``_fileio.parse``, the one
+reader of every JSON document). Every run takes one global seed; stage
+randomness is derived through named substreams so, e.g., chip extraction
+stays identical whether or not other stages run. ``ablate`` picks
+``chip``'s windows once, then cuts and splits them and runs ``train``'s
+training step once per band set, under those same substreams. Logs go to
+stderr and each subcommand prints a single summary JSON object on stdout.
 
 Set DUMPWATCH_THREADS=1 before launching for the reference deterministic
 mode; the value caps the BLAS thread pools and must be set before numpy
@@ -34,15 +35,14 @@ import hashlib
 import json
 import logging
 import time
-import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset as ds
 from . import detect, geodata, training, unet
-from ._fileio import read_json
+from ._fileio import parse, read_json
 from .dataset import ChipConfig, DatasetSplit, SynthConfig
 from .detect import InferenceConfig, PostprocConfig
 from .training import Hyperparams
@@ -96,6 +96,9 @@ class ModelSection:
     depth: int = 4
     base_filters: int = 16
 
+    def __post_init__(self):
+        UNetConfig(depth=self.depth, base_filters=self.base_filters)  # its checks, before any stage runs
+
 
 @dataclass
 class RunConfig:
@@ -109,51 +112,16 @@ class RunConfig:
     postprocess: PostprocConfig = field(default_factory=PostprocConfig)
 
 
-# per field type: the JSON values it takes, and its name in messages
-_JSON_KINDS = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string")}
-
-
-def _typed(value, hint, name: str):
-    """``value`` for a field annotated ``hint``, a list as a tuple for a tuple
-    field. Raises ConfigError naming ``name`` when its JSON type does not
-    fit: an int field takes an integer (not a bool), a float field any
-    number, a tuple field a list of its length and item types."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        many = args[-1] is Ellipsis
-        items = args[:1] * len(value) if many and isinstance(value, list) else args
-        if isinstance(value, list) and len(value) == len(items):
-            return tuple(_typed(v, item, name) for v, item in zip(value, items))
-        count = "" if many else f"{len(args)} "
-        expected = f"list of {count}{_JSON_KINDS[args[0]][1]}s"
-    else:
-        kinds = args or (hint,)  # a union's members, or the one type
-        if any(isinstance(value, _JSON_KINDS[k][0]) and not isinstance(value, bool) for k in kinds):
-            return value
-        expected = " or ".join(_JSON_KINDS[k][1] for k in kinds)
-    raise ConfigError(f"{name}: expected {expected}, got {json.dumps(value)}")
-
-
-def _merge_section(cls, defaults, data: dict, section: str):
-    """``defaults`` with the fields ``data`` sets, each checked against its
-    annotation."""
-    hints = typing.get_type_hints(cls)
-    for key in data:
-        if key not in hints:
-            raise ConfigError(f"{section}.{key}: unknown field")
-    values = {key: _typed(value, hints[key], f"{section}.{key}") for key, value in data.items()}
+def _parse_config(data) -> RunConfig:
     try:
-        return replace(defaults, **values)
+        return parse(RunConfig, data)
     except ValueError as exc:
-        # a check whose message starts with its field is named by it
-        sep = "." if str(exc).split(":")[0] in hints else ": "
-        raise ConfigError(f"{section}{sep}{exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
     if path is None:
-        return cfg
+        return RunConfig()
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -161,31 +129,20 @@ def load_config(path: str | None) -> RunConfig:
         data = read_json(p)
     except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    sections = typing.get_type_hints(RunConfig)
-    for key, value in data.items():
-        if key not in sections:
-            raise ConfigError(f"{key}: unknown config section")
-        if key == "seed":
-            cfg.seed = _typed(value, int, "seed")
-        elif not isinstance(value, dict):
-            raise ConfigError(f"{key}: must be a JSON object")
-        else:
-            setattr(cfg, key, _merge_section(sections[key], getattr(cfg, key), value, key))
-    return cfg
+    return _parse_config(data)
 
 
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """``cfg`` with the flags set, parsed again as a config file setting
+    them would be."""
+    data = json.loads(json.dumps(asdict(cfg)))  # keeps a NaN or infinite flag, for parse to refuse
     if args.seed is not None:
-        cfg.seed = args.seed
+        data["seed"] = args.seed
     flags = {"probability_threshold": args.threshold, "min_area": args.min_area}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    cfg.postprocess = _merge_section(PostprocConfig, cfg.postprocess, flags, "postprocess")
+    data["postprocess"].update((key, value) for key, value in flags.items() if value is not None)
     if args.bands is not None:
-        names = [b.strip() for b in args.bands.split(",") if b.strip()]
-        cfg.chip = _merge_section(ChipConfig, cfg.chip, {"bands": names}, "chip")
-    return cfg
+        data["chip"]["bands"] = [b.strip() for b in args.bands.split(",") if b.strip()]
+    return _parse_config(data)
 
 
 def _scene_bases(scene_dir: str) -> list[Path]:
@@ -234,26 +191,32 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _chip(cfg: RunConfig) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
-    """The chips of ``cfg.chip.bands`` of each scene under ``paths.scene_dir``,
+def _chip(
+    cfg: RunConfig, bands: tuple[str, ...], windows: dict
+) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
+    """The chips of ``bands`` of each scene under ``paths.scene_dir``,
     split, with the normalization fitted on the training chips (None without
-    any). Each scene is read in row slabs (``ds.extract_chips``); one without
-    a source band that ``chip.bands`` needs is refused, naming its header."""
+    any). A scene's windows, picked from its annotations' mask
+    (``ds.pick_windows``), are kept in ``windows`` with the mask for a next
+    call with other bands. Each scene is read in row slabs
+    (``ds.cut_windows``); one without a source band that ``bands`` needs is
+    refused, naming its header."""
     chip, chips = cfg.chip, []
     for base in _scene_bases(cfg.paths.scene_dir):
         with geodata.RasterReader(base) as source:
             try:
-                ds.stacked_rows(source, 0, 1, chip.bands)  # one row: a check of the bands
+                ds.stacked_rows(source, 0, 1, bands)  # one row: a check of the bands
             except (KeyError, ValueError) as exc:
                 raise ValueError(
-                    f"{base}.json: {exc.args[0]} (chip.bands {','.join(chip.bands)}; "
+                    f"{base}.json: {exc.args[0]} (chip.bands {','.join(bands)}; "
                     f"the scene has {','.join(source.band_names or ())})"
                 ) from None
-            mask = ds.rasterize_mask(ds.scene_annotations(base), source.transform, source.width, source.height)
-            chips += ds.extract_chips(
-                source, mask, chip.chip_size, chip.stride, chip.negatives_per_positive,
-                substream(cfg.seed, "chip"), base.name, chip.bands,
-            )
+            if base not in windows:
+                mask = ds.rasterize_mask(ds.scene_annotations(base), source.transform, source.width, source.height)
+                seed = substream(cfg.seed, "chip")
+                origins = ds.pick_windows(mask, chip.chip_size, chip.stride, chip.negatives_per_positive, seed)
+                windows[base] = mask, origins
+            chips += ds.cut_windows(source, *windows[base], chip.chip_size, bands, base.name)
     if not any(c.is_positive() for c in chips):
         log.warning("no positive chips extracted")
     split = ds.split_dataset(chips, chip.test_frac, chip.val_frac, substream(cfg.seed, "split"))
@@ -262,7 +225,7 @@ def _chip(cfg: RunConfig) -> tuple[DatasetSplit, ds.NormalizationStats | None]:
 
 def cmd_chip(cfg: RunConfig, args) -> int:
     catalog_dir = args.out or cfg.paths.catalog
-    split, stats = _chip(cfg)
+    split, stats = _chip(cfg, cfg.chip.bands, {})
     ds.save_catalog(catalog_dir, split, cfg.paths.scene_dir, stats)
     del split  # freed before the write-then-verify read, which reads every scene again
     split, _ = ds.load_catalog(catalog_dir)
@@ -281,22 +244,11 @@ def cmd_chip(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _build_model_config(cfg: RunConfig, in_channels: int) -> UNetConfig:
-    try:
-        return UNetConfig(
-            in_channels=in_channels,
-            depth=cfg.model.depth,
-            base_filters=cfg.model.base_filters,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-
 def _train(cfg: RunConfig, split: DatasetSplit, stats: ds.NormalizationStats):
     """The ``cfg.model`` U-Net trained on ``split`` normalized with ``stats``:
     its config, best parameters and training report."""
     normalized = ds.normalize_split(split, stats)
-    config = _build_model_config(cfg, split.train[0].samples.shape[0])
+    config = UNetConfig(split.train[0].samples.shape[0], cfg.model.depth, cfg.model.base_filters)
     params = unet.build_unet(config, substream(cfg.seed, "init"))
     shuffle = substream(cfg.seed, "shuffle")
     best, report = training.train(params, config, normalized, cfg.train, shuffle)
@@ -342,12 +294,18 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig, args) -> int:
+def _checkpoint(cfg: RunConfig) -> unet.Checkpoint:
+    """The checkpoint at ``paths.checkpoint``, with the stats ``train`` records."""
     ckpt = unet.load_checkpoint(cfg.paths.checkpoint)
+    if ckpt.normalization is None:
+        raise ConfigError(f"{cfg.paths.checkpoint}.json: normalization: null; the checkpoint carries no stats")
+    return ckpt
+
+
+def cmd_evaluate(cfg: RunConfig, args) -> int:
+    ckpt = _checkpoint(cfg)
     split, _stats = ds.load_catalog(cfg.paths.catalog)
     stats = ckpt.normalization
-    if stats is None:
-        raise ConfigError("checkpoint carries no normalization stats")
     chips = getattr(split, args.split)
     if not chips:
         raise ConfigError(f"catalog split {args.split!r} is empty")
@@ -378,7 +336,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:
-    ckpt = unet.load_checkpoint(cfg.paths.checkpoint)
+    ckpt = _checkpoint(cfg)
     if cfg.inference.tile_size % ckpt.config.pool_factor:
         raise ConfigError(
             f"inference.tile_size: {cfg.inference.tile_size} is not divisible by "
@@ -474,14 +432,14 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
             "--bands: ablate trains its own band sets "
             f"({', '.join(ds.ABLATION_SPECS)}); drop the flag"
         )
-    rows = []
+    rows, windows = [], {}
     for label, bands in ds.ABLATION_SPECS.items():
-        # chip's and train's own steps: the full band set's row is train's test
-        run = replace(cfg, chip=replace(cfg.chip, bands=bands))
-        split, stats = _chip(run)
+        # chip's and train's own steps, on the same windows: the full band
+        # set's row is train's test
+        split, stats = _chip(cfg, bands, windows)
         if stats is None:
             raise ConfigError("paths.scene_dir: the scenes give no training chips")
-        config, best, report = _train(run, split, stats)
+        config, best, report = _train(cfg, split, stats)
         metrics = report.test or training.evaluate(
             best, config, [ds.apply_normalization(c, stats) for c in split.val or split.train]
         )

@@ -13,13 +13,14 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from . import geodata
-from ._fileio import atomic_write_json, read_json
+from ._fileio import atomic_write_json, read_document
 from .geodata import GeoTransform, Polygons, Raster
 
 NDSW_BAND = "NDSW"
@@ -177,28 +178,29 @@ def extract_chips(
     scene_id: str = "",
     bands: tuple[str, ...] | None = None,
 ) -> list[Chip]:
-    """Pick positive and negative windows of an image/mask pair from the
-    mask alone, and cut them from ``image`` (a ``Raster`` or an open
-    ``geodata.RasterReader``), stacked to ``bands`` when given.
+    """The chips of ``image`` (a ``Raster`` or an open ``RasterReader``) and
+    ``mask`` at the windows ``pick_windows`` picks, cut by ``cut_windows``."""
+    mask = np.asarray(mask)
+    if mask.shape != (image.height, image.width):
+        raise ValueError(f"mask shape {mask.shape} does not match raster {(image.height, image.width)}")
+    origins = pick_windows(mask, chip_size, stride, negatives_per_positive, seed)
+    return cut_windows(image, mask, origins, chip_size, bands, scene_id)
+
+
+def pick_windows(
+    mask: np.ndarray, chip_size: int, stride: int, negatives_per_positive: float = 1.0, seed: int = 0
+) -> list[tuple[int, int]]:
+    """The (col, row) origins of a mask's positive and negative windows.
 
     Positives are every stride-lattice window containing at least one mask
     pixel, ordered by origin (row-major). Negatives are
     ceil(negatives_per_positive * positives) seeded-random all-zero windows
-    appended after the positives. The lattice is clipped to the raster, so
-    windows never extend past the edge. The chips are cut in that order by
-    ``cut_windows``, which reads ``image`` in row slabs.
+    appended after the positives. The lattice is clipped to the mask, so
+    windows never extend past the edge.
     """
-    mask = np.asarray(mask)
-    if mask.shape != (image.height, image.width):
-        raise ValueError(
-            f"mask shape {mask.shape} does not match raster "
-            f"{(image.height, image.width)}"
-        )
-    if chip_size < 1 or chip_size > min(image.height, image.width):
-        raise ValueError(
-            f"chip_size {chip_size} does not fit raster "
-            f"{image.height}x{image.width}"
-        )
+    height, width = mask.shape
+    if chip_size < 1 or chip_size > min(height, width):
+        raise ValueError(f"chip_size {chip_size} does not fit raster {height}x{width}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if negatives_per_positive < 0:
@@ -206,8 +208,8 @@ def extract_chips(
 
     positives = [
         (col, row)
-        for row in range(0, image.height - chip_size + 1, stride)
-        for col in range(0, image.width - chip_size + 1, stride)
+        for row in range(0, height - chip_size + 1, stride)
+        for col in range(0, width - chip_size + 1, stride)
         if mask[row : row + chip_size, col : col + chip_size].any()
     ]
 
@@ -220,8 +222,8 @@ def extract_chips(
         for _ in range(budget):
             if len(negatives) >= wanted:
                 break
-            row = int(rng.integers(0, image.height - chip_size + 1))
-            col = int(rng.integers(0, image.width - chip_size + 1))
+            row = int(rng.integers(0, height - chip_size + 1))
+            col = int(rng.integers(0, width - chip_size + 1))
             if (col, row) in seen:
                 continue
             seen.add((col, row))
@@ -233,7 +235,7 @@ def extract_chips(
                 f"found only {len(negatives)} of {wanted} all-negative windows",
                 stacklevel=2,
             )
-    return cut_windows(image, mask, positives + negatives, chip_size, bands, scene_id)
+    return positives + negatives
 
 
 def cut_windows(
@@ -371,11 +373,11 @@ class NormalizationStats:
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         object.__setattr__(self, "stds", tuple(float(s) for s in self.stds))
         if len(self.means) != len(self.stds):
-            raise ValueError("means and stds differ in length")
+            raise ValueError(f"stds: means and stds differ in length ({len(self.means)} and {len(self.stds)})")
         if self.band_names is not None:
             object.__setattr__(self, "band_names", tuple(self.band_names))
             if len(self.band_names) != len(self.means):
-                raise ValueError("band_names length does not match stats")
+                raise ValueError(f"band_names: {len(self.band_names)} band names for {len(self.means)} bands")
         names = self.band_names or range(len(self.means))
         for name, mean, std in zip(names, self.means, self.stds):
             if not (math.isfinite(mean) and math.isfinite(std)):
@@ -384,34 +386,7 @@ class NormalizationStats:
                     f"std {std}); nodata pixels in the training chips?"
                 )
         if any(s <= 0 for s in self.stds):
-            raise ValueError(f"stds must be positive, got {self.stds}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "means": list(self.means),
-            "stds": list(self.stds),
-            "band_names": list(self.band_names) if self.band_names else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj, where) -> "NormalizationStats":
-        """Stats from their JSON object; a fault is a ValueError naming
-        ``where``, the file the object came from."""
-        means, stds = (_require(obj, key, where) for key in ("means", "stds"))
-        names = obj.get("band_names")
-        if not (isinstance(means, list) and isinstance(stds, list)):
-            raise ValueError(f"{where}: means and stds must be lists of numbers")
-        try:
-            return cls(tuple(means), tuple(stds), tuple(names) if names else None)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-
-
-def _require(obj, key: str, where):
-    """``obj[key]``, or a ValueError naming ``where`` and the missing key."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"{where} has no {key!r}")
-    return obj[key]
+            raise ValueError(f"stds: must be positive, got {self.stds}")
 
 
 def fit_normalization(train_chips: list[Chip]) -> NormalizationStats:
@@ -622,94 +597,101 @@ def save_catalog(
     }
     atomic_write_json(root / "index.json", index)
     if stats is not None:
-        atomic_write_json(root / "stats.json", stats.to_json_dict())
+        atomic_write_json(root / "stats.json", asdict(stats))
 
 
-# each field of index.json and of its chips: its check, and what it must be
-_INDEX_FIELDS = {
-    "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-    "scenes": (lambda v: type(v) is str and v != "", "a directory path"),
-    "chips": (lambda v: type(v) is list, "a list"),
-    "chip_size": (lambda v: type(v) is int and v >= 1, "a positive integer"),
-    "band_names": (lambda v: type(v) is list and v != [] and all(type(b) is str for b in v), "a list of band names"),
-    "scene_sha256": (lambda v: type(v) is dict and all(type(h) is str for h in v.values()), "an object of digests"),
-    "scene": (lambda v: type(v) is str and v != "", "a scene name"),
-    "origin": (lambda v: type(v) is list and len(v) == 2 and all(type(c) is int for c in v), "a list of two integers"),
-    "split": (lambda v: v in SPLITS, f"one of {', '.join(SPLITS)}"),
-    "positive": (lambda v: type(v) is bool, "true or false"),
-}
+@dataclass(frozen=True)
+class ChipEntry:
+    """One window of a catalog's ``index.json``."""
+
+    scene: str
+    origin: tuple[int, int]  # (col, row)
+    split: Literal[SPLITS]
+    positive: bool
+
+    def __post_init__(self):
+        if not self.scene:
+            raise ValueError("scene: empty name")
 
 
-def _fields(obj, keys: str, where) -> list:
-    """``obj``'s checked values of the space-separated ``keys``; a fault names ``where``."""
-    values = [_require(obj, key, where) for key in keys.split()]
-    for key, value in zip(keys.split(), values):
-        ok, expected = _INDEX_FIELDS[key]
-        if not ok(value):
-            raise ValueError(f"{where}: {key} is {json.dumps(value)}, not {expected}")
-    return values
+@dataclass(frozen=True)
+class CatalogIndex:
+    """A catalog's ``index.json``, as ``save_catalog`` writes it."""
+
+    format: Literal[CATALOG_FORMAT]
+    format_version: Literal[CATALOG_FORMAT_VERSION]
+    chip_size: int | None  # null, like band_names, in a catalog without chips
+    band_names: tuple[str, ...] | None
+    seed: int
+    scenes: str
+    scene_sha256: dict[str, str]
+    chips: tuple[ChipEntry, ...]
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        if not self.scenes:
+            raise ValueError("scenes: empty path")
+        if self.chip_size is not None and self.chip_size < 1:
+            raise ValueError(f"chip_size: must be >= 1, got {self.chip_size}")
+        for key in ("chip_size", "band_names"):
+            if self.chips and not getattr(self, key):
+                raise ValueError(f"{key}: {json.dumps(getattr(self, key))}, but the catalog has chips")
 
 
 def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | None]:
     """The split a catalog indexes, and its stats (None without stats.json).
 
-    Every field of ``index.json`` is checked first. Then, one scene at a
-    time, its annotations are rasterized, its windows checked against them,
-    and its ``band_names`` windows cut by ``cut_windows``, which reads the
-    scene in row slabs, as ``chip`` does. A fault is a ValueError
-    naming ``index.json``, and the scene too when the scene is missing or
-    unreadable, its raster is not the one chipped (its ``scene_sha256``
-    differs), a window lies outside it (naming the chip), or its
-    annotations no longer give a window's recorded ``positive`` (likewise).
+    ``index.json`` (``CatalogIndex``) and ``stats.json`` are read first.
+    Then, one scene at a time, its annotations are rasterized, its windows
+    checked against them, and its ``band_names`` windows cut by
+    ``cut_windows``, which reads the scene in row slabs, as ``chip`` does. A
+    fault names ``index.json``, and the scene too when the scene is missing
+    or unreadable, its raster is not the one chipped (its ``scene_sha256``
+    differs), a window lies outside it or its annotations no longer give
+    the window's recorded ``positive`` (naming the chip).
     """
     root = Path(path)
     index_path = root / "index.json"
-    index = read_json(index_path)
-    if not isinstance(index, dict) or index.get("format") != CATALOG_FORMAT:
-        raise ValueError(f"unrecognized catalog format in {index_path}")
-    version = index.get("format_version")
-    if type(version) is not int or version != CATALOG_FORMAT_VERSION:
-        raise ValueError(f"{index_path}: unsupported catalog version {json.dumps(version)}; re-run `dumpwatch chip`")
-    seed, scenes, digests, entries = _fields(index, "seed scenes scene_sha256 chips", index_path)
-    size, bands = _fields(index, "chip_size band_names", index_path) if entries else (None, None)
+    index = read_document(CatalogIndex, index_path)
+    entries, size = index.chips, index.chip_size
     by_scene: dict[str, list[int]] = {}
     for k, entry in enumerate(entries):
-        name = _fields(entry, "scene origin split positive", f"{index_path} chip {k}")[0]
-        if name not in digests:
-            raise ValueError(f"{index_path} chip {k}: scene {name!r} has no scene_sha256")
-        by_scene.setdefault(name, []).append(k)
+        if entry.scene not in index.scene_sha256:
+            raise ValueError(f"{index_path}: chips[{k}].scene: scene {entry.scene!r} has no scene_sha256")
+        by_scene.setdefault(entry.scene, []).append(k)
     stats_path = root / "stats.json"
-    stats = NormalizationStats.from_json_dict(read_json(stats_path), stats_path) if stats_path.exists() else None
-    if stats is not None and entries and stats.band_names != tuple(bands):
-        raise ValueError(f"{stats_path} covers bands {stats.band_names}, but {index_path} names {tuple(bands)}")
+    stats = read_document(NormalizationStats, stats_path) if stats_path.exists() else None
+    if stats is not None and entries and stats.band_names != index.band_names:
+        raise ValueError(f"{stats_path} covers bands {stats.band_names}, but {index_path} names {index.band_names}")
 
     loaded: dict[int, Chip] = {}
     for name, ks in by_scene.items():
-        base = root / scenes / name
+        base, digest = root / index.scenes / name, index.scene_sha256[name]
         try:
-            if _scene_digest(base) != digests[name]:
-                raise ValueError(f"its sha256 is not {digests[name]}; written again after `dumpwatch chip`? re-run it")
+            if _scene_digest(base) != digest:
+                raise ValueError(f"its sha256 is not {digest}; written again after `dumpwatch chip`? re-run it")
             polygons = scene_annotations(base)
             with geodata.RasterReader(base) as src:
                 mask = rasterize_mask(polygons, src.transform, src.width, src.height)
                 for k in ks:
-                    (col, row), positive = entries[k]["origin"], entries[k]["positive"]
+                    (col, row), positive = entries[k].origin, entries[k].positive
                     if not (0 <= col <= src.width - size and 0 <= row <= src.height - size):
                         raise ValueError(
-                            f"chip {k}: its {size} px window at origin [{col}, {row}] lies outside the scene's "
+                            f"chips[{k}]: its {size} px window at origin [{col}, {row}] lies outside the scene's "
                             f"{src.width}x{src.height} px"
                         )
                     if mask[row : row + size, col : col + size].any() != positive:
                         raise ValueError(
-                            f"chip {k}: recorded positive {json.dumps(positive)}, but the annotations give "
+                            f"chips[{k}]: recorded positive {json.dumps(positive)}, but the annotations give "
                             f"{json.dumps(not positive)}; edited after `dumpwatch chip`? re-run it"
                         )
-                origins = [entries[k]["origin"] for k in ks]
-                loaded.update(zip(ks, cut_windows(src, mask, origins, size, tuple(bands), name)))
+                origins = [entries[k].origin for k in ks]
+                loaded.update(zip(ks, cut_windows(src, mask, origins, size, index.band_names, name)))
         except (OSError, KeyError, ValueError) as exc:
             raise ValueError(f"{index_path}: scene {name!r} ({base}): {exc}") from exc
-    buckets = {name: [loaded[k] for k, entry in enumerate(entries) if entry["split"] == name] for name in SPLITS}
-    return DatasetSplit(**buckets, seed=seed), stats
+    buckets = {name: [loaded[k] for k, entry in enumerate(entries) if entry.split == name] for name in SPLITS}
+    return DatasetSplit(**buckets, seed=index.seed), stats
 
 
 def reflect_pad(array: np.ndarray, pads: tuple[tuple[int, int], tuple[int, int]]) -> np.ndarray:

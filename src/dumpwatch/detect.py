@@ -55,13 +55,11 @@ class InferenceConfig:
 
     def __post_init__(self):
         if self.tile_size < 1:
-            raise ValueError(f"tile_size must be >= 1, got {self.tile_size}")
+            raise ValueError(f"tile_size: must be >= 1, got {self.tile_size}")
         if not (0 <= self.overlap < self.tile_size):
-            raise ValueError(
-                f"overlap must be in [0, tile_size), got {self.overlap}"
-            )
+            raise ValueError(f"overlap: must be in [0, tile_size), got {self.overlap}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size: must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)

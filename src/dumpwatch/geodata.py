@@ -21,9 +21,10 @@ import warnings
 from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from ._fileio import (
     atomic_write_text,
     encode_nodata,
     gc_paused,
+    read_document,
     read_json,
 )
 
@@ -60,9 +62,9 @@ class GeoTransform:
 
     def __post_init__(self):
         if not (self.pixel_width > 0):
-            raise ValueError(f"pixel_width must be > 0, got {self.pixel_width}")
+            raise ValueError(f"pixel_width: must be > 0, got {self.pixel_width}")
         if not (self.pixel_height > 0):
-            raise ValueError(f"pixel_height must be > 0, got {self.pixel_height}")
+            raise ValueError(f"pixel_height: must be > 0, got {self.pixel_height}")
 
 
 def pixel_to_world(transform: GeoTransform, col: float, row: float) -> Point:
@@ -140,6 +142,35 @@ class Raster:
         return ~(self.samples == self.nodata).any(axis=0)
 
 
+@dataclass(frozen=True, kw_only=True)
+class RasterHeader:
+    """A raster's ``.json`` header, its keys in the order written."""
+
+    format: Literal[RASTER_FORMAT]
+    format_version: Literal[RASTER_FORMAT_VERSION]
+    width: int
+    height: int
+    band_count: int
+    band_names: tuple[str, ...] | None = None
+    transform: GeoTransform
+    nodata: float | Literal["nan"] | None = None  # encode_nodata's
+    dtype: Literal["float32"]
+    byte_order: Literal["little"] = "little"
+    layout: Literal["band-row-col"] = "band-row-col"
+
+    def __post_init__(self):
+        for key in ("width", "height", "band_count"):
+            # below 2**31, as GDAL's are: their products with floats stay floats
+            if not 1 <= getattr(self, key) < 2**31:
+                raise ValueError(f"{key}: must be in [1, 2**31), got {getattr(self, key)}")
+        t, w, h = self.transform, self.width, self.height
+        if not all(map(math.isfinite, (t.origin_x + w * t.pixel_width, t.origin_y - h * t.pixel_height,
+                                       w * h * (t.pixel_width * t.pixel_height)))):
+            raise ValueError("transform: its world extent or area is not a finite float")
+        if self.band_names and len(self.band_names) != self.band_count:
+            raise ValueError(f"band_names: {len(self.band_names)} band names for {self.band_count} bands")
+
+
 def _raster_paths(path: str | Path) -> tuple[Path, Path]:
     base = str(path)
     return Path(base + ".json"), Path(base + ".bin")
@@ -161,24 +192,11 @@ def raster_writer(
     written, the payload is renamed into place and the header written; if
     it raises, the temp payload is removed and nothing is replaced."""
     header_path, payload_path = _raster_paths(path)
-    header = {
-        "format": RASTER_FORMAT,
-        "format_version": RASTER_FORMAT_VERSION,
-        "width": width,
-        "height": height,
-        "band_count": band_count,
-        "band_names": list(band_names) if band_names else None,
-        "transform": {
-            "origin_x": transform.origin_x,
-            "origin_y": transform.origin_y,
-            "pixel_width": transform.pixel_width,
-            "pixel_height": transform.pixel_height,
-        },
-        "nodata": encode_nodata(nodata),
-        "dtype": "float32",
-        "byte_order": "little",
-        "layout": "band-row-col",
-    }
+    header = RasterHeader(
+        format=RASTER_FORMAT, format_version=RASTER_FORMAT_VERSION, width=width, height=height,
+        band_count=band_count, band_names=tuple(band_names) if band_names else None, transform=transform,
+        nodata=encode_nodata(nodata), dtype="float32",
+    )
     written = 0
     with atomic_open(payload_path) as fh:
 
@@ -197,7 +215,7 @@ def raster_writer(
         yield write_rows
         if written != height:
             raise ValueError(f"{payload_path}: {written} of {height} rows written")
-    atomic_write_json(header_path, header)
+    atomic_write_json(header_path, asdict(header))
 
 
 def write_raster(raster: Raster, path: str | Path) -> None:
@@ -220,13 +238,12 @@ class RasterReader:
 
     def __init__(self, path: str | Path):
         header_path, payload_path = _raster_paths(path)
-        if not header_path.exists():
-            raise FileNotFoundError(f"missing raster header {header_path}")
-        if not payload_path.exists():
+        if not payload_path.exists():  # read_json names a missing header
             raise FileNotFoundError(f"missing raster payload {payload_path}")
-        (
-            self.width, self.height, self.band_count, self.transform, self.nodata, self.band_names
-        ) = _read_header(header_path)
+        header = read_document(RasterHeader, header_path)
+        self.width, self.height, self.band_count = header.width, header.height, header.band_count
+        self.transform, self.band_names = header.transform, header.band_names or None
+        self.nodata = None if header.nodata is None else float(header.nodata)  # "nan" too
         self.path = payload_path
         self._file = open(payload_path, "rb")
         size = os.fstat(self._file.fileno()).st_size
@@ -262,55 +279,6 @@ class RasterReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _read_header(header_path: Path) -> tuple:
-    """Width, height, band count, transform, nodata and band names from a
-    raster header, each checked for type and range; a fault raises naming
-    the header file."""
-
-    def finite(value) -> bool:
-        return type(value) in (int, float) and math.isfinite(_coord(value))
-
-    header = read_json(header_path)
-    dims, keys = ("width", "height", "band_count"), ("origin_x", "origin_y", "pixel_width", "pixel_height")
-    try:
-        if not isinstance(header, dict):
-            raise ValueError("not a JSON object")
-        for key in ("format", *dims, "transform", "dtype"):
-            if key not in header:
-                raise ValueError(f"missing {key!r}")
-        if header["format"] != RASTER_FORMAT:
-            raise ValueError(f"unrecognized raster format {header['format']!r}")
-        if header.get("format_version") != RASTER_FORMAT_VERSION:
-            raise ValueError(f"unsupported raster format version {header.get('format_version')!r}")
-        if header["dtype"] != "float32":
-            raise ValueError(f"unsupported raster dtype {header['dtype']!r}")
-        for key in dims:
-            if type(header[key]) is not int or header[key] < 1:
-                raise ValueError(f"{key} is {header[key]!r}, not a positive integer")
-        t, nodata, names = header["transform"], header.get("nodata"), header.get("band_names")
-        if not (isinstance(t, dict) and all(finite(t.get(k)) for k in keys)):
-            raise ValueError(
-                f"transform is {json.dumps(t)}, not an object of finite numbers {', '.join(keys)}"
-            )
-        transform = GeoTransform(*(t[k] for k in keys))
-        x0, y0, dx, dy = (float(t[k]) for k in keys)
-        w, h = header["width"], header["height"]
-        if not all(map(math.isfinite, (x0 + w * dx, y0 - h * dy, w * h * (dx * dy)))):
-            raise ValueError(
-                f"transform is {json.dumps(t)}, whose world extent or area is not a finite float"
-            )
-        if not (nodata is None or nodata == "nan" or finite(nodata)):
-            raise ValueError(f'nodata is {json.dumps(nodata)}, not a finite number, "nan" or null')
-        if not (names is None or isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            raise ValueError(f"band_names is {json.dumps(names)}, not a list of strings or null")
-        if names and len(names) != header["band_count"]:
-            raise ValueError(f"{len(names)} band names for {header['band_count']} bands")
-    except ValueError as exc:
-        raise ValueError(f"malformed raster header {header_path}: {exc}") from None
-    nodata = None if nodata is None else float(nodata)
-    return (*(header[key] for key in dims), transform, nodata, tuple(names) if names else None)
 
 
 def read_raster(path: str | Path) -> Raster:

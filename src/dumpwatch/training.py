@@ -13,7 +13,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -70,26 +70,23 @@ class Hyperparams:
     batch_size: int = 16
     max_epochs: int = 30
     learning_rate: float = 1e-3
-    pos_weight: float | str = "auto"
+    pos_weight: float | Literal["auto"] = "auto"
     plateau_patience: int = 5
     plateau_min_delta: float = 1e-4
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise ValueError(f"max_epochs: must be >= 1, got {self.max_epochs}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if isinstance(self.pos_weight, str):
-            if self.pos_weight != "auto":
-                raise ValueError(f"pos_weight must be a number or 'auto'")
-        elif self.pos_weight <= 0:
-            raise ValueError(f"pos_weight must be > 0, got {self.pos_weight}")
+            raise ValueError(f"learning_rate: must be > 0, got {self.learning_rate}")
+        if self.pos_weight != "auto" and (isinstance(self.pos_weight, str) or not self.pos_weight > 0):
+            raise ValueError(f"pos_weight: must be a number > 0 or 'auto', got {self.pos_weight!r}")
         if self.plateau_patience < 1:
-            raise ValueError("plateau_patience must be >= 1")
+            raise ValueError(f"plateau_patience: must be >= 1, got {self.plateau_patience}")
         if self.plateau_min_delta < 0:
-            raise ValueError("plateau_min_delta must be >= 0")
+            raise ValueError(f"plateau_min_delta: must be >= 0, got {self.plateau_min_delta}")
 
 
 class PlateauStopper:

@@ -14,15 +14,15 @@ manifest next to a raw little-endian float32 payload.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from . import numerics
-from ._fileio import atomic_write_bytes, atomic_write_json, read_json
-from .dataset import NormalizationStats, _require
+from ._fileio import atomic_write_bytes, atomic_write_json, read_document
+from .dataset import NormalizationStats
 from .numerics import Tensor
 
 CHECKPOINT_FORMAT = "dumpwatch.checkpoint"
@@ -41,15 +41,16 @@ class UNetConfig:
 
     def __post_init__(self):
         if self.in_channels < 1:
-            raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+            raise ValueError(f"in_channels: must be >= 1, got {self.in_channels}")
+        # 2**depth divides an input's height and width, which are below 2**31
+        if not 1 <= self.depth <= 30:
+            raise ValueError(f"depth: must be in [1, 30], got {self.depth}")
         if self.base_filters < 1:
-            raise ValueError(f"base_filters must be >= 1, got {self.base_filters}")
+            raise ValueError(f"base_filters: must be >= 1, got {self.base_filters}")
         if self.kernel_size != 3:
-            raise ValueError("kernel_size is fixed at 3")
+            raise ValueError(f"kernel_size: fixed at 3, got {self.kernel_size}")
         if self.out_channels != 1:
-            raise ValueError("out_channels is fixed at 1")
+            raise ValueError(f"out_channels: fixed at 1, got {self.out_channels}")
 
     @property
     def pool_factor(self) -> int:
@@ -177,6 +178,18 @@ def params_from_checkpoint(ckpt: Checkpoint) -> ParameterSet:
     }
 
 
+@dataclass(frozen=True)
+class CheckpointManifest:
+    """A checkpoint's ``.json`` manifest, as ``save_checkpoint`` writes it."""
+
+    format: Literal[CHECKPOINT_FORMAT]
+    format_version: Literal[CHECKPOINT_VERSION]
+    config: UNetConfig
+    schema: tuple[tuple[str, tuple[int, ...]], ...]  # parameter_schema's pairs
+    normalization: NormalizationStats | None = None
+    training_metadata: dict = field(default_factory=dict)
+
+
 def _checkpoint_paths(path: str | Path) -> tuple[Path, Path]:
     base = str(path)
     return Path(base + ".json"), Path(base + ".bin")
@@ -194,55 +207,25 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
                 f"checkpoint holds {tuple(ckpt.parameters[name].shape)}"
             )
     manifest_path, payload_path = _checkpoint_paths(path)
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "format_version": CHECKPOINT_VERSION,
-        "config": asdict(ckpt.config),
-        "schema": [[name, list(shape)] for name, shape in schema],
-        "normalization": (
-            ckpt.normalization.to_json_dict() if ckpt.normalization else None
-        ),
-        "training_metadata": ckpt.training_metadata,
-    }
+    manifest = CheckpointManifest(
+        CHECKPOINT_FORMAT, CHECKPOINT_VERSION, ckpt.config, tuple(schema),
+        ckpt.normalization, ckpt.training_metadata,
+    )
     payload = b"".join(
         np.ascontiguousarray(ckpt.parameters[name], dtype="<f4").tobytes()
         for name, _ in schema
     )
     atomic_write_bytes(payload_path, payload)
-    atomic_write_json(manifest_path, manifest)
+    atomic_write_json(manifest_path, asdict(manifest))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     manifest_path, payload_path = _checkpoint_paths(path)
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"missing checkpoint manifest {manifest_path}")
-    if not payload_path.exists():
+    if not payload_path.exists():  # read_json names a missing manifest
         raise FileNotFoundError(f"missing checkpoint payload {payload_path}")
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format in {manifest_path}")
-    version = manifest.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r} in {manifest_path}")
-    config = _require(manifest, "config", manifest_path)
-    if not (
-        isinstance(config, dict)
-        and set(config) <= {f.name for f in fields(UNetConfig)}
-        and all(type(v) is int for v in config.values())
-    ):
-        raise ValueError(
-            f"{manifest_path}: config is {json.dumps(config)}, not an object of "
-            "integer UNetConfig fields"
-        )
-    try:
-        config = UNetConfig(**config)
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: config: {exc}") from exc
-    norm = manifest.get("normalization")
-    where = f"{manifest_path} normalization"
-    normalization = NormalizationStats.from_json_dict(norm, where) if norm else None
-    expected = parameter_schema(config)
-    if _require(manifest, "schema", manifest_path) != [[n, list(s)] for n, s in expected]:
+    manifest = read_document(CheckpointManifest, manifest_path)
+    expected = parameter_schema(manifest.config)
+    if manifest.schema != tuple(expected):
         raise ValueError(
             f"schema mismatch in {manifest_path}: stored parameter list does not "
             "match the architecture implied by the checkpoint config"
@@ -263,9 +246,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         offset += size
         if not np.isfinite(parameters[name]).all():
             raise ValueError(f"non-finite weight in {payload_path}: parameter {name!r}")
-    return Checkpoint(
-        config=config,
-        parameters=parameters,
-        normalization=normalization,
-        training_metadata=manifest.get("training_metadata", {}),
-    )
+    return Checkpoint(manifest.config, parameters, manifest.normalization, manifest.training_metadata)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -6,12 +7,15 @@ import math
 import subprocess
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dumpwatch import cli, geodata, unet
+from dumpwatch import dataset as ds
 from dumpwatch.cli import (
     ConfigError,
     RunConfig,
@@ -22,6 +26,7 @@ from dumpwatch.cli import (
 )
 from dumpwatch.dataset import (
     ABLATION_SPECS,
+    CatalogIndex,
     DEFAULT_BAND_SPEC,
     SOURCE_BANDS,
     Chip,
@@ -120,13 +125,13 @@ class TestLoadConfig:
     def test_root_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="JSON object"):
+        with pytest.raises(ConfigError, match=r"^expected object, got \[1, 2\]$"):
             load_config(str(path))
 
     def test_unknown_section(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"nonsense": {}}))
-        with pytest.raises(ConfigError, match="nonsense: unknown config section"):
+        with pytest.raises(ConfigError, match="^nonsense: unknown field$"):
             load_config(str(path))
 
     def test_unknown_field_names_section(self, tmp_path):
@@ -148,13 +153,13 @@ class TestLoadConfig:
             ({"synth": {"scene_count": 1.0}}, "synth.scene_count: expected integer, got 1.0"),
             ({"chip": {"chip_size": 32.0}}, "chip.chip_size: expected integer, got 32.0"),
             ({"chip": {"bands": "RGB"}}, 'chip.bands: expected list of strings, got "RGB"'),
-            ({"chip": {"bands": ["R", 1]}}, "chip.bands: expected string, got 1"),
+            ({"chip": {"bands": ["R", 1]}}, "chip.bands[1]: expected string, got 1"),
             ({"model": {"depth": True}}, "model.depth: expected integer, got true"),
             (
                 {"synth": {"dump_radius_range": [4.0, 8.0, 12.0]}},
-                "synth.dump_radius_range: expected list of 2 numbers, got [4.0, 8.0, 12.0]",
+                "synth.dump_radius_range: expected list of 2 finite numbers, got [4.0, 8.0, 12.0]",
             ),
-            ({"train": {"pos_weight": None}}, "train.pos_weight: expected number or string, got null"),
+            ({"train": {"pos_weight": None}}, 'train.pos_weight: expected finite number or "auto", got null'),
             ({"paths": {"catalog": 7}}, "paths.catalog: expected string, got 7"),
             ({"train": {"seed": 5}}, "train.seed: unknown field"),
         ],
@@ -624,9 +629,10 @@ def _without(key):
 
 
 def _evaluate_inputs(root, bands):
-    """A catalog of R,G,B chips and a checkpoint whose stats cover ``bands``."""
-    config = UNetConfig(in_channels=len(bands), depth=2, base_filters=2)
-    stats = NormalizationStats((0.0,) * len(bands), (1.0,) * len(bands), bands)
+    """A catalog of R,G,B chips and a checkpoint whose stats cover ``bands``
+    (of R,G,B without stats when None)."""
+    config = UNetConfig(in_channels=len(bands or "RGB"), depth=2, base_filters=2)
+    stats = bands and NormalizationStats((0.0,) * len(bands), (1.0,) * len(bands), bands)
     save_checkpoint(checkpoint_from_params(config, build_unet(config), normalization=stats), root / "model")
     paths = {**_catalog(root)["paths"], "checkpoint": str(root / "model")}
     return {"paths": paths}, root / "model"
@@ -655,10 +661,10 @@ def _probability_over_detections(root, header_edit):
     return config, header
 
 
-def _predict_inputs(root, truncate=0, tile_size=256):
+def _predict_inputs(root, truncate=0, tile_size=256, bands=DEFAULT_BAND_SPEC):
     """A flat source scene of 40x24 px, its payload cut short by
-    ``truncate`` bytes, and a depth-2 checkpoint; ``tile_size`` for
-    inference."""
+    ``truncate`` bytes, and a depth-2 checkpoint of ``bands`` with their
+    stats; ``tile_size`` for inference."""
     base = root / "scenes" / "scene_000"
     write_raster(
         Raster(np.ones((6, 40, 24), np.float32), GeoTransform(0.0, 40.0, 1.0, 1.0), band_names=SOURCE_BANDS),
@@ -666,15 +672,16 @@ def _predict_inputs(root, truncate=0, tile_size=256):
     )
     payload = Path(str(base) + ".bin")
     payload.write_bytes(payload.read_bytes()[: payload.stat().st_size - truncate])
-    config = UNetConfig(in_channels=6, depth=2, base_filters=2)
-    save_checkpoint(checkpoint_from_params(config, build_unet(config)), root / "model")
+    config = UNetConfig(in_channels=len(bands), depth=2, base_filters=2)
+    stats = NormalizationStats((0.0,) * len(bands), (1.0,) * len(bands), bands)
+    save_checkpoint(checkpoint_from_params(config, build_unet(config), stats), root / "model")
     paths = {"checkpoint": str(root / "model"), "predict_raster": str(base), "probability": str(root / "out")}
-    return {"paths": paths, "inference": {"tile_size": tile_size, "overlap": 0}}, payload
+    return {"paths": paths, "chip": {"bands": list(bands)}, "inference": {"tile_size": tile_size, "overlap": 0}}, payload
 
 
-def _edited_checkpoint(root, edit):
+def _edited_checkpoint(root, edit, bands=DEFAULT_BAND_SPEC):
     """``_predict_inputs`` whose model.json holds ``edit`` of its document."""
-    config, _ = _predict_inputs(root)
+    config, _ = _predict_inputs(root, bands=bands)
     path = root / "model.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     return config, path
@@ -688,6 +695,30 @@ def _checkpoint_with_nan_weight(root):
     weights[-2] = np.nan  # the last value before head.bias
     path.write_bytes(weights.tobytes())
     return config, path
+
+
+def _edited_normalization(key, value):
+    """A model.json edit that sets its normalization's ``key`` to ``value``."""
+    return lambda doc: {**doc, "normalization": {**doc["normalization"], key: value}}
+
+
+def _edited_scene_header(root, edit):
+    """``_predict_inputs`` whose scene header holds ``edit`` of its document."""
+    config, _ = _predict_inputs(root)
+    path = root / "scenes" / "scene_000.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return config, path
+
+
+def _without_file(build, name):
+    """``build``'s inputs without their file ``name``, the file to name."""
+
+    def without(root):
+        config, _ = build(root)
+        (root / name).unlink()
+        return config, root / name
+
+    return without
 
 
 # (command, input builder, fragments the error must carry besides the file)
@@ -764,12 +795,12 @@ MALFORMED_INPUTS = {
     "catalog-window-outside-scene": (
         "train",
         lambda r: _edited_catalog(r, "index.json", _edited_chip("origin", [-1, 0])),
-        ["index.json: scene 'scene_000' (", "chip 0: its 16 px window at origin [-1, 0] lies outside the scene's 16x16 px"],
+        ["index.json: scene 'scene_000' (", "chips[0]: its 16 px window at origin [-1, 0] lies outside the scene's 16x16 px"],
     ),
     "catalog-window-past-scene-edge": (
         "train",
         lambda r: _edited_catalog(r, "index.json", _edited_chip("origin", [0, 1])),
-        ["index.json: scene 'scene_000' (", "chip 0: its 16 px window at origin [0, 1] lies outside the scene's 16x16 px"],
+        ["index.json: scene 'scene_000' (", "chips[0]: its 16 px window at origin [0, 1] lies outside the scene's 16x16 px"],
     ),
     "catalog-scene-missing": (
         "train",
@@ -781,7 +812,7 @@ MALFORMED_INPUTS = {
         _catalog_with_edited_annotations,
         [
             "index.json: scene 'scene_000' (",
-            "chip 0: recorded positive false, but the annotations give true",
+            "chips[0]: recorded positive false, but the annotations give true",
             "edited after `dumpwatch chip`? re-run it",
         ],
     ),
@@ -793,32 +824,32 @@ MALFORMED_INPUTS = {
     "catalog-scene-without-digest": (
         "train",
         lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "scene_sha256": {}}),
-        ["index.json chip 0: scene 'scene_000' has no scene_sha256"],
+        ["index.json: chips[0].scene: scene 'scene_000' has no scene_sha256"],
     ),
     "catalog-version-1": (
         "train",
         lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "format_version": 1}),
-        ["index.json: unsupported catalog version 1;", "re-run `dumpwatch chip`"],
+        ["index.json: format_version: expected 2, got 1"],
     ),
     "catalog-seed-null": (
         "train",
         lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "seed": None}),
-        ["index.json: seed is null, not a non-negative integer"],
+        ["index.json: seed: expected integer, got null"],
     ),
     "catalog-seed-a-string": (
         "train",
         lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "seed": "x"}),
-        ['index.json: seed is "x", not a non-negative integer'],
+        ['index.json: seed: expected integer, got "x"'],
     ),
     "catalog-chip-size-a-string": (
         "train",
         lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "chip_size": "16"}),
-        ['index.json: chip_size is "16", not a positive integer'],
+        ['index.json: chip_size: expected integer or null, got "16"'],
     ),
     "catalog-split-a-list": (
         "train",
         lambda r: _edited_catalog(r, "index.json", _edited_chip("split", ["train"])),
-        ['index.json chip 0: split is ["train"], not one of train, val, test'],
+        ['index.json: chips[0].split: expected "train" or "val" or "test", got ["train"]'],
     ),
     "catalog-bands-disagree-with-stats": (
         "train",
@@ -829,25 +860,25 @@ MALFORMED_INPUTS = {
         "train", _catalog_with_nan_seed, ["invalid JSON", "constant NaN"]
     ),
     "catalog-index-without-chips": (
-        "train", lambda r: _edited_catalog(r, "index.json", _without("chips")), ["has no 'chips'"]
+        "train", lambda r: _edited_catalog(r, "index.json", _without("chips")), ["index.json: chips: missing"]
     ),
     "catalog-index-not-an-object": (
         "train",
         lambda r: _edited_catalog(r, "index.json", lambda doc: []),
-        ["unrecognized catalog format in"],
+        ["index.json: expected object, got []"],
     ),
     "catalog-chips-not-a-list": (
         "train",
         lambda r: _edited_catalog(r, "index.json", lambda doc: {**doc, "chips": 5}),
-        ["chips is 5, not a list"],
+        ["index.json: chips: expected list of objects, got 5"],
     ),
     "catalog-origin-not-a-pair": (
         "train",
         lambda r: _edited_catalog(r, "index.json", _edited_chip("origin", 3)),
-        ["index.json chip 0: origin is 3, not a list of two integers"],
+        ["index.json: chips[0].origin: expected list of 2 integers, got 3"],
     ),
     "stats-without-means": (
-        "train", lambda r: _edited_catalog(r, "stats.json", _without("means")), ["has no 'means'"]
+        "train", lambda r: _edited_catalog(r, "stats.json", _without("means")), ["stats.json: means: missing"]
     ),
     "stats-lengths-disagree": (
         "train",
@@ -900,25 +931,25 @@ MALFORMED_INPUTS = {
     "checkpoint-manifest-a-list": (
         "predict",
         lambda r: _edited_checkpoint(r, lambda doc: [doc]),
-        ["unrecognized checkpoint format in"],
+        ["model.json: expected object, got [{"],
     ),
     "checkpoint-without-schema": (
-        "predict", lambda r: _edited_checkpoint(r, _without("schema")), ["has no 'schema'"]
+        "predict", lambda r: _edited_checkpoint(r, _without("schema")), ["model.json: schema: missing"]
     ),
     "checkpoint-depth-a-string": (
         "predict",
         lambda r: _edited_checkpoint(r, lambda doc: {**doc, "config": {**doc["config"], "depth": "2"}}),
-        ['"depth": "2"', "not an object of integer UNetConfig fields"],
+        ['model.json: config.depth: expected integer, got "2"'],
     ),
     "checkpoint-version-99": (
         "predict",
         lambda r: _edited_checkpoint(r, lambda doc: {**doc, "format_version": 99}),
-        ["unsupported checkpoint version 99"],
+        ["model.json: format_version: expected 1, got 99"],
     ),
     "checkpoint-normalization-a-list": (
         "predict",
         lambda r: _edited_checkpoint(r, lambda doc: {**doc, "normalization": [0.0]}),
-        ["normalization has no 'means'"],
+        ["model.json: normalization: expected object or null, got [0.0]"],
     ),
     "checkpoint-stats-lengths-disagree": (
         "predict",
@@ -935,19 +966,19 @@ MALFORMED_INPUTS = {
     "transform-without-origin-x": (
         "postprocess",
         lambda r: _probability(r, header_edit=('"origin_x": 0.0, ', "")),
-        ["malformed raster header", "transform is {", "not an object of finite numbers"],
+        ["probability.json: transform.origin_x: missing"],
     ),
     "pixel-area-overflows": (
         "postprocess",
         lambda r: _probability_over_detections(
             r, ('"pixel_width": 1.0, "pixel_height": 1.0', '"pixel_width": 1e200, "pixel_height": 1e200')
         ),
-        ["malformed raster header", "whose world extent or area is not a finite float"],
+        ["probability.json: transform: its world extent or area is not a finite float"],
     ),
     "band-names-not-a-list": (
         "postprocess",
         lambda r: _probability(r, header_edit=('"band_names": ["probability"]', '"band_names": 5')),
-        ["malformed raster header", "band_names is 5, not a list of strings or null"],
+        ["probability.json: band_names: expected list of strings or null, got 5"],
     ),
     "chip-scene-without-a-band": (
         "chip",
@@ -971,6 +1002,85 @@ MALFORMED_INPUTS = {
         "synth",
         lambda r: ({"paths": {"scene_dir": str(r / "scenes")}, "synth": {"scene_count": 0}}, r / "run.json"),
         ["synth.scene_count: must be >= 1, got 0"],
+    ),
+    "synth-pixel-size-huge-integer": (
+        "synth",
+        lambda r: ({"paths": {"scene_dir": str(r / "scenes")}, "synth": {"pixel_size": 10**400}}, r / "run.json"),
+        ["synth.pixel_size: expected finite number, got 1000"],
+    ),
+    "scene-width-huge-integer": (
+        "predict",
+        lambda r: _edited_scene_header(r, lambda doc: {**doc, "width": 10**400}),
+        ["scene_000.json: width: must be in [1, 2**31), got 1000"],
+    ),
+    "stats-mean-huge-integer": (
+        "train",
+        lambda r: _edited_catalog(r, "stats.json", lambda doc: {**doc, "means": [10**400, 0.0, 0.0]}),
+        ["stats.json: means[0]: expected finite number, got 1000"],
+    ),
+    "stats-mean-a-string": (
+        "train",
+        lambda r: _edited_catalog(r, "stats.json", lambda doc: {**doc, "means": ["0.1", 0.0, 0.0]}),
+        ['stats.json: means[0]: expected finite number, got "0.1"'],
+    ),
+    "stats-std-true": (
+        "train",
+        lambda r: _edited_catalog(r, "stats.json", lambda doc: {**doc, "stds": [True, 1.0, 1.0]}),
+        ["stats.json: stds[0]: expected finite number, got true"],
+    ),
+    "stats-band-names-a-string": (
+        "train",
+        lambda r: _edited_catalog(r, "stats.json", lambda doc: {**doc, "band_names": "RGB"}),
+        ['stats.json: band_names: expected list of strings or null, got "RGB"'],
+    ),
+    "checkpoint-mean-a-string": (
+        "predict",
+        lambda r: _edited_checkpoint(r, _edited_normalization("means", ["0.1"] + [0.0] * 5)),
+        ['model.json: normalization.means[0]: expected finite number, got "0.1"'],
+    ),
+    "checkpoint-std-true": (
+        "predict",
+        lambda r: _edited_checkpoint(r, _edited_normalization("stds", [True] + [1.0] * 5)),
+        ["model.json: normalization.stds[0]: expected finite number, got true"],
+    ),
+    "checkpoint-band-names-a-string": (
+        "predict",
+        lambda r: _edited_checkpoint(r, _edited_normalization("band_names", "RGB"), bands=("R", "G", "B")),
+        ['model.json: normalization.band_names: expected list of strings or null, got "RGB"'],
+    ),
+    "raster-header-without-height": (
+        "postprocess",
+        lambda r: _probability(r, header_edit=('"height": 8, ', "")),
+        ["probability.json: height: missing"],
+    ),
+    "raster-payload-missing": (
+        "predict", _without_file(_predict_inputs, "scenes/scene_000.bin"), ["missing raster payload"]
+    ),
+    "checkpoint-payload-missing": (
+        "predict", _without_file(_predict_inputs, "model.bin"), ["missing checkpoint payload"]
+    ),
+    "train-catalog-without-stats": (
+        "train",
+        lambda r: (_catalog(r), r / "catalog" / "stats.json"),
+        ["paths.catalog: catalog is missing stats.json"],
+    ),
+    "evaluate-checkpoint-without-stats": (
+        "evaluate",
+        lambda r: (_evaluate_inputs(r, None)[0], r / "model.json"),
+        ["model.json: normalization: null; the checkpoint carries no stats"],
+    ),
+    "predict-checkpoint-without-stats": (
+        "predict",
+        lambda r: _edited_checkpoint(r, lambda doc: {**doc, "normalization": None}),
+        ["model.json: normalization: null; the checkpoint carries no stats"],
+    ),
+    "predict-stats-cover-fewer-bands": (
+        "predict",
+        lambda r: (
+            _edited_checkpoint(r, lambda doc: {**doc, "normalization": {"means": [0.0] * 5, "stds": [1.0] * 5}})[0],
+            r / "model",
+        ),
+        ["does not fit chip.bands (--bands) R,G,B,NIR,SWIR1,NDSW: stats cover 5 bands, raster has 6"],
     ),
 }
 
@@ -1000,49 +1110,124 @@ class TestMalformedInputs:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
-def _mutated_index(rng, text):
-    """``index.json`` ``text`` with one seeded mutation: a key deleted, a
-    value of another JSON type, a non-finite number, a fixed-length list
-    (origin, band_names) one item longer or shorter, or the text truncated.
-    Top-level fields, one chip's fields and its scene's digest are equally
-    likely targets."""
-    doc = json.loads(text)
-    k = int(rng.integers(len(doc["chips"])))
-    entry = doc["chips"][k]
-    slots = [(doc, key) for key in doc] + [(entry, key) for key in entry]
-    slots += [(entry["origin"], 0), (entry["origin"], 1), (doc["chips"], k), (doc["band_names"], 0)]
-    slots += [(doc["scene_sha256"], entry["scene"])]
-    kind = int(rng.integers(5))
-    if kind == 0:
-        return text[: int(rng.integers(len(text)))]
-    if kind == 1:
-        target = [doc["band_names"], entry["origin"]][int(rng.integers(2))]
-        if rng.integers(2):
-            target.append(target[0])
-        else:
-            target.pop()
-        return json.dumps(doc)
-    if kind == 2:
-        slots = [(c, key) for c, key in slots if type(c[key]) is int]
-    container, key = slots[int(rng.integers(len(slots)))]
-    if kind == 2:
-        container[key] = "@"
-        literal = ["NaN", "Infinity", "-Infinity", "1e400"][int(rng.integers(4))]
-        return json.dumps(doc).replace('"@"', literal)
-    if kind == 3 and isinstance(container, dict):
-        del container[key]
+def _resolved(hint, value):
+    """``hint``, or for a union the member that takes ``value``'s JSON
+    container type (None if none does)."""
+    if typing.get_origin(hint) not in (types.UnionType, typing.Union):
+        return hint
+    return next((m for m in typing.get_args(hint) if _container(m) is type(value)), None)
+
+
+def _container(hint):
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        return list
+    return dict if origin is dict or hint is dict or dataclasses.is_dataclass(hint) else None
+
+
+def _declared_slots(value, hint, slots):
+    """Append to ``slots`` (container, key, hint) for each value that
+    ``hint`` declares within ``value``, a parsed JSON document, depth first:
+    a dataclass's fields, a tuple's items and a ``dict[str, X]``'s values.
+    A bare ``dict`` holds no declared fields."""
+    hint = _resolved(hint, value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint) and type(value) is dict:
+        hints = typing.get_type_hints(hint)
+        items = [(key, hints[key]) for key in value if key in hints]
+    elif origin is dict and type(value) is dict:
+        items = [(key, args[1]) for key in value]
+    elif origin is tuple and type(value) is list:
+        items = list(enumerate(args[:1] * len(value) if args[-1] is Ellipsis else args[: len(value)]))
     else:
-        others = [v for v in (None, True, 2.5, "x", [], {}, 7) if type(v) is not type(container[key])]
+        return
+    for key, item in items:
+        slots.append((value, key, _resolved(item, value[key])))
+        _declared_slots(value[key], item, slots)
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _mutated(rng, text, cls):
+    """``text``, a JSON document of the dataclass ``cls``, with one seeded
+    mutation of a value it declares: a key deleted, a value of another JSON
+    type, a non-finite or 401-digit number, a list of numbers or names (one
+    whose length another field fixes) one item longer or shorter, or the
+    text truncated. Each kind that has a target is equally likely."""
+    doc = json.loads(text)
+    slots = []
+    _declared_slots(doc, cls, slots)
+    targets = {
+        "delete": [(c, k) for c, k, _ in slots if type(c) is dict],
+        "retype": [(c, k) for c, k, _ in slots],
+        "number": [(c, k) for c, k, _ in slots if _json_type(c[k]) == "number"],
+        # a list of records (index.json's chips) may hold any count of them
+        "length": [
+            (c[k], None) for c, k, h in slots
+            if typing.get_origin(h) is tuple and not dataclasses.is_dataclass(typing.get_args(h)[0]) and c[k]
+        ],
+        "truncate": [(None, None)],
+    }
+    kinds = [kind for kind, found in targets.items() if found]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    container, key = targets[kind][int(rng.integers(len(targets[kind])))]
+    if kind == "truncate":
+        return text[: int(rng.integers(len(text)))]
+    if kind == "delete":
+        del container[key]
+    elif kind == "retype":
+        others = [v for v in (None, True, 2.5, "x", [], {}) if _json_type(v) != _json_type(container[key])]
         container[key] = others[int(rng.integers(len(others)))]
+    elif kind == "number":
+        container[key] = "@"
+        literal = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400][int(rng.integers(5))]
+        return json.dumps(doc).replace('"@"', literal)
+    elif rng.integers(2):
+        container.append(container[0])
+    else:
+        container.pop()
     return json.dumps(doc)
 
 
+def _check_mutations(rng, trials, root, document, cls, argv, outputs, capsys, caplog):
+    """Run the CLI ``argv`` on ``document`` as it is, then on each of
+    ``trials`` seeded mutations of it (``_mutated``, the document declared
+    by the dataclass ``cls``). Each run writes the ``outputs`` of the
+    unmutated run, byte for byte (and they are removed again), or exits 1
+    naming the document, changing no other file under ``root``. Gives the
+    count of each."""
+    assert run_cli(argv, capsys)[0] == 0
+    expected = {path: path.read_bytes() for path in outputs}
+    for path in outputs:
+        path.unlink()
+    text = document.read_text()
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file() and p != document}
+    outcomes = {"refused": 0, "same": 0}
+    for trial in range(trials):
+        document.write_text(_mutated(rng, text, cls))
+        caplog.clear()
+        code, summary = run_cli(argv, capsys)
+        if code == 0:
+            assert {path: path.read_bytes() for path in outputs} == expected, f"trial {trial}"
+            for path in outputs:
+                path.unlink()
+            outcomes["same"] += 1
+        else:
+            assert code == 1 and summary is None, f"trial {trial}"
+            assert document.name in caplog.text, f"trial {trial}: {caplog.text}"
+            outcomes["refused"] += 1
+        after = {p: p.read_bytes() for p in root.rglob("*") if p.is_file() and p != document}
+        assert after == before, f"trial {trial}"
+    document.write_text(text)
+    return outcomes
+
+
 class TestCatalogIndexMutations:
-    def test_train_exits_one_naming_the_index_or_trains_as_before(self, tmp_path, capsys, caplog):
-        # a catalog of positive and negative windows of two scenes, and the
-        # model train makes of it unmutated; each mutated index either
-        # trains that same model or fails naming index.json, writing nothing
-        rng = np.random.default_rng(2121)
+    def _catalog(self, tmp_path, capsys, rng):
+        """A catalog of positive and negative windows of two scenes, and
+        the run config that trains a small model on it."""
         config, cfg = _chip_config(tmp_path)
         base = tmp_path / "scenes" / "scene_000"
         write_raster(
@@ -1055,33 +1240,49 @@ class TestCatalogIndexMutations:
         config.update(model={"depth": 1, "base_filters": 2}, train={"max_epochs": 1, "pos_weight": 1.0})
         cfg.write_text(json.dumps(config))
         assert run_cli(["chip", "--config", str(cfg)], capsys)[0] == 0
-        assert run_cli(["train", "--config", str(cfg)], capsys)[0] == 0
-        model = (tmp_path / "model.bin").read_bytes()
-        for name in ("model.bin", "model.json", "report.json"):
-            (tmp_path / name).unlink()
-        index = tmp_path / "catalog" / "index.json"
-        text = index.read_text()
-        doc = json.loads(text)
+        doc = json.loads((tmp_path / "catalog" / "index.json").read_text())
         assert len({entry["scene"] for entry in doc["chips"]}) == 2
         assert len({entry["positive"] for entry in doc["chips"]}) == 2
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file() and p != index}
-        outcomes = {"refused": 0, "trained": 0}
-        for trial in range(150):
-            index.write_text(_mutated_index(rng, text))
-            caplog.clear()
-            code, summary = run_cli(["train", "--config", str(cfg)], capsys)
-            if code == 0:
-                assert (tmp_path / "model.bin").read_bytes() == model, f"trial {trial}"
-                for name in ("model.bin", "model.json", "report.json"):
-                    (tmp_path / name).unlink()
-                outcomes["trained"] += 1
-            else:
-                assert code == 1 and summary is None, f"trial {trial}"
-                assert "index.json" in caplog.text, f"trial {trial}: {caplog.text}"
-                outcomes["refused"] += 1
-            after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file() and p != index}
-            assert after == before, f"trial {trial}"
+        return ["train", "--config", str(cfg)], [tmp_path / name for name in ("model.bin", "model.json", "report.json")]
+
+    def test_train_exits_one_naming_the_index_or_trains_as_before(self, tmp_path, capsys, caplog):
+        # each mutated index either trains the model the unmutated one
+        # trains or fails naming index.json, writing nothing
+        rng = np.random.default_rng(2121)
+        argv, outputs = self._catalog(tmp_path, capsys, rng)
+        index = tmp_path / "catalog" / "index.json"
+        outcomes = _check_mutations(rng, 150, tmp_path, index, CatalogIndex, argv, outputs, capsys, caplog)
         assert outcomes["refused"] > 100
+
+    def test_train_exits_one_naming_the_stats_or_trains_as_before(self, tmp_path, capsys, caplog):
+        rng = np.random.default_rng(2626)
+        argv, outputs = self._catalog(tmp_path, capsys, rng)
+        stats = tmp_path / "catalog" / "stats.json"
+        outcomes = _check_mutations(rng, 100, tmp_path, stats, NormalizationStats, argv, outputs, capsys, caplog)
+        assert outcomes["refused"] > 70
+
+
+class TestDocumentMutations:
+    def test_predict_exits_one_naming_the_manifest_or_predicts_as_before(self, tmp_path, capsys, caplog):
+        config, _ = _predict_inputs(tmp_path, tile_size=16)
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = ["predict", "--config", str(tmp_path / "run.json")]
+        outputs = [tmp_path / "out.json", tmp_path / "out.bin"]
+        rng = np.random.default_rng(2627)
+        outcomes = _check_mutations(rng, 150, tmp_path, tmp_path / "model.json", unet.CheckpointManifest, argv, outputs, capsys, caplog)
+        assert outcomes["refused"] > 100 and outcomes["same"] > 0
+
+    def test_postprocess_exits_one_naming_the_header_or_vectorizes_as_before(self, tmp_path, capsys, caplog):
+        samples = np.full((1, 16, 16), 0.25, np.float32)
+        samples[0, 4:9, 3:7] = 0.9
+        write_raster(Raster(samples, GeoTransform(0.0, 16.0, 1.0, 1.0), band_names=("probability",)), tmp_path / "scenes" / "probability")
+        paths = {"probability": str(tmp_path / "scenes" / "probability"), "detections": str(tmp_path / "out.geojson")}
+        (tmp_path / "run.json").write_text(json.dumps({"paths": paths, "postprocess": {"min_area": 0.0}}))
+        argv = ["postprocess", "--config", str(tmp_path / "run.json")]
+        rng = np.random.default_rng(2628)
+        header = tmp_path / "scenes" / "probability.json"
+        outcomes = _check_mutations(rng, 150, tmp_path, header, geodata.RasterHeader, argv, [tmp_path / "out.geojson"], capsys, caplog)
+        assert outcomes["refused"] > 100 and outcomes["same"] > 0
 
 
 class TestNodataChip:
@@ -1221,16 +1422,60 @@ class TestChipReadsRowSlabs:
             wholes.append(path)
             return read_raster(path)
 
+        opens, annotations = [], []
+        reader_init, scene_annotations = geodata.RasterReader.__init__, ds.scene_annotations
+
+        def opened(reader, path):
+            opens.append(Path(path).name)
+            reader_init(reader, path)
+
+        def annotated(base):
+            annotations.append(Path(base).name)
+            return scene_annotations(base)
+
         monkeypatch.setattr(geodata.RasterReader, "read_rows", recorded)
         monkeypatch.setattr(geodata, "read_raster", whole)
-        for command, probes in (("chip", 2), ("ablate", 2 * len(ABLATION_SPECS))):
-            reads.clear()
+        monkeypatch.setattr(geodata.RasterReader, "__init__", opened)
+        monkeypatch.setattr(ds, "scene_annotations", annotated)
+        # chip opens each scene and reads its annotations once, and so does
+        # the catalog's load; ablate picks each scene's windows once, from
+        # one read of its annotations, and opens the scene once per band set
+        sets = len(ABLATION_SPECS)
+        for command, probes, scene_opens, reads_of_annotations in (("chip", 2, 2, 2), ("ablate", 2 * sets, sets, 1)):
+            reads.clear(), opens.clear(), annotations.clear()
             code, _ = run_cli([command, "--config", str(cfg)], capsys)
             assert code == 0
             slabs = [r for r in reads if r != (0, 1)]
             assert len(reads) - len(slabs) == probes
             assert slabs and max(r1 - r0 for r0, r1 in slabs) <= 2 * 32, (command, reads)
+            assert sorted(opens) == sorted(["scene_000", "scene_001"] * scene_opens), (command, opens)
+            assert sorted(annotations) == sorted(["scene_000", "scene_001"] * reads_of_annotations), (command, annotations)
         assert wholes == []
+
+
+class TestAblateWithoutTestSplit:
+    def test_rows_are_the_val_metrics_of_the_model_train_makes(self, tmp_path, capsys):
+        # with no test split, each row falls back to the val split, as
+        # evaluate --split val scores the model train makes of the catalog
+        cfg = tmp_path / "run.json"
+        paths = {name: str(tmp_path / name) for name in ("scenes", "catalog", "model", "ablation")}
+        config = {
+            "paths": {**paths, "scene_dir": paths["scenes"], "checkpoint": paths["model"], "report": str(tmp_path / "r.json")},
+            "synth": {"scene_size": 96, "dump_count": 3},
+            "chip": {"chip_size": 32, "stride": 16, "test_frac": 0.0, "val_frac": 0.3},
+            "model": {"depth": 1, "base_filters": 2},
+            "train": {"max_epochs": 1},
+        }
+        del config["paths"]["scenes"], config["paths"]["model"]
+        cfg.write_text(json.dumps(config))
+        for command in ("synth", "chip", "train"):
+            assert run_cli([command, "--config", str(cfg)], capsys)[0] == 0
+        code, ablate = run_cli(["ablate", "--config", str(cfg)], capsys)
+        assert code == 0
+        code, val = run_cli(["evaluate", "--config", str(cfg), "--split", "val"], capsys)
+        assert code == 0
+        row = {r["label"]: r for r in ablate["rows"]}["RGB-NIR-SWIR-NDSW"]
+        assert (row["loss"], row["mean_iou"]) == (val["loss"], val["mean_iou"])
 
 
 class TestSynthSeeding:
@@ -1420,7 +1665,8 @@ class TestProcessLevel:
         raster's payload (a whole-raster predict grew by about three times
         the payload)."""
         config = UNetConfig(in_channels=6, depth=1, base_filters=2)
-        save_checkpoint(checkpoint_from_params(config, build_unet(config)), tmp_path / "model")
+        stats = NormalizationStats((0.5,) * 6, (0.3,) * 6, DEFAULT_BAND_SPEC)
+        save_checkpoint(checkpoint_from_params(config, build_unet(config), stats), tmp_path / "model")
         width, height = 768, 384
         rng = np.random.default_rng(0)
         for h in (height, 4 * height):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from dumpwatch.dataset import (
     stack_bands,
 )
 from dumpwatch import cli
+from dumpwatch._fileio import read_document
 from dumpwatch.geodata import GeoTransform, Raster, RasterReader, write_annotations, write_raster
 from oracles import polygon_columns, rasterize_oracle, rasters_equal
 
@@ -348,7 +349,7 @@ class TestChipScenes:
     def test_matches_per_scene_extraction(self, tmp_path):
         chip = ChipConfig(chip_size=32, stride=16, bands=("R", "SWIR1", "NDSW"))
         cfg = cli.RunConfig(seed=3, paths=cli.PathsConfig(scene_dir=str(_scene_dir(tmp_path))), chip=chip)
-        split, _ = cli._chip(cfg)
+        split, _ = cli._chip(cfg, chip.bands, {})
         want = []
         for scene_id, raster, polygons in _two_scenes():
             mask = rasterize_mask(polygons, raster.transform, 96, 96)
@@ -372,10 +373,11 @@ class TestChipScenes:
             paths=cli.PathsConfig(scene_dir=str(_scene_dir(tmp_path))),
             chip=ChipConfig(chip_size=32, stride=16),
         )
-        union, _ = cli._chip(cfg)
+        windows = {}
+        union, _ = cli._chip(cfg, DEFAULT_BAND_SPEC, windows)
         for spec in ABLATION_SPECS.values():
             idx = [DEFAULT_BAND_SPEC.index(band) for band in spec]
-            direct, stats = cli._chip(replace(cfg, chip=replace(cfg.chip, bands=spec)))
+            direct, stats = cli._chip(cfg, spec, windows)
             sliced = {
                 name: [replace(c, samples=c.samples[idx], band_names=spec) for c in getattr(union, name)]
                 for name in ("train", "val", "test")
@@ -476,8 +478,8 @@ class TestNormalization:
 
     def test_stats_round_trip(self, tmp_path):
         stats = NormalizationStats((0.1, 0.2), (1.0, 2.0), ("a", "b"))
-        (tmp_path / "stats.json").write_text(json.dumps(stats.to_json_dict()))
-        loaded = NormalizationStats.from_json_dict(json.loads((tmp_path / "stats.json").read_text()), "stats.json")
+        (tmp_path / "stats.json").write_text(json.dumps(asdict(stats)))
+        loaded = read_document(NormalizationStats, tmp_path / "stats.json")
         assert loaded == stats
 
     def test_stats_validation(self):
@@ -633,7 +635,7 @@ class TestCatalogIO:
         index = json.loads(index_path.read_text())
         index["format_version"] = 1
         index_path.write_text(json.dumps(index))
-        with pytest.raises(ValueError, match=r"index\.json: unsupported catalog version 1;.*re-run `dumpwatch chip`"):
+        with pytest.raises(ValueError, match=r"index\.json: format_version: expected 2, got 1$"):
             load_catalog(tmp_path / "cat")
 
     def test_catalog_without_stats(self, tmp_path):

@@ -146,7 +146,7 @@ class TestRasterIO:
             read_raster(base)
         # a string holding every key name passes a membership test
         (tmp_path / "scene.json").write_text(json.dumps(" ".join(header)))
-        with pytest.raises(ValueError, match=r"malformed raster header .*scene\.json: not a JSON object"):
+        with pytest.raises(ValueError, match=r"scene\.json: expected object, got \"format format_version "):
             read_raster(base)
 
     def test_rejects_future_version(self, tmp_path):
@@ -182,7 +182,7 @@ class TestRasterIO:
         header = json.loads((tmp_path / "scene.json").read_text())
         header["width"] = value
         (tmp_path / "scene.json").write_text(json.dumps(header))
-        with pytest.raises(ValueError, match="scene.json: width is .*not a positive integer"):
+        with pytest.raises(ValueError, match=r"scene\.json: width: (must be in \[1, 2\*\*31\)|expected integer), got "):
             read_raster(base)
 
     def test_rejects_band_names_that_miscount_the_bands(self, tmp_path):
@@ -199,18 +199,18 @@ class TestRasterIO:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("transform", list(TRANSFORM.values()), r"transform is \[1200\.0, .*not an object of finite numbers"),
-            ("transform", {**TRANSFORM, "origin_x": None}, "transform is .*not an object of finite numbers"),
-            ("transform", {**TRANSFORM, "pixel_width": "10"}, "transform is .*not an object of finite numbers"),
-            ("transform", {**TRANSFORM, "origin_x": 10**400}, "transform is .*not an object of finite numbers"),
-            ("transform", {**TRANSFORM, "pixel_height": 0}, "pixel_height must be > 0, got 0"),
-            ("nodata", "abc", 'nodata is "abc", not a finite number, "nan" or null'),
-            ("nodata", True, "nodata is true"),
-            ("band_names", 5, "band_names is 5, not a list of strings or null"),
-            ("band_names", ["R", 2, "B"], r"band_names is \["),
-            ("format", "something-else", "unrecognized raster format 'something-else'"),
-            ("format_version", 99, "unsupported raster format version 99"),
-            ("dtype", "float64", "unsupported raster dtype 'float64'"),
+            ("transform", list(TRANSFORM.values()), r"transform: expected object, got \[1200\.0, "),
+            ("transform", {**TRANSFORM, "origin_x": None}, "transform.origin_x: expected finite number, got null"),
+            ("transform", {**TRANSFORM, "pixel_width": "10"}, 'transform.pixel_width: expected finite number, got "10"'),
+            ("transform", {**TRANSFORM, "origin_x": 10**400}, "transform.origin_x: expected finite number, got 1000"),
+            ("transform", {**TRANSFORM, "pixel_height": 0}, "transform.pixel_height: must be > 0, got 0"),
+            ("nodata", "abc", 'nodata: expected finite number or "nan" or null, got "abc"'),
+            ("nodata", True, "nodata: expected .*, got true"),
+            ("band_names", 5, "band_names: expected list of strings or null, got 5"),
+            ("band_names", ["R", 2, "B"], r"band_names\[1\]: expected string, got 2"),
+            ("format", "something-else", 'format: expected "dumpwatch.raster", got "something-else"'),
+            ("format_version", 99, "format_version: expected 1, got 99"),
+            ("dtype", "float64", 'dtype: expected "float32", got "float64"'),
         ],
         ids=[
             "transform-list", "origin-null", "pixel-width-string", "origin-huge-integer",
@@ -224,7 +224,7 @@ class TestRasterIO:
         header = json.loads((tmp_path / "scene.json").read_text())
         header[key] = value
         (tmp_path / "scene.json").write_text(json.dumps(header))
-        with pytest.raises(ValueError, match=f"^malformed raster header .*scene\\.json: {message}"):
+        with pytest.raises(ValueError, match=f"^{tmp_path}/scene\\.json: {message}"):
             read_raster(base)
 
     def test_short_read_raises_instead_of_leaving_rows_unfilled(self, tmp_path):

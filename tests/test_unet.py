@@ -341,7 +341,7 @@ class TestCheckpointIO:
         manifest = json.loads((tmp_path / "model.json").read_text())
         manifest["format_version"] = 9
         (tmp_path / "model.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        with pytest.raises(ValueError, match="model.json: format_version: expected 1, got 9$"):
             load_checkpoint(tmp_path / "model")
 
     def test_tampered_schema_rejected(self, tmp_path):
