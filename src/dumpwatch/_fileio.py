@@ -155,9 +155,15 @@ def parse(hint, value, path: str = ""):
         return _parse_object(hint, value, path)
     else:
         return value
-    text = json.dumps(value)
-    shown = text if len(text) <= 60 else text[:57] + "..."
-    raise ValueError(f"{path + ': ' if path else ''}expected {_expected(hint)}, got {shown}")
+    raise ValueError(f"{path + ': ' if path else ''}expected {_expected(hint)}, got {shown(json.dumps(value))}")
+
+
+def shown(value) -> str:
+    """``value`` as a message quotes it: its text, cut to 60 characters,
+    since a number in a file can run to hundreds of digits. ``parse`` and
+    the range checks of the dataclasses it fills quote values this way."""
+    text = str(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _parse_object(cls, obj: dict, path: str):

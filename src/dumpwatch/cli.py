@@ -8,7 +8,9 @@ randomness is derived through named substreams so, e.g., chip extraction
 stays identical whether or not other stages run. ``ablate`` picks
 ``chip``'s windows once, then cuts and splits them and runs ``train``'s
 training step once per band set, under those same substreams. Logs go to
-stderr and each subcommand prints a single summary JSON object on stdout.
+stderr; each subcommand returns a summary, which ``main`` prints as one JSON
+object on stdout with its ``wall_s`` and ``peak_rss_mb`` (null without
+``/proc``).
 
 Set DUMPWATCH_THREADS=1 before launching for the reference deterministic
 mode; the value caps the BLAS thread pools and must be set before numpy
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import detect, geodata, training, unet
-from ._fileio import parse, read_json
+from ._fileio import parse, read_json, shown
 from .dataset import ChipConfig, DatasetSplit, SynthConfig
 from .detect import InferenceConfig, PostprocConfig
 from .training import Hyperparams
@@ -83,7 +85,7 @@ class SynthSection:
 
     def __post_init__(self):
         if self.scene_count < 1:
-            raise ValueError(f"scene_count: must be >= 1, got {self.scene_count}")
+            raise ValueError(f"scene_count: must be >= 1, got {shown(self.scene_count)}")
         self.scene_config(0)  # the per-scene checks, before any scene is written
 
     def scene_config(self, texture_seed: int) -> SynthConfig:
@@ -158,8 +160,19 @@ def _scene_bases(scene_dir: str) -> list[Path]:
     return bases
 
 
-def _summary(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+_STATUS = Path("/proc/self/status")
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far (``VmHWM``), in MB; None
+    where ``/proc`` is absent. It restarts at exec, so a subcommand run as
+    its own process reads its own peak."""
+    try:
+        lines = _STATUS.read_text().splitlines()
+    except OSError:
+        return None
+    kib = next((int(line.split()[1]) for line in lines if line.startswith("VmHWM:")), None)
+    return None if kib is None else round(kib * 1024 / 1e6, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +180,7 @@ def _summary(obj: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(cfg: RunConfig, args) -> int:
+def cmd_synth(cfg: RunConfig, args) -> dict:
     out_dir = Path(args.out) if args.out else Path(cfg.paths.scene_dir)
     written = []
     for i in range(cfg.synth.scene_count):
@@ -179,16 +192,13 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         geodata.read_raster(base)  # write-then-verify round trip
         written.append(str(base))
         log.info("wrote scene %s (%d blobs)", base, len(polygons))
-    _summary(
-        {
-            "command": "synth",
-            "scenes": written,
-            "scene_size": cfg.synth.scene_size,
-            "dump_count": cfg.synth.dump_count,
-            "seed": cfg.seed,
-        }
-    )
-    return 0
+    return {
+        "command": "synth",
+        "scenes": written,
+        "scene_size": cfg.synth.scene_size,
+        "dump_count": cfg.synth.dump_count,
+        "seed": cfg.seed,
+    }
 
 
 def _chip(
@@ -223,25 +233,22 @@ def _chip(
     return split, ds.fit_normalization(split.train) if split.train else None
 
 
-def cmd_chip(cfg: RunConfig, args) -> int:
+def cmd_chip(cfg: RunConfig, args) -> dict:
     catalog_dir = args.out or cfg.paths.catalog
     split, stats = _chip(cfg, cfg.chip.bands, {})
     ds.save_catalog(catalog_dir, split, cfg.paths.scene_dir, stats)
     del split  # freed before the write-then-verify read, which reads every scene again
     split, _ = ds.load_catalog(catalog_dir)
     chips = split.train + split.val + split.test
-    _summary(
-        {
-            "command": "chip",
-            "chips": len(chips),
-            "positives": sum(1 for c in chips if c.is_positive()),
-            "train": len(split.train),
-            "val": len(split.val),
-            "test": len(split.test),
-            "catalog": str(catalog_dir),
-        }
-    )
-    return 0
+    return {
+        "command": "chip",
+        "chips": len(chips),
+        "positives": sum(1 for c in chips if c.is_positive()),
+        "train": len(split.train),
+        "val": len(split.val),
+        "test": len(split.test),
+        "catalog": str(catalog_dir),
+    }
 
 
 def _train(cfg: RunConfig, split: DatasetSplit, stats: ds.NormalizationStats):
@@ -255,7 +262,7 @@ def _train(cfg: RunConfig, split: DatasetSplit, stats: ds.NormalizationStats):
     return config, best, report
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
+def cmd_train(cfg: RunConfig, args) -> dict:
     split, stats = ds.load_catalog(cfg.paths.catalog)
     if not split.train:
         raise ConfigError("paths.catalog: catalog has no training chips")
@@ -290,8 +297,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     if report.test:
         summary["test_loss"] = report.test.loss
         summary["test_mean_iou"] = report.test.mean_iou
-    _summary(summary)
-    return 0
+    return summary
 
 
 def _checkpoint(cfg: RunConfig) -> unet.Checkpoint:
@@ -302,7 +308,7 @@ def _checkpoint(cfg: RunConfig) -> unet.Checkpoint:
     return ckpt
 
 
-def cmd_evaluate(cfg: RunConfig, args) -> int:
+def cmd_evaluate(cfg: RunConfig, args) -> dict:
     ckpt = _checkpoint(cfg)
     split, _stats = ds.load_catalog(cfg.paths.catalog)
     stats = ckpt.normalization
@@ -324,18 +330,15 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         normalized,
         threshold=cfg.postprocess.probability_threshold,
     )
-    _summary(
-        {
-            "command": "evaluate",
-            "split": args.split,
-            "count": len(chips),
-            **asdict(metrics),
-        }
-    )
-    return 0
+    return {
+        "command": "evaluate",
+        "split": args.split,
+        "count": len(chips),
+        **asdict(metrics),
+    }
 
 
-def cmd_predict(cfg: RunConfig, args) -> int:
+def cmd_predict(cfg: RunConfig, args) -> dict:
     ckpt = _checkpoint(cfg)
     if cfg.inference.tile_size % ckpt.config.pool_factor:
         raise ConfigError(
@@ -386,21 +389,18 @@ def cmd_predict(cfg: RunConfig, args) -> int:
             detect.tile_origins(source.width, tile, overlap)
         )
     geodata.RasterReader(out).close()  # write-then-verify: header and payload length
-    _summary(
-        {
-            "command": "predict",
-            "raster": str(raster_path),
-            "probability": str(out),
-            "threshold": threshold,
-            "pixels_above_threshold": above,
-            "tiles": tiles,
-            "timing": timing,  # not deterministic
-        }
-    )
-    return 0
+    return {
+        "command": "predict",
+        "raster": str(raster_path),
+        "probability": str(out),
+        "threshold": threshold,
+        "pixels_above_threshold": above,
+        "tiles": tiles,
+        "timing": timing,  # not deterministic
+    }
 
 
-def cmd_postprocess(cfg: RunConfig, args) -> int:
+def cmd_postprocess(cfg: RunConfig, args) -> dict:
     prob = geodata.read_raster(cfg.paths.probability)
     grid = prob.samples[0]
     bad = np.argwhere(((grid < 0) | (grid > 1)) & prob.valid_mask())
@@ -422,11 +422,10 @@ def cmd_postprocess(cfg: RunConfig, args) -> int:
     }
     del detections  # freed before the verify read, which holds the whole file
     geodata.read_annotations(out)  # write-then-verify
-    _summary(summary)
-    return 0
+    return summary
 
 
-def cmd_ablate(cfg: RunConfig, args) -> int:
+def cmd_ablate(cfg: RunConfig, args) -> dict:
     if args.bands is not None:
         raise ConfigError(
             "--bands: ablate trains its own band sets "
@@ -448,14 +447,11 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     out = args.out or cfg.paths.ablation
     training.save_ablation(rows, out)
     sys.stderr.write(training.format_ablation_table(rows) + "\n")
-    _summary(
-        {
-            "command": "ablate",
-            "output": str(out),
-            "rows": [asdict(r) for r in rows],
-        }
-    )
-    return 0
+    return {
+        "command": "ablate",
+        "output": str(out),
+        "rows": [asdict(r) for r in rows],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +508,13 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         cfg = _apply_flags(cfg, args)
-        return _COMMANDS[args.command][0](cfg, args)
+        summary = _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         source = f" in {args.config}" if args.config else ""
         log.error("invalid configuration%s: %s", source, exc)
@@ -525,6 +522,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, ValueError, training.TrainingDiverged) as exc:
         log.error("%s", exc)
         return 1
+    # side fields that vary run to run: the subcommand's wall time and peak memory
+    summary.update(wall_s=round(time.perf_counter() - started, 3), peak_rss_mb=_peak_rss_mb())
+    sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from . import geodata
-from ._fileio import atomic_write_json, read_document
+from ._fileio import atomic_write_json, read_document, shown
 from .geodata import GeoTransform, Polygons, Raster
 
 NDSW_BAND = "NDSW"
@@ -290,10 +290,10 @@ class ChipConfig:
         # each message starts with its field, which a config error names
         for name, least in (("chip_size", 1), ("stride", 1), ("negatives_per_positive", 0)):
             if getattr(self, name) < least:
-                raise ValueError(f"{name}: must be >= {least}, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be >= {least}, got {shown(getattr(self, name))}")
         for name in ("test_frac", "val_frac"):
             if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be in [0, 1), got {shown(getattr(self, name))}")
         if self.test_frac + self.val_frac >= 1:
             raise ValueError(
                 f"val_frac: test_frac + val_frac must be below 1, got "
@@ -386,7 +386,7 @@ class NormalizationStats:
                     f"std {std}); nodata pixels in the training chips?"
                 )
         if any(s <= 0 for s in self.stds):
-            raise ValueError(f"stds: must be positive, got {self.stds}")
+            raise ValueError(f"stds: must be positive, got {shown(self.stds)}")
 
 
 def fit_normalization(train_chips: list[Chip]) -> NormalizationStats:
@@ -461,15 +461,15 @@ class SynthConfig:
     def __post_init__(self):
         # each message starts with its field, which a config error names
         if self.scene_size < 16:
-            raise ValueError(f"scene_size: must be >= 16, got {self.scene_size}")
+            raise ValueError(f"scene_size: must be >= 16, got {shown(self.scene_size)}")
         if self.pixel_size <= 0:
-            raise ValueError(f"pixel_size: must be > 0, got {self.pixel_size}")
+            raise ValueError(f"pixel_size: must be > 0, got {shown(self.pixel_size)}")
         if self.dump_count < 0:
-            raise ValueError(f"dump_count: must be >= 0, got {self.dump_count}")
+            raise ValueError(f"dump_count: must be >= 0, got {shown(self.dump_count)}")
         rmin, rmax = self.dump_radius_range
         if not (0 < rmin <= rmax):
             raise ValueError(
-                f"dump_radius_range: must be 0 < min <= max, got {self.dump_radius_range}"
+                f"dump_radius_range: must be 0 < min <= max, got {shown(self.dump_radius_range)}"
             )
         if rmax >= self.scene_size / 2:
             raise ValueError(
@@ -510,7 +510,7 @@ def generate_synthetic(config: SynthConfig) -> tuple[Raster, Polygons]:
                 break
         else:
             raise ValueError(
-                f"could not place {config.dump_count} blobs of radius "
+                f"could not place {shown(config.dump_count)} blobs of radius "
                 f"<= {rmax} in a {size}px scene"
             )
         placed.append((cx, cy, radius))
@@ -629,11 +629,11 @@ class CatalogIndex:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
+            raise ValueError(f"seed: must be >= 0, got {shown(self.seed)}")
         if not self.scenes:
             raise ValueError("scenes: empty path")
         if self.chip_size is not None and self.chip_size < 1:
-            raise ValueError(f"chip_size: must be >= 1, got {self.chip_size}")
+            raise ValueError(f"chip_size: must be >= 1, got {shown(self.chip_size)}")
         for key in ("chip_size", "band_names"):
             if self.chips and not getattr(self, key):
                 raise ValueError(f"{key}: {json.dumps(getattr(self, key))}, but the catalog has chips")

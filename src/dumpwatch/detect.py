@@ -35,6 +35,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import numerics, unet
+from ._fileio import shown
 from .dataset import NormalizationStats
 from .geodata import (
     GeoTransform,
@@ -54,12 +55,14 @@ class InferenceConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.tile_size < 1:
-            raise ValueError(f"tile_size: must be >= 1, got {self.tile_size}")
+        # below 2**31, as raster dimensions are: a raster smaller than a
+        # tile is padded to it
+        if not 1 <= self.tile_size < 2**31:
+            raise ValueError(f"tile_size: must be in [1, 2**31), got {shown(self.tile_size)}")
         if not (0 <= self.overlap < self.tile_size):
-            raise ValueError(f"overlap: must be in [0, tile_size), got {self.overlap}")
+            raise ValueError(f"overlap: must be in [0, tile_size), got {shown(self.overlap)}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size: must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size: must be >= 1, got {shown(self.batch_size)}")
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,12 @@ class PostprocConfig:
         # each message starts with its field, which a config error names
         if not (0 < self.probability_threshold < 1):
             raise ValueError(
-                f"probability_threshold: must be in (0, 1), got {self.probability_threshold}"
+                f"probability_threshold: must be in (0, 1), got {shown(self.probability_threshold)}"
             )
         if self.min_area < 0:
-            raise ValueError(f"min_area: must be >= 0, got {self.min_area}")
+            raise ValueError(f"min_area: must be >= 0, got {shown(self.min_area)}")
         if self.connectivity not in (4, 8):
-            raise ValueError(f"connectivity: must be 4 or 8, got {self.connectivity}")
+            raise ValueError(f"connectivity: must be 4 or 8, got {shown(self.connectivity)}")
 
 
 @dataclass(eq=False)

@@ -36,6 +36,7 @@ from ._fileio import (
     gc_paused,
     read_document,
     read_json,
+    shown,
 )
 
 RASTER_FORMAT = "dumpwatch.raster"
@@ -62,9 +63,9 @@ class GeoTransform:
 
     def __post_init__(self):
         if not (self.pixel_width > 0):
-            raise ValueError(f"pixel_width: must be > 0, got {self.pixel_width}")
+            raise ValueError(f"pixel_width: must be > 0, got {shown(self.pixel_width)}")
         if not (self.pixel_height > 0):
-            raise ValueError(f"pixel_height: must be > 0, got {self.pixel_height}")
+            raise ValueError(f"pixel_height: must be > 0, got {shown(self.pixel_height)}")
 
 
 def pixel_to_world(transform: GeoTransform, col: float, row: float) -> Point:
@@ -162,7 +163,7 @@ class RasterHeader:
         for key in ("width", "height", "band_count"):
             # below 2**31, as GDAL's are: their products with floats stay floats
             if not 1 <= getattr(self, key) < 2**31:
-                raise ValueError(f"{key}: must be in [1, 2**31), got {getattr(self, key)}")
+                raise ValueError(f"{key}: must be in [1, 2**31), got {shown(getattr(self, key))}")
         t, w, h = self.transform, self.width, self.height
         if not all(map(math.isfinite, (t.origin_x + w * t.pixel_width, t.origin_y - h * t.pixel_height,
                                        w * h * (t.pixel_width * t.pixel_height)))):

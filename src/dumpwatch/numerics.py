@@ -35,7 +35,14 @@ buffer; the cells it writes past a row's end are then zeroed. So a conv's output
 (``Tensor._flat`` keeps the buffer). relu, pooling, the up-conv and
 concatenation write this layout too, whether or not a gradient is recorded,
 so only the network input is padded, and a conv's weight gradient reads the
-buffer its input already holds. With one input channel, as in the
+buffer its input already holds. Concatenation wraps, without a copy, inputs
+that relu and the up-conv wrote into the two channel ranges of one buffer
+(the U-Net's skips). Gradients keep the layout: conv's input gradient is the
+interior of the buffer its adjoint correlation writes, relu multiplies over
+padded buffers, pooling writes a zero-bordered one, and concatenation's
+gradient splits one by channel; only a gradient that arrives outside the
+layout (the loss's, a sum, the up-conv's input gradient) is padded. With
+one input channel, as in the
 output conv's input gradient, the taps are broadcast multiplies, not K = 1
 GEMMs. 2x2 pooling takes the maximum of column pairs, then of row pairs,
 and its gradient finds the first maximum of each window again from the
@@ -263,18 +270,32 @@ def zero_grads(params: Iterable[Tensor] | Mapping[str, "Tensor"]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def relu(x: Tensor) -> Tensor:
+def relu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """max(x, 0). A 4-D ``x`` is read and written in the padded layout, into
+    ``out`` if given (a ``padded_buffer`` of its dtype, or a range of its
+    channels); so is its gradient."""
     flat = None
     if x.data.ndim == 4:
-        flat = np.maximum(_flat_input(x, x.data.dtype), 0)  # the zero border stays zero
-        out = _interior(flat, *x.data.shape[2:])
+        # the zero border stays zero
+        flat = np.maximum(_flat_input(x.data, x._flat, x.data.dtype), 0, out=out)
+        y = _interior(flat, *x.data.shape[2:])
     else:
-        out = np.maximum(x.data, 0)
+        y = np.maximum(x.data, 0)
 
     def grad_fn(g):
-        return (g * (out > 0),)  # subgradient 0 at the kink
+        # g * (y > 0), subgradient 0 at the kink; the multiply keeps the
+        # signed zeros the sums downstream see
+        if flat is None:
+            return (g * (y > 0),)
+        gp = _buffer(g, g.base)
+        if gp is None:  # padded once, then multiplied in place
+            gp = _pad_flat(g, g.dtype)
+            np.multiply(gp, flat > 0, out=gp)
+        else:
+            gp = gp * (flat > 0)
+        return (_interior(gp, *y.shape[2:]),)
 
-    return _record(out, (x,), grad_fn, flat)
+    return _record(y, (x,), grad_fn, flat)
 
 
 def sigmoid_values(z: np.ndarray) -> np.ndarray:
@@ -336,8 +357,12 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if sa[0] != sb[0] or sa[2:] != sb[2:]:
         raise ValueError(f"incompatible shapes for concat: {sa} vs {sb}")
     ca = sa[1]
-    # the borders line up
-    flat = np.concatenate([_flat_input(t, t.data.dtype) for t in (a, b)], axis=1)
+    fa, fb = (_flat_input(t.data, t._flat, t.data.dtype) for t in (a, b))
+    # adjacent channel ranges of one buffer are wrapped; else the borders
+    # line up in a copy
+    flat = _joined(fa, fb, *sa[2:])
+    if flat is None:
+        flat = np.concatenate([fa, fb], axis=1)
     out = _interior(flat, *sa[2:])
 
     def grad_fn(g):
@@ -387,6 +412,14 @@ def _zero_border(flat: np.ndarray, h: int, w: int) -> np.ndarray:
     return flat
 
 
+def padded_buffer(b: int, c: int, h: int, w: int, dtype) -> np.ndarray:
+    """An uninitialized [b, c, (h+2)*(w+2) + 2] buffer for a [b, c, h, w]
+    activation in the padded layout. relu and the up-conv write all of one
+    given as ``out``, border included, so a U-Net stage's skip and the
+    up-conv can write the two channel ranges that concatenation wraps."""
+    return np.empty((b, c, (h + 2) * (w + 2) + 2), dtype)
+
+
 def _pad_flat(a: np.ndarray, dtype) -> np.ndarray:
     """[batch, ch, h, w] -> [batch, ch, (h+2)*(w+2) + 2] under zero padding 1:
     the padded layout.
@@ -400,30 +433,79 @@ def _pad_flat(a: np.ndarray, dtype) -> np.ndarray:
     return ap
 
 
-def _flat_input(x: Tensor, dtype) -> np.ndarray:
-    """[batch, ch, h, w] ``x`` in the padded layout and ``dtype``: the buffer
-    an op wrote for it, or a padded copy. The buffer is taken only while
-    ``x.data`` is exactly its interior view, not after ``data`` was
-    reassigned, even to a slice of the buffer."""
-    flat, data = x._flat, x.data
+def _channel_range(owner, start: int, c: int, h: int, w: int) -> np.ndarray | None:
+    """The ``c`` channels from address ``start`` on of ``owner``, an array
+    shaped as a padded-layout buffer of h x w images: ``owner`` itself, or
+    a view of a range of its channels. None where there is no such range."""
+    if not isinstance(owner, np.ndarray) or owner.ndim != 3 or owner.shape[2] != (h + 2) * (w + 2) + 2:
+        return None
+    if owner.strides[1] <= 0:  # a broadcast or reversed array holds no buffer
+        return None
+    c0, rest = divmod(start - owner.ctypes.data, owner.strides[1])
+    if rest or c0 < 0 or c0 + c > owner.shape[1]:
+        return None
+    return owner if (c0, c) == (0, owner.shape[1]) else owner[:, c0 : c0 + c]
+
+
+def _buffer(data: np.ndarray, owner) -> np.ndarray | None:
+    """The padded-layout buffer whose interior view [batch, ch, h, w]
+    ``data`` is exactly: ``owner``, or a range of its channels (as
+    concatenation's gradient splits one). None if ``data`` is not such a
+    view, for example after it was re-sliced, which keeps the buffer but
+    not its geometry."""
     b, c, h, w = data.shape
-    if (
-        flat is not None
-        and flat.shape == (b, c, (h + 2) * (w + 2) + 2)
-        and flat.dtype == data.dtype == dtype
+    flat = _channel_range(owner, data.ctypes.data - (w + 3) * data.itemsize, c, h, w)
+    if flat is None or flat.shape[0] != b or flat.dtype != data.dtype:
+        return None
+    view = _interior(flat, h, w)
+    # the same cells: a stride along an axis of one element is never used
+    if view.ctypes.data != data.ctypes.data or any(
+        n > 1 and s != t for n, s, t in zip(data.shape, view.strides, data.strides)
     ):
-        view = _interior(flat, h, w)
-        if (view.ctypes.data, view.strides) == (data.ctypes.data, data.strides):
-            return flat
-    return _pad_flat(data, dtype)
+        return None
+    return flat
+
+
+def _flat_input(data: np.ndarray, owner, dtype) -> np.ndarray:
+    """[batch, ch, h, w] ``data`` in the padded layout and ``dtype``: the
+    buffer of ``owner`` it is the interior of (``_buffer``), or a padded
+    copy. An activation's owner is the ``Tensor._flat`` an op wrote; a
+    gradient's is its ``base``, which has a buffer's shape only where an op
+    wrote the padded layout, border zeroed."""
+    flat = _buffer(data, owner)
+    return flat if flat is not None and flat.dtype == dtype else _pad_flat(data, dtype)
+
+
+def _joined(fa: np.ndarray, fb: np.ndarray, h: int, w: int) -> np.ndarray | None:
+    """The buffer whose channels are those of the padded-layout buffers
+    ``fa`` then ``fb``, where they are adjacent channel ranges of one."""
+    if fa.strides != fb.strides or fb.ctypes.data != fa.ctypes.data + fa.shape[1] * fa.strides[1]:
+        return None
+    flat = _channel_range(fa.base, fa.ctypes.data, fa.shape[1] + fb.shape[1], h, w)
+    return flat if flat is not None and flat.strides == fa.strides else None
 
 
 def _new_output(shape: tuple[int, ...], dtype):
     """An op's empty [b, c, h, w] output, the interior of a zero-bordered
     padded-layout buffer, and that buffer."""
-    b, c, h, w = shape
-    flat = _zero_border(np.empty((b, c, (h + 2) * (w + 2) + 2), dtype), h, w)
-    return _interior(flat, h, w), flat
+    flat = _zero_border(padded_buffer(*shape, dtype), *shape[2:])
+    return _interior(flat, *shape[2:]), flat
+
+
+def _channel_sums(g: np.ndarray) -> np.ndarray:
+    """``g.sum(axis=(0, 2, 3))`` with the bits of that sum over a contiguous
+    ``g``: for a padded-layout ``g``, one image at a time in contiguous
+    scratch, since numpy sums each (image, channel) run pairwise and adds
+    the runs in image order. With one channel it sums the whole batch as
+    one run, so that takes a contiguous copy of it."""
+    if g.flags.c_contiguous or g.shape[1] == 1:
+        return np.ascontiguousarray(g).sum(axis=(0, 2, 3))
+    scratch, total = np.empty(g.shape[1:], g.dtype), None
+    for gi in g:
+        scratch[...] = gi
+        sums = scratch.sum(axis=(1, 2))
+        total = sums if total is None else np.add(total, sums, out=total)
+    return total
 
 
 def _tap_offsets(w: int) -> list[int]:
@@ -493,7 +575,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     kernel is [out_ch, in_ch, 3, 3]; bias is [out_ch]. The input is read in
     the padded layout: ``x._flat`` where an op wrote one, else a padded copy
     that is not kept. The output is written in that layout, bias added block
-    by block, and its ``data`` is the interior view. The gradient pads ``g``.
+    by block, and its ``data`` is the interior view. So is the gradient:
+    ``g`` is read from the buffer it is the interior of (a gradient outside
+    the layout is padded), and the input gradient is the interior of the
+    zero-bordered buffer the adjoint correlation writes.
     """
     _, cin, h, w = x.data.shape
     if kernel.data.ndim != 4 or kernel.data.shape[2:] != (3, 3):
@@ -507,14 +592,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     taps = np.ascontiguousarray(
         kernel.data.reshape(cout, cin, 9).transpose(2, 0, 1), dtype=dtype
     )
-    flat = _correlate3(_flat_input(x, dtype), taps, h, w, bias.data.astype(dtype))
+    flat = _correlate3(_flat_input(x.data, x._flat, dtype), taps, h, w, bias.data.astype(dtype))
     out = _interior(_zero_border(flat, h, w), h, w)
 
     def grad_fn(g):
-        gp = _pad_flat(g, dtype)
+        gp = _flat_input(g, g.base, dtype)
         gw = None
         if kernel.requires_grad:
-            xp = _flat_input(x, dtype)
+            xp = _flat_input(x.data, x._flat, dtype)
             # g on the output grid; the wrap-around columns read zero padding
             n = h * (w + 2)
             gout = gp[:, :, w + 3 : w + 3 + n]
@@ -526,10 +611,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         gx = None
         if x.requires_grad:
             # the adjoint correlates g with the flipped, transposed taps
-            gx = np.ascontiguousarray(
-                _interior(_correlate3(gp, taps[::-1].transpose(0, 2, 1), h, w), h, w)
-            )
-        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+            gflat = _correlate3(gp, taps[::-1].transpose(0, 2, 1), h, w)
+            gx = _interior(_zero_border(gflat, h, w), h, w)
+        gb = _channel_sums(g) if bias.requires_grad else None
         return gx, gw, gb
 
     return _record(out, (x, kernel, bias), grad_fn, flat)
@@ -549,7 +633,7 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     # first maximum (and a window of -0.0 and 0.0 its sign). The column pass
     # runs over whole rows of the padded layout, whose two border cells pair
     # to a zero column the row pass drops: so its rows are one strided loop.
-    rows = _grid(_flat_input(x, xd.dtype), h, w)
+    rows = _grid(_flat_input(xd, x._flat, xd.dtype), h, w)
     cols = np.maximum(rows[..., 1::2], rows[..., 0::2])
     out, flat = _new_output((b, c, h // 2, w // 2), xd.dtype)
     np.maximum(cols[:, :, 1::2, : w // 2], cols[:, :, 0::2, : w // 2], out=out)
@@ -560,8 +644,8 @@ def max_pool_2x2(x: Tensor) -> Tensor:
         # all-ones or all-zeros mask keeps both exact (g * mask would write
         # -0.0 for a negative g) and is far faster than a masked copy.
         bits = np.dtype(f"u{xd.itemsize}")
-        gbits = np.ascontiguousarray(g, dtype=xd.dtype).view(bits)
-        gx = np.empty_like(xd)
+        gbits = np.asarray(g, dtype=xd.dtype).view(bits)
+        gx = _new_output(xd.shape, xd.dtype)[0]
         taken = np.zeros(out.shape, dtype=bool)
         for k, (dy, dx) in enumerate(corners):
             # the maximum is one of the four: what is left is the last one's
@@ -574,14 +658,18 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     return _record(out, (x,), grad_fn, flat)
 
 
-def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def transposed_conv_2x2(
+    x: Tensor, kernel: Tensor, bias: Tensor, out: np.ndarray | None = None
+) -> Tensor:
     """2x2 stride-2 transposed convolution (learned 2x upsampling).
 
     kernel is [in_ch, out_ch, 2, 2]; output is [batch, out_ch, 2h, 2w] with
     out[b, o, 2i+dy, 2j+dx] = sum_c x[b, c, i, j] * kernel[c, o, dy, dx].
     Adjoint of a 2x2 stride-2 convolution; windows never overlap, so one
     GEMM of the [4*out_ch, in_ch] taps against the flattened input gives
-    every output pixel, and four strided copies interleave the taps.
+    every output pixel, and four strided copies interleave the taps. The
+    output is written in the padded layout, into ``out`` if given (a
+    ``padded_buffer`` or a range of its channels, of the output's dtype).
     """
     b, cin, h, w = x.data.shape
     if kernel.data.ndim != 4 or kernel.data.shape[2:] != (2, 2):
@@ -595,8 +683,13 @@ def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     taps = kernel.data.transpose(2, 3, 1, 0).reshape(4 * cout, cin)
     y = np.matmul(taps, x.data.reshape(b, cin, h * w)).reshape(b, 2, 2, cout, h, w)
     dtype = np.result_type(y, bias.data)
-    out, flat = _new_output((b, cout, 2 * h, 2 * w), dtype)
-    out6 = out.reshape(b, cout, h, 2, w, 2)  # a view of the padded interior
+    if out is None:
+        out = padded_buffer(b, cout, 2 * h, 2 * w, dtype)
+    elif out.shape != (b, cout, (2 * h + 2) * (2 * w + 2) + 2) or out.dtype != dtype:
+        raise ValueError(f"out must be a {dtype} padded-layout buffer for {(b, cout, 2 * h, 2 * w)}")
+    flat = _zero_border(out, 2 * h, 2 * w)
+    up = _interior(flat, 2 * h, 2 * w)
+    out6 = up.reshape(b, cout, h, 2, w, 2)  # a view of the padded interior
     bias3 = bias.data[:, None, None]
     for dy in (0, 1):
         for dx in (0, 1):
@@ -616,10 +709,10 @@ def transposed_conv_2x2(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         if kernel.requires_grad:
             gk = np.matmul(gt, x.data.reshape(b, cin, h * w).transpose(0, 2, 1)).sum(axis=0)
             gk = gk.reshape(2, 2, cout, cin).transpose(3, 2, 0, 1)
-        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        gb = _channel_sums(g) if bias.requires_grad else None
         return gx, gk, gb
 
-    return _record(out, (x, kernel, bias), grad_fn, flat)
+    return _record(up, (x, kernel, bias), grad_fn, flat)
 
 
 # ---------------------------------------------------------------------------

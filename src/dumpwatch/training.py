@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import numerics, unet
-from ._fileio import atomic_write_json, atomic_write_text
+from ._fileio import atomic_write_json, atomic_write_text, shown
 from .dataset import Chip, DatasetSplit
 from .numerics import AdamState, Tensor
 from .unet import ParameterSet, UNetConfig
@@ -76,17 +76,17 @@ class Hyperparams:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError(f"batch_size: must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size: must be >= 1, got {shown(self.batch_size)}")
         if self.max_epochs < 1:
-            raise ValueError(f"max_epochs: must be >= 1, got {self.max_epochs}")
+            raise ValueError(f"max_epochs: must be >= 1, got {shown(self.max_epochs)}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate: must be > 0, got {self.learning_rate}")
+            raise ValueError(f"learning_rate: must be > 0, got {shown(self.learning_rate)}")
         if self.pos_weight != "auto" and (isinstance(self.pos_weight, str) or not self.pos_weight > 0):
             raise ValueError(f"pos_weight: must be a number > 0 or 'auto', got {self.pos_weight!r}")
         if self.plateau_patience < 1:
-            raise ValueError(f"plateau_patience: must be >= 1, got {self.plateau_patience}")
+            raise ValueError(f"plateau_patience: must be >= 1, got {shown(self.plateau_patience)}")
         if self.plateau_min_delta < 0:
-            raise ValueError(f"plateau_min_delta: must be >= 0, got {self.plateau_min_delta}")
+            raise ValueError(f"plateau_min_delta: must be >= 0, got {shown(self.plateau_min_delta)}")
 
 
 class PlateauStopper:

@@ -21,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from . import numerics
-from ._fileio import atomic_write_bytes, atomic_write_json, read_document
+from ._fileio import atomic_write_bytes, atomic_write_json, read_document, shown
 from .dataset import NormalizationStats
 from .numerics import Tensor
 
@@ -41,16 +41,16 @@ class UNetConfig:
 
     def __post_init__(self):
         if self.in_channels < 1:
-            raise ValueError(f"in_channels: must be >= 1, got {self.in_channels}")
+            raise ValueError(f"in_channels: must be >= 1, got {shown(self.in_channels)}")
         # 2**depth divides an input's height and width, which are below 2**31
         if not 1 <= self.depth <= 30:
-            raise ValueError(f"depth: must be in [1, 30], got {self.depth}")
+            raise ValueError(f"depth: must be in [1, 30], got {shown(self.depth)}")
         if self.base_filters < 1:
-            raise ValueError(f"base_filters: must be >= 1, got {self.base_filters}")
+            raise ValueError(f"base_filters: must be >= 1, got {shown(self.base_filters)}")
         if self.kernel_size != 3:
-            raise ValueError(f"kernel_size: fixed at 3, got {self.kernel_size}")
+            raise ValueError(f"kernel_size: fixed at 3, got {shown(self.kernel_size)}")
         if self.out_channels != 1:
-            raise ValueError(f"out_channels: fixed at 1, got {self.out_channels}")
+            raise ValueError(f"out_channels: fixed at 1, got {shown(self.out_channels)}")
 
     @property
     def pool_factor(self) -> int:
@@ -109,13 +109,20 @@ def build_unet(config: UNetConfig, seed: int = 0) -> ParameterSet:
     return params
 
 
-def _double_conv(params: ParameterSet, prefix: str, x: Tensor) -> Tensor:
+def _double_conv(params: ParameterSet, prefix: str, x: Tensor, skip: bool = False):
+    """Two conv + relu. With ``skip``, an encoder stage's: the second relu
+    writes the second half of a ``padded_buffer`` twice its width, whose
+    first half the decoder's up-conv writes, so that the concatenation
+    wraps it and the skip is held once. Gives the output and that buffer."""
     x = numerics.relu(
         numerics.conv2d(x, params[f"{prefix}.conv1.weight"], params[f"{prefix}.conv1.bias"])
     )
-    return numerics.relu(
-        numerics.conv2d(x, params[f"{prefix}.conv2.weight"], params[f"{prefix}.conv2.bias"])
-    )
+    y = numerics.conv2d(x, params[f"{prefix}.conv2.weight"], params[f"{prefix}.conv2.bias"])
+    if not skip:
+        return numerics.relu(y), None
+    b, c, h, w = y.data.shape
+    joint = numerics.padded_buffer(b, 2 * c, h, w, y.data.dtype)
+    return numerics.relu(y, out=joint[:, c:]), joint
 
 
 def forward(params: ParameterSet, config: UNetConfig, batch: Tensor) -> Tensor:
@@ -128,19 +135,20 @@ def forward(params: ParameterSet, config: UNetConfig, batch: Tensor) -> Tensor:
         raise ValueError(
             f"spatial dims {h}x{w} must be divisible by 2**depth = {factor}"
         )
-    skips: list[Tensor] = []
+    skips: list[tuple[Tensor, np.ndarray]] = []
     x = batch
     for i in range(config.depth):
-        x = _double_conv(params, f"enc{i}", x)
-        skips.append(x)
+        x, joint = _double_conv(params, f"enc{i}", x, skip=True)
+        skips.append((x, joint))
         x = numerics.max_pool_2x2(x)
-    x = _double_conv(params, "bottleneck", x)
+    x = _double_conv(params, "bottleneck", x)[0]
     for i in reversed(range(config.depth)):
-        x = numerics.transposed_conv_2x2(
-            x, params[f"dec{i}.up.weight"], params[f"dec{i}.up.bias"]
+        skip, joint = skips.pop()  # freed once used
+        up = numerics.transposed_conv_2x2(
+            x, params[f"dec{i}.up.weight"], params[f"dec{i}.up.bias"],
+            out=joint[:, : skip.data.shape[1]],
         )
-        x = numerics.concat_channels(x, skips.pop())  # freed once used
-        x = _double_conv(params, f"dec{i}", x)
+        x = _double_conv(params, f"dec{i}", numerics.concat_channels(up, skip))[0]
     return numerics.conv2d(x, params["head.weight"], params["head.bias"])
 
 

@@ -379,6 +379,20 @@ class TestEndToEnd:
         assert set(summary["timing"]) == {"predict_rows_s", "write_rows_s"}
         assert all(s >= 0 for s in summary["timing"].values())
 
+    def test_every_summary_carries_wall_time_and_peak_memory(self, ws, capsys, monkeypatch):
+        summaries = dict(ws["summaries"])
+        for command in ("evaluate", "predict", "postprocess", "ablate"):
+            code, summaries[command] = run_cli([command, "--config", ws["config"]], capsys)
+            assert code == 0
+        assert set(summaries) == set(cli._COMMANDS)
+        proc = Path("/proc/self/status").exists()
+        for command, summary in summaries.items():
+            assert summary["command"] == command
+            assert type(summary["wall_s"]) is float and summary["wall_s"] >= 0
+            assert (type(summary["peak_rss_mb"]) is float and summary["peak_rss_mb"] > 0) if proc else summary["peak_rss_mb"] is None
+        monkeypatch.setattr(cli, "_STATUS", ws["root"] / "no-proc" / "status")
+        assert run_cli(["postprocess", "--config", ws["config"]], capsys)[1]["peak_rss_mb"] is None
+
     def test_predict_is_deterministic(self, ws, capsys):
         out_b = ws["root"] / "probability_second"
         code, _ = run_cli(
@@ -1011,7 +1025,13 @@ MALFORMED_INPUTS = {
     "scene-width-huge-integer": (
         "predict",
         lambda r: _edited_scene_header(r, lambda doc: {**doc, "width": 10**400}),
-        ["scene_000.json: width: must be in [1, 2**31), got 1000"],
+        # the value cut at 60 characters, as the reader's own faults cut it
+        [f"scene_000.json: width: must be in [1, 2**31), got 1{'0' * 56}...\n"],
+    ),
+    "inference-tile-size-huge-integer": (
+        "predict",
+        lambda r: ({**_predict_inputs(r)[0], "inference": {"tile_size": 10**400}}, r / "run.json"),
+        [f"inference.tile_size: must be in [1, 2**31), got 1{'0' * 56}...\n"],
     ),
     "stats-mean-huge-integer": (
         "train",
@@ -1271,6 +1291,19 @@ class TestDocumentMutations:
         rng = np.random.default_rng(2627)
         outcomes = _check_mutations(rng, 150, tmp_path, tmp_path / "model.json", unet.CheckpointManifest, argv, outputs, capsys, caplog)
         assert outcomes["refused"] > 100 and outcomes["same"] > 0
+
+    def test_predict_exits_one_naming_the_config_or_predicts_as_before(self, tmp_path, capsys, caplog, monkeypatch):
+        # the config holds every field at its default, and the inputs lie
+        # where the default paths point, so a deleted key changes nothing
+        monkeypatch.chdir(tmp_path)
+        _predict_inputs(Path("runs/demo"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(dataclasses.asdict(RunConfig())))
+        argv = ["predict", "--config", str(config)]
+        outputs = [tmp_path / "runs" / "demo" / f"probability{suffix}" for suffix in (".json", ".bin")]
+        rng = np.random.default_rng(2729)
+        outcomes = _check_mutations(rng, 150, tmp_path, config, RunConfig, argv, outputs, capsys, caplog)
+        assert outcomes["refused"] > 100 and outcomes["same"] > 20
 
     def test_postprocess_exits_one_naming_the_header_or_vectorizes_as_before(self, tmp_path, capsys, caplog):
         samples = np.full((1, 16, 16), 0.25, np.float32)

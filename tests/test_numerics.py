@@ -714,18 +714,33 @@ class TestPaddedLayout:
     the contiguous result."""
 
     @staticmethod
-    def _assert_padded(out, want):
-        flat = out._flat
+    def _assert_buffer(flat, data, want):
+        """``data``, the interior view of the buffer ``flat``, holds the bits
+        of ``want``, and the border of ``flat`` is zero bits."""
         b, c, h, w = want.shape
-        assert flat is not None and out.data.base is flat
         assert flat.shape == (b, c, (h + 2) * (w + 2) + 2) and flat.dtype == want.dtype
         border = np.ones(flat.shape[2], dtype=bool)
         border[: (h + 2) * (w + 2)].reshape(h + 2, w + 2)[1:-1, 1:-1] = False
         # top and bottom rows, left and right columns, two trailing cells
         assert border.sum() == 2 * (w + 2) + 2 * h + 2
         assert not flat[:, :, border].view(f"u{flat.itemsize}").any()
-        assert out.data.dtype == want.dtype and out.data.shape == want.shape
-        assert out.data.tobytes() == want.tobytes()
+        assert data.dtype == want.dtype and data.shape == want.shape
+        assert data.tobytes() == want.tobytes()
+
+    @classmethod
+    def _assert_padded(cls, out, want):
+        flat = out._flat
+        assert flat is not None and out.data.base is flat
+        cls._assert_buffer(flat, out.data, want)
+
+    @classmethod
+    def _assert_padded_grad(cls, got, want):
+        """The gradient ``got`` is the interior view of a zero-bordered
+        padded-layout buffer (or of a range of its channels) and holds the
+        bits of ``want``, the contiguous gradient."""
+        flat = numerics._buffer(got, got.base)
+        assert flat is not None
+        cls._assert_buffer(flat, got, want)
 
     @classmethod
     def _assert_padded_in_both_modes(cls, op, inputs, want):
@@ -841,9 +856,133 @@ class TestPaddedLayout:
         if record:
             assert np.array_equal(out._grad_fn(g)[1], want[2])
 
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("padded_g", [False, True], ids=["contiguous_g", "padded_g"])
+    @pytest.mark.parametrize(
+        "batch, cin, cout, h, w",
+        [(2, 3, 4, 1, 1), (2, 2, 3, 1, 6), (2, 3, 1, 5, 7), (3, 2, 3, 6, 1), (2, 4, 5, 9, 8)],
+        ids=_case_id,
+    )
+    def test_conv_gradients(self, batch, cin, cout, h, w, padded_g, dtype):
+        # g as the loss gives it (contiguous) or as relu's gradient does;
+        # either way the input gradient is padded, and every gradient has
+        # the bits of the contiguous computation, the bias sum's included
+        x, k, bias, g = _conv_case(h * 10 + w, batch, cin, cout, h, w, dtype)
+        for a in (x, g):
+            a.reshape(-1)[::5] = -0.0
+        g[:, :, : h // 2] = 0.0
+        want = conv2d_batched_oracle(x, k, bias, g)
+        out = conv2d(*(Tensor(a, requires_grad=True) for a in (x, k, bias)))
+        gx, gw, gb = out._grad_fn(_padded(g).data if padded_g else g)
+        self._assert_padded_grad(gx, want[1])
+        for got, expected in ((gw, want[2]), (gb, want[3])):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize(
+        "shape", [(11, 16, 112, 112), (2, 3, 130, 130), (3, 1, 50, 40), (4, 2, 1, 1), (1, 4, 7, 7)], ids=_case_id
+    )
+    def test_channel_sums_of_a_padded_g_are_the_contiguous_sums(self, shape, dtype):
+        # numpy sums a contiguous g one (image, channel) run at a time,
+        # pairwise, runs of more than 8192 cells included
+        g = _with_signed_zeros(np.random.default_rng(shape[1]), shape, dtype)
+        g[:, 1:2] = -0.0  # a channel of -0.0 only
+        got = numerics._channel_sums(_padded(g).data)
+        assert got.dtype == dtype and got.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("padded_g", [False, True], ids=["contiguous_g", "padded_g"])
+    @pytest.mark.parametrize("shape", [(2, 3, 1, 1), (1, 2, 1, 5), (2, 1, 4, 1), (2, 3, 6, 9)], ids=_case_id)
+    def test_relu_gradient(self, shape, padded_g, dtype):
+        rng = np.random.default_rng(shape[3])
+        x, g = (_with_signed_zeros(rng, shape, dtype) for _ in range(2))
+        gin = _padded(g).data if padded_g else g.copy()
+        (got,) = relu(Tensor(x, requires_grad=True))._grad_fn(gin)
+        # g * 0 is -0.0 where g < 0: the multiply, not a masked copy
+        self._assert_padded_grad(got, g * (np.maximum(x, 0) > 0))
+        assert gin.tobytes() == g.tobytes()  # the incoming gradient is left alone
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("padded_g", [False, True], ids=["contiguous_g", "padded_g"])
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 2), (1, 2, 2, 8), (2, 1, 6, 2), (2, 3, 8, 10)], ids=_case_id)
+    def test_max_pool_gradient(self, shape, padded_g, dtype):
+        x = _tie_heavy("relu", shape[2], shape, dtype)
+        g = _with_signed_zeros(np.random.default_rng(shape[3]), (shape[0], shape[1], shape[2] // 2, shape[3] // 2), dtype)
+        (got,) = max_pool_2x2(Tensor(x, requires_grad=True))._grad_fn(_padded(g).data if padded_g else g)
+        self._assert_padded_grad(got, max_pool_2x2_grad_oracle(x, g))
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 1), (1, 2, 1, 4), (2, 3, 5, 1), (2, 2, 4, 6)], ids=_case_id)
+    def test_concat_gradient_splits_the_padded_g(self, shape, dtype):
+        rng = np.random.default_rng(shape[2])
+        a, b = (Tensor(rng.normal(size=(shape[0], c, *shape[2:])).astype(dtype), requires_grad=True) for c in (shape[1], 3))
+        g = _with_signed_zeros(rng, (shape[0], shape[1] + 3, *shape[2:]), dtype)
+        gin = _padded(g).data
+        ga, gb = concat_channels(a, b)._grad_fn(gin)
+        for got, want in ((ga, g[:, : shape[1]]), (gb, g[:, shape[1] :])):
+            self._assert_padded_grad(got, np.ascontiguousarray(want))
+            assert got.base is gin.base  # channel ranges of g's buffer, not copies
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("batch, cin, cout, h, w", [(2, 3, 2, 1, 1), (1, 1, 3, 2, 5), (2, 4, 1, 3, 1), (3, 2, 4, 4, 3)], ids=_case_id)
+    def test_transposed_conv_gradients_of_a_padded_g(self, batch, cin, cout, h, w, dtype):
+        # concatenation hands the up-conv a padded g: its gradients, the
+        # bias sum's included, have the bits that a contiguous g gives
+        rng = np.random.default_rng(h * 10 + w)
+        x = _with_signed_zeros(rng, (batch, cin, h, w), dtype)
+        k, bias = (rng.normal(size=s).astype(dtype) for s in ((cin, cout, 2, 2), (cout,)))
+        g = _with_signed_zeros(rng, (batch, cout, 2 * h, 2 * w), dtype)
+        out = transposed_conv_2x2(*(Tensor(a, requires_grad=True) for a in (x, k, bias)))
+        want = out._grad_fn(g)
+        for got, expected in zip(out._grad_fn(_padded(g).data), want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cut", ["rows", "batch", "channels"])
+    def test_gradient_sliced_from_its_buffer_is_read_as_the_slice(self, cut):
+        # a gradient re-sliced by rows or images views a padded buffer with
+        # another geometry and is padded anew; a range of a buffer's
+        # channels, as concatenation's gradient splits one, is a buffer
+        x, k, bias, _ = _conv_case(9, 2, 3, 4, 4, 4)
+        rng = np.random.default_rng(9)
+        shape, index = {
+            "rows": ((2, 4, 6, 6), np.s_[:, :, :4, :4]),
+            "batch": ((3, 4, 4, 4), np.s_[1:]),
+            "channels": ((2, 5, 4, 4), np.s_[:, 1:]),
+        }[cut]
+        g = _padded(_with_signed_zeros(rng, shape, np.float64)).data[index]
+        assert (numerics._buffer(g, g.base) is not None) == (cut == "channels")
+        want = conv2d_batched_oracle(x, k, bias, np.ascontiguousarray(g))
+        out = conv2d(*(Tensor(a, requires_grad=True) for a in (x, k, bias)))
+        gx, gw, gb = out._grad_fn(g)
+        self._assert_padded_grad(gx, want[1])
+        assert gw.tobytes() == want[2].tobytes() and gb.tobytes() == want[3].tobytes()
+
+    @pytest.mark.parametrize("record", [False, True], ids=["no_grad", "grad"])
+    def test_skip_and_up_conv_write_one_concatenation_buffer(self, record):
+        # a U-Net stage's skip is held once: relu writes it into the second
+        # channel range of a buffer, the up-conv the first, and the
+        # concatenation wraps that buffer
+        rng = np.random.default_rng(11)
+        y, x = (Tensor(rng.normal(size=s), requires_grad=record) for s in ((2, 3, 4, 6), (2, 5, 2, 3)))
+        k, bias = (Tensor(rng.normal(size=s), requires_grad=record) for s in ((5, 3, 2, 2), (3,)))
+        joint = numerics.padded_buffer(2, 6, 4, 6, np.float64)
+        joint[...] = np.nan  # relu and the up-conv write all of theirs, border included
+        with nullcontext() if record else no_grad():
+            skip = relu(y, out=joint[:, 3:])
+            up = transposed_conv_2x2(x, k, bias, out=joint[:, :3])
+            cat = concat_channels(up, skip)
+            want = concat_channels(Tensor(np.ascontiguousarray(up.data)), Tensor(np.ascontiguousarray(skip.data)))
+        assert cat._flat is joint and (cat._grad_fn is not None) == record
+        self._assert_padded(cat, np.ascontiguousarray(want.data))
+        with pytest.raises(ValueError, match="padded-layout buffer"):
+            transposed_conv_2x2(x, k, bias, out=joint[:, :2])
+
     def test_grad_step_pads_only_the_input_and_the_conv_gradients(self, monkeypatch):
-        # the forward pads the network input; the backward pads each conv's
-        # g, and the input again for the first conv's weight gradient
+        # the forward pads the network input. Gradients stay in the padded
+        # layout, so the backward pads only those that arrive outside it:
+        # the loss's (the head conv's g), each up-conv's input gradient,
+        # each skip's sum of its pooling and concatenation gradients, and
+        # the input again for the first conv's weight gradient
         config = UNetConfig(in_channels=3, depth=2, base_filters=4)
         params = build_unet(config, 3)
         calls = []
@@ -858,8 +997,35 @@ class TestPaddedLayout:
         assert calls == [x.shape]
         target = Tensor((np.random.default_rng(4).random(logits.shape) < 0.3).astype(np.float64))
         weighted_bce_with_logits(logits, target).backward()
-        gs = [(2, k[0], *s[2:]) for s, k in _net_conv_shapes(config, 2, 8)]
-        assert sorted(calls[1:]) == sorted([*gs, x.shape])
+        widths = [4, 8, 16]
+        ups = [(2, widths[i + 1], 8 >> (i + 1), 8 >> (i + 1)) for i in range(2)]
+        skips = [(2, widths[i], 8 >> i, 8 >> i) for i in range(2)]
+        assert sorted(calls[1:]) == sorted([logits.shape, *ups, *skips, x.shape])
+        assert all(p.grad is not None for p in params.values())
+
+    def test_grad_step_backward_peak(self):
+        # in units of the widest activation (2 x 8 x 64 x 64 float32) the
+        # forward holds 9.9 and the backward peaks 3.1 above that; with
+        # contiguous gradients and skips copied into the concatenation they
+        # would be 11.5 and 4.1
+        config = UNetConfig(in_channels=3, depth=2, base_filters=8)
+        params = build_unet(config, 3)
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 3, 64, 64)).astype(np.float32))
+        target = Tensor((rng.random((2, 1, 64, 64)) < 0.3).astype(np.float32))
+        unit = 2 * 8 * 64 * 64 * 4
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = weighted_bce_with_logits(forward(params, config, x), target, 3.0)
+            held = tracemalloc.get_traced_memory()[0] - start
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 3.5 * unit
+        assert held < 10.5 * unit
         assert all(p.grad is not None for p in params.values())
 
     @pytest.mark.parametrize("dtype", _DTYPES)

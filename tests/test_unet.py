@@ -189,8 +189,8 @@ class TestForward:
         refs = {}  # op name -> weakrefs to the arrays of its outputs
         for name in ("conv2d", "transposed_conv_2x2", "relu", "max_pool_2x2", "concat_channels"):
 
-            def keeping_refs(*args, _op=getattr(numerics, name), _refs=refs.setdefault(name, [])):
-                out = _op(*args)
+            def keeping_refs(*args, _op=getattr(numerics, name), _refs=refs.setdefault(name, []), **kwargs):
+                out = _op(*args, **kwargs)
                 _refs.append(weakref.ref(out.data))
                 return out
 
