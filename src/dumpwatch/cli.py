@@ -36,6 +36,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -84,8 +85,9 @@ class SynthSection:
     dump_radius_range: tuple[float, float] = (4.0, 12.0)
 
     def __post_init__(self):
-        if self.scene_count < 1:
-            raise ValueError(f"scene_count: must be >= 1, got {shown(self.scene_count)}")
+        # scene_{i:03d} names sort in index order up to scene_999
+        if not 1 <= self.scene_count <= 1000:
+            raise ValueError(f"scene_count: must be in [1, 1000], got {shown(self.scene_count)}")
         self.scene_config(0)  # the per-scene checks, before any scene is written
 
     def scene_config(self, texture_seed: int) -> SynthConfig:
@@ -254,11 +256,10 @@ def cmd_chip(cfg: RunConfig, args) -> dict:
 def _train(cfg: RunConfig, split: DatasetSplit, stats: ds.NormalizationStats):
     """The ``cfg.model`` U-Net trained on ``split`` normalized with ``stats``:
     its config, best parameters and training report."""
-    normalized = ds.normalize_split(split, stats)
     config = UNetConfig(split.train[0].samples.shape[0], cfg.model.depth, cfg.model.base_filters)
     params = unet.build_unet(config, substream(cfg.seed, "init"))
     shuffle = substream(cfg.seed, "shuffle")
-    best, report = training.train(params, config, normalized, cfg.train, shuffle)
+    best, report = training.train(params, config, split, cfg.train, shuffle, stats)
     return config, best, report
 
 
@@ -291,6 +292,9 @@ def cmd_train(cfg: RunConfig, args) -> dict:
         "checkpoint": str(checkpoint_path),
         "report": cfg.paths.report,
         "stopping_epoch": report.stopping_epoch,
+        # the work done: chips per split, and Adam steps
+        **{f"{name}_chips": len(getattr(split, name)) for name in ds.SPLITS},
+        "steps": report.stopping_epoch * math.ceil(len(split.train) / cfg.train.batch_size),
         "val_loss": report.epochs[-1].val_loss,
         "val_mean_iou": report.epochs[-1].val_mean_iou,
     }
@@ -322,14 +326,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> dict:
             f"{cfg.paths.catalog}: its stats cover {len(stats.means)} bands "
             f"{stats.band_names or '(unnamed)'}, the chips have {count} {names}"
         )
-    normalized = [ds.apply_normalization(c, stats) for c in chips]
     params = unet.params_from_checkpoint(ckpt)
-    metrics = training.evaluate(
-        params,
-        ckpt.config,
-        normalized,
-        threshold=cfg.postprocess.probability_threshold,
-    )
+    threshold = cfg.postprocess.probability_threshold
+    metrics = training.evaluate(params, ckpt.config, chips, threshold, stats=stats)
     return {
         "command": "evaluate",
         "split": args.split,
@@ -439,9 +438,7 @@ def cmd_ablate(cfg: RunConfig, args) -> dict:
         if stats is None:
             raise ConfigError("paths.scene_dir: the scenes give no training chips")
         config, best, report = _train(cfg, split, stats)
-        metrics = report.test or training.evaluate(
-            best, config, [ds.apply_normalization(c, stats) for c in split.val or split.train]
-        )
+        metrics = report.test or training.evaluate(best, config, split.val or split.train, stats=stats)
         rows.append(training.AblationRow(label, metrics.loss, metrics.mean_iou))
         log.info("ablation %s: loss=%.4f mean_iou=%.4f", label, metrics.loss, metrics.mean_iou)
     out = args.out or cfg.paths.ablation

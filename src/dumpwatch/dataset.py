@@ -404,18 +404,13 @@ def fit_normalization(train_chips: list[Chip]) -> NormalizationStats:
     )
 
 
-def apply_normalization(chip: Chip, stats: NormalizationStats) -> Chip:
-    if chip.samples.shape[0] != len(stats.means):
-        raise ValueError(
-            f"chip has {chip.samples.shape[0]} bands, stats cover {len(stats.means)}"
-        )
-    means = np.asarray(stats.means, dtype=np.float32)[:, None, None]
-    stds = np.asarray(stats.stds, dtype=np.float32)[:, None, None]
-    return replace(chip, samples=(chip.samples - means) / stds)
-
-
 def normalize_split(split: DatasetSplit, stats: NormalizationStats) -> DatasetSplit:
-    normalized = {name: [apply_normalization(c, stats) for c in getattr(split, name)] for name in SPLITS}
+    """``split`` with each chip's samples normalized as ``unet.model_input``
+    normalizes a batch. ``train`` normalizes per batch and does not call
+    this; it stays for the benchmark's ``train`` check, which does."""
+    from .unet import model_input  # unet imports this module
+
+    normalized = {name: [replace(c, samples=model_input([c.samples], c.size, stats).data[0]) for c in getattr(split, name)] for name in SPLITS}
     return DatasetSplit(**normalized, seed=split.seed)
 
 
@@ -460,8 +455,9 @@ class SynthConfig:
 
     def __post_init__(self):
         # each message starts with its field, which a config error names
-        if self.scene_size < 16:
-            raise ValueError(f"scene_size: must be >= 16, got {shown(self.scene_size)}")
+        # below 2**31, as raster dimensions are
+        if not 16 <= self.scene_size < 2**31:
+            raise ValueError(f"scene_size: must be in [16, 2**31), got {shown(self.scene_size)}")
         if self.pixel_size <= 0:
             raise ValueError(f"pixel_size: must be > 0, got {shown(self.pixel_size)}")
         if self.dump_count < 0:
@@ -692,11 +688,3 @@ def load_catalog(path: str | Path) -> tuple[DatasetSplit, NormalizationStats | N
             raise ValueError(f"{index_path}: scene {name!r} ({base}): {exc}") from exc
     buckets = {name: [loaded[k] for k, entry in enumerate(entries) if entry.split == name] for name in SPLITS}
     return DatasetSplit(**buckets, seed=index.seed), stats
-
-
-def reflect_pad(array: np.ndarray, pads: tuple[tuple[int, int], tuple[int, int]]) -> np.ndarray:
-    """Reflect-pad the trailing two axes (numpy ``reflect``, edge unrepeated).
-
-    Pads may exceed the axis length; a 1-wide axis is edge-replicated.
-    """
-    return np.pad(array, ((0, 0),) * (array.ndim - 2) + tuple(pads), mode="reflect")

@@ -3,10 +3,11 @@
 Probability maps come from sliding a trained model over overlapping tiles
 and averaging overlapping predictions. Inference streams the raster one
 tile row at a time (``predict_rows``): each stripe of ``tile_size`` rows is
-read once, stacked, normalized and cut into windows on its own, its windows
-run in batches of their own, and rows are emitted as soon as no later tile
-reaches them. What stays resident is one stripe, one batch of windows, and
-the float64 sums and counts of the rows the next tile row overlaps.
+read and stacked once, its windows are written as batches of network input
+(``unet.model_input``: normalized, zeroed at nodata, padded) and run, and
+rows are emitted as soon as no later tile reaches them. What stays resident
+is one stripe, one batch of windows, and the float64 sums and counts of the
+rows the next tile row overlaps.
 Post-processing thresholds the map, labels connected components (a numpy
 union-find over horizontal pixel runs, so post-processing needs no scipy),
 drops the components under the minimum area from the label grid, traces
@@ -44,7 +45,6 @@ from .geodata import (
     _float_text,
     write_geojson,
 )
-from .numerics import Tensor
 from .unet import ParameterSet, UNetConfig
 
 
@@ -132,8 +132,10 @@ def predict_rows(
     ``source`` is a ``Raster`` or a ``geodata.RasterReader``: anything with
     the raster's header attributes and ``read_rows``. Each tile row's stripe
     is read once; with ``bands``, it is first stacked to that band spec
-    (``dataset.stack_bands``). Tiles are normalized with the checkpoint
-    stats, edge tiles are reflection-padded up to tile_size, and overlapping
+    (``dataset.stack_bands``). Its windows, views of the stripe, become a
+    batch's input through ``unet.model_input``: normalized with the
+    checkpoint stats, zeroed at nodata, and reflection-padded up to
+    tile_size where the raster is shorter than a tile. Overlapping
     predictions are averaged. Each block holds the rows above the next tile
     row's origin. The arguments are checked here, before any row is read.
     """
@@ -161,21 +163,6 @@ def predict_rows(
     return _stream_rows(params, config, source, stats, icfg, bands)
 
 
-def _model_input(source, r0: int, r1: int, stats, bands):
-    """Rows ``r0`` to ``r1`` as the model sees them, with their valid mask:
-    stacked, normalized, and zeroed at nodata (which so forwards as the band
-    mean)."""
-    stripe = ds.stacked_rows(source, r0, r1, bands)
-    valid = stripe.valid_mask()
-    if stats is None:
-        data = stripe.samples.copy()
-    else:
-        data = stripe.samples - np.asarray(stats.means, dtype=np.float32)[:, None, None]
-        data /= np.asarray(stats.stds, dtype=np.float32)[:, None, None]
-    data[:, ~valid] = 0.0
-    return data, valid
-
-
 def _stream_rows(params, config, source, stats, icfg, bands):
     """The tiling of ``predict_rows``, one tile row at a time. Its stripe is
     read once and its windows run in batches of at most ``batch_size``, each
@@ -193,24 +180,27 @@ def _stream_rows(params, config, source, stats, icfg, bands):
     carry_sum = np.zeros((0, width), dtype=np.float64)
     carry_count = np.zeros((0, width), dtype=np.int32)
     for r0, end in zip(row_origins, [*row_origins[1:], height]):
-        data, valid = _model_input(source, r0, min(r0 + tile, height), stats, bands)
+        stripe = ds.stacked_rows(source, r0, min(r0 + tile, height), bands)
+        valid = stripe.valid_mask()
         wh = len(valid)
-        if wh < tile or width < tile:  # a side shorter than a tile: one window there
-            data = ds.reflect_pad(data, ((0, max(tile - wh, 0)), (0, max(tile - width, 0))))
         prob_sum = np.zeros((wh, width), dtype=np.float64)
         count = np.zeros((wh, width), dtype=np.int32)
         prob_sum[: len(carry_sum)], count[: len(carry_sum)] = carry_sum, carry_count
         live = [c0 for c0 in col_origins if valid[:, c0 : c0 + tile].any()]
         for start in range(0, len(live), icfg.batch_size):
             chunk = live[start : start + icfg.batch_size]
-            windows = np.stack([data[:, :, c0 : c0 + tile] for c0 in chunk])
+            # a side shorter than a tile gives one window there, padded
+            x = unet.model_input(
+                [stripe.samples[:, :, c0 : c0 + tile] for c0 in chunk],
+                tile, stats, [valid[:, c0 : c0 + tile] for c0 in chunk],
+            )
             with numerics.no_grad():
-                logits = unet.forward(params, config, Tensor(windows))
+                logits = unet.forward(params, config, x)
             for p, c0 in zip(numerics.sigmoid_values(logits.data)[:, 0], chunk):
                 ww = min(tile, width - c0)
                 prob_sum[:, c0 : c0 + ww] += p[:wh, :ww]
                 count[:, c0 : c0 + ww] += 1
-        del data  # freed before the next stripe is read
+        del stripe  # freed before the next stripe is read
         n = end - r0
         with np.errstate(invalid="ignore"):  # 0 / 0 where no window ran: nodata
             prob = (prob_sum[:n] / count[:n]).astype(np.float32)

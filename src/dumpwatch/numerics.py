@@ -34,7 +34,8 @@ buffer; the cells it writes past a row's end are then zeroed. So a conv's output
 ``data`` is the interior view, is already the input the next conv reads
 (``Tensor._flat`` keeps the buffer). relu, pooling, the up-conv and
 concatenation write this layout too, whether or not a gradient is recorded,
-so only the network input is padded, and a conv's weight gradient reads the
+and ``unet.model_input`` writes the network input into a ``padded_tensor``
+too: a forward pads nothing, and a conv's weight gradient reads the
 buffer its input already holds. Concatenation wraps, without a copy, inputs
 that relu and the up-conv wrote into the two channel ranges of one buffer
 (the U-Net's skips). Gradients keep the layout: conv's input gradient is the
@@ -485,11 +486,13 @@ def _joined(fa: np.ndarray, fb: np.ndarray, h: int, w: int) -> np.ndarray | None
     return flat if flat is not None and flat.strides == fa.strides else None
 
 
-def _new_output(shape: tuple[int, ...], dtype):
-    """An op's empty [b, c, h, w] output, the interior of a zero-bordered
-    padded-layout buffer, and that buffer."""
-    flat = _zero_border(padded_buffer(*shape, dtype), *shape[2:])
-    return _interior(flat, *shape[2:]), flat
+def padded_tensor(b: int, c: int, h: int, w: int, dtype) -> Tensor:
+    """An empty [b, c, h, w] leaf Tensor whose ``data`` is the interior of
+    a zero-bordered padded-layout buffer (its ``_flat``), for a caller or an
+    op to fill: a conv reads that buffer in place, forward and for its
+    weight gradient."""
+    flat = _zero_border(padded_buffer(b, c, h, w, dtype), h, w)
+    return _record(_interior(flat, h, w), (), None, flat)
 
 
 def _channel_sums(g: np.ndarray) -> np.ndarray:
@@ -573,9 +576,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """3x3 cross-correlation, stride 1, zero padding 1 (same-size output).
 
     kernel is [out_ch, in_ch, 3, 3]; bias is [out_ch]. The input is read in
-    the padded layout: ``x._flat`` where an op wrote one, else a padded copy
-    that is not kept. The output is written in that layout, bias added block
-    by block, and its ``data`` is the interior view. So is the gradient:
+    the padded layout: ``x._flat`` where an op or ``padded_tensor`` made
+    one, else a padded copy that is not kept. The output is written in that
+    layout, bias added block by block, and its ``data`` is the interior view. So is the gradient:
     ``g`` is read from the buffer it is the interior of (a gradient outside
     the layout is padded), and the input gradient is the interior of the
     zero-bordered buffer the adjoint correlation writes.
@@ -635,8 +638,8 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     # to a zero column the row pass drops: so its rows are one strided loop.
     rows = _grid(_flat_input(xd, x._flat, xd.dtype), h, w)
     cols = np.maximum(rows[..., 1::2], rows[..., 0::2])
-    out, flat = _new_output((b, c, h // 2, w // 2), xd.dtype)
-    np.maximum(cols[:, :, 1::2, : w // 2], cols[:, :, 0::2, : w // 2], out=out)
+    y = padded_tensor(b, c, h // 2, w // 2, xd.dtype)
+    out = np.maximum(cols[:, :, 1::2, : w // 2], cols[:, :, 0::2, : w // 2], out=y.data)
 
     def grad_fn(g):
         # Each view of gx gets g's bits where its element is the window's
@@ -645,7 +648,7 @@ def max_pool_2x2(x: Tensor) -> Tensor:
         # -0.0 for a negative g) and is far faster than a masked copy.
         bits = np.dtype(f"u{xd.itemsize}")
         gbits = np.asarray(g, dtype=xd.dtype).view(bits)
-        gx = _new_output(xd.shape, xd.dtype)[0]
+        gx = padded_tensor(*xd.shape, xd.dtype).data
         taken = np.zeros(out.shape, dtype=bool)
         for k, (dy, dx) in enumerate(corners):
             # the maximum is one of the four: what is left is the last one's
@@ -655,7 +658,7 @@ def max_pool_2x2(x: Tensor) -> Tensor:
             taken |= hit
         return (gx,)
 
-    return _record(out, (x,), grad_fn, flat)
+    return _record(out, (x,), grad_fn, y._flat)
 
 
 def transposed_conv_2x2(

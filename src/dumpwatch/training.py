@@ -17,10 +17,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from . import dataset as ds
 from . import numerics, unet
 from ._fileio import atomic_write_json, atomic_write_text, shown
-from .dataset import Chip, DatasetSplit
+from .dataset import Chip, DatasetSplit, NormalizationStats
 from .numerics import AdamState, Tensor
 from .unet import ParameterSet, UNetConfig
 
@@ -133,29 +132,18 @@ class TrainReport:
         atomic_write_json(path, asdict(self))
 
 
-def _batch_tensors(chips: Sequence[Chip], factor: int) -> tuple[Tensor, Tensor, int]:
-    """Stack chips into padded input and mask tensors.
-
-    Chips whose side is not divisible by 2**depth are reflect-padded on the
-    bottom/right; the caller crops logits back to the original size.
-    """
-    size = chips[0].size
-    x = np.stack([c.samples for c in chips]).astype(np.float32, copy=False)
-    y = np.stack([c.mask for c in chips]).astype(np.float32)[:, None]
-    pad = (-size) % factor
-    if pad:
-        x = ds.reflect_pad(x, ((0, pad), (0, pad)))
-    return Tensor(x), Tensor(y), size
-
-
 def _forward_logits(
-    params: ParameterSet, config: UNetConfig, chips: Sequence[Chip]
+    params: ParameterSet, config: UNetConfig, chips: Sequence[Chip], stats: NormalizationStats | None
 ) -> tuple[Tensor, Tensor]:
-    xt, yt, size = _batch_tensors(chips, config.pool_factor)
-    logits = unet.forward(params, config, xt)
+    """Logits of a batch of chips and their stacked masks. Chips whose side
+    is not divisible by 2**depth are reflect-padded on the bottom and right
+    (``unet.model_input``) and their logits cropped back."""
+    size = chips[0].size
+    x = unet.model_input([c.samples for c in chips], size + (-size) % config.pool_factor, stats)
+    logits = unet.forward(params, config, x)
     if logits.data.shape[2] != size:
         logits = numerics.crop_spatial(logits, size, size)
-    return logits, yt
+    return logits, Tensor(np.stack([c.mask for c in chips]).astype(np.float32)[:, None])
 
 
 def evaluate(
@@ -165,8 +153,10 @@ def evaluate(
     threshold: float = 0.5,
     pos_weight: float = 1.0,
     batch_size: int = 16,
+    stats: NormalizationStats | None = None,
 ) -> Metrics:
-    """Per-chip loss and IoU at the binarization threshold, then means."""
+    """Per-chip loss and IoU at the binarization threshold, then means, on
+    the chips normalized with ``stats``."""
     if not chips:
         raise ValueError("evaluate needs at least one chip")
     if not (0 < threshold < 1):
@@ -176,13 +166,11 @@ def evaluate(
     with numerics.no_grad():
         for start in range(0, len(chips), batch_size):
             batch = chips[start : start + batch_size]
-            logits, _ = _forward_logits(params, config, batch)
+            logits, targets = _forward_logits(params, config, batch, stats)
             probs = numerics.sigmoid_values(logits.data)[:, 0]
             for j, chip in enumerate(batch):
                 loss = numerics.weighted_bce_with_logits(
-                    Tensor(logits.data[j : j + 1]),
-                    Tensor(chip.mask[None, None].astype(np.float32)),
-                    pos_weight,
+                    Tensor(logits.data[j : j + 1]), Tensor(targets.data[j : j + 1]), pos_weight
                 )
                 per_loss.append(loss.item())
                 per_iou.append(iou((probs[j] >= threshold).astype(np.uint8), chip.mask))
@@ -203,9 +191,11 @@ def train(
     split: DatasetSplit,
     hyper: Hyperparams,
     seed: int = 0,
+    stats: NormalizationStats | None = None,
 ) -> tuple[ParameterSet, TrainReport]:
     """Adam + weighted BCE with early stopping on validation loss; ``seed``
-    drives the shuffle.
+    drives the shuffle. Each batch is normalized with ``stats`` as it is
+    run, so ``split`` holds the raw chips.
 
     Returns the parameter snapshot with the lowest validation loss (the
     passed-in set is mutated to its final state) and the per-epoch report.
@@ -235,7 +225,7 @@ def train(
         epoch_started = time.perf_counter()
         for start in range(0, len(order), hyper.batch_size):
             batch = [split.train[i] for i in order[start : start + hyper.batch_size]]
-            logits, targets = _forward_logits(params, config, batch)
+            logits, targets = _forward_logits(params, config, batch, stats)
             loss = numerics.weighted_bce_with_logits(logits, targets, pos_weight)
             value = loss.item()
             if not np.isfinite(value):
@@ -248,14 +238,7 @@ def train(
             loss_sum += value * len(batch)
         chips_per_s.append(len(split.train) / (time.perf_counter() - epoch_started))
         train_loss = loss_sum / len(split.train)
-        val = evaluate(
-            params,
-            config,
-            val_chips,
-            threshold=0.5,
-            pos_weight=pos_weight,
-            batch_size=hyper.batch_size,
-        )
+        val = evaluate(params, config, val_chips, 0.5, pos_weight, hyper.batch_size, stats)
         records.append(EpochRecord(train_loss, val.loss, val.mean_iou))
         epochs_run = epoch
         log.info(
@@ -274,7 +257,7 @@ def train(
             break
     wall = time.perf_counter() - started
     test_metrics = (
-        evaluate(best_params, config, split.test, batch_size=hyper.batch_size)
+        evaluate(best_params, config, split.test, batch_size=hyper.batch_size, stats=stats)
         if split.test
         else None
     )

@@ -125,6 +125,35 @@ def _double_conv(params: ParameterSet, prefix: str, x: Tensor, skip: bool = Fals
     return numerics.relu(y, out=joint[:, c:]), joint
 
 
+def model_input(windows, side: int, stats: NormalizationStats | None = None, valid=None) -> Tensor:
+    """The float32 [batch, band, side, side] network input of a batch of
+    [band, h, w] ``windows`` (chip samples, or views of a predict stripe),
+    written into the interior of a zero-bordered padded-layout buffer that
+    the first conv reads in place. Each window is normalized with ``stats``
+    (float32 subtract, then divide), zeroed where its ``valid`` mask is
+    False (nodata forwards as the band mean), and reflect-padded bottom and
+    right by one gather of its own cells (numpy's ``reflect``: pads longer
+    than the axis reflect again, a 1-wide axis repeats)."""
+    x = numerics.padded_tensor(len(windows), len(windows[0]), side, side, np.float32)
+    if stats is not None:
+        if len(stats.means) != x.shape[1]:
+            raise ValueError(f"windows have {x.shape[1]} bands, stats cover {len(stats.means)}")
+        means, stds = (np.asarray(v, np.float32)[:, None, None] for v in (stats.means, stats.stds))
+    for i, (image, window) in enumerate(zip(x.data, windows)):
+        h, w = window.shape[1:]
+        top_left = image[:, :h, :w]
+        if stats is None:
+            top_left[...] = window
+        else:
+            np.divide(window - means, stds, out=top_left)
+        if valid is not None:
+            top_left[:, ~valid[i]] = 0.0
+        if (h, w) != (side, side):
+            rows, cols = (np.pad(np.arange(n), (0, side - n), "reflect") for n in (h, w))
+            image[...] = top_left[:, rows[:, None], cols]
+    return x
+
+
 def forward(params: ParameterSet, config: UNetConfig, batch: Tensor) -> Tensor:
     """Segmentation logits [batch, 1, h, w] for input [batch, c, h, w]."""
     b, c, h, w = batch.data.shape

@@ -241,9 +241,8 @@ def test_c3_overfit_four_chips():
     positives = [c for c in chips if c.is_positive()][:4]
     assert len(positives) == 4
     stats = ds.fit_normalization(positives)
-    normalized = [ds.apply_normalization(c, stats) for c in positives]
     split = ds.DatasetSplit(
-        train=normalized, val=normalized[:1], test=[], seed=0
+        train=positives, val=positives[:1], test=[], seed=0
     )
 
     config = unet.UNetConfig(in_channels=6, depth=2, base_filters=8)
@@ -255,7 +254,7 @@ def test_c3_overfit_four_chips():
         plateau_patience=200,
         plateau_min_delta=0.0,
     )
-    _, report = training.train(params, config, split, hyper, seed=3)
+    _, report = training.train(params, config, split, hyper, seed=3, stats=stats)
     best_loss = min(e.train_loss for e in report.epochs)
     first_below = next(
         (i for i, e in enumerate(report.epochs, 1) if e.train_loss < 0.01), None
@@ -292,7 +291,6 @@ def test_c4_end_to_end_quality():
         chips.extend(ds.extract_chips(stacked, mask, 64, 32, 1.0, seed=11))
     split = ds.split_dataset(chips, 0.15, 0.2, seed=5)
     stats = ds.fit_normalization(split.train)
-    normalized = ds.normalize_split(split, stats)
 
     config = unet.UNetConfig(in_channels=6, depth=2, base_filters=8)
     params = unet.build_unet(config, seed=21)
@@ -303,7 +301,7 @@ def test_c4_end_to_end_quality():
         pos_weight=5.0,
         plateau_patience=36,
     )
-    best, report = training.train(params, config, normalized, hyper, seed=9)
+    best, report = training.train(params, config, split, hyper, seed=9, stats=stats)
     assert report.test is not None
     test_iou = report.test.mean_iou
     assert test_iou >= 0.5, f"test mean IoU {test_iou:.3f} < 0.5"

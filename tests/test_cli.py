@@ -185,9 +185,9 @@ class TestLoadConfig:
                 {"chip": {"test_frac": 0.5, "val_frac": 0.5}},
                 "chip.val_frac: test_frac + val_frac must be below 1, got 0.5 + 0.5",
             ),
-            ({"synth": {"scene_count": 0}}, "synth.scene_count: must be >= 1, got 0"),
-            ({"synth": {"scene_count": -2}}, "synth.scene_count: must be >= 1, got -2"),
-            ({"synth": {"scene_size": 4}}, "synth.scene_size: must be >= 16, got 4"),
+            ({"synth": {"scene_count": 0}}, "synth.scene_count: must be in [1, 1000], got 0"),
+            ({"synth": {"scene_count": -2}}, "synth.scene_count: must be in [1, 1000], got -2"),
+            ({"synth": {"scene_size": 4}}, "synth.scene_size: must be in [16, 2**31), got 4"),
             (
                 {"synth": {"scene_size": 16, "dump_radius_range": [2, 8]}},
                 "synth.dump_radius_range: radius 8 too large for scene_size 16",
@@ -355,6 +355,15 @@ class TestEndToEnd:
         assert ckpt.training_metadata["seed"] == 7
         report = json.loads((ws["root"] / "report.json").read_text())
         assert len(report["epochs"]) == summary["stopping_epoch"]
+
+    def test_train_summary_counts_the_work(self, ws):
+        summary = ws["summaries"]["train"]
+        split, _ = load_catalog(ws["root"] / "catalog")
+        counts = [summary[f"{name}_chips"] for name in ("train", "val", "test")]
+        assert counts == [len(split.train), len(split.val), len(split.test)]
+        # batch_size 8: an epoch's steps are its batches, the last one short
+        assert summary["steps"] == summary["stopping_epoch"] * math.ceil(len(split.train) / 8)
+        assert summary["steps"] > summary["stopping_epoch"]
 
     def test_evaluate(self, ws, capsys):
         code, summary = run_cli(
@@ -1015,7 +1024,17 @@ MALFORMED_INPUTS = {
     "synth-scene-count-zero": (
         "synth",
         lambda r: ({"paths": {"scene_dir": str(r / "scenes")}, "synth": {"scene_count": 0}}, r / "run.json"),
-        ["synth.scene_count: must be >= 1, got 0"],
+        ["synth.scene_count: must be in [1, 1000], got 0"],
+    ),
+    "synth-scene-count-huge-integer": (
+        "synth",
+        lambda r: ({"paths": {"scene_dir": str(r / "scenes")}, "synth": {"scene_count": 10**400}}, r / "run.json"),
+        [f"synth.scene_count: must be in [1, 1000], got 1{'0' * 56}...\n"],
+    ),
+    "synth-scene-size-huge-integer": (
+        "synth",
+        lambda r: ({"paths": {"scene_dir": str(r / "scenes")}, "synth": {"scene_size": 10**400}}, r / "run.json"),
+        [f"synth.scene_size: must be in [16, 2**31), got 1{'0' * 56}...\n"],
     ),
     "synth-pixel-size-huge-integer": (
         "synth",

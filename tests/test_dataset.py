@@ -18,7 +18,6 @@ from dumpwatch.dataset import (
     DatasetSplit,
     NormalizationStats,
     SynthConfig,
-    apply_normalization,
     compute_ndsw,
     cut_windows,
     extract_chips,
@@ -27,13 +26,13 @@ from dumpwatch.dataset import (
     load_catalog,
     normalize_split,
     rasterize_mask,
-    reflect_pad,
     save_catalog,
     split_dataset,
     stack_bands,
 )
 from dumpwatch import cli
 from dumpwatch._fileio import read_document
+from dumpwatch.unet import model_input
 from dumpwatch.geodata import GeoTransform, Raster, RasterReader, write_annotations, write_raster
 from oracles import polygon_columns, rasterize_oracle, rasters_equal
 
@@ -451,8 +450,8 @@ class TestNormalization:
     def test_apply_standardizes(self):
         chips = self._chips()
         stats = fit_normalization(chips)
-        normalized = [apply_normalization(c, stats) for c in chips]
-        flat = np.concatenate([c.samples[0].reshape(-1) for c in normalized])
+        normalized = model_input([c.samples for c in chips], 8, stats).data
+        flat = normalized[:, 0].reshape(-1)
         assert abs(flat.mean()) < 1e-5
         assert abs(flat.std() - 1.0) < 1e-4
 
@@ -491,10 +490,8 @@ class TestNormalization:
             NormalizationStats((0.0, math.nan), (1.0, math.nan), ("a", "b"))
         with pytest.raises(ValueError, match="band 0: non-finite"):
             NormalizationStats((0.0,), (math.inf,))
-        with pytest.raises(ValueError, match="bands"):
-            apply_normalization(
-                _dummy_chips(1)[0], NormalizationStats((0.0, 0.0), (1.0, 1.0))
-            )
+        with pytest.raises(ValueError, match="windows have 1 bands, stats cover 2"):
+            model_input([_dummy_chips(1)[0].samples], 2, NormalizationStats((0.0, 0.0), (1.0, 1.0)))
 
 
 class TestGenerateSynthetic:
@@ -643,32 +640,3 @@ class TestCatalogIO:
         save_catalog(tmp_path / "cat", split, tmp_path / "scenes")
         _, stats = load_catalog(tmp_path / "cat")
         assert stats is None
-
-
-class TestReflectPad:
-    @given(
-        h=st.integers(2, 6),
-        w=st.integers(2, 6),
-        top=st.integers(0, 12),
-        bottom=st.integers(0, 12),
-        left=st.integers(0, 12),
-        right=st.integers(0, 12),
-    )
-    @settings(max_examples=40)
-    def test_matches_numpy_reflect(self, h, w, top, bottom, left, right):
-        arr = np.arange(h * w, dtype=np.float64).reshape(h, w)
-        out = reflect_pad(arr, ((top, bottom), (left, right)))
-        ref = np.pad(arr, ((top, bottom), (left, right)), mode="reflect")
-        assert np.array_equal(out, ref)
-
-    def test_leading_axes_untouched(self):
-        arr = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4)
-        out = reflect_pad(arr, ((1, 2), (0, 3)))
-        assert out.shape == (2, 6, 7)
-        assert np.array_equal(out[:, 1:4, 0:4], arr)
-
-    def test_one_wide_axis_uses_edge(self):
-        arr = np.array([[1.0, 2.0, 3.0]])
-        out = reflect_pad(arr, ((2, 2), (0, 0)))
-        assert out.shape == (5, 3)
-        assert np.array_equal(out, np.tile(arr, (5, 1)))

@@ -13,7 +13,6 @@ from dumpwatch.dataset import (
     DatasetSplit,
     extract_chips,
     fit_normalization,
-    normalize_split,
     rasterize_mask,
     stack_bands,
 )

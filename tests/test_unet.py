@@ -2,9 +2,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dumpwatch import numerics
-from dumpwatch.dataset import NormalizationStats
+from dumpwatch import numerics, training
+from dumpwatch.dataset import Chip, NormalizationStats
 from dumpwatch.numerics import Tensor, no_grad, weighted_bce_with_logits
 from dumpwatch.unet import (
     Checkpoint,
@@ -13,6 +15,7 @@ from dumpwatch.unet import (
     checkpoint_from_params,
     forward,
     load_checkpoint,
+    model_input,
     parameter_count,
     parameter_schema,
     params_from_checkpoint,
@@ -244,6 +247,121 @@ class TestBatchInvariance:
         cfg = UNetConfig(in_channels=6, depth=2, base_filters=8)
         x = np.random.default_rng(3).normal(size=(5, 6, 256, 256)).astype(np.float32)
         self._check(cfg, x, sizes, seed=3)
+
+
+def _stacked_then_padded(windows, side, stats=None, valid=None):
+    """The network input as train and predict built it before
+    ``model_input``: each window normalized (float32 subtract then divide)
+    and zeroed at nodata, the batch stacked as float32, reflect-padded and
+    then laid out by ``_pad_flat``."""
+    images = []
+    for i, window in enumerate(windows):
+        if stats is not None:
+            means, stds = (np.asarray(v, np.float32)[:, None, None] for v in (stats.means, stats.stds))
+            window = (window - means) / stds
+        window = window.copy()
+        if valid is not None:
+            window[:, ~valid[i]] = 0.0
+        images.append(window)
+    x = np.stack(images).astype(np.float32, copy=False)
+    h, w = x.shape[2:]
+    x = np.pad(x, ((0, 0), (0, 0), (0, side - h), (0, side - w)), mode="reflect")
+    return numerics._pad_flat(x, np.float32)
+
+
+class TestModelInput:
+    STATS = NormalizationStats((0.3, -1.0), (0.7, 2.5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nodata", [None, np.nan, -9999.0], ids=["none", "nan", "numeric"])
+    @pytest.mark.parametrize("with_stats", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize(
+        "h, w, side",
+        # side == h; pads longer than the axis; 1-wide axes; a square pad
+        [(8, 8, 8), (5, 3, 16), (1, 4, 4), (3, 1, 8), (1, 1, 4), (6, 6, 8), (8, 2, 8)],
+    )
+    def test_bitwise_the_stack_pad_and_pad_flat_composition(self, h, w, side, with_stats, nodata, dtype):
+        rng = np.random.default_rng(h * 100 + w * 10 + side)
+        windows = [rng.normal(size=(2, h, w)).astype(dtype) for _ in range(3)]
+        valid = None
+        if nodata is not None:
+            valid = [rng.random((h, w)) > 0.3 for _ in windows]
+            for window, ok in zip(windows, valid):
+                window[1, ~ok] = nodata
+        stats = self.STATS if with_stats else None
+        x = model_input(windows, side, stats, valid)
+        assert x.data.dtype == np.float32 and x.data.shape == (3, 2, side, side)
+        assert numerics._buffer(x.data, x._flat) is x._flat
+        assert x._flat.tobytes() == _stacked_then_padded(windows, side, stats, valid).tobytes()
+
+    def test_band_count_mismatch_names_both(self):
+        with pytest.raises(ValueError, match="windows have 3 bands, stats cover 2"):
+            model_input([np.zeros((3, 4, 4), np.float32)], 4, self.STATS)
+
+    @given(h=st.integers(1, 6), w=st.integers(1, 6), down=st.integers(0, 12), right=st.integers(0, 12))
+    @settings(max_examples=40)
+    def test_reflect_matches_numpy_reflect(self, h, w, down, right):
+        arr = np.arange(h * w, dtype=np.float32).reshape(1, h, w)
+        side = max(h + down, w + right)
+        out = model_input([arr], side).data[0, 0]
+        assert np.array_equal(out, np.pad(arr[0], ((0, side - h), (0, side - w)), mode="reflect"))
+
+    def test_reflect_pads_every_band_alike(self):
+        arr = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4)
+        out = model_input([arr], 7).data[0]
+        assert np.array_equal(out[:, :3, :4], arr)
+        assert np.array_equal(out[1], np.pad(arr[1], ((0, 4), (0, 3)), mode="reflect"))
+
+    def test_reflect_repeats_a_one_wide_axis(self):
+        arr = np.array([[[1.0, 2.0, 3.0, 4.0]]], np.float32)
+        out = model_input([arr], 4).data[0, 0]
+        assert np.array_equal(out, np.tile(arr[0], (4, 1)))
+
+    @staticmethod
+    def _counted_pads(monkeypatch):
+        calls = []
+
+        def counted(a, dtype, _pad=numerics._pad_flat):
+            calls.append(a.shape)
+            return _pad(a, dtype)
+
+        monkeypatch.setattr(numerics, "_pad_flat", counted)
+        return calls
+
+    def test_a_predict_forward_pads_nothing(self, monkeypatch):
+        windows = [np.random.default_rng(1).normal(size=(3, 13, 16)) for _ in range(2)]
+        calls = self._counted_pads(monkeypatch)
+        with no_grad():
+            forward(build_unet(SMALL, seed=1), SMALL, model_input(windows, 16, valid=[np.ones((13, 16), bool)] * 2))
+        assert calls == []
+
+    def test_a_training_step_pads_only_the_gradients_outside_the_layout(self, monkeypatch):
+        # the loss's (the head conv's g), each up-conv's input gradient and
+        # each skip's sum of its pooling and concatenation gradients; not the
+        # input, for the forward or for the first conv's weight gradient
+        rng = np.random.default_rng(2)
+        stats = NormalizationStats((0.1, 0.2, 0.3), (1.0, 2.0, 3.0))
+        chips = [
+            Chip(rng.normal(size=(3, 8, 8)).astype(np.float32), (rng.random((8, 8)) < 0.3).astype(np.uint8), (0, 0))
+            for _ in range(2)
+        ]
+        means, stds = (np.asarray(v, np.float32)[:, None, None] for v in (stats.means, stats.stds))
+        grads = []
+        for through_model_input in (False, True):
+            params = build_unet(SMALL, seed=3)
+            if through_model_input:
+                calls = self._counted_pads(monkeypatch)
+                logits, target = training._forward_logits(params, SMALL, chips, stats)
+            else:
+                x = np.stack([(c.samples - means) / stds for c in chips])
+                logits = forward(params, SMALL, Tensor(x))
+                target = Tensor(np.stack([c.mask for c in chips]).astype(np.float32)[:, None])
+            weighted_bce_with_logits(logits, target).backward()
+            grads.append(b"".join(p.grad.tobytes() for p in params.values()))
+        ups = [(2, 4 * 2 ** (i + 1), 8 >> (i + 1), 8 >> (i + 1)) for i in range(2)]
+        skips = [(2, 4 * 2**i, 8 >> i, 8 >> i) for i in range(2)]
+        assert sorted(calls) == sorted([logits.shape, *ups, *skips])
+        assert grads[0] == grads[1]
 
 
 class TestReceptiveField:
