@@ -72,6 +72,11 @@ def gc_paused():
             gc.enable()
 
 
+def strict_decoder() -> json.JSONDecoder:
+    """The decoder ``read_json`` parses with, which refuses NaN and Infinity."""
+    return json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def read_json(path: str | os.PathLike):
     """Parse a JSON file strictly (no NaN/Infinity); errors name the file."""
     try:

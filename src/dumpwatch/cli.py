@@ -405,7 +405,7 @@ def cmd_postprocess(cfg: RunConfig, args) -> dict:
     bad = np.argwhere(((grid < 0) | (grid > 1)) & prob.valid_mask())
     if len(bad):
         raise ValueError(
-            f"{cfg.paths.probability}: {len(bad)} probability pixel(s) outside "
+            f"{cfg.paths.probability}.bin: {len(bad)} probability pixel(s) outside "
             f"[0, 1], first at (row, col) {tuple(map(int, bad[0]))}"
         )
     binary = detect.threshold_probability(prob, cfg.postprocess.probability_threshold)
@@ -419,7 +419,7 @@ def cmd_postprocess(cfg: RunConfig, args) -> dict:
         "pixels_above_threshold": int(np.count_nonzero(binary.samples)),
         "output": str(out),
     }
-    del detections  # freed before the verify read, which holds the whole file
+    del detections  # freed before the verify read, which holds the file's text
     geodata.read_annotations(out)  # write-then-verify
     return summary
 

@@ -606,11 +606,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             # g on the output grid; the wrap-around columns read zero padding
             n = h * (w + 2)
             gout = gp[:, :, w + 3 : w + 3 + n]
-            per_image = np.empty((len(g), 9, cout, cin), dtype=dtype)
+            # summed image by image into one [9, out, in] buffer, in image
+            # order: the bits of summing the per-image stack over axis 0
+            taps_sum, part = np.empty((9, cout, cin), dtype=dtype), np.empty((cout, cin), dtype=dtype)
             for i, gi in enumerate(gout):
                 for t, off in enumerate(_tap_offsets(w)):
-                    np.matmul(gi, xp[i, :, off : off + n].T, out=per_image[i, t])
-            gw = per_image.sum(axis=0).transpose(1, 2, 0).reshape(kernel.data.shape)
+                    np.matmul(gi, xp[i, :, off : off + n].T, out=part if i else taps_sum[t])
+                    if i:
+                        taps_sum[t] += part
+            gw = taps_sum.transpose(1, 2, 0).reshape(kernel.data.shape)
         gx = None
         if x.requires_grad:
             # the adjoint correlates g with the flipped, transposed taps
@@ -710,7 +714,13 @@ def transposed_conv_2x2(
             gx = np.matmul(taps.T, gt).reshape(b, cin, h, w)
         gk = None
         if kernel.requires_grad:
-            gk = np.matmul(gt, x.data.reshape(b, cin, h * w).transpose(0, 2, 1)).sum(axis=0)
+            # summed image by image, in image order, as summing the
+            # per-image [b, 4*out, in] stack over axis 0 adds
+            gk, part = np.empty((2, 4 * cout, cin), dtype=np.result_type(gt, x.data))
+            for i, xi in enumerate(x.data):
+                np.matmul(gt[i], xi.reshape(cin, h * w).T, out=part if i else gk)
+                if i:
+                    gk += part
             gk = gk.reshape(2, 2, cout, cin).transpose(3, 2, 0, 1)
         gb = _channel_sums(g) if bias.requires_grad else None
         return gx, gk, gb

@@ -134,6 +134,21 @@ def transposed_conv_2x2_oracle(
     return out
 
 
+def transposed_conv_2x2_grads_oracle(x: np.ndarray, kernel: np.ndarray, g: np.ndarray):
+    """(gx, gk, gb) of the 2x2 stride-2 transposed conv and of sum(g * out),
+    as one stacked product over the batch each: gk is the [b, 4*out, in]
+    stack of per-image products of g's taps with the input, summed over
+    the batch."""
+    b, cin, h, w = x.shape
+    cout = kernel.shape[1]
+    taps = kernel.transpose(2, 3, 1, 0).reshape(4 * cout, cin)  # rows in (dy, dx, o) order
+    gt = np.ascontiguousarray(g.reshape(b, cout, h, 2, w, 2).transpose(0, 3, 5, 1, 2, 4))
+    gt = gt.reshape(b, 4 * cout, h * w)
+    gx = np.matmul(taps.T, gt).reshape(b, cin, h, w)
+    gk = np.matmul(gt, x.reshape(b, cin, h * w).transpose(0, 2, 1)).sum(axis=0)
+    return gx, gk.reshape(2, 2, cout, cin).transpose(3, 2, 0, 1), g.sum(axis=(0, 2, 3))
+
+
 def correlate3_batched_oracle(
     ap: np.ndarray, taps: np.ndarray, h: int, w: int
 ) -> np.ndarray:

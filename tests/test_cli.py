@@ -674,10 +674,10 @@ def _probability(root, value=0.5, header_edit=("", "")):
     return {"paths": {"probability": str(base)}}, header if header_edit[0] else base
 
 
-def _probability_over_detections(root, header_edit):
-    """``_probability`` with ``header_edit``, and an earlier
+def _probability_over_detections(root, header_edit, value=0.5):
+    """``_probability`` with ``header_edit`` and ``value``, and an earlier
     detections.geojson where postprocess writes its output."""
-    config, header = _probability(root, header_edit=header_edit)
+    config, header = _probability(root, value, header_edit)
     earlier = root / "detections.geojson"
     earlier.write_text('{"type": "FeatureCollection", "features": []}\n')
     config["paths"]["detections"] = str(earlier)
@@ -927,6 +927,11 @@ MALFORMED_INPUTS = {
         "postprocess",
         lambda r: _probability(r, value=np.inf),
         ["1 probability pixel(s) outside [0, 1]", "(3, 5)"],
+    ),
+    "probability-pixel-below-zero": (
+        "postprocess",
+        lambda r: (_probability_over_detections(r, ("", ""), value=-0.5)[0], r / "probability.bin"),
+        ["probability.bin: 1 probability pixel(s) outside [0, 1]", "(3, 5)"],
     ),
     "bin-truncated-by-one-row": (
         "predict",
@@ -1335,6 +1340,47 @@ class TestDocumentMutations:
         header = tmp_path / "scenes" / "probability.json"
         outcomes = _check_mutations(rng, 150, tmp_path, header, geodata.RasterHeader, argv, [tmp_path / "out.geojson"], capsys, caplog)
         assert outcomes["refused"] > 100 and outcomes["same"] > 0
+
+
+class TestProbabilityPayloadMutations:
+    def test_postprocess_exits_one_naming_the_payload_or_completes(self, tmp_path, capsys, caplog):
+        # a payload a few bytes or a row off in length is refused on open,
+        # and a pixel outside [0, 1] (infinities too) before anything is
+        # written; a NaN pixel is nodata and an in-range one a probability,
+        # so both complete
+        samples = np.full((1, 16, 16), 0.25, np.float32)
+        samples[0, 4:9, 3:7] = 0.9
+        base = tmp_path / "probability"
+        write_raster(Raster(samples, GeoTransform(0.0, 16.0, 1.0, 1.0), band_names=("probability",)), base)
+        payload, out = tmp_path / "probability.bin", tmp_path / "detections.geojson"
+        (tmp_path / "run.json").write_text(
+            json.dumps({"paths": {"probability": str(base), "detections": str(out)}, "postprocess": {"min_area": 0.0}})
+        )
+        argv = ["postprocess", "--config", str(tmp_path / "run.json")]
+        assert run_cli(argv, capsys)[0] == 0
+        original, earlier = payload.read_bytes(), out.read_bytes()
+        rng = np.random.default_rng(2930)
+        kinds = ["bytes", "row", "-0.5", "1.5", "inf", "-inf", "nan", "in-range"]
+        for trial in range(80):
+            kind = kinds[trial % len(kinds)]
+            if kind in ("bytes", "row"):
+                cut = int(rng.integers(1, 4)) if kind == "bytes" else 16 * 4
+                data = original[:-cut] if rng.random() < 0.5 else original + original[:cut]
+            else:
+                pixels = np.frombuffer(original, "<f4").copy()
+                pixels[int(rng.integers(pixels.size))] = rng.uniform(0, 1) if kind == "in-range" else float(kind)
+                data = pixels.tobytes()
+            payload.write_bytes(data)
+            caplog.clear()
+            code, summary = run_cli(argv, capsys)
+            if kind in ("nan", "in-range"):
+                assert code == 0 and summary["output"] == str(out), f"trial {trial}"
+                out.write_bytes(earlier)
+            else:
+                assert code == 1 and summary is None, f"trial {trial}"
+                assert payload.name in caplog.text, f"trial {trial}: {caplog.text}"
+                assert out.read_bytes() == earlier, f"trial {trial}"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["detections.geojson", "probability.bin", "probability.json", "run.json"]
 
 
 class TestNodataChip:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dumpwatch import geodata
-from dumpwatch.detect import connected_components, polygonize
+from dumpwatch.detect import connected_components, export_geojson, polygonize
 from dumpwatch.geodata import (
     GeoTransform,
     Raster,
@@ -1104,3 +1104,145 @@ class TestColumnarReader:
             ), f"trial {trial}"
             outcomes["read"] += 1
         assert min(outcomes.values()) > 50
+
+
+def _outcome(path):
+    """What ``read_annotations`` gives for ``path``: its columns and
+    warnings, or its error's type and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            p = read_annotations(path)
+        except ValueError as exc:
+            return "error", str(exc)
+    columns = (p.x.tobytes(), p.y.tobytes(), p.ring_offsets.tolist(), p.polygon_offsets.tolist(), p.labels)
+    return columns, [str(w.message) for w in caught]
+
+
+def _read_whole(path):
+    """A stand-in for ``geodata._streamed_features`` that gives up at once,
+    so that ``read_annotations`` parses the whole document."""
+    raise ValueError("parse the whole document")
+    yield
+
+
+class TestStreamedGeoJSON:
+    def _speckles(self):
+        """Detections of 10^4 one-pixel components at UTM-like coordinates."""
+        grid = np.zeros((200, 200), np.float32)
+        grid[::2, ::2] = 1
+        raster = Raster(grid[None], GeoTransform(500000.25, 4100000.75, 10.0, 10.0), nodata=None)
+        labels, _ = connected_components(raster, connectivity=4)
+        return polygonize(labels, raster.transform)
+
+    def test_write_and_read_hold_a_slice_not_the_document(self, tmp_path):
+        # joining the whole text took 5.9x the file's bytes and parsing the
+        # whole document 7.9x
+        detections = self._speckles()
+        assert len(detections) == 10_000
+        path = tmp_path / "detections.geojson"
+        peaks = {}
+        for name, step in (("write", lambda: export_geojson(detections, path)), ("read", lambda: read_annotations(path))):
+            tracemalloc.start()
+            try:
+                step()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / path.stat().st_size
+            finally:
+                tracemalloc.stop()
+        assert peaks["write"] < 2 and peaks["read"] < 4, peaks
+        assert read_annotations(path).rings() == detections.polygons.rings()
+
+    @pytest.mark.parametrize("slice_size", [1, 2, 3, 1024])
+    def test_slices_join_to_the_dict_tree_writer_bytes(self, tmp_path, monkeypatch, slice_size):
+        # seams between slices, a slice of one feature, a last slice that is
+        # short or full, an empty document, and holes
+        monkeypatch.setattr(geodata, "_SLICE", slice_size)
+        rings = [[((10, 10), (20, 10), (20, 20), (10, 20)), ((12, 12), (14, 12), (14, 14), (12, 14))], [UNIT_SQUARE]]
+        for count in (0, 1, 2, 3, 6, 7):
+            polygons = polygon_columns([rings[k % 2] for k in range(count)], [f"site {k}" for k in range(count)])
+            write_annotations(polygons, tmp_path / "got.geojson")
+            write_annotations_oracle(polygons, tmp_path / "want.geojson")
+            assert (tmp_path / "got.geojson").read_bytes() == (tmp_path / "want.geojson").read_bytes(), count
+        many = polygon_columns([[UNIT_SQUARE]] * 2051, "dump")  # two full default slices and three over
+        write_annotations(many, tmp_path / "got.geojson")
+        write_annotations_oracle(many, tmp_path / "want.geojson")
+        assert (tmp_path / "got.geojson").read_bytes() == (tmp_path / "want.geojson").read_bytes()
+
+    def test_write_that_raises_after_its_first_slice_leaves_the_earlier_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "ann.geojson"
+        out.write_bytes(b"earlier\n")
+        monkeypatch.setattr(geodata, "_SLICE", 2)
+        formatted = geodata._features_text
+        calls = []
+
+        def second_slice_raises(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("formatter failed")
+            return formatted(*args)
+
+        monkeypatch.setattr(geodata, "_features_text", second_slice_raises)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            write_annotations(polygon_columns([[UNIT_SQUARE]] * 5), out)
+        assert len(calls) == 2
+        assert out.read_bytes() == b"earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ann.geojson"]
+
+    def test_documents_read_as_json_loads_reads_them(self, tmp_path, monkeypatch):
+        # member order, duplicate keys (the last one wins), whitespace and
+        # newlines between features, a syntax fault after a geometry fault,
+        # and features absent: the streamed read gives what reading the
+        # document parsed whole gives, and valid ones are read without it
+        square = [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]]
+        bowtie = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]
+
+        def feature(ring, label="dump"):
+            return {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [ring]}, "properties": {"label": label}}
+
+        fc = '"type": "FeatureCollection"'
+        features = json.dumps([feature(square, "a"), feature(square, "b")])
+        documents = {
+            "type after features": ("{" + f'"features": {features}, {fc}' + "}", 2),
+            "type replaced by a later one": ("{" + f'{fc}, "features": {features}, "type": "Polygon"' + "}", None),
+            "a later type replaces another": ('{"type": "Polygon", ' + f'"features": {features}, {fc}' + "}", 2),
+            "later features win": ("{" + f'{fc}, "features": [5], "features": {features}' + "}", 2),
+            "later features win, empty": ("{" + f'{fc}, "features": {features}, "features": []' + "}", 0),
+            "duplicate keys in a feature": (
+                "{" + f'{fc}, "features": [' + '{"type": "Feature", "geometry": null, "geometry": '
+                + json.dumps(feature(square)["geometry"]) + ', "properties": {"label": 1, "label": "x"}}]}',
+                1,
+            ),
+            "whitespace and newlines": (json.dumps({"type": "FeatureCollection", "features": json.loads(features)}, indent="\t").replace(",", " ,\r\n ") + "\n\n", 2),
+            "compact": (json.dumps({"type": "FeatureCollection", "features": json.loads(features)}, separators=(",", ":")), 2),
+            "empty features": ("{" + f'{fc}, "features": [ \n ]' + "}", 0),
+            "features absent": ("{" + fc + ', "name": {"a": [1, 2]}}', 0),
+            "features null": ("{" + fc + ', "features": null}', None),
+            "other members": ("{" + f'"bbox": [0, 0, 4, 4], {fc}, "crs": {{"x": null}}, "features": {features}' + "}", 2),
+            "syntax fault after a geometry fault": ("{" + f'{fc}, "features": {json.dumps([feature(bowtie)])}, "x": [1,]' + "}", None),
+            "NaN after a geometry fault": ("{" + f'{fc}, "features": {json.dumps([feature(bowtie)])}, "x": NaN' + "}", None),
+            "syntax fault in a later feature": ("{" + f'{fc}, "features": [{json.dumps(feature(bowtie))}, {{"type": tru}}]' + "}", None),
+            "extra data": ("{" + f'{fc}, "features": {features}' + "} []", None),
+            "trailing comma": ("{" + f'{fc}, "features": {features},' + "}", None),
+            "byte order mark": ("﻿{" + f'{fc}, "features": {features}' + "}", None),
+            "not an object": (features, None),
+            "empty object": ("{}", None),
+            "empty text": ("", None),
+        }
+        path = tmp_path / "d.geojson"
+        whole_reads = []
+        read_json = geodata.read_json
+        monkeypatch.setattr(geodata, "read_json", lambda p: whole_reads.append(p) or read_json(p))
+        for name, (text, count) in documents.items():
+            path.write_text(text)
+            whole_reads.clear()
+            streamed = _outcome(path)
+            # a second features member is read whole too
+            assert bool(whole_reads) == (count is None or name.startswith("later features")), name
+            with monkeypatch.context() as whole:
+                whole.setattr(geodata, "_streamed_features", _read_whole)
+                assert _outcome(path) == streamed, name
+            if count is None:
+                assert streamed[0] == "error", name
+            else:
+                assert len(streamed[0][4]) == count, name
+        assert _outcome(path)[1].startswith("invalid JSON in ")

@@ -43,6 +43,7 @@ from oracles import (
     max_pool_2x2_oracle,
     sigmoid_scalar,
     softplus_scalar,
+    transposed_conv_2x2_grads_oracle,
     transposed_conv_2x2_oracle,
     weighted_bce_oracle,
 )
@@ -526,6 +527,23 @@ class TestConv2dGradients:
         assert kept <= x.data.nbytes + out.data.nbytes + 32 * 1024
         assert out._grad_fn is not None
 
+    def test_weight_gradient_holds_no_per_image_stack(self):
+        # the 256 -> 256 conv at 7 x 7, batch 11: a [b, 9, out, in] stack of
+        # per-image weight gradients would alone take 25.9 MB
+        rng = np.random.default_rng(16)
+        x, g = (rng.normal(size=(11, 256, 7, 7)).astype(np.float32) for _ in range(2))
+        k = rng.normal(size=(256, 256, 3, 3)).astype(np.float32) * 0.01
+        out = conv2d(*(Tensor(a, requires_grad=True) for a in (x, k, np.zeros(256, np.float32))))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grads = out._grad_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert grads[1].shape == k.shape
+        assert peak < 11 * 9 * 256 * 256 * 4
+
     def test_grad_mode_relu_of_conv_holds_one_activation(self):
         rng = np.random.default_rng(6)
         k = Tensor(rng.normal(size=(8, 16, 3, 3)).astype(np.float32), requires_grad=True)
@@ -668,6 +686,27 @@ class TestPoolAndUpconvGradients:
         lhs = float(np.sum(out.data * g))
         assert lhs == pytest.approx(float(np.sum(x * gx)), rel=1e-12, abs=1e-12)
         assert lhs == pytest.approx(float(np.sum(k * gk)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "batch, cin, cout, h, w",
+        [(1, 1, 1, 1, 1), (3, 1, 3, 2, 3), (2, 3, 1, 3, 2), (5, 2, 2, 1, 4), (11, 64, 32, 14, 14), (11, 32, 16, 28, 28)],
+    )
+    def test_transposed_conv_gradients_are_bitwise_the_stacked_products(self, batch, cin, cout, h, w, dtype):
+        # the kernel gradient sums image by image: the bits of summing the
+        # stack of per-image products over the batch, for an input held in
+        # the padded layout (as pooling and relu write it) or contiguous
+        rng = np.random.default_rng(batch * 100 + cin)
+        x = _with_signed_zeros(rng, (batch, cin, h, w), dtype)
+        k, bias = (rng.normal(size=s).astype(dtype) for s in ((cin, cout, 2, 2), (cout,)))
+        g = _with_signed_zeros(rng, (batch, cout, 2 * h, 2 * w), dtype)
+        want = transposed_conv_2x2_grads_oracle(x, k, g)
+        for held in (Tensor(x, requires_grad=True), _padded(x)):
+            held.requires_grad = True
+            out = transposed_conv_2x2(held, *(Tensor(a, requires_grad=True) for a in (k, bias)))
+            for name, got, expected in zip(("gx", "gk", "gb"), out._grad_fn(g), want):
+                assert got.dtype == expected.dtype and got.shape == expected.shape, name
+                assert got.tobytes() == expected.tobytes(), name
 
     def test_transposed_conv_float32_stays_float32(self):
         rng = np.random.default_rng(14)
