@@ -9,8 +9,12 @@ stays identical whether or not other stages run. ``ablate`` picks
 ``chip``'s windows once, then cuts and splits them and runs ``train``'s
 training step once per band set, under those same substreams. Logs go to
 stderr; each subcommand returns a summary, which ``main`` prints as one JSON
-object on stdout with its ``wall_s`` and ``peak_rss_mb`` (null without
-``/proc``).
+object on stdout with its ``wall_s``, ``peak_rss_mb`` (null without
+``/proc``) and ``minor_faults`` (null without the ``resource`` module).
+
+``main`` first tells glibc's allocator to keep freed memory in the process
+(``_keep_freed_memory``), so each batch reuses the pages the last one
+freed instead of faulting them in again.
 
 Set DUMPWATCH_THREADS=1 before launching for the reference deterministic
 mode; the value caps the BLAS thread pools and must be set before numpy
@@ -33,6 +37,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import ctypes
 import hashlib
 import json
 import logging
@@ -42,6 +47,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 from . import dataset as ds
 from . import detect, geodata, training, unet
@@ -175,6 +185,34 @@ def _peak_rss_mb() -> float | None:
         return None
     kib = next((int(line.split()[1]) for line in lines if line.startswith("VmHWM:")), None)
     return None if kib is None else round(kib * 1024 / 1e6, 1)
+
+
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far; None without ``resource``."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+# mallopt(3) parameters, as glibc's <malloc.h> numbers them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Tell glibc's allocator to keep freed heap memory in the process, so the
+    next batch reuses it instead of faulting its pages in again.
+
+    Freed memory at the top of the heap then stays until exit (the trim
+    threshold, 1 GiB), and blocks over 32 MiB, the ceiling glibc's own
+    dynamic mmap threshold reaches on 64-bit, are still mapped and returned
+    at once. Both are set: setting either one turns that dynamic threshold
+    off, and with the trim threshold alone every array over 128 KiB would be
+    mapped afresh. Does nothing where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # macOS, Windows, no libc
+        return
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +367,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> dict:
     params = unet.params_from_checkpoint(ckpt)
     threshold = cfg.postprocess.probability_threshold
     metrics = training.evaluate(params, ckpt.config, chips, threshold, stats=stats)
+    if not math.isfinite(metrics.loss):
+        raise ValueError(f"{cfg.paths.checkpoint}.bin: the model gives a loss of {metrics.loss} on split {args.split!r}")
     return {
         "command": "evaluate",
         "split": args.split,
@@ -373,15 +413,18 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
             band_names=("probability",),
         ) as write_rows:
             clock = time.perf_counter()
-            for block in rows:
-                pulled = time.perf_counter()
-                write_rows(block[None])
-                written = time.perf_counter()
-                timing["predict_rows_s"] += pulled - clock
-                timing["write_rows_s"] += written - pulled
-                with np.errstate(invalid="ignore"):  # NaN, nodata, compares false
-                    above += int(np.count_nonzero(block >= threshold))
-                clock = time.perf_counter()
+            try:
+                for block in rows:
+                    pulled = time.perf_counter()
+                    write_rows(block[None])
+                    written = time.perf_counter()
+                    timing["predict_rows_s"] += pulled - clock
+                    timing["write_rows_s"] += written - pulled
+                    with np.errstate(invalid="ignore"):  # NaN, nodata, compares false
+                        above += int(np.count_nonzero(block >= threshold))
+                    clock = time.perf_counter()
+            except FloatingPointError as exc:  # the earlier output stays
+                raise ValueError(f"{cfg.paths.checkpoint}.bin: {exc} of {raster_path}") from None
         # the tiling's windows, counting those of nodata alone, which are not run
         tile, overlap = cfg.inference.tile_size, cfg.inference.overlap
         tiles = len(detect.tile_origins(source.height, tile, overlap)) * len(
@@ -500,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO,
@@ -519,8 +563,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, ValueError, training.TrainingDiverged) as exc:
         log.error("%s", exc)
         return 1
-    # side fields that vary run to run: the subcommand's wall time and peak memory
-    summary.update(wall_s=round(time.perf_counter() - started, 3), peak_rss_mb=_peak_rss_mb())
+    # side fields that vary run to run: the subcommand's wall time, peak
+    # memory and minor page faults
+    summary.update(
+        wall_s=round(time.perf_counter() - started, 3), peak_rss_mb=_peak_rss_mb(), minor_faults=_minor_faults()
+    )
     sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 

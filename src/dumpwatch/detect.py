@@ -137,7 +137,9 @@ def predict_rows(
     checkpoint stats, zeroed at nodata, and reflection-padded up to
     tile_size where the raster is shorter than a tile. Overlapping
     predictions are averaged. Each block holds the rows above the next tile
-    row's origin. The arguments are checked here, before any row is read.
+    row's origin. The arguments are checked here, before any row is read;
+    a NaN probability on a valid pixel (weights that overflow) raises
+    ``FloatingPointError`` when its block is reached.
     """
     names = tuple(bands) if bands else source.band_names
     band_count = len(names) if bands else source.band_count
@@ -204,6 +206,13 @@ def _stream_rows(params, config, source, stats, icfg, bands):
         n = end - r0
         with np.errstate(invalid="ignore"):  # 0 / 0 where no window ran: nodata
             prob = (prob_sum[:n] / count[:n]).astype(np.float32)
+        # a mean of sigmoids is finite or NaN, and a window ran over every
+        # valid pixel: NaN there means the weights overflowed
+        bad = np.isnan(prob)
+        bad &= valid[:n]
+        if bad.any():
+            row, col = np.argwhere(bad)[0].tolist()
+            raise FloatingPointError(f"the model gives a NaN probability at (row, col) ({r0 + row}, {col})")
         prob[~valid[:n]] = np.nan
         carry_sum, carry_count = prob_sum[n:], count[n:]
         yield prob
@@ -524,13 +533,13 @@ def export_geojson(detections: Detections, path) -> None:
     coordinates are, before anything is written."""
     if not np.isfinite(detections.area).all() or np.isinf(detections.mean_probability).any():
         raise ValueError(f"{path}: non-finite areas or mean probabilities are not JSON compliant")
-    means = _float_text(detections.mean_probability, "{!r}")
-    for k in np.flatnonzero(np.isnan(detections.mean_probability)).tolist():
-        means[k] = "null"
+    # formatted a slice of features at a time, as write_geojson writes them
     properties = {
-        "area_m2": _float_text(detections.area, "{!r}"),
-        "mean_probability": means,
-        "pixel_count": list(map(str, detections.pixel_count.tolist())),
+        "area_m2": lambda s: _float_text(detections.area[s], "{!r}"),
+        "mean_probability": lambda s: [
+            "null" if text == "nan" else text for text in _float_text(detections.mean_probability[s], "{!r}")
+        ],
+        "pixel_count": lambda s: list(map(str, detections.pixel_count[s].tolist())),
     }
     write_geojson(path, detections.polygons, detections.offsets, properties)
 

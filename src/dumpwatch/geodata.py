@@ -23,7 +23,7 @@ import os
 import re
 import warnings
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -762,21 +762,23 @@ def _features_text(polygons: Polygons, offsets: np.ndarray, template: str, prope
     return ", ".join(map(template.format, geometries, *properties))
 
 
-def write_geojson(path: str | Path, polygons: Polygons, offsets: np.ndarray, properties: dict[str, list[str]]) -> None:
+def write_geojson(
+    path: str | Path, polygons: Polygons, offsets: np.ndarray, properties: dict[str, Callable[[slice], list[str]]]
+) -> None:
     """Write features as a GeoJSON FeatureCollection (atomic replace).
 
     Feature k holds the polygons from ``offsets[k]`` to ``offsets[k + 1]``,
     as a Polygon when it holds one and a MultiPolygon otherwise. Its
-    properties are, in key order, the k-th entry of each column of
-    ``properties``, given as JSON text. The text is byte for byte what
-    ``json.dumps`` writes for the feature dicts, each ring closed by its
-    first vertex. It is formatted and written ``_SLICE`` features at a
-    time, each distinct coordinate of a slice formatted once, so only one
-    slice's text is held: on the ``vectorize`` field (10^4 features, 3.1 MB)
-    tracemalloc puts ``detect.export_geojson``'s peak at 1.2x the file's
-    bytes, where joining the whole text took 6.2x. Non-finite coordinates
-    are refused, as the strict encoder refuses them, before anything is
-    written.
+    properties are, in key order, one entry of each column of
+    ``properties``: a column maps a slice of the features to their values'
+    JSON text. The text is byte for byte what ``json.dumps`` writes for the
+    feature dicts, each ring closed by its first vertex. It is formatted and
+    written ``_SLICE`` features at a time, properties included, each
+    distinct coordinate of a slice formatted once, so only one slice's text
+    is held: on the ``vectorize`` field (10^4 features, 3.1 MB) tracemalloc
+    puts ``detect.export_geojson``'s peak at 0.7x the file's bytes, where
+    joining the whole text took 6.2x. Non-finite coordinates are refused, as
+    the strict encoder refuses them, before anything is written.
     """
     if not (np.isfinite(polygons.x).all() and np.isfinite(polygons.y).all()):
         raise ValueError(f"{path}: non-finite coordinates are not JSON compliant")
@@ -786,7 +788,8 @@ def write_geojson(path: str | Path, polygons: Polygons, offsets: np.ndarray, pro
         fh.write(b'{"type": "FeatureCollection", "features": [')
         for k in range(0, len(offsets) - 1, _SLICE):
             k1 = min(k + _SLICE, len(offsets) - 1)
-            text = _features_text(polygons, offsets[k : k1 + 1], template, [c[k:k1] for c in properties.values()])
+            columns = [column(slice(k, k1)) for column in properties.values()]
+            text = _features_text(polygons, offsets[k : k1 + 1], template, columns)
             fh.write(((", " if k else "") + text).encode())
         fh.write(b"]}\n")
 
@@ -794,5 +797,5 @@ def write_geojson(path: str | Path, polygons: Polygons, offsets: np.ndarray, pro
 def write_annotations(polygons: Polygons, path: str | Path) -> None:
     """Write labelled polygons as a GeoJSON FeatureCollection, one Polygon
     feature each (atomic replace)."""
-    labels = list(map(json.dumps, polygons.labels))
-    write_geojson(path, polygons, np.arange(len(polygons) + 1), {"label": labels})
+    labels = {"label": lambda s: list(map(json.dumps, polygons.labels[s]))}
+    write_geojson(path, polygons, np.arange(len(polygons) + 1), labels)

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import platform
 import subprocess
 import sys
+import textwrap
 import time
 import types
 import typing
@@ -399,8 +401,11 @@ class TestEndToEnd:
             assert summary["command"] == command
             assert type(summary["wall_s"]) is float and summary["wall_s"] >= 0
             assert (type(summary["peak_rss_mb"]) is float and summary["peak_rss_mb"] > 0) if proc else summary["peak_rss_mb"] is None
+            assert (type(summary["minor_faults"]) is int and summary["minor_faults"] > 0) if cli.resource else summary["minor_faults"] is None
         monkeypatch.setattr(cli, "_STATUS", ws["root"] / "no-proc" / "status")
-        assert run_cli(["postprocess", "--config", ws["config"]], capsys)[1]["peak_rss_mb"] is None
+        monkeypatch.setattr(cli, "resource", None)
+        summary = run_cli(["postprocess", "--config", ws["config"]], capsys)[1]
+        assert summary["peak_rss_mb"] is None and summary["minor_faults"] is None
 
     def test_predict_is_deterministic(self, ws, capsys):
         out_b = ws["root"] / "probability_second"
@@ -1383,6 +1388,71 @@ class TestProbabilityPayloadMutations:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["detections.geojson", "probability.bin", "probability.json", "run.json"]
 
 
+class TestCheckpointPayloadMutations:
+    def test_predict_exits_one_naming_the_weights_or_gives_finite_probabilities(self, tmp_path, capsys, caplog):
+        # a payload a few bytes off in length, or a NaN or infinite weight,
+        # is refused on load; a weight of +-3e38 or one with an exponent bit
+        # flipped loads, and its forward may overflow: the run then writes
+        # finite probabilities or exits 1 naming model.bin, before the
+        # earlier probability raster is replaced (every pixel is valid, and
+        # up to 8, so that a huge first-layer weight overflows float32)
+        config, _ = _predict_inputs(tmp_path)
+        rng = np.random.default_rng(3030)
+        samples = rng.uniform(0, 8, (6, 40, 24)).astype(np.float32)
+        write_raster(Raster(samples, GeoTransform(0.0, 40.0, 1.0, 1.0), band_names=SOURCE_BANDS), tmp_path / "scenes" / "scene_000")
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = ["predict", "--config", str(tmp_path / "run.json")]
+        assert run_cli(argv, capsys)[0] == 0
+        payload, outputs = tmp_path / "model.bin", [tmp_path / "out.json", tmp_path / "out.bin"]
+        original, earlier = payload.read_bytes(), [p.read_bytes() for p in outputs]
+        kinds = ["bytes", "nan", "inf", "-inf", "3e38", "-3e38", "exponent"]
+        refused = []
+        for trial in range(70):
+            kind = kinds[trial % len(kinds)]
+            if kind == "bytes":
+                cut = int(rng.integers(1, 4))
+                data = original[:-cut] if rng.random() < 0.5 else original + original[:cut]
+            else:
+                weights = np.frombuffer(original, "<f4").copy()
+                k = int(rng.integers(weights.size))
+                if kind == "exponent":
+                    weights.view("<u4")[k] ^= 1 << int(rng.integers(23, 31))
+                else:
+                    weights[k] = float(kind)
+                data = weights.tobytes()
+            payload.write_bytes(data)
+            caplog.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                code, summary = run_cli(argv, capsys)
+            if code == 0:
+                assert np.isfinite(read_raster(tmp_path / "out").samples).all(), f"trial {trial}"
+                for path, data in zip(outputs, earlier):
+                    path.write_bytes(data)
+            else:
+                assert code == 1 and summary is None, f"trial {trial}"
+                assert payload.name in caplog.text, f"trial {trial}: {caplog.text}"
+                assert [p.read_bytes() for p in outputs] == earlier, f"trial {trial}"
+                refused.append(kind)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json", "out.bin", "out.json", "run.json", "scenes"]
+        # every load fault is refused, and so are some overflows
+        assert refused.count("bytes") == refused.count("nan") == refused.count("inf") == 10
+        assert refused.count("3e38") + refused.count("-3e38") > 0, refused
+
+    def test_evaluate_refuses_weights_that_give_a_nan_loss(self, tmp_path, capsys, caplog):
+        config, model = _evaluate_inputs(tmp_path, ("R", "G", "B"))
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = ["evaluate", "--config", str(tmp_path / "run.json")]
+        assert run_cli(argv, capsys)[0] == 0
+        payload = tmp_path / "model.bin"
+        weights = np.frombuffer(payload.read_bytes(), "<f4").copy()
+        weights[:2] = 3e38  # their sum, in the first conv's first filter, overflows
+        payload.write_bytes(weights.tobytes())
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, summary = run_cli(argv, capsys)
+        assert code == 1 and summary is None
+        assert "model.bin: the model gives a loss of nan on split 'test'" in caplog.text
+
+
 class TestNodataChip:
     def test_nan_patch_fails_before_catalog_is_written(self, tmp_path, capsys, caplog):
         cfg = tmp_path / "run.json"
@@ -1833,6 +1903,59 @@ class TestProcessLevel:
         assert summaries[0]["chips"] == summaries[1]["chips"] > 0
         payload_kib = 6 * 4 * size * size * 4 // 1024
         assert peak_kib[1] - peak_kib[0] < payload_kib / 8, (peak_kib, payload_kib)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_freed_memory_is_reused_not_faulted_in_again(self, tmp_path):
+        """After ``cli.main`` has run, a round that allocates, fills and frees
+        about 24 MB of numpy arrays reuses the pages the round before freed:
+        rounds after the first fault (almost) no page in. Without the
+        allocator setting glibc hands them back to the OS, and each round
+        faulted about 1.5 k pages in again (1.1 k under two BLAS threads)."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"synth": {"scene_size": 32, "dump_count": 1}}))
+        code = textwrap.dedent(
+            """
+            import resource, sys
+            import numpy as np
+            from dumpwatch import cli
+            assert cli.main(sys.argv[1:]) == 0
+            faults = []
+            for _ in range(6):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                a, b = np.full(1_500_000, 1.0), np.full(1_500_000, 2.0)
+                total = a + b
+                del a, b, total
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(faults)
+            """
+        )
+        argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "scenes")]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        faults = json.loads(proc.stdout.splitlines()[-1])
+        assert max(faults[1:]) < 100, faults
+
+    @pytest.mark.parametrize("failure", ["no library", "no mallopt"])
+    def test_cli_runs_the_same_where_mallopt_cannot_be_found(self, tmp_path, capsys, monkeypatch, failure):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"synth": {"scene_size": 32, "dump_count": 1}}))
+        argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "scenes")]
+        side = ("wall_s", "peak_rss_mb", "minor_faults")
+        code, summary = run_cli(argv, capsys)
+        assert code == 0
+        scene = (tmp_path / "scenes" / "scene_000.bin").read_bytes()
+
+        def no_library(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        def no_mallopt(name):
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library if failure == "no library" else no_mallopt)
+        again = run_cli(argv, capsys)
+        assert again[0] == 0
+        assert {k: v for k, v in again[1].items() if k not in side} == {k: v for k, v in summary.items() if k not in side}
+        assert (tmp_path / "scenes" / "scene_000.bin").read_bytes() == scene
 
     def test_threads_env_respects_existing_setting(self):
         code = (
