@@ -11,6 +11,11 @@ training step once per band set, under those same substreams. Logs go to
 stderr; each subcommand returns a summary, which ``main`` prints as one JSON
 object on stdout with its ``wall_s``, ``peak_rss_mb`` (null without
 ``/proc``) and ``minor_faults`` (null without the ``resource`` module).
+A stage checks its output on the values it holds, or on a header or small
+document, not by reading its large output back: ``postprocess`` checks
+every ring before it writes a detection, ``chip`` parses its catalog's
+``index.json`` and ``stats.json`` back without reading a scene, and
+``synth`` and ``predict`` check each raster's header and payload length.
 
 ``main`` first tells glibc's allocator to keep freed memory in the process
 (``_keep_freed_memory``), so each batch reuses the pages the last one
@@ -55,7 +60,7 @@ except ImportError:  # Windows
 
 from . import dataset as ds
 from . import detect, geodata, training, unet
-from ._fileio import parse, read_json, shown
+from ._fileio import parse, read_document, read_json, shown
 from .dataset import ChipConfig, DatasetSplit, SynthConfig
 from .detect import InferenceConfig, PostprocConfig
 from .training import Hyperparams
@@ -229,7 +234,7 @@ def cmd_synth(cfg: RunConfig, args) -> dict:
         base = out_dir / f"scene_{i:03d}"
         geodata.write_raster(raster, base)
         geodata.write_annotations(polygons, str(base) + ".geojson")
-        geodata.read_raster(base)  # write-then-verify round trip
+        geodata.RasterReader(base).close()  # header and payload length, no pixels
         written.append(str(base))
         log.info("wrote scene %s (%d blobs)", base, len(polygons))
     return {
@@ -277,16 +282,16 @@ def cmd_chip(cfg: RunConfig, args) -> dict:
     catalog_dir = args.out or cfg.paths.catalog
     split, stats = _chip(cfg, cfg.chip.bands, {})
     ds.save_catalog(catalog_dir, split, cfg.paths.scene_dir, stats)
-    del split  # freed before the write-then-verify read, which reads every scene again
-    split, _ = ds.load_catalog(catalog_dir)
-    chips = split.train + split.val + split.test
+    # the documents written parse back; the scenes are not read again
+    index = read_document(ds.CatalogIndex, Path(catalog_dir) / "index.json")
+    if stats is not None:
+        read_document(ds.NormalizationStats, Path(catalog_dir) / "stats.json")
+    splits = [entry.split for entry in index.chips]
     return {
         "command": "chip",
-        "chips": len(chips),
-        "positives": sum(1 for c in chips if c.is_positive()),
-        "train": len(split.train),
-        "val": len(split.val),
-        "test": len(split.test),
+        "chips": len(index.chips),
+        "positives": sum(entry.positive for entry in index.chips),
+        **{name: splits.count(name) for name in ds.SPLITS},
         "catalog": str(catalog_dir),
     }
 
@@ -452,19 +457,28 @@ def cmd_postprocess(cfg: RunConfig, args) -> dict:
             f"[0, 1], first at (row, col) {tuple(map(int, bad[0]))}"
         )
     binary = detect.threshold_probability(prob, cfg.postprocess.probability_threshold)
-    detections = detect.detections_from_binary(binary, prob, cfg.postprocess)
+    detections, components = detect.detections_from_binary(binary, prob, cfg.postprocess)
     out = args.out or cfg.paths.detections
+    polygons = detections.polygons
+    # checked before the write, so that a fault leaves the earlier file
+    if (found := geodata.first_faulty_ring(polygons)) is not None:
+        ring, defect = found
+        polygon = np.searchsorted(polygons.polygon_offsets, ring, "right") - 1
+        k = np.searchsorted(detections.offsets, polygon, "right") - 1
+        first, stop = detections.offsets[k : k + 2]
+        r = ring - polygons.polygon_offsets[polygon]
+        where = f"detection {k}" + ("" if stop - first == 1 else f" part {polygon - first}")
+        where += ", exterior" if r == 0 else f", hole {r - 1}"
+        raise ValueError(f"{out}: not written: ring of {where}: {defect}")
     detect.export_geojson(detections, out)
-    summary = {
+    return {
         "command": "postprocess",
+        "components": components,  # before the min_area filter
         "detections": len(detections),
         "total_area_m2": sum(detections.area.tolist()),  # in label order, as summed before
         "pixels_above_threshold": int(np.count_nonzero(binary.samples)),
         "output": str(out),
     }
-    del detections  # freed before the verify read, which holds the file's text
-    geodata.read_annotations(out)  # write-then-verify
-    return summary
 
 
 def cmd_ablate(cfg: RunConfig, args) -> dict:

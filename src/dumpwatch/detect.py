@@ -546,10 +546,11 @@ def export_geojson(detections: Detections, path) -> None:
 
 def detections_from_binary(
     binary: Raster, prob: Raster, pcfg: PostprocConfig
-) -> Detections:
+) -> tuple[Detections, int]:
     """Label an already thresholded raster, drop the components whose area
     falls under ``min_area`` (one of exactly ``min_area`` stays), and
-    polygonize the rest.
+    polygonize the rest. Returns the detections and the count of components
+    before the filter.
 
     The kept components are renumbered 1..k in label order in the label
     grid itself, so only they are traced. Tracing and the per-label sums
@@ -565,4 +566,4 @@ def detections_from_binary(
         # mode="clip" writes into labels directly; the default mode buffers
         # a second grid for out
         np.take(lut, labels, out=labels, mode="clip")
-    return polygonize(labels, transform, prob.samples[0])
+    return polygonize(labels, transform, prob.samples[0]), len(sizes)

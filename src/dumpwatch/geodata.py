@@ -5,10 +5,8 @@ Rasters use a native two-file layout: ``<base>.json`` holds the header
 the raw little-endian float32 payload, band-major then row-major. Polygons
 are columns (``Polygons``), the one geometry type from the synthetic
 generator and the annotation reader to the file; ``write_geojson`` is the
-one GeoJSON text writer, for annotations and detections alike. GeoJSON is
-streamed both ways: the writer holds one slice of features' text at a
-time, and ``read_annotations`` the file's text and flat columns, never a
-parsed document (unless the file has a fault to report).
+one GeoJSON text writer, for annotations and detections alike; it holds
+one slice of features' text at a time.
 
 Coordinates are assumed to share one projected CRS with meter-like units;
 alignment between rasters and annotations is the caller's responsibility and
@@ -20,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import warnings
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
@@ -40,7 +37,6 @@ from ._fileio import (
     read_document,
     read_json,
     shown,
-    strict_decoder,
 )
 
 RASTER_FORMAT = "dumpwatch.raster"
@@ -377,6 +373,22 @@ def ring_is_simple(ring: Ring) -> bool:
     return _first_bad_ring(x, y, np.array([0, len(x)])) is None
 
 
+def first_faulty_ring(polygons: Polygons) -> tuple[int, str] | None:
+    """The first ring of ``polygons`` that ``read_annotations`` would not
+    read back as it stands, with its defect: one that ``_normalized`` would
+    shorten, that holds under 3 vertices, or that ``_first_bad_ring``
+    refuses. None when every ring would read back. A check on the columns
+    before they are written, in place of reading the file back."""
+    counts = np.diff(polygons.ring_offsets)
+    lost = counts - np.diff(_normalized(polygons.x, polygons.y, polygons.ring_offsets)[2])
+    flawed = np.flatnonzero(lost | (counts < 3))
+    stop = int(flawed[0]) if flawed.size else len(counts)
+    found = _first_bad_ring(polygons.x, polygons.y, polygons.ring_offsets[: stop + 1])
+    if found is None and flawed.size:
+        found = stop, f"repeats a vertex ({lost[stop]} dropped)" if lost[stop] else f"{counts[stop]} vertices, under 3"
+    return found
+
+
 # Rings are checked in blocks of about this many segments (a longer ring on
 # its own), and candidate segment pairs tested this many at a time.
 _CHUNK = 1 << 13
@@ -496,8 +508,8 @@ def _polygon_parts(path: Path, features):
     """The one walk of a FeatureCollection's features: in file order,
     ``(feature, part or None, label, rings)`` for each polygon part (a
     Polygon has one), None for a feature of another type. It raises at the
-    first malformed feature or part (not a list of rings); ``_flatten``
-    checks the rings."""
+    first malformed feature or part (not a list of rings);
+    ``read_annotations`` checks the rings."""
     for idx, feature in enumerate(features):
         if not isinstance(feature, dict):
             raise ValueError(f"malformed feature in {path.name} feature {idx}: not an object")
@@ -549,96 +561,32 @@ def _source(path: Path, feature: int, part: int | None, ring: int | None = None)
     return where if ring is None else where + (", exterior" if ring == 0 else f", hole {ring - 1}")
 
 
-# a character, if any, between runs of JSON whitespace
-_TOKEN = re.compile("{0}(.?){0}".format(json.decoder.WHITESPACE.pattern), re.DOTALL)
+# a parsed document holds no reference cycles: no collector pass need walk it
+@gc_paused()
+def read_annotations(path: str | Path) -> Polygons:
+    """Load polygons from a GeoJSON FeatureCollection, as columns.
 
-
-def _delimiter(text: str, i: int, allowed: str) -> tuple[str, int]:
-    """The character after the whitespace at ``text[i]``, which must be one
-    of ``allowed``, and the index after it and the whitespace that follows."""
-    token = _TOKEN.match(text, i)
-    if not (c := token[1]) or c not in allowed:
-        raise ValueError(f"expected one of {allowed!r} at char {i}")
-    return c, token.end()
-
-
-def _streamed_features(path: Path):
-    """The features of the GeoJSON FeatureCollection in the file at
-    ``path``, in file order, each parsed from the file's text by json's own
-    decoder at its offset, so that only the text and one feature are held.
-    The members of the top-level object around its ``features`` list are
-    parsed and dropped but its last ``type``. It raises ValueError unless
-    the text is one such object whose ``type`` is "FeatureCollection" and
-    which has at most one ``features`` member, a list: ``read_annotations``
-    then parses the whole text, as ``json.loads`` reads it."""
-    text = path.read_text()
-    decode = strict_decoder().raw_decode
-    doc_type, listed = None, False
-    c, i = _delimiter(text, 0, "{")
-    while c != "}":
-        if text[i : i + 1] != '"':
-            raise ValueError(f"expected a key at char {i}")
-        key, i = decode(text, i)
-        _, i = _delimiter(text, i, ":")
-        if key != "features":
-            value, i = decode(text, i)
-            if key == "type":
-                doc_type = value
-        elif listed or text[i : i + 1] != "[":
-            raise ValueError("features: a second member, or not a list")
-        else:
-            listed = True
-            c, i = _delimiter(text, i, "[")
-            if text[i : i + 1] == "]":
-                c, i = "]", i + 1
-            while c != "]":
-                feature, i = decode(text, i)
-                yield feature
-                c, i = _delimiter(text, i, ",]")
-        c, i = _delimiter(text, i, ",}")
-    if i != len(text) or doc_type != "FeatureCollection":
-        raise ValueError("not one FeatureCollection object")
-
-
-def _flatten(path: Path, features):
-    """One walk of ``features``, parsed Features in file order, up to its
-    first fault: each polygon part's (feature, part) index and label, and
-    its rings, checked to be lists of [x, y] number pairs (``_coordinates``)
-    and flattened into float64 coordinates ``_SLICE`` rings at a time.
-    Returns (index, labels, first, xy, ring sizes, skipped, fault): where
-    each part's rings start, the coordinates (x, y, x, y, ...) and the
-    vertex count of each ring of the parts before the fault; the count of
-    features of another type; the fault, or None."""
-    index, labels, first, sizes, blocks, pending, skipped = [], [], [0], [], [], [], 0
-
-    def flush() -> ValueError | None:
-        """Flatten the pending rings; the fault of the first malformed one,
-        whose part and the parts after it are dropped."""
-        nonlocal pending
-        coords, fault = _coordinates(pending), None
-        if coords is None:
-            q = next(q for q, ring in enumerate(pending) if _coordinates([ring]) is None)
-            k = bisect_right(first, len(sizes) + q) - 1
-            ring, where = pending[q], _source(path, *index[k], len(sizes) + q - first[k])
-            message = f"malformed ring in {where}: {json.dumps(ring)} is not a list of vertices"
-            if isinstance(ring, list):
-                v = next(v for v, xy in enumerate(ring) if _coordinates([[xy]]) is None)
-                message = (
-                    f"malformed vertex in {where}: vertex {v} is {json.dumps(ring[v])}, "
-                    "not an [x, y] pair of numbers"
-                )
-            fault, pending = ValueError(message), pending[: first[k] - len(sizes)]
-            del index[k:], labels[k:], first[k + 1 :]
-            coords = _coordinates(pending)
-        try:
-            blocks.append(np.array(coords, np.float64))
-        except OverflowError:
-            blocks.append(np.array(list(map(_coord, coords)), np.float64))
-        sizes.extend(map(len, pending))
-        pending = []
-        return fault
-
-    fault = None
+    MultiPolygons are split into one polygon per part. Features with any
+    other geometry type are skipped; a single warning reports how many.
+    The file is parsed whole (``read_json``): annotation files are drawn by
+    people and small, and no stage reads its own output back with this.
+    One walk of the features gathers every part's rings; one scan checks
+    that they are lists of [x, y] number pairs and flattens them. The
+    columns are then normalized (``_normalized``), and every ring is checked
+    to keep three distinct vertices and to be finite and simple, in numpy.
+    The first fault in file order, a bad ring or a malformed or invalid
+    part, is reported with its feature and ring.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"missing annotation file {path}")
+    index, labels, rings, first, skipped, fault = [], [], [], [0], 0, None
+    doc = read_json(path)
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError(f"malformed GeoJSON in {path.name}: features is not a list")
     try:
         for part in _polygon_parts(path, features):
             if part is None:
@@ -646,55 +594,31 @@ def _flatten(path: Path, features):
                 continue
             index.append(part[:2])  # (feature, part)
             labels.append(part[2])
-            pending += part[3]
-            first.append(len(sizes) + len(pending))  # where each part's rings start
-            if len(pending) >= _SLICE and (fault := flush()) is not None:
-                break
+            rings += part[3]
+            first.append(len(rings))  # where each part's rings start
     except ValueError as exc:
         fault = exc
-    fault = flush() or fault
-    return index, labels, first, np.concatenate(blocks), sizes, skipped, fault
-
-
-def read_annotations(path: str | Path) -> Polygons:
-    """Load polygons from a GeoJSON FeatureCollection, as columns.
-
-    MultiPolygons are split into one polygon per part. Features with any
-    other geometry type are skipped; a single warning reports how many.
-    The features are parsed one at a time from the file's text
-    (``_streamed_features``), and one walk checks each part and flattens its
-    rings into coordinate columns as it goes (``_flatten``), so only the
-    text, one slice of parsed rings and the columns are held: on the
-    ``vectorize`` field (10^4 features, 3.1 MB) tracemalloc puts the read's
-    peak at 2.2x the file's bytes, where parsing the whole document took
-    6.9x. On any fault, or a document the walk does not take, the whole
-    text is parsed as ``json.loads`` reads it, so that a JSON syntax fault
-    anywhere comes first, named by json's message, and walked again. The columns are then normalized (``_normalized``), and
-    every ring is checked to keep three distinct vertices and to be finite
-    and simple, in numpy. The first fault in file order, a bad ring or a
-    malformed or invalid part, is reported with its feature and ring.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"missing annotation file {path}")
-    # parsed features hold no reference cycles: no collector pass need walk them
-    with gc_paused():
-        walk = _flatten(path, _streamed_features(path))
-        if walk[-1] is not None:
-            doc = read_json(path)
-            if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-                raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
-            features = doc.get("features", [])
-            if not isinstance(features, list):
-                raise ValueError(f"malformed GeoJSON in {path.name}: features is not a list")
-            walk = _flatten(path, features)
-            del doc, features
-    index, labels, first, xy, sizes, skipped, fault = walk
-    del walk
-    parts = len(index)
-    offsets = np.cumsum([0, *sizes])
+    parts = len(index)  # the parts before the first fault, as it stands
+    coords = _coordinates(rings)
+    if coords is None:
+        q = next(q for q, ring in enumerate(rings) if _coordinates([ring]) is None)
+        parts = bisect_right(first, q) - 1
+        ring, where = rings[q], _source(path, *index[parts], q - first[parts])
+        message = f"malformed ring in {where}: {json.dumps(ring)} is not a list of vertices"
+        if isinstance(ring, list):
+            v = next(v for v, xy in enumerate(ring) if _coordinates([[xy]]) is None)
+            message = (
+                f"malformed vertex in {where}: vertex {v} is {json.dumps(ring[v])}, "
+                "not an [x, y] pair of numbers"
+            )
+        fault = ValueError(message)
+        coords = _coordinates(rings[: first[parts]])
+    try:
+        xy = np.array(coords, np.float64)
+    except OverflowError:
+        xy = np.array(list(map(_coord, coords)), np.float64)
+    offsets = np.cumsum([0, *map(len, rings[: first[parts]])])
     x, y, offsets = _normalized(xy[0::2], xy[1::2], offsets)
-    del xy
     counts = np.diff(offsets)
     if (short := np.flatnonzero(counts < 3)).size:
         q = int(short[0])
@@ -707,10 +631,9 @@ def read_annotations(path: str | Path) -> Polygons:
     if found is not None:
         k = bisect_right(first, found[0]) - 1
         r = found[0] - first[k]
-        (feature, p), where = index[k], _source(path, *index[k], r)
+        where = _source(path, *index[k], r)
         if found[1] == "non-finite vertex":
-            coords = read_json(path)["features"][feature]["geometry"]["coordinates"]
-            raw = (coords if p is None else coords[p])[r]
+            raw = rings[first[k] + r]
             v = next(v for v, xy in enumerate(raw) if not all(math.isfinite(_coord(c)) for c in xy))
             raise ValueError(f"non-finite vertex in {where}: vertex {v} is {raw[v]}")
         raise ValueError(f"self-intersecting ring in {where}: {found[1]}")

@@ -310,21 +310,24 @@ def gradcheck_rel_error(numerical: np.ndarray, analytic: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def polygon_columns(polygons, labels="dump"):
+def polygon_columns(polygons, labels="dump", normalized=True):
     """``geodata.Polygons`` of ``polygons``, each given as its rings (the
     exterior, then the holes), each ring a sequence of (x, y) vertices,
     closed or not; with one label for all, or a list of one per polygon.
     The rings are normalized as ``read_annotations`` normalizes a file's
     (``geodata._normalized``), and a ring left with fewer than three
-    distinct vertices raises ValueError."""
+    distinct vertices raises ValueError; unless not ``normalized``, when
+    they are taken as given."""
     from dumpwatch import geodata
 
     rings = [ring for poly in polygons for ring in poly]
     xy = np.array([[geodata._coord(c) for c in v] for ring in rings for v in ring], np.float64)
     xy = xy.reshape(-1, 2)
-    x, y, offsets = geodata._normalized(xy[:, 0], xy[:, 1], np.cumsum([0, *map(len, rings)]))
-    if (np.diff(offsets) < 3).any():
-        raise ValueError("ring needs >= 3 distinct vertices")
+    x, y, offsets = xy[:, 0], xy[:, 1], np.cumsum([0, *map(len, rings)])
+    if normalized:
+        x, y, offsets = geodata._normalized(x, y, offsets)
+        if (np.diff(offsets) < 3).any():
+            raise ValueError("ring needs >= 3 distinct vertices")
     labels = [labels] * len(polygons) if isinstance(labels, str) else list(labels)
     return geodata.Polygons(x, y, offsets, np.cumsum([0, *map(len, polygons)]), labels)
 

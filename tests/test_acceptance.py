@@ -318,7 +318,7 @@ def test_c4_end_to_end_quality():
         stats=stats,
         icfg=InferenceConfig(tile_size=128, overlap=32),
     )
-    detections = detect.detections_from_binary(
+    detections, _ = detect.detections_from_binary(
         detect.threshold_probability(prob, 0.5),
         prob,
         PostprocConfig(probability_threshold=0.5, min_area=300.0),
@@ -493,7 +493,7 @@ def test_c7_postprocessing_exactness():
         nodata=math.nan,
         band_names=("probability",),
     )
-    kept = detect.detections_from_binary(
+    kept, _ = detect.detections_from_binary(
         detect.threshold_probability(prob, 0.5), prob, PostprocConfig(min_area=100.0)
     )
     assert len(kept) == 1 and kept.area[0] == pytest.approx(100.0)
@@ -508,10 +508,10 @@ def test_c7_postprocessing_exactness():
         nodata=math.nan,
         band_names=("probability",),
     )
-    kept = detect.detections_from_binary(
+    kept, components = detect.detections_from_binary(
         detect.threshold_probability(prob5, 0.5), prob5, PostprocConfig(min_area=100.0)
     )
-    assert kept.area.tolist() == [pytest.approx(100.0)]
+    assert kept.area.tolist() == [pytest.approx(100.0)] and components == 2
     elapsed = time.monotonic() - started
     print(
         f"C7 PASS: {len(grids)} exact vectorizations, area boundary sharp, "

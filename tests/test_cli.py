@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dumpwatch import cli, geodata, unet
+from dumpwatch import cli, detect, geodata, unet
 from dumpwatch import dataset as ds
 from dumpwatch.cli import (
     ConfigError,
@@ -40,6 +40,7 @@ from dumpwatch.dataset import (
     save_catalog,
     stack_bands,
 )
+from dumpwatch.detect import Detections
 from dumpwatch.geodata import (
     GeoTransform,
     Raster,
@@ -55,6 +56,7 @@ from dumpwatch.unet import (
     load_checkpoint,
     save_checkpoint,
 )
+from oracles import polygon_columns
 
 
 def run_cli(argv, capsys):
@@ -342,8 +344,11 @@ class TestEndToEnd:
         assert summary["chips"] > 0
         assert summary["positives"] > 0
         assert summary["train"] + summary["val"] + summary["test"] == summary["chips"]
+        # the counts come from the index written, as the catalog loads it
         split, stats = load_catalog(ws["root"] / "catalog")
-        assert len(split.train) == summary["train"]
+        chips = split.train + split.val + split.test
+        assert [summary[name] for name in ("train", "val", "test")] == [len(split.train), len(split.val), len(split.test)]
+        assert summary["positives"] == sum(c.is_positive() for c in chips)
         assert stats is not None
         assert len(stats.means) == 6  # default band spec
 
@@ -424,7 +429,7 @@ class TestEndToEnd:
         assert summary["pixels_above_threshold"] == predicted["pixels_above_threshold"]
         doc = json.loads((ws["root"] / "detections.geojson").read_text())
         assert doc["type"] == "FeatureCollection"
-        assert len(doc["features"]) == summary["detections"]
+        assert len(doc["features"]) == summary["detections"] <= summary["components"]
         for feature in doc["features"]:
             assert feature["properties"]["area_m2"] > 0
 
@@ -442,7 +447,7 @@ class TestEndToEnd:
             capsys,
         )
         assert code == 0
-        assert summary["detections"] == 0
+        assert summary["detections"] == 0 < summary["components"]
 
     def test_ablate(self, ws, capsys):
         code, summary = run_cli(["ablate", "--config", ws["config"]], capsys)
@@ -1558,8 +1563,9 @@ class TestChipWithoutAnnotations:
 class TestChipReadsRowSlabs:
     def test_chip_and_ablate_read_no_scene_whole(self, tmp_path, capsys, monkeypatch):
         # after a one-row probe of its bands, each scene is read in row slabs
-        # of at most 2 * chip_size rows, by the chip step and by the
-        # catalog's write-then-verify load alike
+        # of at most 2 * chip_size rows, and only by the chip step: chip
+        # checks the catalog it writes by parsing index.json and stats.json
+        # back, which reads no pixels
         cfg = tmp_path / "run.json"
         cfg.write_text(
             json.dumps(
@@ -1605,11 +1611,11 @@ class TestChipReadsRowSlabs:
         monkeypatch.setattr(geodata, "read_raster", whole)
         monkeypatch.setattr(geodata.RasterReader, "__init__", opened)
         monkeypatch.setattr(ds, "scene_annotations", annotated)
-        # chip opens each scene and reads its annotations once, and so does
-        # the catalog's load; ablate picks each scene's windows once, from
-        # one read of its annotations, and opens the scene once per band set
+        # chip opens each scene and reads its annotations once; ablate picks
+        # each scene's windows once, from one read of its annotations, and
+        # opens the scene once per band set
         sets = len(ABLATION_SPECS)
-        for command, probes, scene_opens, reads_of_annotations in (("chip", 2, 2, 2), ("ablate", 2 * sets, sets, 1)):
+        for command, probes, scene_opens, reads_of_annotations in (("chip", 2, 1, 1), ("ablate", 2 * sets, sets, 1)):
             reads.clear(), opens.clear(), annotations.clear()
             code, _ = run_cli([command, "--config", str(cfg)], capsys)
             assert code == 0
@@ -1708,9 +1714,74 @@ class TestDetectionBytes:
         cfg.write_text(json.dumps({"paths": paths, "postprocess": {"min_area": 0.05}}))
         code, summary = run_cli(["postprocess", "--config", str(cfg)], capsys)
         assert code == 0
-        assert (summary["detections"], summary["total_area_m2"]) == (13, 92.01)
+        assert (summary["components"], summary["detections"], summary["total_area_m2"]) == (27, 13, 92.01)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "bdd5a6fd3cefdd9186969f23581402391ec4bdcc650fabeab375f31cc43178ef"
+
+
+class TestChecksBeforeWriting:
+    SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
+
+    @pytest.mark.parametrize(
+        "exterior, hole, where",
+        [
+            # a bowtie hole in the second part of a MultiPolygon
+            (
+                [(20, 0), (30, 0), (30, 10), (20, 10)],
+                [(22, 2), (24, 4), (24, 2), (22, 4)],
+                "detection 1 part 1, hole 0: segments 0 and 2 touch",
+            ),
+            # a repeated vertex, which the file would read back without
+            (
+                [(20, 0), (30, 0), (30, 0), (30, 10), (20, 10)],
+                [(22, 2), (24, 2), (24, 4)],
+                "detection 1 part 1, exterior: repeats a vertex (1 dropped)",
+            ),
+        ],
+    )
+    def test_postprocess_refuses_a_bad_ring_and_leaves_the_earlier_file(
+        self, tmp_path, capsys, caplog, monkeypatch, exterior, hole, where
+    ):
+        config, _ = _probability_over_detections(tmp_path, ("", ""), value=0.9)
+        config["postprocess"] = {"min_area": 0.0}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = Path(config["paths"]["detections"])
+        earlier = out.read_bytes()
+        rings = [[self.SQUARE], [[(10, 0), (12, 0), (12, 2), (10, 2)]], [exterior, hole]]
+        polygons = polygon_columns(rings, "detection", normalized=False)
+
+        def bad_polygonize(labels, transform, probabilities=None):
+            ones = np.ones(2)
+            return Detections(polygons, np.array([0, 1, 3]), ones.astype(np.int64), ones, ones)
+
+        monkeypatch.setattr(detect, "polygonize", bad_polygonize)
+        code, summary = run_cli(["postprocess", "--config", str(cfg)], capsys)
+        assert code == 1 and summary is None
+        assert f"{out}: not written: ring of {where}" in caplog.text
+        assert out.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "detections.geojson", "probability.bin", "probability.json", "run.json"
+        ]
+
+    @pytest.mark.parametrize("name", ["index.json", "stats.json"])
+    def test_chip_names_the_catalog_file_that_does_not_parse_back(self, tmp_path, capsys, caplog, monkeypatch, name):
+        cfg = tmp_path / "run.json"
+        paths = {"scene_dir": str(tmp_path / "scenes"), "catalog": str(tmp_path / "catalog")}
+        config = {"paths": paths, "synth": {"scene_size": 64, "dump_count": 2}, "chip": {"chip_size": 32, "stride": 16}}
+        cfg.write_text(json.dumps(config))
+        assert run_cli(["synth", "--config", str(cfg)], capsys)[0] == 0
+        save = ds.save_catalog
+
+        def save_then_break(path, *args):
+            save(path, *args)
+            broken = Path(path) / name
+            broken.write_text(broken.read_text().replace('"R"', "5", 1))
+
+        monkeypatch.setattr(ds, "save_catalog", save_then_break)
+        code, summary = run_cli(["chip", "--config", str(cfg)], capsys)
+        assert code == 1 and summary is None
+        assert str(tmp_path / "catalog" / name) in caplog.text
 
 
 class TestSynthBytes:
@@ -1818,7 +1889,8 @@ class TestProcessLevel:
 
     def test_postprocess_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.unique imports numpy.ma on first use (about 7 ms); the ring
-        # check of the write-then-verify read finds distinct values without it
+        # check that runs on the detections before they are written finds
+        # distinct values without it
         summary, last = self._postprocess_loads(tmp_path, "numpy.ma")
         assert summary["detections"] == 3
         assert last == "0 False"

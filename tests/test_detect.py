@@ -660,10 +660,11 @@ class TestThresholdAndFilter:
         transform = GeoTransform(0.0, 40.0, 10.0, 10.0)
         binary = _binary_raster(labels > 0, transform)
         prob = _probability_raster(np.linspace(0.5, 0.9, labels.size).reshape(labels.shape), transform)
-        kept = detections_from_binary(binary, prob, PostprocConfig(min_area=200.0))
-        assert kept.area.tolist() == [300.0, 200.0, 400.0]
+        kept, components = detections_from_binary(binary, prob, PostprocConfig(min_area=200.0))
+        assert kept.area.tolist() == [300.0, 200.0, 400.0] and components == 4
         _assert_same_detections(kept, detection_records(polygonize(labels, transform, prob.samples[0]))[1:])
-        assert len(detections_from_binary(binary, prob, PostprocConfig(min_area=1000.0))) == 0
+        none, components = detections_from_binary(binary, prob, PostprocConfig(min_area=1000.0))
+        assert len(none) == 0 and components == 4
 
 
 class TestExportGeojson:
@@ -722,7 +723,7 @@ class TestExportMatchesOracle:
         them all and drops them afterwards; returns the oracle's areas."""
         prob = _probability_raster(probs, transform)
         pcfg = PostprocConfig(min_area=min_area, connectivity=connectivity)
-        export_geojson(detections_from_binary(_binary_raster(grid, transform), prob, pcfg), tmp_path / "got.geojson")
+        export_geojson(detections_from_binary(_binary_raster(grid, transform), prob, pcfg)[0], tmp_path / "got.geojson")
         labels = connected_components_oracle(grid, connectivity)
         every = polygonize_oracle(labels, transform, prob.samples[0])
         want = [d for d in every if d.area >= min_area]
@@ -833,10 +834,10 @@ class TestPostprocessPipeline:
         grid[6:9, 6:9] = 0.9  # 900 m^2
         prob = _probability_raster(grid)
         binary = threshold_probability(prob, 0.5)
-        both = detections_from_binary(binary, prob, PostprocConfig(min_area=100.0))
-        assert len(both) == 2
-        big_only = detections_from_binary(binary, prob, PostprocConfig(min_area=150.0))
-        assert len(big_only) == 1
+        both, components = detections_from_binary(binary, prob, PostprocConfig(min_area=100.0))
+        assert len(both) == components == 2
+        big_only, components = detections_from_binary(binary, prob, PostprocConfig(min_area=150.0))
+        assert len(big_only) == 1 and components == 2
         assert big_only.pixel_count[0] == 9
         assert big_only.mean_probability[0] == pytest.approx(0.9, abs=1e-6)
 
@@ -845,9 +846,9 @@ class TestPostprocessPipeline:
         grid[3:5, 3:5] = 0.6
         prob = _probability_raster(grid)
         pcfg = PostprocConfig(min_area=0.0)
-        low = detections_from_binary(threshold_probability(prob, 0.4), prob, pcfg)
+        low, _ = detections_from_binary(threshold_probability(prob, 0.4), prob, pcfg)
         assert low.pixel_count[0] == 64
-        high = detections_from_binary(threshold_probability(prob, 0.5), prob, pcfg)
+        high, _ = detections_from_binary(threshold_probability(prob, 0.5), prob, pcfg)
         assert high.pixel_count[0] == 4
 
 

@@ -550,6 +550,46 @@ class TestBatchedRingValidation:
         for ring, expected in zip(rings, bad):
             assert ring_is_simple(ring) == (not expected)
 
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_faulty_ring_is_the_first_that_would_not_read_back(self, tmp_path_factory, point_lists):
+        # each ring written alone and read back: the check on the columns
+        # names the first ring that fails to read or reads back changed
+        path = tmp_path_factory.mktemp("rings") / "ring.geojson"
+
+        def reads_back(points):
+            written = polygon_columns([[points]], normalized=False)
+            write_annotations(written, path)
+            try:
+                read = read_annotations(path)
+            except ValueError:
+                return False
+            return read.x.tolist() == written.x.tolist() and read.y.tolist() == written.y.tolist()
+
+        found = geodata.first_faulty_ring(polygon_columns([[points] for points in point_lists], normalized=False))
+        faulty = [k for k, points in enumerate(point_lists) if not reads_back(points)]
+        assert (found and found[0]) == (faulty[0] if faulty else None)
+
+    def test_first_faulty_ring_names_the_defect(self):
+        square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+        cases = {
+            "segments 0 and 2 touch": [(0, 0), (2, 2), (2, 0), (0, 2)],
+            "folds back at vertex 1": [(0, 0), (2, 0), (1, 0), (1, 1)],
+            "repeats a vertex (1 dropped)": [(0, 0), (4, 0), (4, 0), (0, 4)],
+            "2 vertices, under 3": [(0, 0), (1, 1)],
+            "non-finite vertex": [(0, 0), (math.nan, 0), (1, 1)],
+        }
+        assert geodata.first_faulty_ring(polygon_columns([[square], [square]], normalized=False)) is None
+        for defect, ring in cases.items():
+            polygons = polygon_columns([[square], [square, ring]], normalized=False)
+            assert geodata.first_faulty_ring(polygons) == (2, defect)
+
     @pytest.mark.parametrize("segments", [16, 17])
     def test_rings_at_and_past_the_cutoff(self, segments):
         # 16 segments was once the longest ring checked in batches
@@ -940,6 +980,9 @@ class TestAnnotationIO:
         with pytest.raises(ValueError, match="invalid JSON"):
             read_json(bad)
         assert gc.isenabled()
+        with pytest.raises(ValueError, match="invalid JSON"):
+            read_annotations(bad)  # paused over its whole walk
+        assert gc.isenabled()
         gc.disable()
         try:
             read_json(good)
@@ -1119,13 +1162,6 @@ def _outcome(path):
     return columns, [str(w.message) for w in caught]
 
 
-def _read_whole(path):
-    """A stand-in for ``geodata._streamed_features`` that gives up at once,
-    so that ``read_annotations`` parses the whole document."""
-    raise ValueError("parse the whole document")
-    yield
-
-
 class TestStreamedGeoJSON:
     def _speckles(self):
         """Detections of 10^4 one-pixel components at UTM-like coordinates."""
@@ -1135,22 +1171,19 @@ class TestStreamedGeoJSON:
         labels, _ = connected_components(raster, connectivity=4)
         return polygonize(labels, raster.transform)
 
-    def test_write_and_read_hold_a_slice_not_the_document(self, tmp_path):
-        # joining the whole text took 5.9x the file's bytes and parsing the
-        # whole document 7.9x; formatting the property columns whole before
-        # the slices, 0.96x
+    def test_write_holds_a_slice_not_the_document(self, tmp_path):
+        # joining the whole text took 5.9x the file's bytes; formatting the
+        # property columns whole before the slices, 0.96x
         detections = self._speckles()
         assert len(detections) == 10_000
         path = tmp_path / "detections.geojson"
-        peaks = {}
-        for name, step in (("write", lambda: export_geojson(detections, path)), ("read", lambda: read_annotations(path))):
-            tracemalloc.start()
-            try:
-                step()
-                peaks[name] = tracemalloc.get_traced_memory()[1] / path.stat().st_size
-            finally:
-                tracemalloc.stop()
-        assert peaks["write"] < 0.8 and peaks["read"] < 4, peaks
+        tracemalloc.start()
+        try:
+            export_geojson(detections, path)
+            peak = tracemalloc.get_traced_memory()[1] / path.stat().st_size
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8, peak
         assert read_annotations(path).rings() == detections.polygons.rings()
 
     @pytest.mark.parametrize("slice_size", [1, 2, 3, 1024])
@@ -1192,8 +1225,8 @@ class TestStreamedGeoJSON:
     def test_documents_read_as_json_loads_reads_them(self, tmp_path, monkeypatch):
         # member order, duplicate keys (the last one wins), whitespace and
         # newlines between features, a syntax fault after a geometry fault,
-        # and features absent: the streamed read gives what reading the
-        # document parsed whole gives, and valid ones are read without it
+        # and features absent: each file is parsed once, and read as the
+        # document json.loads gives, written again compactly, is read
         square = [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]]
         bowtie = [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]
 
@@ -1230,20 +1263,22 @@ class TestStreamedGeoJSON:
             "empty text": ("", None),
         }
         path = tmp_path / "d.geojson"
-        whole_reads = []
+        reads = []
         read_json = geodata.read_json
-        monkeypatch.setattr(geodata, "read_json", lambda p: whole_reads.append(p) or read_json(p))
+        monkeypatch.setattr(geodata, "read_json", lambda p: reads.append(p) or read_json(p))
         for name, (text, count) in documents.items():
             path.write_text(text)
-            whole_reads.clear()
-            streamed = _outcome(path)
-            # a second features member is read whole too
-            assert bool(whole_reads) == (count is None or name.startswith("later features")), name
-            with monkeypatch.context() as whole:
-                whole.setattr(geodata, "_streamed_features", _read_whole)
-                assert _outcome(path) == streamed, name
-            if count is None:
-                assert streamed[0] == "error", name
+            reads.clear()
+            outcome = _outcome(path)
+            assert reads == [path], name
+            try:
+                path.write_text(json.dumps(json.loads(text)))
+            except ValueError:  # not JSON, as json.loads reads it
+                assert outcome[0] == "error" and outcome[1].startswith("invalid JSON in "), name
             else:
-                assert len(streamed[0][4]) == count, name
+                assert _outcome(path) == outcome, name
+            if count is None:
+                assert outcome[0] == "error", name
+            else:
+                assert len(outcome[0][4]) == count, name
         assert _outcome(path)[1].startswith("invalid JSON in ")
