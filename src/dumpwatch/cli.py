@@ -14,8 +14,9 @@ object on stdout with its ``wall_s``, ``peak_rss_mb`` (null without
 A stage checks its output on the values it holds, or on a header or small
 document, not by reading its large output back: ``postprocess`` checks
 every ring before it writes a detection, ``chip`` parses its catalog's
-``index.json`` and ``stats.json`` back without reading a scene, and
-``synth`` and ``predict`` check each raster's header and payload length.
+``index.json`` and ``stats.json`` back without reading a scene, ``train``
+checks its weights before writing them, and ``synth``, ``predict`` and
+``train`` check each file's header and payload length.
 
 ``main`` first tells glibc's allocator to keep freed memory in the process
 (``_keep_freed_memory``), so each batch reuses the pages the last one
@@ -328,7 +329,7 @@ def cmd_train(cfg: RunConfig, args) -> dict:
         },
     )
     unet.save_checkpoint(ckpt, checkpoint_path)
-    unet.load_checkpoint(checkpoint_path)  # write-then-verify
+    unet.read_checkpoint_manifest(checkpoint_path)  # write-then-verify: header and payload length
     report.save(cfg.paths.report)
     summary = {
         "command": "train",

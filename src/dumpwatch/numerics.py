@@ -26,29 +26,30 @@ logits. A 3x3 convolution reads its input zero-padded into a flat buffer
 (the padded layout: ``[batch, ch, (h+2)*(w+2) + 2]``, padded rows end to
 end and two trailing zeros) and runs as nine shifted GEMMs, one per kernel
 tap, so the heavy lifting stays in BLAS without building patch matrices.
-The taps, and the weight gradient's products, run one image and one
-L2-sized column block at a time; no block width depends on the batch, so
-neither does an image's output. Each block's sum gets its bias while it
-is still in cache and lands in the interior of the output's own padded
-buffer; the cells it writes past a row's end are then zeroed. So a conv's output, whose
-``data`` is the interior view, is already the input the next conv reads
-(``Tensor._flat`` keeps the buffer). relu, pooling, the up-conv and
-concatenation write this layout too, whether or not a gradient is recorded,
-and ``unet.model_input`` writes the network input into a ``padded_tensor``
-too: a forward pads nothing, and a conv's weight gradient reads the
-buffer its input already holds. Concatenation wraps, without a copy, inputs
-that relu and the up-conv wrote into the two channel ranges of one buffer
-(the U-Net's skips). Gradients keep the layout: conv's input gradient is the
-interior of the buffer its adjoint correlation writes, relu multiplies over
-padded buffers, pooling writes a zero-bordered one, and concatenation's
-gradient splits one by channel; only a gradient that arrives outside the
-layout (the loss's, a sum, the up-conv's input gradient) is padded. With
-one input channel, as in the
-output conv's input gradient, the taps are broadcast multiplies, not K = 1
-GEMMs. 2x2 pooling takes the maximum of column pairs, then of row pairs,
-and its gradient finds the first maximum of each window again from the
-input and the output, so it stores nothing of its own. The 2x2
-transposed convolution is one GEMM of the [4*out, in] taps against the
+The taps run one image and one L2-sized column block at a time (the
+weight gradient's products one image at a time), the blocks narrower with
+few channels so that OpenBLAS runs its faster small-matrix kernel. No
+block width depends on the batch, so neither does an image's output. Each
+block's sum gets its bias while it is still in cache and lands in the
+interior of the output's own padded buffer; the cells it writes past a
+row's end are then zeroed. So a conv's output, whose ``data`` is the
+interior view, is already the input the next conv reads (``Tensor._flat``
+keeps the buffer). relu, pooling, the up-conv and concatenation write this
+layout too, whether or not a gradient is recorded, and ``unet.model_input``
+writes the network input into a ``padded_tensor`` too: a forward pads
+nothing, and a conv's weight gradient reads the buffer its input already
+holds. Concatenation wraps, without a copy, inputs that relu and the
+up-conv wrote into the two channel ranges of one buffer (the U-Net's
+skips). Gradients keep the layout: conv's input gradient is the interior of
+the buffer its adjoint correlation writes, relu multiplies over padded
+buffers, pooling writes a zero-bordered one, and concatenation's gradient
+splits one by channel; only a gradient that arrives outside the layout (the
+loss's, a sum, the up-conv's input gradient) is padded. With one input
+channel, as in the output conv's input gradient, the taps are broadcast
+multiplies, not K = 1 GEMMs. 2x2 pooling takes the maximum of column pairs,
+then of row pairs, and its gradient finds the first maximum of each window
+again from the input and the output, so it stores nothing of its own. The
+2x2 transposed convolution is one GEMM of the [4*out, in] taps against the
 flattened input, interleaved into the output (bias included) by four
 strided copies; its backward runs the same GEMM shapes the other way.
 relu's gradient mask is taken from its output when backward runs.
@@ -520,12 +521,15 @@ def _column_blocks(cin: int, cout: int, n: int, itemsize: int) -> list[tuple[int
     """[start, end) blocks of an n-column grid whose input, product and sum
     take about 1 MiB, so the nine taps over one stay in L2 (Goto and van de
     Geijn's cache blocking, around BLAS). Widths are multiples of 64 and
-    ignore the batch size. Below 4096 columns a GEMM takes OpenBLAS's
-    small-matrix path and rounds differently, so the last block absorbs a
-    narrower remainder."""
+    ignore the batch size. Where blocks of at least 1024 columns keep each
+    tap's M*N*K <= 10**6, all do, the remainder included: OpenBLAS then runs
+    its small-matrix kernel, up to twice as fast at few channels. Otherwise
+    blocks are at least 4096 wide and the last absorbs a narrower remainder,
+    since narrower GEMMs over more channels round differently."""
     width = max(4096, (1 << 20) // ((cin + 2 * cout) * itemsize) // 64 * 64)
-    edges = [*range(0, n, width), n]
-    if len(edges) > 2 and n - edges[-2] < 4096:
+    small = 1_000_000 // (cin * cout) // 64 * 64
+    edges = [*range(0, n, min(small, width) if small >= 1024 else width), n]
+    if small < 1024 and len(edges) > 2 and n - edges[-2] < 4096:
         del edges[-2]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -542,7 +546,8 @@ def _correlate3(
     grid is ``_grid`` of the output buffer, so the sums land in its interior
     and the two wrap-around columns per row on its border (``_zero_border``
     clears them). The taps run one image and one ``_column_blocks`` block at
-    a time, in cache, and each block gets its bias there.
+    a time, in cache (with few channels, in BLAS's small-matrix kernel), and
+    each block gets its bias there.
     """
     (b, cin), cout, n = ap.shape[:2], taps.shape[1], h * (w + 2)
     # With one input channel (K = 1) each tap is an outer product, which a

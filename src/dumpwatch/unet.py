@@ -233,8 +233,10 @@ def _checkpoint_paths(path: str | Path) -> tuple[Path, Path]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write manifest (+ .json) and float32 payload (+ .bin) atomically."""
+    """Write manifest (+ .json) and float32 payload (+ .bin) atomically; a
+    missing, misshapen or non-finite parameter raises before either is written."""
     schema = parameter_schema(ckpt.config)
+    manifest_path, payload_path = _checkpoint_paths(path)
     for name, shape in schema:
         if name not in ckpt.parameters:
             raise ValueError(f"checkpoint missing parameter {name!r}")
@@ -243,7 +245,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
                 f"schema mismatch for {name!r}: config implies {shape}, "
                 f"checkpoint holds {tuple(ckpt.parameters[name].shape)}"
             )
-    manifest_path, payload_path = _checkpoint_paths(path)
+        if not np.isfinite(ckpt.parameters[name]).all():
+            raise ValueError(f"non-finite weight for {payload_path}: parameter {name!r}")
     manifest = CheckpointManifest(
         CHECKPOINT_FORMAT, CHECKPOINT_VERSION, ckpt.config, tuple(schema),
         ckpt.normalization, ckpt.training_metadata,
@@ -256,28 +259,30 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     atomic_write_json(manifest_path, asdict(manifest))
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def read_checkpoint_manifest(path: str | Path) -> CheckpointManifest:
+    """The manifest, checked against its config's schema and its payload's length."""
     manifest_path, payload_path = _checkpoint_paths(path)
     if not payload_path.exists():  # read_json names a missing manifest
         raise FileNotFoundError(f"missing checkpoint payload {payload_path}")
     manifest = read_document(CheckpointManifest, manifest_path)
-    expected = parameter_schema(manifest.config)
-    if manifest.schema != tuple(expected):
+    if manifest.schema != tuple(parameter_schema(manifest.config)):
         raise ValueError(
             f"schema mismatch in {manifest_path}: stored parameter list does not "
             "match the architecture implied by the checkpoint config"
         )
-    payload = payload_path.read_bytes()
-    total = sum(int(np.prod(shape)) for _, shape in expected)
-    if len(payload) != total * 4:
-        raise ValueError(
-            f"corrupt payload {payload_path}: expected {total * 4} bytes, "
-            f"found {len(payload)}"
-        )
-    flat = np.frombuffer(payload, dtype="<f4")
+    total, size = sum(int(np.prod(shape)) for _, shape in manifest.schema), payload_path.stat().st_size
+    if size != total * 4:
+        raise ValueError(f"corrupt payload {payload_path}: expected {total * 4} bytes, found {size}")
+    return manifest
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    manifest = read_checkpoint_manifest(path)
+    payload_path = _checkpoint_paths(path)[1]
+    flat = np.frombuffer(payload_path.read_bytes(), dtype="<f4")
     parameters: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in expected:
+    for name, shape in manifest.schema:
         size = int(np.prod(shape))
         parameters[name] = flat[offset : offset + size].reshape(shape).copy()
         offset += size

@@ -372,6 +372,24 @@ class TestEndToEnd:
         assert summary["steps"] == summary["stopping_epoch"] * math.ceil(len(split.train) / 8)
         assert summary["steps"] > summary["stopping_epoch"]
 
+    def test_train_refuses_non_finite_weights_before_writing(self, ws, tmp_path, capsys, caplog, monkeypatch):
+        # an earlier checkpoint at --out is left as it was, byte for byte
+        earlier = {s: (ws["root"] / f"model{s}").read_bytes() for s in (".json", ".bin")}
+        for suffix, data in earlier.items():
+            (tmp_path / f"model{suffix}").write_bytes(data)
+        train = cli.training.train
+
+        def nan_train(*args):
+            best, report = train(*args)
+            best["head.weight"].data[0, 0, 1, 1] = np.nan
+            return best, report
+
+        monkeypatch.setattr(cli.training, "train", nan_train)
+        code, summary = run_cli(["train", "--config", ws["config"], "--out", str(tmp_path / "model")], capsys)
+        assert code == 1 and summary is None
+        assert "non-finite weight" in caplog.text and "parameter 'head.weight'" in caplog.text
+        assert {s: (tmp_path / f"model{s}").read_bytes() for s in earlier} == earlier
+
     def test_evaluate(self, ws, capsys):
         code, summary = run_cli(
             ["evaluate", "--config", ws["config"], "--split", "val"], capsys

@@ -432,11 +432,13 @@ def _net_conv_shapes(config: UNetConfig, batch: int, side: int):
 
 
 # (net, batch sizes, input side): the train net (CLI defaults, 100 px chips
-# padded to 112), the scene benchmark's checkpoint net at 256 px tiles, and
-# the depth-2, 8-filter net C5 ablates at each band set's width
+# padded to 112), the scene benchmark's checkpoint net at 256 px tiles and at
+# the 128 and 512 px tiles an ``inference.tile_size`` can give, and the
+# depth-2, 8-filter net C5 ablates at each band set's width
 _NETS = [
     (UNetConfig(), (11, 3), 112),
     (UNetConfig(depth=2, base_filters=8), (5, 1), 256),
+    *((UNetConfig(depth=2, base_filters=8), (1,), side) for side in (128, 512)),
     *((UNetConfig(c, depth=2, base_filters=8), (3,), 112) for c in (3, 4, 5, 6)),
 ]
 _BLOCKED_CONV_CASES = list(
@@ -610,6 +612,14 @@ class TestConv2dGradients:
             assert len(blocks) == 1 or min(c1 - c0 for c0, c1 in blocks) >= 4096
         assert len(_column_blocks(32, 32, 12393, 4)) == 3
         assert len(_column_blocks(32, 32, 9471, 4)) == 2
+        # few channels: every tap's GEMM, the remainder's included, has
+        # M*N*K <= 10**6 and so takes OpenBLAS's small-matrix kernel
+        for cin, cout, n in [(16, 8, 66048), (32, 16, 16640), (16, 16, 12768)]:
+            blocks = _column_blocks(cin, cout, n, 4)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n and len(blocks) > 1
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all((c1 - c0) % 64 == 0 for c0, c1 in blocks[:-1])
+            assert all(1024 <= c1 - c0 and cin * cout * (c1 - c0) <= 10**6 for c0, c1 in blocks)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20)
