@@ -449,16 +449,24 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
 
 
 def cmd_postprocess(cfg: RunConfig, args) -> dict:
+    with geodata.RasterReader(cfg.paths.probability) as src:  # its header, before any pixel is read
+        if src.band_count != 1:
+            raise ValueError(
+                f"{cfg.paths.probability}.json: band_count: a probability raster has 1 band, got {src.band_count}"
+            )
     prob = geodata.read_raster(cfg.paths.probability)
     grid = prob.samples[0]
-    bad = np.argwhere(((grid < 0) | (grid > 1)) & prob.valid_mask())
-    if len(bad):
-        raise ValueError(
-            f"{cfg.paths.probability}.bin: {len(bad)} probability pixel(s) outside "
-            f"[0, 1], first at (row, col) {tuple(map(int, bad[0]))}"
-        )
-    binary = detect.threshold_probability(prob, cfg.postprocess.probability_threshold)
-    detections, components = detect.detections_from_binary(binary, prob, cfg.postprocess)
+    # two reductions that skip NaN, and a pixel scan only where they fail:
+    # at a numeric nodata outside [0, 1], or at a fault, which it locates
+    if not (np.fmin.reduce(grid, axis=None) >= 0 and np.fmax.reduce(grid, axis=None) <= 1):
+        bad = np.argwhere(((grid < 0) | (grid > 1)) & prob.valid_mask())
+        if len(bad):
+            raise ValueError(
+                f"{cfg.paths.probability}.bin: {len(bad)} probability pixel(s) outside "
+                f"[0, 1], first at (row, col) {tuple(map(int, bad[0]))}"
+            )
+    runs = detect.threshold_runs(prob, cfg.postprocess.probability_threshold)
+    detections, components = detect.detections_from_runs(runs, prob, cfg.postprocess)
     out = args.out or cfg.paths.detections
     polygons = detections.polygons
     # checked before the write, so that a fault leaves the earlier file
@@ -477,7 +485,7 @@ def cmd_postprocess(cfg: RunConfig, args) -> dict:
         "components": components,  # before the min_area filter
         "detections": len(detections),
         "total_area_m2": sum(detections.area.tolist()),  # in label order, as summed before
-        "pixels_above_threshold": int(np.count_nonzero(binary.samples)),
+        "pixels_above_threshold": int((runs[2] - runs[1] + 1).sum()),
         "output": str(out),
     }
 

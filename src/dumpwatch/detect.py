@@ -8,19 +8,29 @@ read and stacked once, its windows are written as batches of network input
 rows are emitted as soon as no later tile reaches them. What stays resident
 is one stripe, one batch of windows, and the float64 sums and counts of the
 rows the next tile row overlaps.
-Post-processing thresholds the map, labels connected components (a numpy
-union-find over horizontal pixel runs, so post-processing needs no scipy),
-drops the components under the minimum area from the label grid, traces
-the exact pixel-boundary outline of every component left into
-world-coordinate polygons (holes included), and exports GeoJSON. The
-tracing is exact:
-rasterizing the resulting polygons with the pixel-center rule reproduces
-the thresholded mask. It runs over the whole label grid at once, in numpy:
-exposed pixel sides are joined into straight runs, each run is linked to
-the next by a sorted search, and rings are the cycles of that link, cut
-where one passes a pinch corner twice. Each 4-connected part of a
-component (found by the same run union-find as the labelling) has one
-exterior ring, and the other rings along the part are its holes.
+Post-processing works on a run table, not on label grids: one pass over
+the map, a block of rows at a time (``threshold_runs``), gives the
+horizontal runs of pixels at or above the threshold, (row, first col,
+last col), and everything after it is a numpy pass over those runs. A
+union-find over runs that touch across a row boundary labels the
+connected components (so post-processing needs no scipy); summed run
+lengths drop the components under the minimum area before any side is
+derived; and the exact pixel-boundary outline of every component left is
+traced into world-coordinate polygons (holes included) and exported as
+GeoJSON. A run's left and right sides are its ends, which join down the
+rows while runs of its label end at the same column; its top and bottom
+sides are the stretches that runs of its label in the row above or below
+leave open. The tracing is exact: rasterizing the resulting polygons with
+the pixel-center rule reproduces the thresholded mask. Each side run is
+linked to the next by a sorted search, and rings are the cycles of that
+link, cut where one passes a pinch corner twice. Each 4-connected part of
+a component (the same union-find over the runs of one label whose columns
+overlap) has one exterior ring, and the other rings along the part are
+its holes. The grid functions (``connected_components``, ``polygonize``)
+turn a grid into its runs of equal labels and run the same code, so no
+label grid, padded copy or binary raster is made on the way from a
+probability raster to its detections; memory is the raster, the runs, and
+the foreground pixels' probabilities gathered for the mean.
 Detections stay columns (``Detections``: ``geodata.Polygons`` corner arrays
 with ring and polygon offsets, plus detection offsets) from the tracer to
 the GeoJSON text, which ``geodata.write_geojson`` joins from each distinct
@@ -251,6 +261,101 @@ def threshold_probability(prob: Raster, threshold: float) -> Raster:
     )
 
 
+# rows that threshold_runs compares at once: 256 of a 1024-wide raster
+_BLOCK_PIXELS = 1 << 18
+
+
+def threshold_runs(prob: Raster, threshold: float):
+    """The horizontal runs of a single-band probability raster's pixels at
+    or above ``threshold``, nodata excluded, in row-major order: (row,
+    first col, last col) int64 arrays. The raster is compared a block of
+    rows at a time, so no grid of its size is made."""
+    if not (0 < threshold < 1):
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    grid = prob.samples[0]
+    height, width = grid.shape
+    block = max(1, _BLOCK_PIXELS // width)
+    # each row between two background columns, so its runs' ends pair up;
+    # NaN compares false, so only a numeric nodata needs its own test
+    fg = np.zeros((block, width + 2), dtype=bool)
+    masked = prob.nodata is not None and not math.isnan(prob.nodata)
+    edges = []
+    for r0 in range(0, height, block):
+        rows = grid[r0 : r0 + block]
+        inner = fg[: len(rows), 1:-1]
+        with np.errstate(invalid="ignore"):
+            np.greater_equal(rows, threshold, out=inner)
+        if masked:
+            inner &= rows != prob.nodata
+        edges.append(np.flatnonzero(fg[: len(rows), 1:] != fg[: len(rows), :-1]) + r0 * (width + 1))
+    edge = np.concatenate(edges)
+    row, first = np.divmod(edge[0::2], width + 1)
+    return row, first, edge[1::2] % (width + 1) - 1
+
+
+def _grid_runs(values: np.ndarray, fg: np.ndarray):
+    """Row, first and last column, and value of each maximal run of equal
+    values along the rows of ``values``, over the pixels ``fg`` marks, in
+    row-major order."""
+    step = values[:, 1:] != values[:, :-1]
+    start = fg.copy()
+    start[:, 1:] &= step
+    stop = fg.copy()
+    stop[:, :-1] &= step
+    row, first = np.nonzero(start)
+    return row, first, np.nonzero(stop)[1], values[row, first]
+
+
+def _contacts(row, first, last, width: int, reach: int):
+    """The pairs (upper, lower) of runs in adjacent rows whose columns
+    overlap (``reach`` 0), or also meet at a corner (``reach`` 1), grouped
+    by the lower run and in column order within a group. The runs are in
+    row-major order, so the partners of a lower run are one stretch of the
+    row above it, found by two sorted searches."""
+    stride = width + 2  # keys of two rows stay more than a reach apart
+    base = row * stride
+    lo = np.searchsorted(base + last, base - stride + first - reach)
+    hi = np.searchsorted(base + first, base - stride + last + reach, "right")
+    count = np.maximum(hi - lo, 0)
+    lower = np.repeat(np.arange(len(row)), count)
+    upper = np.arange(len(lower)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return upper, lower
+
+
+def _union(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Number the groups that the pairs (a, b) join ``n`` runs into, 1.. in
+    the order of their first runs. Returns (number per run, group count).
+
+    A union-find over runs (after He, Chao & Suzuki, IEEE TIP 17(5), 2008),
+    in numpy rounds with no loop per run. Each round drops the pairs whose
+    runs share a root, hooks every other pair's larger root under the least
+    root it meets, then jumps pointers (``parent[parent]``) until every run
+    points at its root. Roots only hook under smaller ones, so a group's
+    root is its first run and ranking the roots numbers the groups in run
+    order. Hooking under the least root, not an arbitrary one, bounds the
+    rounds by about twice the logarithm of the run count: a comb whose
+    teeth hang from one spine would otherwise merge one tooth per round.
+    """
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+    rank = np.cumsum(parent == np.arange(n))
+    return rank[parent], int(rank[-1]) if n else 0
+
+
+def _run_pixels(row, first, length, width: int) -> np.ndarray:
+    """The row-major flat index of every pixel of the runs, run by run."""
+    start = np.cumsum(length) - length
+    return np.repeat(row * width + first - start, length) + np.arange(int(length.sum()))
+
+
 def connected_components(
     binary: Raster, connectivity: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,50 +374,18 @@ def _label_parts(values: np.ndarray, connectivity: int) -> tuple[np.ndarray, int
     non-zero value. Returns (parts [row, col] int32, 0 on zero pixels; part
     count).
 
-    A union-find over the horizontal runs of equal non-zero pixels (after
-    He, Chao & Suzuki, IEEE TIP 17(5), 2008), numbered in row-major order
-    of their first pixels, in numpy rounds with no loop per pixel or run.
-    Runs that touch across a row boundary form pairs: one per stretch of
-    vertical contact, and under 8-connectivity one per diagonal contact
-    that no vertical one already joins. Each round drops the pairs whose
-    runs share a root, hooks every other pair's larger root under the least
-    root it meets, then jumps pointers (``parent[parent]``) until every run
-    points at its root. Roots only hook under smaller ones, so a part's
-    root is its first run and ranking the roots numbers the parts as a
-    row-major scan meets them. Hooking under the least root, not an
-    arbitrary one, bounds the rounds by about twice the logarithm of the
-    run count: a comb whose teeth hang from one spine would otherwise merge
-    one tooth per round.
+    The grid's runs of equal non-zero values join where they touch across a
+    row boundary (``_contacts``) with equal values, and ``_union`` numbers
+    the parts; the numbers are painted back run by run.
     """
-    fg = values != 0
-    same = values[:, 1:] == values[:, :-1]
-    start = fg.copy()
-    start[:, 1:] &= ~same
-    run = (np.cumsum(start, dtype=np.int32) - 1).reshape(fg.shape)
-    above = fg[1:] & (values[:-1] == values[1:])
-    above[:, 1:] &= ~(above[:, :-1] & same[1:])  # the first column of each contact
-    upper, lower = [run[:-1][above]], [run[1:][above]]
-    if connectivity == 8:
-        nw, ne, sw, se = values[:-1, :-1], values[:-1, 1:], values[1:, :-1], values[1:, 1:]
-        down = fg[:-1, :-1] & (nw == se) & (ne != nw) & (sw != nw)
-        up = fg[1:, :-1] & (sw == ne) & (se != sw) & (nw != sw)
-        upper += [run[:-1, :-1][down], run[:-1, 1:][up]]
-        lower += [run[1:, 1:][down], run[1:, :-1][up]]
-    a, b = np.concatenate(upper), np.concatenate(lower)
-    parent = np.arange(np.count_nonzero(start), dtype=np.int32)
-    while True:
-        ra, rb = parent[a], parent[b]
-        cross = ra != rb
-        if not cross.any():
-            break
-        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not np.array_equal(grand := parent[parent], parent):
-            parent = grand
-    rank = np.cumsum(parent == np.arange(len(parent)), dtype=np.int32)
-    parts = np.zeros(fg.shape, dtype=np.int32)
-    parts[fg] = rank[parent][run[fg]]
-    return parts, int(rank[-1]) if len(rank) else 0
+    row, first, last, value = _grid_runs(values, values != 0)
+    upper, lower = _contacts(row, first, last, values.shape[1], connectivity == 8)
+    same = value[upper] == value[lower]
+    part, count = _union(len(row), upper[same], lower[same])
+    length = last - first + 1
+    parts = np.zeros(values.shape, dtype=np.int32)
+    parts.reshape(-1)[_run_pixels(row, first, length, values.shape[1])] = np.repeat(part, length)
+    return parts, count
 
 
 # ---------------------------------------------------------------------------
@@ -328,46 +401,70 @@ _RIGHT = 3
 _TURN = _STEPS[:, None, 0] * _STEPS[None, :, 1] - _STEPS[:, None, 1] * _STEPS[None, :, 0] > 0
 
 
-def _row_runs(side: np.ndarray, same: np.ndarray):
-    """Row, first and last column of each maximal run of set cells along the
-    rows of ``side`` whose neighbouring cells share a label (``same``)."""
-    link = side[:, :-1] & side[:, 1:] & same
-    first = side.copy()
-    first[:, 1:] &= ~link
-    last = side.copy()
-    last[:, :-1] &= ~link
-    row, c0 = np.nonzero(first)
-    return row, c0, np.nonzero(last)[1]
+def _uncovered(first, last, owner, cover_first, cover_last):
+    """The stretches of each run's columns [first, last] that its covers
+    leave open, left to right. Covers are (owner run, first col, last col),
+    grouped by owner and in column order within a group. Returns (run,
+    first col, last col) per stretch.
+
+    A run with k covers has k + 1 slots: before its first cover, between
+    two, and after its last; empty ones are dropped.
+    """
+    count = np.bincount(owner, minlength=len(first))
+    end = np.arange(len(first)) + np.cumsum(count)  # each run's last slot
+    start = np.empty(len(first) + len(owner), dtype=first.dtype)
+    stop = np.empty_like(start)
+    start[end - count], stop[end] = first, last
+    slot = owner + np.arange(len(owner))
+    stop[slot], start[slot + 1] = cover_first - 1, cover_last + 1
+    run = np.repeat(np.arange(len(first)), count + 1)
+    kept = start <= stop
+    return run[kept], start[kept], stop[kept]
 
 
-def _boundary_runs(labels: np.ndarray):
-    """Every component's boundary as straight runs of exposed pixel sides.
+def _edge_chains(row, col, label):
+    """Runs whose ends at ``col`` (each run's first or last column) line up
+    down consecutive rows with one label, as chains: (first run, last run)
+    of each. Runs are in row-major order, so a stable sort by column puts
+    each chain's runs next to each other."""
+    order = np.argsort(col, kind="stable")
+    r, c, lab = row[order], col[order], label[order]
+    cut = np.ones(len(order) + 1, dtype=bool)  # between two chains
+    cut[1:-1] = (c[1:] != c[:-1]) | (r[1:] != r[:-1] + 1) | (lab[1:] != lab[:-1])
+    return order[cut[:-1]], order[cut[1:]]
+
+
+def _sides(row, first, last, label, upper, lower):
+    """Every component's boundary as straight runs of exposed pixel sides,
+    from its pixel runs; ``upper`` and ``lower`` pair the runs of one label
+    in adjacent rows whose columns overlap, grouped by the lower run.
 
     A side is exposed where the 4-neighbour across it carries a different
     label (or lies off the grid). Sides are directed with the component on
     the same side of each: tops run right, right sides down, bottoms left,
     left sides up. Consecutive exposed sides of one label along one line
     join into a run, since the walk goes straight through the corner
-    between them. Returns (label, start col, start row, end col, end row,
-    direction index into _STEPS), one entry per run.
+    between them. A pixel run's tops are the stretches that its partners
+    above leave open, and its bottoms those its partners below leave open;
+    its last and first columns end in a right and a left side, which join
+    down the rows while runs of its label end there. Returns (label, start
+    col, start row, end col, end row, direction index into _STEPS), one
+    entry per side run.
     """
-    pad = np.pad(labels, 1)
-    inner = pad[1:-1, 1:-1]
-    fg = inner > 0
-    same_row = inner[:, 1:] == inner[:, :-1]
-    same_col = (inner[1:] == inner[:-1]).T
-    r, a, b = _row_runs(fg & (inner != pad[:-2, 1:-1]), same_row)
-    top = (r, a, a, r, b + 1, r, 3)
-    r, a, b = _row_runs(fg & (inner != pad[2:, 1:-1]), same_row)
-    bottom = (r, a, b + 1, r + 1, a, r + 1, 0)
-    c, a, b = _row_runs((fg & (inner != pad[1:-1, 2:])).T, same_col)
-    right = (a, c, c + 1, a, c + 1, b + 1, 2)
-    c, a, b = _row_runs((fg & (inner != pad[1:-1, :-2])).T, same_col)
-    left = (a, c, c, b + 1, c, a, 1)
+    r, a, b = _uncovered(first, last, lower, first[upper], last[upper])
+    top = (label[r], a, row[r], b + 1, row[r], 3)
+    by_upper = np.argsort(upper, kind="stable")
+    upper, lower = upper[by_upper], lower[by_upper]
+    r, a, b = _uncovered(first, last, upper, first[lower], last[lower])
+    bottom = (label[r], b + 1, row[r] + 1, a, row[r] + 1, 0)
+    s, e = _edge_chains(row, last, label)
+    right = (label[s], last[s] + 1, row[s], last[s] + 1, row[e] + 1, 2)
+    s, e = _edge_chains(row, first, label)
+    left = (label[s], first[s], row[e] + 1, first[s], row[s], 1)
     parts = (top, bottom, right, left)
-    label = np.concatenate([inner[p[0], p[1]] for p in parts]).astype(np.int64)
-    coords = [np.concatenate([p[k] for p in parts]).astype(np.int32) for k in range(2, 6)]
-    direction = np.concatenate([np.full(len(p[0]), p[6], np.int8) for p in parts])
+    label = np.concatenate([p[0] for p in parts]).astype(np.int64)
+    coords = [np.concatenate([p[k] for p in parts]).astype(np.int32) for k in range(1, 5)]
+    direction = np.concatenate([np.full(len(p[0]), p[5], np.int8) for p in parts])
     return (label, *coords, direction)
 
 
@@ -397,7 +494,7 @@ def _cycles(succ: np.ndarray):
     return head, dist
 
 
-def _trace(labels: np.ndarray):
+def _trace(sides, height: int, width: int):
     """Trace every component's rings at once.
 
     Runs are keyed by (label, start col, start row, direction), which
@@ -420,9 +517,9 @@ def _trace(labels: np.ndarray):
     corners as flat (col, row) arrays with ring offsets, each ring from its
     start backwards along the walk.
     """
-    label, sc, sr, ec, er, direction = _boundary_runs(labels)
-    rows = labels.shape[0] + 1
-    span = 4 * rows * (labels.shape[1] + 1)
+    label, sc, sr, ec, er, direction = sides
+    rows = height + 1
+    span = 4 * rows * (width + 1)
     key = label * span + (sc.astype(np.int64) * rows + sr) * 4 + direction
     order = np.argsort(key)
     key, label, sc, sr, direction = (a[order] for a in (key, label, sc, sr, direction))
@@ -482,32 +579,51 @@ def polygonize(
     are float64 world coordinates, as ``pixel_to_world`` computes them.
     ``probabilities`` (same grid as labels) feeds each detection's mean
     probability; without it the field is NaN. Area is pixel count times the
-    pixel area in world units.
+    pixel area in world units. The grid becomes its runs of equal labels,
+    which ``_polygonize_runs`` traces.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("labels must be a 2-D array")
+    if probabilities is not None and np.shape(probabilities) != labels.shape:
+        raise ValueError("probabilities grid must match labels")
     count = max(int(labels.max()) if labels.size else 0, 0)
+    row, first, last, label = _grid_runs(labels, labels > 0)
+    upper, lower = _contacts(row, first, last, labels.shape[1], 0)
+    same = label[upper] == label[lower]
+    return _polygonize_runs(
+        (row, first, last), label.astype(np.int64), count, upper[same], lower[same],
+        labels.shape, transform, probabilities,
+    )
+
+
+def _polygonize_runs(runs, label, count, upper, lower, shape, transform, probabilities) -> Detections:
+    """``polygonize`` over pixel runs: ``runs`` (row, first col, last col)
+    in row-major order, each run's ``label`` in 1..``count``, and the pairs
+    (``upper``, ``lower``) of runs of one label in adjacent rows whose
+    columns overlap, grouped by the lower run (``_contacts``), on a grid of
+    ``shape``."""
+    row, first, last = runs
+    width = shape[1]
+    length = last - first + 1
+    pixels = np.bincount(label, weights=length, minlength=count + 1).astype(np.int64)
     mean_prob = np.full(count + 1, math.nan)
-    labelled = labels > 0
-    owners = labels[labelled]  # both sums run over labelled pixels only
     if probabilities is not None:
-        probabilities = np.asarray(probabilities)
-        if probabilities.shape != labels.shape:
-            raise ValueError("probabilities grid must match labels")
-        mean_prob = np.bincount(owners, weights=probabilities[labelled], minlength=count + 1)
-    pixels = np.bincount(owners, minlength=count + 1)
-    # freed before tracing: holding them raised the peak RSS of postprocess
-    # on a 4096^2 raster by 18 MiB (numpy 2.4, glibc malloc)
-    del labelled, owners
+        # pixel by pixel in row-major order, as a bincount over the grid adds them
+        at = _run_pixels(row, first, length, width)
+        mean_prob = np.bincount(
+            np.repeat(label, length), weights=np.asarray(probabilities).reshape(-1)[at], minlength=count + 1
+        )
+        del at
     # not in place: a weighted bincount over no pixel comes back int64
     with np.errstate(invalid="ignore"):
         mean_prob = mean_prob / np.maximum(pixels, 1)
-    ring_label, exterior, prow, pcol, col, row, off = _trace(labels)
+    ring_label, exterior, prow, pcol, col, crow, off = _trace(_sides(row, first, last, label, upper, lower), *shape)
     # every ring runs along the pixels of one 4-connected part of its label,
     # and each part has one exterior: the part's other rings are its holes
-    parts, n_parts = _label_parts(labels, 4)
-    part = parts[prow, pcol]
+    part, n_parts = _union(len(row), upper, lower)
+    key = row * (width + 1) + first
+    part = part[np.searchsorted(key, prow.astype(np.int64) * (width + 1) + pcol, "right") - 1]
     exteriors = np.flatnonzero(exterior)
     owner = np.empty(n_parts + 1, dtype=np.int64)
     owner[part[exteriors]] = exteriors
@@ -520,7 +636,7 @@ def polygonize(
     np.cumsum(sizes, out=ring_offsets[1:])
     corner = np.repeat(off[order] - ring_offsets[:-1], sizes) + np.arange(ring_offsets[-1])
     x = transform.origin_x + col[corner].astype(np.float64) * transform.pixel_width
-    y = transform.origin_y - row[corner].astype(np.float64) * transform.pixel_height
+    y = transform.origin_y - crow[corner].astype(np.float64) * transform.pixel_height
     polygons = Polygons(x, y, ring_offsets, polygon_offsets, ["detection"] * len(exteriors))
     area = pixels[1:] * (transform.pixel_width * transform.pixel_height)
     return Detections(polygons, offsets, pixels[1:], area.astype(np.float64), mean_prob[1:])
@@ -544,26 +660,48 @@ def export_geojson(detections: Detections, path) -> None:
     write_geojson(path, detections.polygons, detections.offsets, properties)
 
 
+def detections_from_runs(runs, prob: Raster, pcfg: PostprocConfig) -> tuple[Detections, int]:
+    """Label the foreground ``runs`` of ``prob``'s grid (row, first col, last
+    col in row-major order, as ``threshold_runs`` gives them) into
+    components, drop the components whose area falls under ``min_area``
+    (one of exactly ``min_area`` stays), and polygonize the rest. Returns
+    the detections and the count of components before the filter.
+
+    The small components' runs are dropped before any side is derived, and
+    the kept components are renumbered 1..k in label order. Tracing and
+    the per-label sums see each label apart from every other, so the
+    detections are those of polygonizing every component and dropping the
+    small ones afterwards.
+    """
+    row, first, last = runs
+    transform = prob.transform
+    upper, lower = _contacts(row, first, last, prob.width, pcfg.connectivity == 8)
+    label, count = _union(len(row), upper, lower)
+    sizes = np.bincount(label, weights=last - first + 1, minlength=count + 1)[1:]
+    keep = sizes * (transform.pixel_width * transform.pixel_height) >= pcfg.min_area
+    if not keep.all():
+        renumber = np.zeros(count + 1, dtype=label.dtype)
+        renumber[1:][keep] = np.arange(1, np.count_nonzero(keep) + 1)
+        label = renumber[label]
+        live = label > 0
+        index = np.cumsum(live) - 1
+        joined = live[upper]  # both runs of a pair are in one component
+        upper, lower = index[upper[joined]], index[lower[joined]]
+        row, first, last, label = row[live], first[live], last[live], label[live]
+    if pcfg.connectivity == 8:  # tracing pairs only runs whose columns overlap
+        overlap = (first[upper] <= last[lower]) & (first[lower] <= last[upper])
+        upper, lower = upper[overlap], lower[overlap]
+    detections = _polygonize_runs(
+        (row, first, last), label, int(np.count_nonzero(keep)), upper, lower,
+        (prob.height, prob.width), transform, prob.samples[0],
+    )
+    return detections, count
+
+
 def detections_from_binary(
     binary: Raster, prob: Raster, pcfg: PostprocConfig
 ) -> tuple[Detections, int]:
-    """Label an already thresholded raster, drop the components whose area
-    falls under ``min_area`` (one of exactly ``min_area`` stays), and
-    polygonize the rest. Returns the detections and the count of components
-    before the filter.
-
-    The kept components are renumbered 1..k in label order in the label
-    grid itself, so only they are traced. Tracing and the per-label sums
-    see each label apart from every other, so the detections are those of
-    polygonizing every component and dropping the small ones afterwards.
-    """
-    labels, sizes = connected_components(binary, pcfg.connectivity)
-    transform = prob.transform
-    keep = sizes * (transform.pixel_width * transform.pixel_height) >= pcfg.min_area
-    if not keep.all():
-        lut = np.zeros(len(sizes) + 1, dtype=labels.dtype)
-        lut[1:][keep] = np.arange(1, np.count_nonzero(keep) + 1)
-        # mode="clip" writes into labels directly; the default mode buffers
-        # a second grid for out
-        np.take(lut, labels, out=labels, mode="clip")
-    return polygonize(labels, transform, prob.samples[0]), len(sizes)
+    """``detections_from_runs`` over the runs of an already thresholded
+    raster's non-zero pixels."""
+    fg = binary.samples[0] != 0
+    return detections_from_runs(_grid_runs(fg, fg)[:3], prob, pcfg)

@@ -712,6 +712,17 @@ def _probability_over_detections(root, header_edit, value=0.5):
     return config, header
 
 
+def _two_band_probability(root):
+    """A 2-band 32x32 raster as the probability, with a blob in band 0, and
+    an earlier detections.geojson where postprocess writes its output."""
+    samples = np.full((2, 32, 32), 0.25, np.float32)
+    samples[0, 10:14, 10:14] = 0.9
+    write_raster(Raster(samples, GeoTransform(0.0, 32.0, 1.0, 1.0)), root / "probability")
+    earlier = root / "detections.geojson"
+    earlier.write_text('{"type": "FeatureCollection", "features": []}\n')
+    return {"paths": {"probability": str(root / "probability"), "detections": str(earlier)}}, root / "probability.json"
+
+
 def _predict_inputs(root, truncate=0, tile_size=256, bands=DEFAULT_BAND_SPEC):
     """A flat source scene of 40x24 px, its payload cut short by
     ``truncate`` bytes, and a depth-2 checkpoint of ``bands`` with their
@@ -1030,6 +1041,11 @@ MALFORMED_INPUTS = {
             r, ('"pixel_width": 1.0, "pixel_height": 1.0', '"pixel_width": 1e200, "pixel_height": 1e200')
         ),
         ["probability.json: transform: its world extent or area is not a finite float"],
+    ),
+    "probability-with-two-bands": (
+        "postprocess",
+        _two_band_probability,
+        ["probability.json: band_count: a probability raster has 1 band, got 2"],
     ),
     "band-names-not-a-list": (
         "postprocess",
@@ -1769,11 +1785,11 @@ class TestChecksBeforeWriting:
         rings = [[self.SQUARE], [[(10, 0), (12, 0), (12, 2), (10, 2)]], [exterior, hole]]
         polygons = polygon_columns(rings, "detection", normalized=False)
 
-        def bad_polygonize(labels, transform, probabilities=None):
+        def bad_detections(runs, prob, pcfg):
             ones = np.ones(2)
-            return Detections(polygons, np.array([0, 1, 3]), ones.astype(np.int64), ones, ones)
+            return Detections(polygons, np.array([0, 1, 3]), ones.astype(np.int64), ones, ones), 2
 
-        monkeypatch.setattr(detect, "polygonize", bad_polygonize)
+        monkeypatch.setattr(detect, "detections_from_runs", bad_detections)
         code, summary = run_cli(["postprocess", "--config", str(cfg)], capsys)
         assert code == 1 and summary is None
         assert f"{out}: not written: ring of {where}" in caplog.text
@@ -1958,6 +1974,47 @@ class TestProcessLevel:
             peak_kib.append(int(proc.stdout.split()[-1]))
         payload_kib = 6 * 4 * height * width * 4 // 1024
         assert peak_kib[1] - peak_kib[0] < payload_kib / 8, (peak_kib, payload_kib)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status"
+    )
+    def test_postprocess_peak_memory_does_not_grow_with_height(self, tmp_path):
+        """postprocess works on the probability raster's pixel runs: on a
+        sparse raster made four times as tall by background rows below it,
+        a child's own peak RSS (VmHWM) grows by under 1.5 times the tall
+        raster's payload. It grew by 0.73 times, as the raster is still read
+        whole; a label grid and its full-grid temporaries grew it by 3.9
+        times."""
+        width, height = 1024, 384
+        rng = np.random.default_rng(0)
+        sparse = np.full((height, width), 0.1, np.float32)
+        for r, c in rng.integers(8, [height - 8, width - 8], (40, 2)):
+            sparse[r - 6 : r + 6, c - 6 : c + 6] = 0.9
+            sparse[r - 2 : r + 2, c - 2 : c + 2] = 0.2
+        code = (
+            "import sys; from dumpwatch import cli; code = cli.main(sys.argv[1:]); "
+            "print([line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')][0]); sys.exit(code)"
+        )
+        peak_kib, summaries = [], []
+        for h in (height, 4 * height):
+            samples = np.full((1, h, width), 0.1, np.float32)
+            samples[0, :height] = sparse
+            base = tmp_path / f"probability_{h}"
+            write_raster(Raster(samples, GeoTransform(0.0, float(h), 1.0, 1.0), band_names=("probability",)), base)
+            cfg = tmp_path / f"run_{h}.json"
+            paths = {"probability": str(base), "detections": str(tmp_path / f"detections_{h}.geojson")}
+            cfg.write_text(json.dumps({"paths": paths, "postprocess": {"min_area": 0.0}}))
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "postprocess", "--config", str(cfg)], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            summary, peak = proc.stdout.splitlines()
+            summaries.append(json.loads(summary)["detections"])
+            peak_kib.append(int(peak))
+        assert summaries[0] == summaries[1] > 0
+        payload_kib = 4 * height * width * 4 // 1024
+        assert peak_kib[1] - peak_kib[0] < 1.5 * payload_kib, (peak_kib, payload_kib)
 
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status"

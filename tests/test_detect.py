@@ -26,6 +26,7 @@ from dumpwatch.detect import (
     predict_raster,
     predict_rows,
     threshold_probability,
+    threshold_runs,
 )
 from dumpwatch.dataset import SOURCE_BANDS, stack_bands
 from dumpwatch.geodata import (
@@ -653,6 +654,28 @@ class TestThresholdAndFilter:
         with pytest.raises(ValueError, match="threshold"):
             threshold_probability(prob, 0.0)
 
+    @pytest.mark.parametrize("nodata", [math.nan, 0.75, None])
+    def test_threshold_runs_are_the_thresholded_mask(self, nodata):
+        # 3000 columns make blocks of 2**18 // 3000 = 87 rows: three blocks
+        rng = np.random.default_rng(17)
+        grid = rng.uniform(size=(200, 3000)).astype(np.float32)
+        grid[rng.uniform(size=grid.shape) < 0.05] = math.nan
+        grid[rng.uniform(size=grid.shape) < 0.05] = 0.75
+        grid[:, -1] = grid[-1] = 0.9  # runs that reach the last column and row
+        prob = Raster(grid[None], T1, nodata=nodata)
+        row, first, last = threshold_runs(prob, 0.5)
+        # +1 where a run starts, -1 just past its end, summed in row-major order
+        painted = np.zeros(grid.size + 1, dtype=np.int64)
+        np.add.at(painted, row * grid.shape[1] + first, 1)
+        np.add.at(painted, row * grid.shape[1] + last + 1, -1)
+        assert np.array_equal(np.cumsum(painted)[:-1].reshape(grid.shape), threshold_probability(prob, 0.5).samples[0])
+        # maximal runs in row-major order
+        same_row = row[1:] == row[:-1]
+        assert (first <= last).all() and (row[1:] >= row[:-1]).all()
+        assert (last[:-1][same_row] + 1 < first[1:][same_row]).all()
+        with pytest.raises(ValueError, match="threshold"):
+            threshold_runs(prob, 1.0)
+
     def test_area_filter_keeps_boundary(self):
         # components of 1, 3, 2 and 4 pixels of 10 x 10 m; those of 200 m^2
         # or more become detections, in label order
@@ -815,6 +838,89 @@ class TestExportMatchesOracle:
         with pytest.raises(ValueError, match="not JSON compliant"):
             export_geojson(dets, out)
         assert out.read_text() == "earlier"
+
+
+# small shapes with pinch corners and holes, pasted into the sparse grids
+MOTIFS = [
+    NESTED,
+    np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]]),
+    np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1]]),
+    np.array([[1, 1, 1, 1, 1], [1, 0, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1]]),
+]
+
+
+def _sparse_blobs(rng, size=1024, blobs=100):
+    """``blobs`` shapes scattered over a ``size``^2 grid that is mostly
+    background, as a scene's map is: ellipses, some with a hole and some
+    frayed into holes and pinch corners, each paired with a value drawn
+    from 1..``blobs``; every fourth is a motif instead. Returns (centre
+    row, centre col, mask, value) per shape, the mask 57 px square."""
+    yy, xx = np.ogrid[-28:29, -28:29]
+    shapes = []
+    for k in range(blobs):
+        r, c = (int(v) for v in rng.integers(30, size - 30, 2))
+        if k % 4 == 3:
+            motif = MOTIFS[k // 4 % len(MOTIFS)] != 0
+            mask = np.zeros((57, 57), dtype=bool)
+            mask[: motif.shape[0], : motif.shape[1]] = motif
+        else:
+            a, b = rng.uniform(2, 25, 2)
+            d = (yy / a) ** 2 + (xx / b) ** 2
+            mask = d <= 1
+            if k % 4 == 1:
+                mask &= d > rng.uniform(0.1, 0.5)
+            elif k % 4 == 2:
+                mask &= rng.uniform(size=mask.shape) < 0.7
+        shapes.append((r, c, mask, int(rng.integers(1, blobs + 1))))
+    return shapes
+
+
+class TestSparseScenes:
+    """A scene's map is almost all background: 1024^2 grids of about a
+    hundred blobs, with holes, pinch corners, one-pixel specks and, for
+    label grids, labels that touch. The oracles trace each component alone,
+    so they see these grids as they see small dense ones."""
+
+    TRANSFORM = GeoTransform(500000.0, 4200000.0, 10.0, 10.0)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_filtered_detections_and_bytes_match_the_oracle(self, tmp_path, connectivity):
+        rng = np.random.default_rng(40 + connectivity)
+        grid = np.zeros((1024, 1024), dtype=np.float32)
+        for r, c, mask, _ in _sparse_blobs(rng):
+            grid[r - 28 : r + 29, c - 28 : c + 29][mask] = 1
+        grid[tuple(rng.integers(0, 1024, (2, 200)))] = 1  # specks, which the filter drops
+        prob = _probability_raster(rng.uniform(size=grid.shape), self.TRANSFORM)
+        pcfg = PostprocConfig(min_area=300.0, connectivity=connectivity)
+        got, components = detections_from_binary(_binary_raster(grid, self.TRANSFORM), prob, pcfg)
+        every = polygonize_oracle(connected_components_oracle(grid, connectivity), self.TRANSFORM, prob.samples[0])
+        want = [d for d in every if d.area >= pcfg.min_area]
+        assert components == len(every) and 50 < len(want) < len(every) - 100
+        _assert_same_detections(got, want)
+        export_geojson(got, tmp_path / "got.geojson")
+        export_geojson_oracle(want, tmp_path / "want.geojson")
+        assert (tmp_path / "got.geojson").read_bytes() == (tmp_path / "want.geojson").read_bytes()
+
+    def test_touching_labels_and_bytes_match_the_oracle(self, tmp_path):
+        # the blobs come in clusters, drawn over one another, so labels
+        # touch; a value drawn twice is a label of several components
+        rng = np.random.default_rng(44)
+        labels = np.zeros((1024, 1024), dtype=np.int32)
+        shapes = _sparse_blobs(rng)
+        for k, (_, _, mask, value) in enumerate(shapes):
+            r, c = shapes[k - k % 4][:2]
+            r, c = r + int(rng.integers(-12, 13)) * (k % 4 > 0), c + int(rng.integers(-12, 13)) * (k % 4 > 0)
+            r, c = min(max(r, 28), 1024 - 29), min(max(c, 28), 1024 - 29)
+            labels[r - 28 : r + 29, c - 28 : c + 29][mask] = value
+        probs = rng.uniform(size=labels.shape)
+        got = polygonize(labels, self.TRANSFORM, probs)
+        want = polygonize_oracle(labels, self.TRANSFORM, probs)
+        touching = (labels[:, 1:] != labels[:, :-1]) & (labels[:, 1:] > 0) & (labels[:, :-1] > 0)
+        assert touching.sum() > 100
+        _assert_same_detections(got, want)
+        export_geojson(got, tmp_path / "got.geojson")
+        export_geojson_oracle(want, tmp_path / "want.geojson")
+        assert (tmp_path / "got.geojson").read_bytes() == (tmp_path / "want.geojson").read_bytes()
 
 
 def _probability_raster(grid, transform=None):
